@@ -270,221 +270,137 @@ func benchRecords(b *testing.B, n int) []ipd.Record {
 	return records
 }
 
-func benchEngine(b *testing.B) *ipd.Engine {
-	b.Helper()
+func benchConfig() ipd.Config {
 	cfg := ipd.DefaultConfig()
 	cfg.NCidrFactor4 = 0.01
 	cfg.NCidrFloor = 4
-	eng, err := ipd.NewEngine(cfg)
+	return cfg
+}
+
+func benchEngine(b *testing.B) *ipd.Engine {
+	b.Helper()
+	eng, err := ipd.NewEngine(benchConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
 	return eng
 }
 
-// BenchmarkStage1Ingest measures the per-record cost of stage 1 (mask +
-// LPM + counter update) — the path the deployment drives at 4-6.5M
-// records/s across reader processes.
-func BenchmarkStage1Ingest(b *testing.B) {
-	records := benchRecords(b, 500_000)
-	eng := benchEngine(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Observe(records[i%len(records)])
-	}
-	b.ReportMetric(float64(eng.RangeCount()), "ranges")
-}
+// observeAttachment hooks one observer into cfg and returns what it does
+// per record next to Observe (nil when everything hangs off the Config).
+type observeAttachment func(b *testing.B, cfg *ipd.Config) (perRecord func(ipd.Record))
 
-// BenchmarkObserve is the telemetry-regression gate: the same per-record
-// stage-1 path as BenchmarkStage1Ingest under its acceptance-criteria name.
-// The engine's counters are registry-backed atomics, so this measures the
-// instrumented hot path; compare against the baseline recorded in the PR
-// that introduced internal/telemetry.
-func BenchmarkObserve(b *testing.B) {
-	records := benchRecords(b, 500_000)
-	eng := benchEngine(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Observe(records[i%len(records)])
-	}
-	b.ReportMetric(float64(eng.RangeCount()), "ranges")
-}
-
-// BenchmarkObserveJournaled is BenchmarkObserve with the decision journal
-// attached via Config.OnEvent. Observe itself never emits events (only
-// stage-2 cycles do), so the only added cost is the reentrancy guard; the
-// acceptance gate is staying within 5% of BenchmarkObserve.
-func BenchmarkObserveJournaled(b *testing.B) {
-	records := benchRecords(b, 500_000)
-	cfg := ipd.DefaultConfig()
-	cfg.NCidrFactor4 = 0.01
-	cfg.NCidrFloor = 4
-	j := ipd.NewJournal(ipd.JournalOptions{})
-	cfg.OnEvent = j.Record
-	eng, err := ipd.NewEngine(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Observe(records[i%len(records)])
-	}
-	b.ReportMetric(float64(eng.RangeCount()), "ranges")
-}
-
-// BenchmarkObserveTimeline is BenchmarkObserve with the full longitudinal
-// observability stack attached: a timeline collector chained behind the
-// journal on Config.OnEvent, plus the Config.OnCycle sampling hook. Observe
-// itself never fires either hook (sampling happens once per stage-2 cycle),
-// so the per-record cost is the reentrancy guard and the cycle-gate check;
-// the acceptance gate is staying within 3% of BenchmarkObserve.
-func BenchmarkObserveTimeline(b *testing.B) {
-	records := benchRecords(b, 500_000)
-	cfg := ipd.DefaultConfig()
-	cfg.NCidrFactor4 = 0.01
-	cfg.NCidrFloor = 4
-	j := ipd.NewJournal(ipd.JournalOptions{})
-	coll := ipd.NewTimelineCollector(ipd.TimelineOptions{})
+func chainOnEvent(cfg *ipd.Config, fn func(ipd.Event)) {
+	prev := cfg.OnEvent
 	cfg.OnEvent = func(ev ipd.Event) {
-		j.Record(ev)
-		coll.ObserveEvent(ev)
+		if prev != nil {
+			prev(ev)
+		}
+		fn(ev)
 	}
+}
+
+// Observe itself never emits events (only stage-2 cycles do), so the
+// journal adds only the reentrancy guard.
+func attachJournal(_ *testing.B, cfg *ipd.Config) func(ipd.Record) {
+	chainOnEvent(cfg, ipd.NewJournal(ipd.JournalOptions{}).Record)
+	return nil
+}
+
+// The timeline collector rides behind the journal on OnEvent and samples on
+// OnCycle: per record, the guard and the cycle-gate check.
+func attachTimeline(b *testing.B, cfg *ipd.Config) func(ipd.Record) {
+	attachJournal(b, cfg)
+	coll := ipd.NewTimelineCollector(ipd.TimelineOptions{})
+	chainOnEvent(cfg, coll.ObserveEvent)
 	cfg.OnCycle = coll.OnCycle
-	eng, err := ipd.NewEngine(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Observe(records[i%len(records)])
-	}
-	b.ReportMetric(float64(eng.RangeCount()), "ranges")
+	return nil
 }
 
-// BenchmarkObserveTraced is BenchmarkObserve with a pipeline tracer
-// attached at the default 1-in-1024 span sampling — the enabled-tracing
-// cost. BenchmarkObserve itself measures the disabled path (nil tracer:
-// one nil check per record); the acceptance gate is the disabled path
-// staying within 2% of the PR-2 baseline.
-func BenchmarkObserveTraced(b *testing.B) {
-	records := benchRecords(b, 500_000)
-	cfg := ipd.DefaultConfig()
-	cfg.NCidrFactor4 = 0.01
-	cfg.NCidrFloor = 4
+// The default 1-in-1024 span sampling; without it Observe pays one nil check.
+func attachTracer(_ *testing.B, cfg *ipd.Config) func(ipd.Record) {
 	cfg.Tracer = ipd.NewTracer(ipd.TracerOptions{})
-	eng, err := ipd.NewEngine(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Observe(records[i%len(records)])
-	}
-	b.ReportMetric(float64(eng.RangeCount()), "ranges")
+	return nil
 }
 
-// BenchmarkObserveGoverned is BenchmarkObserve with a resource governor
-// attached under generous budgets, so the governor stays in the normal
-// state for the whole run — the cost every governed deployment pays on the
-// hot path when nothing is wrong (one atomic state load per budget-gated
-// decision plus the per-IP budget check). The acceptance gate is staying
-// within 10% of BenchmarkObserve (BENCH_4.json records the reference).
-func BenchmarkObserveGoverned(b *testing.B) {
-	records := benchRecords(b, 500_000)
-	cfg := ipd.DefaultConfig()
-	cfg.NCidrFactor4 = 0.01
-	cfg.NCidrFloor = 4
-	gov, err := ipd.NewGovernor(ipd.GovernorConfig{
-		MaxRanges:   1 << 20,
-		MaxIPStates: 1 << 30,
-	})
+// Budgets generous enough that the governor stays in the normal state: what
+// every governed deployment pays when nothing is wrong.
+func attachGovernor(b *testing.B, cfg *ipd.Config) func(ipd.Record) {
+	gov, err := ipd.NewGovernor(ipd.GovernorConfig{MaxRanges: 1 << 20, MaxIPStates: 1 << 30})
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg.Governor = gov
-	cfg.MaxRanges = 1 << 20
-	cfg.MaxIPStates = 1 << 30
-	eng, err := ipd.NewEngine(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Observe(records[i%len(records)])
-	}
-	b.ReportMetric(float64(eng.RangeCount()), "ranges")
+	cfg.Governor, cfg.MaxRanges, cfg.MaxIPStates = gov, 1<<20, 1<<30
+	return nil
 }
 
-// BenchmarkObserveExporterHealth is BenchmarkObserve with the exporter
-// health tracker attached the way cmd/ipd wires it for trace input:
-// per-record rate accounting (ObserveRecord: one lock-free slice load plus
-// an atomic add) and the coverage provider consulted at classification
-// time. The acceptance gate is staying within 3% of BenchmarkObserve
-// (BENCH_6.json records the reference).
-func BenchmarkObserveExporterHealth(b *testing.B) {
-	records := benchRecords(b, 500_000)
-	cfg := ipd.DefaultConfig()
-	cfg.NCidrFactor4 = 0.01
-	cfg.NCidrFloor = 4
+// The way cmd/ipd wires the tracker for trace input: per-record rate
+// accounting plus the coverage provider consulted at classification time.
+func attachExporterHealth(_ *testing.B, cfg *ipd.Config) func(ipd.Record) {
 	health := ipd.NewExporterHealth(ipd.ExporterHealthOptions{})
 	cfg.Coverage = health.IngressCoverage
-	eng, err := ipd.NewEngine(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := records[i%len(records)]
-		health.ObserveRecord(rec.In.Router)
-		eng.Observe(rec)
-	}
-	b.ReportMetric(float64(eng.RangeCount()), "ranges")
+	return func(rec ipd.Record) { health.ObserveRecord(rec.In.Router) }
 }
 
-// BenchmarkObserveWorkload is BenchmarkObserve with the always-on workload
-// profiler attached: every record pays one atomic counter add, and one in
-// SampleN (default 16) additionally takes the profiler lock for the
-// heavy-hitter and shard-table update. The acceptance gate is staying
-// within 3% of BenchmarkObserve measured in the same session.
-func BenchmarkObserveWorkload(b *testing.B) {
-	records := benchRecords(b, 500_000)
-	cfg := ipd.DefaultConfig()
-	cfg.NCidrFactor4 = 0.01
-	cfg.NCidrFloor = 4
-	wl := ipd.NewWorkloadProfiler(ipd.WorkloadOptions{})
-	eng, err := ipd.NewEngine(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := records[i%len(records)]
-		wl.ObserveRecord(rec)
-		eng.Observe(rec)
-	}
-	b.ReportMetric(float64(eng.RangeCount()), "ranges")
+// One atomic add per record; one in SampleN (default 16) also takes the
+// profiler lock for the heavy-hitter and shard-table update.
+func attachWorkload(*testing.B, *ipd.Config) func(ipd.Record) {
+	return ipd.NewWorkloadProfiler(ipd.WorkloadOptions{}).ObserveRecord
 }
 
-// BenchmarkObserveSketched is BenchmarkObserve with the fixed-memory sketch
-// tier enabled but idle: no governor pressure, so no range ever degrades and
-// every record still takes the exact per-IP path. The only added hot-path
-// cost is the sketch first-seen probe on each mint; the acceptance gate is
-// staying within 3% of BenchmarkObserve measured in the same session.
-func BenchmarkObserveSketched(b *testing.B) {
-	records := benchRecords(b, 500_000)
-	cfg := ipd.DefaultConfig()
-	cfg.NCidrFactor4 = 0.01
-	cfg.NCidrFloor = 4
+// The sketch tier enabled but idle (no governor pressure, so no range
+// degrades): the first-seen probe on each mint.
+func attachSketch(_ *testing.B, cfg *ipd.Config) func(ipd.Record) {
 	cfg.Sketch = true
-	eng, err := ipd.NewEngine(cfg)
-	if err != nil {
-		b.Fatal(err)
+	return nil
+}
+
+// BenchmarkObserve measures the per-record cost of stage 1 (mask + LPM +
+// counter update) bare and with each observer an operator can attach, one
+// sub-benchmark per row, the last with all of them at once. It times a cold
+// two-root engine; the converged regime is what `go run ./benchmark`
+// measures.
+func BenchmarkObserve(b *testing.B) {
+	rows := []struct {
+		name   string
+		attach []observeAttachment
+	}{
+		{"bare", nil},
+		{"journaled", []observeAttachment{attachJournal}},
+		{"timeline", []observeAttachment{attachTimeline}},
+		{"traced", []observeAttachment{attachTracer}},
+		{"governed", []observeAttachment{attachGovernor}},
+		{"exphealth", []observeAttachment{attachExporterHealth}},
+		{"workload", []observeAttachment{attachWorkload}},
+		{"sketched", []observeAttachment{attachSketch}},
+		{"all-attached", []observeAttachment{attachTimeline, attachTracer, attachGovernor,
+			attachExporterHealth, attachWorkload, attachSketch}},
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Observe(records[i%len(records)])
+	records := benchRecords(b, 500_000)
+	for _, row := range rows {
+		b.Run(row.name, func(b *testing.B) {
+			cfg := benchConfig()
+			var perRecord []func(ipd.Record)
+			for _, attach := range row.attach {
+				if fn := attach(b, &cfg); fn != nil {
+					perRecord = append(perRecord, fn)
+				}
+			}
+			eng, err := ipd.NewEngine(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec := records[i%len(records)]
+				for _, fn := range perRecord {
+					fn(rec)
+				}
+				eng.Observe(rec)
+			}
+			b.ReportMetric(float64(eng.RangeCount()), "ranges")
+		})
 	}
-	b.ReportMetric(float64(eng.RangeCount()), "ranges")
 }
 
 // BenchmarkEngineEndToEnd measures stage 1 + stage 2 over a continuous
@@ -500,8 +416,8 @@ func BenchmarkEngineEndToEnd(b *testing.B) {
 			eng.Observe(rec)
 		}
 		eng.AdvanceTo(eng.Now())
-		b.ReportMetric(float64(len(records))/b.Elapsed().Seconds()*float64(b.N)/float64(b.N), "records/s")
 	}
+	b.ReportMetric(float64(len(records))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
 // BenchmarkLPMLookup measures the validation-path lookups (§5.1 rebuilds an

@@ -1,156 +1,281 @@
-// Command benchgate compares `go test -bench` output against a checked-in
-// BENCH_*.json reference and fails on performance regressions.
+// Command benchgate is the paired A/B runner for the repository's benchmark
+// (BENCHMARK.json, ./benchmark). It builds the benchmark at a base ref and at
+// the working tree once each, runs them in alternating pairs in one session,
+// and prints, per end-to-end metric, both medians, both inter-quartile ranges
+// and how many pairs the working tree won. A metric is a "gain" only when the
+// working tree wins at least nine pairs in ten and the medians are further
+// apart than the base's own inter-quartile range. The exit status is non-zero
+// when a median is worse than the base's by more than the metric's bound in
+// BENCHMARK.json, a run fails its own checks, or two runs of one side
+// disagree on a workload's verdict digest. Run from the repository root.
 //
-//	go test -run '^$' -bench 'BenchmarkObserve' -count 3 . | tee bench.txt
-//	benchgate -bench bench.txt -ref BENCH_3.json -max-regression 10
-//
-// For every benchmark name appearing in both the bench output and the
-// reference's "results" object (keys "<Name>_ns_per_op"), the gate takes
-// the minimum ns/op across the output's repeated runs (the floor damps
-// scheduler noise; a single fast run proves the code can go that fast) and
-// fails if it exceeds the reference by more than -max-regression percent.
-// Names present in only one side are reported and skipped — the gate only
-// checks what both sides know.
+//	go run ./cmd/benchgate -base HEAD~1
+//	go run ./cmd/benchgate -base main -workload all -pairs 10 -seed 7
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
-	"regexp"
+	"os/exec"
+	"path/filepath"
 	"sort"
 	"strconv"
+	"text/tabwriter"
 )
 
-// benchLine matches one `go test -bench` result row, e.g.
-//
-//	BenchmarkObserve-8   6644589   362.4 ns/op   24 B/op ...
-//
-// The -8 GOMAXPROCS suffix is optional; metrics after ns/op are ignored.
-var benchLine = regexp.MustCompile(`^(Benchmark\w+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
-
-// reference is the subset of the BENCH_*.json shape the gate consumes.
-type reference struct {
-	Results map[string]float64 `json:"results"`
+// metric is one end_to_end entry of BENCHMARK.json.
+type metric struct {
+	Name   string  `json:"name"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"` // "higher" or "lower"
+	Bound  float64 `json:"bound"`  // relative worsening that counts as a regression
 }
 
-// parseBench reads bench output and returns min ns/op per benchmark name.
-func parseBench(path string) (map[string]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	mins := make(map[string]float64)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("benchgate: bad ns/op %q on line %q", m[2], sc.Text())
-		}
-		if best, ok := mins[m[1]]; !ok || ns < best {
-			mins[m[1]] = ns
-		}
-	}
-	return mins, sc.Err()
+// run is one workload's report line as ./benchmark prints it.
+type run struct {
+	Workload string `json:"workload"`
+	Digest   string `json:"verdict_digest"`
+	Error    string `json:"error"`
+	Result   struct {
+		Correct bool `json:"correct"`
+		Metrics map[string]struct {
+			Value float64 `json:"value"`
+		} `json:"metrics"`
+	} `json:"result"`
 }
 
-// loadRef reads a BENCH_*.json file and returns reference ns/op per
-// benchmark name (strips the "_ns_per_op" key suffix).
-func loadRef(path string) (map[string]float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var ref reference
-	if err := json.Unmarshal(data, &ref); err != nil {
-		return nil, fmt.Errorf("benchgate: %s: %v", path, err)
-	}
-	out := make(map[string]float64)
-	for k, v := range ref.Results {
-		const suffix = "_ns_per_op"
-		if len(k) > len(suffix) && k[len(k)-len(suffix):] == suffix {
-			out[k[:len(k)-len(suffix)]] = v
+// parseRuns extracts the report objects (one per workload) from a benchmark
+// run's standard output; the bare result objects carry no workload name and
+// are skipped.
+func parseRuns(out []byte) ([]run, error) {
+	var runs []run
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var r run
+		if err := dec.Decode(&r); err != nil {
+			return nil, fmt.Errorf("benchgate: bad benchmark output: %v", err)
+		}
+		if r.Workload != "" {
+			runs = append(runs, r)
 		}
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("benchgate: %s: no *_ns_per_op entries under \"results\"", path)
+	return runs, nil
+}
+
+// baseFirst alternates which side of a pair runs first, so drift within the
+// session (thermal, neighbours) does not favour one side.
+func baseFirst(pair int) bool { return pair%2 == 0 }
+
+// quartiles returns the 25th, 50th and 75th percentiles of xs (linear
+// interpolation between order statistics).
+func quartiles(xs []float64) (q1, med, q3 float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	at := func(p float64) float64 {
+		pos := p * float64(len(s)-1)
+		lo := int(pos)
+		if lo+1 >= len(s) {
+			return s[len(s)-1]
+		}
+		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
+	}
+	return at(0.25), at(0.5), at(0.75)
+}
+
+// comparison is one metric on one workload over all pairs.
+type comparison struct {
+	baseMed, baseIQR, headMed, headIQR float64
+	wins                               int // pairs the head won; a tie counts for neither side
+	verdict                            string
+}
+
+// compare judges head against base for one metric; base[i] and head[i] are
+// the two runs of pair i.
+func compare(m metric, base, head []float64) comparison {
+	sign := 1.0 // positive delta = head better
+	if m.Better == "lower" {
+		sign = -1
+	}
+	var c comparison
+	for i := range base {
+		if sign*(head[i]-base[i]) > 0 {
+			c.wins++
+		}
+	}
+	bq1, bmed, bq3 := quartiles(base)
+	hq1, hmed, hq3 := quartiles(head)
+	c.baseMed, c.baseIQR, c.headMed, c.headIQR = bmed, bq3-bq1, hmed, hq3-hq1
+	gap := sign * (hmed - bmed)
+	switch {
+	case -gap > m.Bound*math.Abs(bmed):
+		c.verdict = "REGRESSED"
+	case gap > c.baseIQR && 10*c.wins >= 9*len(base):
+		c.verdict = "gain"
+	case c.baseIQR > m.Bound*math.Abs(bmed):
+		c.verdict = "unresolved" // the base's own spread is wider than the bound
+	default:
+		c.verdict = "ok"
+	}
+	return c
+}
+
+// side is one of the two builds under comparison.
+type side struct {
+	name, bin, dir string
+	runs           map[string][]run // by workload, in pair order
+}
+
+// measure runs the side's benchmark once and files the reports by workload.
+func (s *side) measure(args []string) error {
+	out, err := output(s.dir, s.bin, args...)
+	if err != nil {
+		return err
+	}
+	runs, err := parseRuns(out)
+	if err != nil {
+		return err
+	}
+	return s.file(runs)
+}
+
+// file books one benchmark run's reports, refusing a run that failed its
+// own checks or whose verdict digest differs from this side's earlier runs.
+func (s *side) file(runs []run) error {
+	if len(runs) == 0 {
+		return fmt.Errorf("benchgate: %s run printed no report", s.name)
+	}
+	for _, r := range runs {
+		if !r.Result.Correct {
+			return fmt.Errorf("benchgate: %s run of %s failed its checks: %s", s.name, r.Workload, r.Error)
+		}
+		if prev := s.runs[r.Workload]; len(prev) > 0 && prev[0].Digest != r.Digest {
+			return fmt.Errorf("benchgate: %s runs of %s disagree on the verdict digest (%s, %s)", s.name, r.Workload, prev[0].Digest, r.Digest)
+		}
+		s.runs[r.Workload] = append(s.runs[r.Workload], r)
+	}
+	return nil
+}
+
+func values(runs []run, name string) []float64 {
+	vs := make([]float64, len(runs))
+	for i, r := range runs {
+		vs[i] = r.Result.Metrics[name].Value
+	}
+	return vs
+}
+
+// report prints one table per workload and returns how many metrics
+// regressed.
+func report(metrics []metric, base, head *side) int {
+	workloads := make([]string, 0, len(base.runs))
+	for w := range base.runs {
+		workloads = append(workloads, w)
+	}
+	sort.Strings(workloads)
+	regressed := 0
+	for _, w := range workloads {
+		b, h := base.runs[w], head.runs[w]
+		same := "same"
+		if b[0].Digest != h[0].Digest {
+			same = "DIFFERENT"
+		}
+		fmt.Printf("\n%s: %d pairs, verdict digest %s on both sides\n", w, len(b), same)
+		tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
+		fmt.Fprintln(tw, "metric\tunit\tbase median\tbase IQR\thead median\thead IQR\thead/base\twins\t")
+		for _, m := range metrics {
+			c := compare(m, values(b, m.Name), values(h, m.Name))
+			if c.verdict == "REGRESSED" {
+				regressed++
+			}
+			fmt.Fprintf(tw, "%s\t%s\t%.6g\t%.3g\t%.6g\t%.3g\t%.3f\t%d/%d\t%s\n",
+				m.Name, m.Unit, c.baseMed, c.baseIQR, c.headMed, c.headIQR, c.headMed/c.baseMed, c.wins, len(b), c.verdict)
+		}
+		tw.Flush()
+	}
+	return regressed
+}
+
+// output runs a command in dir and returns its standard output; standard
+// error goes into the error.
+func output(dir, name string, args ...string) ([]byte, error) {
+	cmd := exec.Command(name, args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("benchgate: %s %v: %v\n%s", name, args, err, stderr.Bytes())
 	}
 	return out, nil
 }
 
+func gate(baseRef, workload string, pairs int, seed int64) error {
+	data, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		return fmt.Errorf("benchgate: %v (run from the repository root)", err)
+	}
+	var mf struct {
+		EndToEnd []metric `json:"end_to_end"`
+	}
+	if err := json.Unmarshal(data, &mf); err != nil {
+		return fmt.Errorf("benchgate: BENCHMARK.json: %v", err)
+	}
+	tmp, err := os.MkdirTemp("", "benchgate")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(tmp)
+	base := &side{name: "base", bin: filepath.Join(tmp, "bench-base"), dir: filepath.Join(tmp, "base"), runs: map[string][]run{}}
+	head := &side{name: "head", bin: filepath.Join(tmp, "bench-head"), dir: ".", runs: map[string][]run{}}
+	// The base is a plain export of the ref (git archive): unlike a
+	// worktree it registers nothing in the repository.
+	tarball := filepath.Join(tmp, "base.tar")
+	for _, step := range [][]string{
+		{".", "git", "archive", "-o", tarball, baseRef},
+		{".", "mkdir", base.dir},
+		{".", "tar", "-xf", tarball, "-C", base.dir},
+		{base.dir, "go", "build", "-o", base.bin, "./benchmark"},
+		{head.dir, "go", "build", "-o", head.bin, "./benchmark"},
+	} {
+		if _, err := output(step[0], step[1], step[2:]...); err != nil {
+			return err
+		}
+	}
+	// Run length is the benchmark's own default, the same on both sides.
+	args := []string{"-workload", workload, "-seed", strconv.FormatInt(seed, 10)}
+	for i := 0; i < pairs; i++ {
+		order := []*side{base, head}
+		if !baseFirst(i) {
+			order = []*side{head, base}
+		}
+		for _, s := range order {
+			if err := s.measure(args); err != nil {
+				return err
+			}
+		}
+		fmt.Fprintf(os.Stderr, "benchgate: pair %d/%d done\n", i+1, pairs)
+	}
+	if n := report(mf.EndToEnd, base, head); n > 0 {
+		return fmt.Errorf("benchgate: %d metric(s) worse than %s by more than their bound", n, baseRef)
+	}
+	return nil
+}
+
 func main() {
-	var (
-		benchPath = flag.String("bench", "", "go test -bench output file (required)")
-		refPath   = flag.String("ref", "", "BENCH_*.json reference file (required)")
-		maxPct    = flag.Float64("max-regression", 10, "fail when min ns/op exceeds the reference by more than this percent")
-	)
+	baseRef := flag.String("base", "", "git ref to compare the working tree against (required)")
+	workload := flag.String("workload", "steady-v5", "benchmark workload, or all")
+	pairs := flag.Int("pairs", 10, "alternating base/head pairs to run")
+	seed := flag.Int64("seed", 1, "traffic seed handed to the benchmark")
 	flag.Parse()
-	if *benchPath == "" || *refPath == "" {
+	if *baseRef == "" || *pairs < 1 || flag.NArg() > 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := gate(*benchPath, *refPath, *maxPct); err != nil {
+	if err := gate(*baseRef, *workload, *pairs, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-func gate(benchPath, refPath string, maxPct float64) error {
-	measured, err := parseBench(benchPath)
-	if err != nil {
-		return err
-	}
-	if len(measured) == 0 {
-		return fmt.Errorf("benchgate: no benchmark results in %s", benchPath)
-	}
-	refs, err := loadRef(refPath)
-	if err != nil {
-		return err
-	}
-
-	names := make([]string, 0, len(measured))
-	for n := range measured {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
-	failed := 0
-	checked := 0
-	for _, n := range names {
-		ref, ok := refs[n]
-		if !ok {
-			fmt.Printf("benchgate: %-32s %8.1f ns/op  (no reference, skipped)\n", n, measured[n])
-			continue
-		}
-		checked++
-		delta := (measured[n]/ref - 1) * 100
-		status := "ok"
-		if delta > maxPct {
-			status = "FAIL"
-			failed++
-		}
-		fmt.Printf("benchgate: %-32s %8.1f ns/op  ref %8.1f  %+6.1f%%  %s\n",
-			n, measured[n], ref, delta, status)
-	}
-	for n := range refs {
-		if _, ok := measured[n]; !ok {
-			fmt.Printf("benchgate: %-32s (in reference, not measured)\n", n)
-		}
-	}
-	if checked == 0 {
-		return fmt.Errorf("benchgate: no benchmark overlaps between %s and %s", benchPath, refPath)
-	}
-	if failed > 0 {
-		return fmt.Errorf("benchgate: %d of %d benchmarks regressed more than %.0f%% vs %s", failed, checked, maxPct, refPath)
-	}
-	fmt.Printf("benchgate: %d benchmarks within %.0f%% of %s\n", checked, maxPct, refPath)
-	return nil
 }

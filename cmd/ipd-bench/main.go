@@ -24,10 +24,6 @@ import (
 
 type runner func(opts experiments.Options, points int, every time.Duration, full bool) error
 
-// perfNote carries the -note flag into the perf subcommand (appended to the
-// generated BENCH JSON note, e.g. to record same-session A/B evidence).
-var perfNote string
-
 var commands = map[string]struct {
 	help string
 	run  runner
@@ -128,9 +124,6 @@ var commands = map[string]struct {
 		_, err := experiments.ParamStudy(o, grid)
 		return err
 	}},
-	"perf": {"stage-1 hot-path timing gate (BENCH JSON on stdout)", func(o experiments.Options, _ int, _ time.Duration, _ bool) error {
-		return runPerf(o.Seed, perfNote)
-	}},
 	"throughput": {"§5.7 ingest throughput and memory", func(o experiments.Options, _ int, _ time.Duration, full bool) error {
 		n := 1_000_000
 		if full {
@@ -151,7 +144,6 @@ func main() {
 		every  = flag.Duration("every", 30*24*time.Hour, "longitudinal snapshot spacing")
 		full   = flag.Bool("full", false, "full-size variant (paramstudy, throughput)")
 	)
-	flag.StringVar(&perfNote, "note", "", "extra text appended to the perf gate note")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -173,9 +165,8 @@ func main() {
 	if name == "all" {
 		names := make([]string, 0, len(commands))
 		for n := range commands {
-			if n == "fig14" || n == "paramstudy" || n == "throughput" || n == "perf" {
-				continue // fig14 aliases fig13; the heavy ones and the
-				// machine-readable perf gate run on demand
+			if n == "fig14" || n == "paramstudy" || n == "throughput" {
+				continue // fig14 aliases fig13; the heavy ones run last
 			}
 			names = append(names, n)
 		}

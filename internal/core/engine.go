@@ -335,8 +335,29 @@ func (e *Engine) SketchStatus() SketchStatus {
 // Observe ingests one flow record (stage 1). Records should already have
 // passed statistical-time cleaning; wildly out-of-order input degrades
 // expiry precision but nothing else.
-func (e *Engine) Observe(rec flow.Record) {
+func (e *Engine) Observe(rec flow.Record) { e.ObserveBatch([]flow.Record{rec}) }
+
+// ObserveBatch is Observe over a slice, in order: one reentrancy check and
+// one update of the record and byte counters for the whole batch (a
+// statistical-time bucket, in the Server).
+func (e *Engine) ObserveBatch(recs []flow.Record) {
 	e.guardReentry()
+	var t observed
+	for i := range recs {
+		e.observe(&recs[i], &t)
+	}
+	e.tel.records.Add(t.records)
+	if t.v6 != 0 {
+		e.tel.recordsV6.Add(t.v6)
+	}
+	e.tel.bytes.Add(t.bytes)
+}
+
+// observed tallies what a run of observe calls ingested.
+type observed struct{ records, v6, bytes uint64 }
+
+// observe is stage 1 for one record; ingested records are counted into t.
+func (e *Engine) observe(rec *flow.Record, t *observed) {
 	if e.tracer.Sample() {
 		defer e.tracer.Begin(trace.PhaseObserve, e.cycleID).End(0)
 	}
@@ -421,11 +442,11 @@ func (e *Engine) Observe(rec flow.Record) {
 			}
 		}
 	}
-	e.tel.records.Inc()
+	t.records++
 	if v6 {
-		e.tel.recordsV6.Inc()
+		t.v6++
 	}
-	e.tel.bytes.Add(uint64(rec.Bytes))
+	t.bytes += uint64(rec.Bytes)
 	if rec.Ts.After(e.now) {
 		e.now = rec.Ts
 	}

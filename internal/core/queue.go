@@ -124,12 +124,15 @@ func (q *IngestQueue) signal() {
 func (q *IngestQueue) Pop(dst []flow.Record, max int) ([]flow.Record, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for max > 0 && q.n > 0 {
-		dst = append(dst, q.buf[q.head])
-		q.buf[q.head] = flow.Record{} // release address references
-		q.head = (q.head + 1) % len(q.buf)
-		q.n--
-		max--
+	if n := min(max, q.n); n > 0 {
+		// The run of n records from head wraps around the ring at most once.
+		first := q.buf[q.head:min(q.head+n, len(q.buf))]
+		rest := q.buf[:n-len(first)]
+		dst = append(append(dst, first...), rest...)
+		clear(first) // release address references
+		clear(rest)
+		q.head = (q.head + n) % len(q.buf)
+		q.n -= n
 	}
 	q.depth.Set(int64(q.n))
 	return dst, q.closed && q.n == 0
@@ -145,39 +148,26 @@ func (q *IngestQueue) Len() int {
 // Shed returns how many records the queue has dropped under overload.
 func (q *IngestQueue) Shed() uint64 { return q.shed.Value() }
 
-// RunQueue is Server.Run over an IngestQueue instead of a channel: it pops
-// batches, ingests them under one lock acquisition each, and applies the
-// same termination semantics — on queue close it flushes and returns nil;
-// on ctx cancellation it drains whatever is already buffered, flushes, and
-// returns ctx.Err(). Checkpointing (SetCheckpoint) runs at batch
-// boundaries, off the ingest lock.
-func (s *Server) RunQueue(ctx context.Context, q *IngestQueue) error {
-	batch := make([]flow.Record, 0, runBatch)
+// next is the drain loop's nextBatch over the queue.
+func (q *IngestQueue) next(ctx context.Context, dst []flow.Record) ([]flow.Record, bool) {
 	for {
-		var drained bool
-		batch, drained = q.Pop(batch[:0], runBatch)
-		if len(batch) > 0 {
-			s.ingestBatch(batch)
-			s.maybeCheckpoint(false)
-			continue
-		}
-		if drained {
-			s.finish()
-			return nil
+		batch, ended := q.Pop(dst, runBatch)
+		if len(batch) > 0 || ended {
+			return batch, ended
 		}
 		select {
 		case <-ctx.Done():
-			// Graceful drain: ingest what is already buffered, then flush.
-			for {
-				batch, _ = q.Pop(batch[:0], runBatch)
-				if len(batch) == 0 {
-					break
-				}
-				s.ingestBatch(batch)
-			}
-			s.finish()
-			return ctx.Err()
+			return batch, false
 		case <-q.wake:
 		}
 	}
+}
+
+// RunQueue is Server.Run over an IngestQueue instead of a channel: the same
+// loop (drain) with the same termination semantics — on queue close it
+// flushes and returns nil; on ctx cancellation it ingests whatever is
+// already buffered, flushes, and returns ctx.Err(). Checkpointing
+// (SetCheckpoint) runs at batch boundaries, off the ingest lock.
+func (s *Server) RunQueue(ctx context.Context, q *IngestQueue) error {
+	return s.drain(ctx, q.next)
 }

@@ -128,12 +128,13 @@ func (s *Server) maybeCheckpoint(force bool) {
 	_ = s.ckpt.Save(seq, data)
 }
 
-// ingestBucket runs under s.mu (Run holds the lock around Offer/Flush).
+// ingestBucket runs under s.mu (drain holds the lock around OfferBatch and
+// Flush). The engine keeps no reference to the records, so the bucket's
+// backing array goes straight back to the binner.
 func (s *Server) ingestBucket(b stattime.Bucket) {
-	for _, rec := range b.Records {
-		s.eng.Observe(rec)
-	}
+	s.eng.ObserveBatch(b.Records)
 	s.eng.AdvanceTo(s.eng.Now())
+	s.bin.Recycle(b.Records)
 }
 
 // ingestBatch offers one drained batch to the binner under a single lock
@@ -148,9 +149,7 @@ func (s *Server) ingestBatch(batch []flow.Record) {
 	s.mu.Lock()
 	s.lockWaitNanos.Add(int64(time.Since(t0)))
 	s.lockAcquisitions.Add(1)
-	for _, rec := range batch {
-		s.bin.Offer(rec)
-	}
+	s.bin.OfferBatch(batch)
 	s.mu.Unlock()
 }
 
@@ -162,89 +161,77 @@ func (s *Server) LockContention() (wait time.Duration, acquisitions uint64) {
 	return time.Duration(s.lockWaitNanos.Load()), s.lockAcquisitions.Load()
 }
 
+// nextBatch appends up to runBatch already-buffered records to dst. With
+// nothing buffered it blocks until a record arrives, the stream ends (ended,
+// with its last records) or ctx is done (an empty batch).
+type nextBatch func(ctx context.Context, dst []flow.Record) (batch []flow.Record, ended bool)
+
+type chanSource <-chan flow.Record
+
+func (c chanSource) next(ctx context.Context, dst []flow.Record) ([]flow.Record, bool) {
+	for len(dst) < runBatch {
+		select {
+		case rec, ok := <-c:
+			if !ok {
+				return dst, true
+			}
+			dst = append(dst, rec)
+			continue
+		default:
+		}
+		if len(dst) > 0 {
+			break
+		}
+		select {
+		case <-ctx.Done():
+			return dst, false
+		case rec, ok := <-c:
+			if !ok {
+				return dst, true
+			}
+			dst = append(dst, rec)
+		}
+	}
+	return dst, false
+}
+
 // Run consumes records until in is closed or ctx is cancelled, then flushes
 // remaining buckets and runs a final cycle. It returns ctx.Err() on
 // cancellation and nil on clean end of stream. Cancellation is a graceful
 // drain, not an abort: records already buffered in the channel are ingested
 // before the flush, so a SIGTERM loses nothing that reached the process
 // (the cmd/ipd-collector shutdown path).
-//
-// After blocking for the first record, Run opportunistically drains up to
-// runBatch-1 further records that are already queued and ingests the whole
-// batch under one mu acquisition (see the locking contract on Server). This
-// keeps lock churn constant under load without adding latency when the
-// channel is sparse: an empty channel falls straight through to ingest.
-//
-// When a checkpoint manager is attached (SetCheckpoint), Run writes a
-// checkpoint every N stage-2 cycles at a batch boundary and a final one
-// after the shutdown flush — never inside the ingest lock's Observe path.
 func (s *Server) Run(ctx context.Context, in <-chan flow.Record) error {
+	return s.drain(ctx, chanSource(in).next)
+}
+
+// drain is the one ingest loop behind Run and RunQueue. It blocks for the
+// first record of a batch, takes up to runBatch-1 more that are already
+// buffered and ingests them under one mu acquisition (the locking contract
+// on Server). With a checkpoint manager attached it writes a checkpoint
+// every N stage-2 cycles at a batch boundary and a final one after the
+// shutdown flush, never inside the ingest lock. After cancellation next no
+// longer blocks, so the loop ingests what is already buffered; producers
+// still racing their final sends extend that by at most drainLimit records.
+func (s *Server) drain(ctx context.Context, next nextBatch) error {
+	const drainLimit = 1 << 20
 	batch := make([]flow.Record, 0, runBatch)
-	for {
-		select {
-		case <-ctx.Done():
-			s.drainPending(in)
-			s.finish()
-			return ctx.Err()
-		case rec, ok := <-in:
-			if !ok {
-				s.finish()
-				return nil
-			}
-			batch = append(batch[:0], rec)
-			closed := false
-		drain:
-			for len(batch) < runBatch {
-				select {
-				case rec, ok := <-in:
-					if !ok {
-						closed = true
-						break drain
-					}
-					batch = append(batch, rec)
-				default:
-					break drain
-				}
-			}
+	for drained, ended := 0, false; drained < drainLimit; {
+		batch, ended = next(ctx, batch[:0])
+		if len(batch) > 0 {
 			s.ingestBatch(batch)
-			if closed {
-				s.finish()
-				return nil
-			}
+		}
+		if ended || len(batch) == 0 {
+			break
+		}
+		if ctx.Err() != nil {
+			drained += len(batch)
+		} else {
 			s.maybeCheckpoint(false)
 		}
 	}
-}
-
-// drainPending ingests the records already buffered in the channel at
-// cancellation time, batch by batch, without ever blocking. Producers still
-// racing their final sends extend the drain by at most drainLimit records,
-// which bounds shutdown latency even against a producer that ignores the
-// cancellation.
-func (s *Server) drainPending(in <-chan flow.Record) {
-	const drainLimit = 1 << 20
-	batch := make([]flow.Record, 0, runBatch)
-	total := 0
-	for total < drainLimit {
-		batch = batch[:0]
-	fill:
-		for len(batch) < runBatch {
-			select {
-			case rec, ok := <-in:
-				if !ok {
-					break fill
-				}
-				batch = append(batch, rec)
-			default:
-				break fill
-			}
-		}
-		if len(batch) == 0 {
-			return
-		}
-		s.ingestBatch(batch)
-		total += len(batch)
-	}
+	s.finish()
+	return ctx.Err()
 }
 
 func (s *Server) finish() {

@@ -116,7 +116,7 @@ func EncodeFrame(f Frame) ([]byte, error) {
 		enc.Time(f.Watermark)
 		enc.Uvarint(uint64(len(f.Records)))
 		for i := range f.Records {
-			encodeRecord(enc, &f.Records[i])
+			f.Records[i].EncodeTo(enc)
 		}
 	case FrameHeartbeat, FrameFin:
 		enc.Time(f.Watermark)
@@ -172,7 +172,7 @@ func DecodeFrame(payload []byte) (Frame, error) {
 		}
 		f.Records = make([]flow.Record, n)
 		for i := range f.Records {
-			if err := decodeRecord(dec, &f.Records[i]); err != nil {
+			if err := f.Records[i].DecodeFrom(dec); err != nil {
 				return f, err
 			}
 		}
@@ -187,56 +187,4 @@ func DecodeFrame(payload []byte) (Frame, error) {
 		return f, err
 	}
 	return f, nil
-}
-
-// encodeRecord writes one flow record. The ingress vote (router, iface) is
-// the payload stage 2 actually consumes; src/dst/ts/volume feed binning and
-// diagnostics.
-func encodeRecord(enc *persist.Encoder, r *flow.Record) {
-	enc.Time(r.Ts)
-	enc.Addr(r.Src)
-	enc.Addr(r.Dst)
-	enc.Uvarint(uint64(r.In.Router))
-	enc.Uvarint(uint64(r.In.Iface))
-	enc.Uvarint(uint64(r.Bytes))
-	enc.Uvarint(uint64(r.Packets))
-}
-
-func decodeRecord(dec *persist.Decoder, r *flow.Record) error {
-	var err error
-	if r.Ts, err = dec.Time(); err != nil {
-		return err
-	}
-	if r.Src, err = dec.Addr(); err != nil {
-		return err
-	}
-	if r.Dst, err = dec.Addr(); err != nil {
-		return err
-	}
-	router, err := dec.Uvarint()
-	if err != nil {
-		return err
-	}
-	iface, err := dec.Uvarint()
-	if err != nil {
-		return err
-	}
-	if router > math.MaxUint16 || iface > math.MaxUint16 {
-		return fmt.Errorf("delta: ingress id out of range (router %d iface %d)", router, iface)
-	}
-	r.In = flow.Ingress{Router: flow.RouterID(router), Iface: flow.IfaceID(iface)}
-	b, err := dec.Uvarint()
-	if err != nil {
-		return err
-	}
-	p, err := dec.Uvarint()
-	if err != nil {
-		return err
-	}
-	if b > math.MaxUint32 || p > math.MaxUint32 {
-		return fmt.Errorf("delta: volume out of range (bytes %d packets %d)", b, p)
-	}
-	r.Bytes = uint32(b)
-	r.Packets = uint32(p)
-	return nil
 }

@@ -126,10 +126,12 @@ func (c *Collector) Serve(ctx context.Context) error {
 // decoding or sinking is contained: the message is abandoned,
 // Stats().Panics counts it, and the receive loop keeps serving.
 func (c *Collector) HandleMessage(b []byte, from netip.Addr) {
+	sunk := 0 // records the sink returned from, booked once per message
 	defer func() {
 		if recover() != nil {
 			c.stats.Panics.Add(1)
 		}
+		c.stats.Records.Add(uint64(sunk))
 	}()
 	from = from.Unmap()
 	c.mu.RLock()
@@ -174,7 +176,7 @@ func (c *Collector) HandleMessage(b []byte, from netip.Addr) {
 		dataRecords += len(recs) + skipped
 		for _, rec := range recs {
 			c.sink(rec)
-			c.stats.Records.Add(1)
+			sunk++
 		}
 	}
 	if c.health != nil {

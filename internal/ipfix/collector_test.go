@@ -175,4 +175,8 @@ func TestCollectorContainsSinkPanic(t *testing.T) {
 	if calls != 2 {
 		t.Errorf("sink calls = %d, want 2 (loop survived the panic)", calls)
 	}
+	// Records is booked once per message and counts what the sink took.
+	if got := c.Stats().Records.Load(); got != 1 {
+		t.Errorf("Records = %d, want 1 (nothing from the poisoned message)", got)
+	}
 }

@@ -162,10 +162,12 @@ func (c *Collector) Serve(ctx context.Context) error {
 // datagram is abandoned, Stats().Panics counts it, and the receive loop
 // keeps serving.
 func (c *Collector) HandleDatagram(b []byte, from netip.AddrPort) {
+	sunk := 0 // records the sink returned from, booked once per datagram
 	defer func() {
 		if recover() != nil {
 			c.stats.Panics.Add(1)
 		}
+		c.stats.Records.Add(uint64(sunk))
 	}()
 	d, err := Decode(b)
 	if err != nil {
@@ -203,7 +205,7 @@ func (c *Collector) HandleDatagram(b []byte, from netip.AddrPort) {
 	}
 	for _, r := range d.Records {
 		c.sink(ToFlow(d.Header, r, router))
-		c.stats.Records.Add(1)
+		sunk++
 	}
 }
 

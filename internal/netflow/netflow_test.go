@@ -388,7 +388,7 @@ func TestCollectorContainsSinkPanic(t *testing.T) {
 	calls := 0
 	c, err := NewCollector(func(flow.Record) {
 		calls++
-		if calls == 1 {
+		if calls == 1 || calls == 5 {
 			panic("poisoned record")
 		}
 	})
@@ -412,5 +412,19 @@ func TestCollectorContainsSinkPanic(t *testing.T) {
 	}
 	if got := c.Stats().Panics.Load(); got != 1 {
 		t.Errorf("Panics = %d after healthy datagram, want still 1", got)
+	}
+	// Records is booked once per datagram and counts what the sink took:
+	// nothing from the poisoned datagram, one from the healthy one, and the
+	// two delivered before the third record of the next one panics.
+	if got := c.Stats().Records.Load(); got != 1 {
+		t.Errorf("Records = %d, want 1", got)
+	}
+	three, err := (&Datagram{Header: sampleHeader(), Records: []Record{sampleRecord(), sampleRecord(), sampleRecord()}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.HandleDatagram(three, from)
+	if got, p := c.Stats().Records.Load(), c.Stats().Panics.Load(); got != 3 || p != 2 {
+		t.Errorf("Records = %d, Panics = %d after a datagram poisoned at its third record, want 3 and 2", got, p)
 	}
 }

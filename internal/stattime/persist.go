@@ -2,7 +2,6 @@ package stattime
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"ipd/internal/flow"
@@ -17,18 +16,13 @@ import (
 // Offer.
 func (b *Binner) EncodeState(enc *persist.Encoder) {
 	enc.Time(b.now)
-	keys := make([]int64, 0, len(b.open))
-	for k := range b.open {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	enc.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		bk := b.open[k]
-		enc.Varint(k)
-		enc.Uvarint(uint64(len(bk.Records)))
-		for _, rec := range bk.Records {
-			encodeRecord(enc, rec)
+	enc.Uvarint(uint64(len(b.open)))
+	for i := range b.open {
+		bk := &b.open[i]
+		enc.Varint(bk.start)
+		enc.Uvarint(uint64(len(bk.recs)))
+		for r := range bk.recs {
+			bk.recs[r].EncodeTo(enc)
 		}
 	}
 }
@@ -42,89 +36,48 @@ func (b *Binner) RestoreState(dec *persist.Decoder) error {
 	if err != nil {
 		return fmt.Errorf("stattime: restore now: %w", err)
 	}
+	if sec := now.Unix(); !now.IsZero() && (sec >= maxUnixSec || sec <= -maxUnixSec) {
+		return fmt.Errorf("stattime: restore now: %v out of range", now)
+	}
 	n, err := dec.Len()
 	if err != nil {
 		return fmt.Errorf("stattime: restore bucket count: %w", err)
 	}
-	open := make(map[int64]*Bucket, n)
+	open := make([]openBucket, 0, max(n, b.cfg.MaxOpenBuckets))
 	for i := 0; i < n; i++ {
 		key, err := dec.Varint()
 		if err != nil {
 			return fmt.Errorf("stattime: restore bucket key: %w", err)
 		}
+		if i > 0 && key <= open[i-1].start {
+			return fmt.Errorf("stattime: restore bucket key: %d not after %d", key, open[i-1].start)
+		}
 		cnt, err := dec.Len()
 		if err != nil {
 			return fmt.Errorf("stattime: restore record count: %w", err)
 		}
-		bk := &Bucket{Start: time.Unix(0, key).UTC()}
-		if cnt > 0 {
-			bk.Records = make([]flow.Record, 0, cnt)
+		// A key off the current lattice (written under another Bucket
+		// length) gets an empty interval: it admits no further records and
+		// holds what it has until flushed.
+		bk := openBucket{start: key, end: key, at: time.Unix(0, key).UTC()}
+		if bk.at.Truncate(b.cfg.Bucket).Equal(bk.at) {
+			bk.end = key + b.bucket
 		}
-		for r := 0; r < cnt; r++ {
-			rec, err := decodeRecord(dec)
-			if err != nil {
+		bk.recs = make([]flow.Record, cnt)
+		for r := range bk.recs {
+			if err := bk.recs[r].DecodeFrom(dec); err != nil {
 				return fmt.Errorf("stattime: restore record: %w", err)
 			}
-			bk.Records = append(bk.Records, rec)
 		}
-		open[key] = bk
+		open = append(open, bk)
 	}
-	b.now = now
+	b.now, b.nowNs = now, now.UnixNano()
+	b.curStart, b.curEnd, b.oldest = 0, 0, 0
+	if !now.IsZero() {
+		b.moveWindow()
+	}
 	b.open = open
 	b.rejoin = true
 	b.m.OpenBuckets.Set(int64(len(open)))
 	return nil
-}
-
-// encodeRecord writes one flow record with the persist primitives (the flow
-// wire codec is a stream format with its own header; checkpoints embed
-// records directly instead).
-func encodeRecord(enc *persist.Encoder, rec flow.Record) {
-	enc.Time(rec.Ts)
-	enc.Addr(rec.Src)
-	enc.Addr(rec.Dst)
-	enc.Uvarint(uint64(rec.In.Router))
-	enc.Uvarint(uint64(rec.In.Iface))
-	enc.Uvarint(uint64(rec.Bytes))
-	enc.Uvarint(uint64(rec.Packets))
-}
-
-func decodeRecord(dec *persist.Decoder) (flow.Record, error) {
-	var rec flow.Record
-	var err error
-	if rec.Ts, err = dec.Time(); err != nil {
-		return rec, err
-	}
-	if rec.Src, err = dec.Addr(); err != nil {
-		return rec, err
-	}
-	if rec.Dst, err = dec.Addr(); err != nil {
-		return rec, err
-	}
-	router, err := dec.Uvarint()
-	if err != nil {
-		return rec, err
-	}
-	iface, err := dec.Uvarint()
-	if err != nil {
-		return rec, err
-	}
-	if router > 0xffff || iface > 0xffff {
-		return rec, fmt.Errorf("stattime: ingress id out of range (%d, %d)", router, iface)
-	}
-	rec.In = flow.Ingress{Router: flow.RouterID(router), Iface: flow.IfaceID(iface)}
-	bytes, err := dec.Uvarint()
-	if err != nil {
-		return rec, err
-	}
-	packets, err := dec.Uvarint()
-	if err != nil {
-		return rec, err
-	}
-	if bytes > 0xffffffff || packets > 0xffffffff {
-		return rec, fmt.Errorf("stattime: counter out of range (%d, %d)", bytes, packets)
-	}
-	rec.Bytes = uint32(bytes)
-	rec.Packets = uint32(packets)
-	return rec, nil
 }

@@ -13,7 +13,8 @@ package stattime
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"time"
 
 	"ipd/internal/flow"
@@ -65,7 +66,8 @@ func (c Config) validate() error {
 }
 
 // Stats counts records handled by a Binner. It is a point-in-time view of
-// the Binner's Metrics atomics, so it may be read concurrently with Offer.
+// the Binner's Metrics atomics, so it may be read concurrently with Offer
+// (it is current as of the last completed Offer or OfferBatch call).
 type Stats struct {
 	// Accepted records were assigned to a bucket.
 	Accepted uint64
@@ -82,7 +84,7 @@ type Stats struct {
 }
 
 // Metrics is the Binner's telemetry counter set. All fields are atomic;
-// updates happen on the ingest path, reads (Stats, scrapes) take no lock.
+// updates happen once per Offer/OfferBatch call, reads take no lock.
 type Metrics struct {
 	// Accepted, DroppedStale, DroppedFuture, DroppedInactive,
 	// BucketsEmitted, and BucketsDiscarded mirror the Stats fields.
@@ -148,26 +150,60 @@ func lagBuckets() []float64 {
 type Bucket struct {
 	// Start is the bucket's inclusive start on the statistical time axis.
 	Start time.Time
-	// Records are the accepted records, in arrival order.
+	// Records are the accepted records, in arrival order. They belong to
+	// the emit callee (see Binner.Recycle).
 	Records []flow.Record
 }
 
 // End returns the bucket's exclusive end given the configured length.
 func (b Bucket) End(length time.Duration) time.Time { return b.Start.Add(length) }
 
+// maxUnixSec bounds the timestamps the Binner does arithmetic on: within
+// 2^62 ns of the epoch (years 1823-2116) the difference of two unix-nano
+// values cannot overflow. Anything outside is dropped as future or stale.
+const maxUnixSec = (1 << 62) / int64(time.Second)
+
+// openBucket is one buffered bucket: its interval [start, end) as unix
+// nanoseconds, and the same start as the time.Time handed to emit.
+type openBucket struct {
+	start, end int64
+	at         time.Time
+	recs       []flow.Record
+}
+
+type tally struct{ accepted, stale, future, drift, rebinned uint64 }
+
 // Binner segments a flow stream into statistical-time buckets. It is not
 // safe for concurrent use; run one Binner per ingest goroutine and merge
 // downstream (the IPD engine's stage 1 is per-reader anyway).
+//
+// A record inside an open bucket's cached interval is binned with integer
+// comparisons alone; only one outside every interval goes through
+// time.Time.Truncate, so alignment is Truncate's for any bucket length
+// (DESIGN.md §2, "Statistical time").
 type Binner struct {
 	cfg    Config
 	emit   func(Bucket)
 	m      *Metrics
 	tracer *trace.Tracer
 
-	// inferred statistical "now": max accepted timestamp so far.
-	now time.Time
-	// open buckets keyed by bucket start (unix nanos of aligned start).
-	open map[int64]*Bucket
+	bucket, maxSkew int64 // cfg.Bucket and cfg.MaxSkew in nanoseconds
+
+	// now is the inferred statistical "now" (max accepted timestamp so
+	// far), nowNs the same in unix nanoseconds. [curStart, curEnd) is now's
+	// bucket, oldest the start of the oldest bucket still admitted.
+	now                             time.Time
+	nowNs, curStart, curEnd, oldest int64
+
+	open []openBucket // at most MaxOpenBuckets, ascending by start
+	// spare holds backing arrays handed back by Recycle; lastLen, the size
+	// of the bucket finished last, sizes the next fresh one.
+	spare   [][]flow.Record
+	lastLen int
+
+	pend tally // this call's counts; publish adds them (and lag) to m
+	lag  *telemetry.HistogramBatch
+
 	// rejoin is set by RestoreState: the gap between a restored clock and
 	// live traffic is downtime, not a router clock error, so the first
 	// over-skew record after a restore re-anchors the time axis (once)
@@ -185,7 +221,9 @@ func NewBinner(cfg Config, emit func(Bucket)) (*Binner, error) {
 	if emit == nil {
 		return nil, fmt.Errorf("stattime: emit callback must not be nil")
 	}
-	return &Binner{cfg: cfg, emit: emit, m: NewMetrics(nil), open: make(map[int64]*Bucket)}, nil
+	b := &Binner{cfg: cfg, emit: emit, bucket: int64(cfg.Bucket), maxSkew: int64(cfg.MaxSkew)}
+	b.SetMetrics(NewMetrics(nil))
+	return b, nil
 }
 
 // SetMetrics replaces the Binner's metric set (typically one built with
@@ -193,12 +231,13 @@ func NewBinner(cfg Config, emit func(Bucket)) (*Binner, error) {
 func (b *Binner) SetMetrics(m *Metrics) {
 	if m != nil {
 		b.m = m
+		b.lag = m.RecordLag.Batch()
 	}
 }
 
-// SetTracer attaches a pipeline tracer; nil detaches. Offer calls are
-// spanned 1-in-N (the tracer's sample rate) under PhaseBin. Call before the
-// first Offer.
+// SetTracer attaches a pipeline tracer; nil detaches. Records are spanned
+// 1-in-N (the tracer's sample rate) under PhaseBin. Call before the first
+// Offer.
 func (b *Binner) SetTracer(t *trace.Tracer) { b.tracer = t }
 
 // Stats returns a snapshot of the drop counters, loaded from the metric
@@ -218,89 +257,172 @@ func (b *Binner) Stats() Stats {
 // record).
 func (b *Binner) Now() time.Time { return b.now }
 
-func (b *Binner) align(ts time.Time) time.Time {
-	return ts.Truncate(b.cfg.Bucket)
-}
-
 // Offer feeds one record. It returns true if the record was accepted into a
 // bucket.
 func (b *Binner) Offer(rec flow.Record) bool {
-	if b.tracer.Sample() {
+	defer b.publish()
+	return b.offer(&rec)
+}
+
+// OfferBatch is Offer over a slice, in order, with the metrics published
+// once for the whole batch.
+func (b *Binner) OfferBatch(recs []flow.Record) {
+	for i := range recs {
+		b.offer(&recs[i])
+	}
+	b.publish()
+}
+
+// offer bins one record, counting into b.pend.
+func (b *Binner) offer(rec *flow.Record) bool {
+	if b.tracer != nil && b.tracer.Sample() {
 		defer b.tracer.Begin(trace.PhaseBin, 0).End(0)
 	}
 	if !rec.Valid() {
-		b.m.DroppedStale.Inc()
+		b.pend.stale++
 		return false
 	}
-	ts := rec.Ts
-	if b.now.IsZero() {
-		b.now = ts
+	sec := rec.Ts.Unix()
+	if sec >= maxUnixSec {
+		b.pend.future++
+		return false
 	}
-	if ts.After(b.now) {
-		if ts.Sub(b.now) > b.cfg.MaxSkew && !b.rejoin {
+	if sec <= -maxUnixSec {
+		b.pend.stale++
+		return false
+	}
+	ts := sec*int64(time.Second) + int64(rec.Ts.Nanosecond())
+
+	moved := false
+	switch {
+	case b.now.IsZero():
+		b.now, b.nowNs = rec.Ts, ts
+		moved = true
+	case ts > b.nowNs:
+		if ts-b.nowNs > b.maxSkew && !b.rejoin {
 			// A clock running far ahead must not drag the whole axis with
 			// it; sequence inference beats trusting any single router.
-			b.m.DroppedFuture.Inc()
+			b.pend.future++
 			return false
 		}
-		b.now = ts
-		b.m.DriftCorrections.Inc()
-	}
-	start := b.align(ts)
-	oldest := b.align(b.now).Add(-time.Duration(b.cfg.MaxOpenBuckets-1) * b.cfg.Bucket)
-	if start.Before(oldest) {
-		b.m.DroppedStale.Inc()
+		b.now, b.nowNs = rec.Ts, ts
+		b.pend.drift++
+		moved = ts >= b.curEnd
+	case ts < b.oldest:
+		b.pend.stale++
 		return false
 	}
-	key := start.UnixNano()
-	bk := b.open[key]
-	if bk == nil {
-		bk = &Bucket{Start: start}
-		b.open[key] = bk
+	// Accepted from here on. Buckets that fell out of the window go first.
+	if moved {
+		b.moveWindow()
 	}
-	bk.Records = append(bk.Records, rec)
-	// An accepted record ends the post-restore rejoin window; the normal
-	// MaxSkew policy applies from here on. (If the clock just jumped, the
-	// flushBefore below emits the restored pre-crash buckets.)
-	b.rejoin = false
-	b.m.Accepted.Inc()
-	b.m.RecordLag.Observe(b.now.Sub(ts).Seconds())
-	if start.Before(b.align(b.now)) {
-		b.m.Rebinned.Inc()
+	if moved || b.rejoin {
+		// An accepted record ends the post-restore rejoin window; the
+		// normal MaxSkew policy applies from here on. (If the clock just
+		// jumped, this emits the restored pre-crash buckets.)
+		b.rejoin = false
+		b.flushBefore(b.oldest)
 	}
-	b.flushBefore(oldest)
-	b.m.OpenBuckets.Set(int64(len(b.open)))
+	i := len(b.open) - 1
+	for i >= 0 && (ts < b.open[i].start || ts >= b.open[i].end) {
+		i--
+	}
+	if i < 0 {
+		i = b.openAt(rec.Ts)
+	}
+	bk := &b.open[i]
+	bk.recs = append(bk.recs, *rec)
+	b.pend.accepted++
+	if bk.start < b.curStart {
+		b.pend.rebinned++
+	}
+	b.lag.Observe(time.Duration(b.nowNs - ts).Seconds())
 	return true
 }
 
-// flushBefore emits (or discards) all open buckets strictly older than
-// cutoff, oldest first.
-func (b *Binner) flushBefore(cutoff time.Time) {
-	var keys []int64
-	for k := range b.open {
-		if time.Unix(0, k).Before(cutoff) {
-			keys = append(keys, k)
+// moveWindow recomputes the cached bounds from now.
+func (b *Binner) moveWindow() {
+	b.curStart = b.now.Truncate(b.cfg.Bucket).UnixNano()
+	b.curEnd = b.curStart + b.bucket
+	b.oldest = b.curStart - int64(b.cfg.MaxOpenBuckets-1)*b.bucket
+}
+
+// openAt opens the bucket containing ts and returns its index in b.open.
+// Its records go in a spare if one is large enough for a bucket like the
+// last, else in a new slice sized from the last with headroom.
+func (b *Binner) openAt(ts time.Time) int {
+	var recs []flow.Record
+	if n := len(b.spare); n > 0 {
+		recs, b.spare[n-1], b.spare = b.spare[n-1], nil, b.spare[:n-1]
+	}
+	if cap(recs) < b.lastLen {
+		recs = make([]flow.Record, 0, b.lastLen+b.lastLen/8)
+	}
+	at := ts.Truncate(b.cfg.Bucket)
+	start := at.UnixNano()
+	i := len(b.open)
+	for i > 0 && b.open[i-1].start > start {
+		i--
+	}
+	b.open = slices.Insert(b.open, i, openBucket{start: start, end: start + b.bucket, at: at, recs: recs})
+	return i
+}
+
+// Recycle hands back the Records slice of an emitted bucket that the owner
+// no longer reads; the Binner reuses its backing array for a later bucket.
+// It may be called from inside the emit callback. At most MaxOpenBuckets
+// spares are kept, and Flush drops them all.
+func (b *Binner) Recycle(recs []flow.Record) {
+	if cap(recs) > 0 && len(b.spare) < b.cfg.MaxOpenBuckets {
+		b.spare = append(b.spare, recs[:0])
+	}
+}
+
+// publish adds what the call counted to the metric atomics.
+func (b *Binner) publish() {
+	p := b.pend
+	b.pend = tally{}
+	add := func(c *telemetry.Counter, n uint64) {
+		if n != 0 {
+			c.Add(n)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		b.finish(b.open[k])
-		delete(b.open, k)
+	add(&b.m.Accepted, p.accepted)
+	add(&b.m.DroppedStale, p.stale)
+	add(&b.m.DroppedFuture, p.future)
+	add(&b.m.DriftCorrections, p.drift)
+	add(&b.m.Rebinned, p.rebinned)
+	if p.accepted != 0 {
+		b.lag.Flush()
+		b.m.OpenBuckets.Set(int64(len(b.open)))
 	}
 }
 
-func (b *Binner) finish(bk *Bucket) {
-	if len(bk.Records) < b.cfg.MinActivity {
-		b.m.BucketsDiscarded.Inc()
-		b.m.DroppedInactive.Add(uint64(len(bk.Records)))
-		return
+// flushBefore emits (or discards) all open buckets whose start is strictly
+// older than cutoff (unix nanoseconds), oldest first.
+func (b *Binner) flushBefore(cutoff int64) {
+	k := 0
+	for ; k < len(b.open) && b.open[k].start < cutoff; k++ {
+		bk := &b.open[k]
+		b.lastLen = len(bk.recs)
+		if len(bk.recs) < b.cfg.MinActivity {
+			b.m.BucketsDiscarded.Inc()
+			b.m.DroppedInactive.Add(uint64(len(bk.recs)))
+			b.Recycle(bk.recs)
+			continue
+		}
+		b.m.BucketsEmitted.Inc()
+		b.emit(Bucket{Start: bk.at, Records: bk.recs})
 	}
-	b.m.BucketsEmitted.Inc()
-	b.emit(*bk)
+	n := copy(b.open, b.open[k:])
+	clear(b.open[n:])
+	b.open = b.open[:n]
 }
 
-// Flush emits all remaining open buckets (end of stream), oldest first.
+// Flush emits all remaining open buckets (end of stream), oldest first, and
+// drops the spare buffers.
 func (b *Binner) Flush() {
-	b.flushBefore(time.Unix(0, 1<<62))
+	b.flushBefore(math.MaxInt64)
 	b.m.OpenBuckets.Set(0)
+	b.spare = nil
 }

@@ -175,3 +175,43 @@ func TestManyBucketsOrdering(t *testing.T) {
 		t.Errorf("emitted %d records, accepted %d", total, b.Stats().Accepted)
 	}
 }
+
+// BenchmarkBinner times the two ways records enter the Binner on a steady
+// in-order stream (1 000 records per one-minute bucket): Offer with the
+// emitted buckets kept by the callee, as the benchmark's traced layer does,
+// and OfferBatch in 512-record batches with every bucket recycled, as
+// core.Server does.
+func BenchmarkBinner(b *testing.B) {
+	stream := make([]flow.Record, 1<<16)
+	stamp := func(lap int) {
+		for i := range stream {
+			stream[i] = rec(t0.Add(time.Duration(lap*len(stream)+i) * 60 * time.Millisecond))
+		}
+	}
+	b.Run("offer-kept", func(b *testing.B) {
+		bin, _ := NewBinner(DefaultConfig(), func(Bucket) {})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%len(stream) == 0 {
+				b.StopTimer()
+				stamp(i / len(stream))
+				b.StartTimer()
+			}
+			bin.Offer(stream[i%len(stream)])
+		}
+	})
+	b.Run("batch512-recycled", func(b *testing.B) {
+		var bin *Binner
+		bin, _ = NewBinner(DefaultConfig(), func(bk Bucket) { bin.Recycle(bk.Records) })
+		b.ReportAllocs()
+		for i := 0; i < b.N; i += 512 {
+			if i%len(stream) == 0 {
+				b.StopTimer()
+				stamp(i / len(stream))
+				b.StartTimer()
+			}
+			lo := i % len(stream)
+			bin.OfferBatch(stream[lo:min(lo+512, lo+b.N-i)])
+		}
+	})
+}

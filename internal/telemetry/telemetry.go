@@ -88,18 +88,64 @@ func DurationBuckets() []float64 {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
+	h.counts[h.bucket(v)].Add(1)
+	h.count.Add(1)
+	h.addSum(v)
+}
+
+// bucket returns the index of the first bucket whose upper bound is >= v.
+func (h *Histogram) bucket(v float64) int {
 	i := 0
 	for i < len(h.upper) && v > h.upper[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
+	return i
+}
+
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
 		if h.sum.CompareAndSwap(old, next) {
 			return
 		}
+	}
+}
+
+// HistogramBatch collects observations for one histogram in plain memory and
+// adds them with Flush, so a single-writer hot path pays the histogram's
+// atomics once per batch. Not safe for concurrent use.
+type HistogramBatch struct {
+	h      *Histogram
+	counts []uint64
+	sum    float64
+}
+
+// Batch returns an empty batch that flushes into h.
+func (h *Histogram) Batch() *HistogramBatch {
+	return &HistogramBatch{h: h, counts: make([]uint64, len(h.counts))}
+}
+
+// Observe records one value in the batch.
+func (b *HistogramBatch) Observe(v float64) {
+	b.counts[b.h.bucket(v)]++
+	b.sum += v
+}
+
+// Flush adds the collected observations to the histogram.
+func (b *HistogramBatch) Flush() {
+	var n uint64
+	for i, c := range b.counts {
+		if c != 0 {
+			b.h.counts[i].Add(c)
+			b.counts[i] = 0
+			n += c
+		}
+	}
+	if n != 0 {
+		b.h.count.Add(n)
+		b.h.addSum(b.sum)
+		b.sum = 0
 	}
 }
 

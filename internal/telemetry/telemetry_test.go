@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -45,6 +46,26 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if math.Abs(s.Sum-103.5) > 1e-9 {
 		t.Errorf("sum = %v, want 103.5", s.Sum)
+	}
+}
+
+func TestHistogramBatch(t *testing.T) {
+	direct, batched := NewHistogram([]float64{1, 10}), NewHistogram([]float64{1, 10})
+	batch := batched.Batch()
+	for _, v := range []float64{0.5, 1, 2, 100} {
+		direct.Observe(v)
+		batch.Observe(v)
+	}
+	if batched.Snapshot().Count != 0 {
+		t.Error("observations visible before Flush")
+	}
+	batch.Flush()
+	batch.Flush() // an empty batch adds nothing
+	batch.Observe(7)
+	direct.Observe(7)
+	batch.Flush()
+	if d, b := direct.Snapshot(), batched.Snapshot(); !reflect.DeepEqual(d, b) {
+		t.Errorf("batched histogram = %+v, want %+v", b, d)
 	}
 }
 
