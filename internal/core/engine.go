@@ -15,7 +15,6 @@ import (
 	"ipd/internal/sketch"
 	"ipd/internal/telemetry"
 	"ipd/internal/trace"
-	"ipd/internal/trie"
 )
 
 // ipState is the per-masked-IP sample state kept inside *unclassified*
@@ -35,10 +34,11 @@ type ipState struct {
 }
 
 // rangeState is one active IPD range. Active ranges always partition the
-// address space of their family.
+// address space of their family. key caches the prefix in integer form (start
+// address, length, family) for the partition index.
 type rangeState struct {
 	prefix netip.Prefix
-	v6     bool
+	key    netaddr.Key
 
 	classified   bool
 	ingress      flow.Ingress
@@ -86,10 +86,10 @@ type rangeState struct {
 	quarantinedUntil uint64
 }
 
-func newRangeState(p netip.Prefix) *rangeState {
+func newRangeState(k netaddr.Key) *rangeState {
 	return &rangeState{
-		prefix:   p,
-		v6:       !p.Addr().Is4(),
+		prefix:   k.Prefix(),
+		key:      k,
 		counters: make(map[flow.Ingress]float64),
 		ips:      make(map[netaddr.Key]*ipState),
 	}
@@ -155,7 +155,8 @@ type Engine struct {
 	cfg    Config
 	mapper IngressMapper
 
-	active *trie.Trie[*rangeState]
+	// idx is the active partition: both families' ranges in address order.
+	idx *rangeIndex
 
 	now       time.Time // statistical time = max accepted timestamp
 	lastCycle time.Time // start of the current cycle window
@@ -182,7 +183,7 @@ type Engine struct {
 
 	// ipCount is the live per-masked-IP entry population across all
 	// unclassified ranges, maintained at every mutation site so budget
-	// checks and gauges never walk the trie.
+	// checks and gauges never walk the partition.
 	ipCount int
 
 	// gov is the attached resource governor (Config.Governor); nil runs
@@ -211,6 +212,10 @@ type Engine struct {
 	// samp holds the reusable buffers behind Config.OnCycle samples;
 	// lazily built on the first sampled cycle.
 	samp *sampleBufs
+
+	// classified and unclassified are the snapshot phase's lists, reused
+	// across cycles and cleared after use so they keep no range alive.
+	classified, unclassified []*rangeState
 }
 
 // NewEngine validates cfg and returns an engine with the two /0 root ranges
@@ -222,7 +227,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:    cfg,
 		mapper: cfg.mapper(),
-		active: trie.New[*rangeState](),
 		tel:    newEngineMetrics(),
 		tracer: cfg.Tracer,
 		gov:    cfg.Governor,
@@ -235,10 +239,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 		e.sk = sk
 	}
-	root4 := netip.PrefixFrom(netip.IPv4Unspecified(), 0)
-	root6 := netip.PrefixFrom(netip.IPv6Unspecified(), 0)
-	e.active.Insert(root4, newRangeState(root4))
-	e.active.Insert(root6, newRangeState(root6))
+	root4, _ := netaddr.KeyFromAddr(netip.IPv4Unspecified(), 0)
+	root6, _ := netaddr.KeyFromAddr(netip.IPv6Unspecified(), 0)
+	e.idx = &rangeIndex{all: []*rangeState{newRangeState(root4), newRangeState(root6)}}
+	e.idx.rekey()
 	e.emit(Event{Kind: EventCreated, Prefix: root4.String(), Reason: Reason{Code: ReasonRoot}})
 	e.emit(Event{Kind: EventCreated, Prefix: root6.String(), Reason: Reason{Code: ReasonRoot}})
 	return e, nil
@@ -267,11 +271,11 @@ func (e *Engine) Now() time.Time { return e.now }
 
 // RangeCount returns the number of active ranges (the appendix's memory
 // proxy: state is linear in active ranges plus per-IP entries).
-func (e *Engine) RangeCount() int { return e.active.Len() }
+func (e *Engine) RangeCount() int { return e.idx.len() }
 
 // IPStateCount returns the total number of per-IP entries held in
 // unclassified ranges. The count is maintained live at every mutation site
-// (O(1); formerly a full trie walk per cycle).
+// (O(1)).
 func (e *Engine) IPStateCount() int { return e.ipCount }
 
 // SketchStatus is the introspection view of the fixed-memory sketch tier
@@ -365,20 +369,16 @@ func (e *Engine) observe(rec *flow.Record, t *observed) {
 		e.tel.recordsDropped.Inc()
 		return
 	}
+	// k is the source masked to cidr_max, as integers: both the address the
+	// partition is searched for and the per-IP key.
 	src := rec.Src.Unmap()
 	v6 := !src.Is4()
-	masked, ok := netaddr.Mask(src, e.cfg.cidrMax(v6))
+	k, ok := netaddr.KeyFromAddr(src, e.cfg.cidrMax(v6))
 	if !ok {
 		e.tel.recordsDropped.Inc()
 		return
 	}
-	_, rs, ok := e.active.Lookup(masked.Addr())
-	if !ok {
-		// Cannot happen while the partition invariant holds; count rather
-		// than panic so a bug degrades instead of killing the pipeline.
-		e.tel.recordsDropped.Inc()
-		return
-	}
+	rs := e.idx.lookup(k)
 	logical := e.mapper.Logical(rec.In)
 	w := 1.0
 	if e.cfg.CountBytes {
@@ -399,14 +399,13 @@ func (e *Engine) observe(rec *flow.Record, t *observed) {
 			// evidence and the vote ring keeps the per-ingress tally of
 			// this generation, so the flood cannot mint state.
 			if e.sk != nil {
-				e.sk.Observe(masked, w, rec.Ts)
+				e.sk.Observe(k.Prefix(), w, rec.Ts)
 				e.tel.sketchObserves.Inc()
 			}
 			if rs.ring != nil {
 				rs.ring.Observe(logical, w)
 			}
 		} else {
-			k := netaddr.KeyOf(masked)
 			st := rs.ips[k]
 			if st == nil {
 				if e.cfg.MaxIPStates > 0 && e.ipCount >= e.cfg.MaxIPStates {
@@ -418,13 +417,13 @@ func (e *Engine) observe(rec *flow.Record, t *observed) {
 						// Remember the refused source in the sketch so a
 						// later mint recovers its coarse first-seen instead
 						// of restarting its aging from zero.
-						e.sk.Observe(masked, w, rec.Ts)
+						e.sk.Observe(k.Prefix(), w, rec.Ts)
 						e.tel.sketchObserves.Inc()
 					}
 				} else {
 					st = &ipState{counters: make(map[flow.Ingress]float64), firstSeen: rec.Ts}
 					if e.sk != nil {
-						if fs, ok := e.sk.FirstSeen(masked); ok && fs.Before(st.firstSeen) {
+						if fs, ok := e.sk.FirstSeen(k.Prefix()); ok && fs.Before(st.firstSeen) {
 							st.firstSeen = fs
 							e.tel.sketchFirstSeen.Inc()
 						}
@@ -551,7 +550,7 @@ func (e *Engine) runCycle(now time.Time) {
 
 	logging := e.log != nil && e.log.Enabled(context.Background(), slog.LevelInfo)
 	sampling := e.sampleThisCycle()
-	rangesBefore := e.active.Len()
+	rangesBefore := e.idx.len()
 	var before cycleCounters
 	if logging || sampling {
 		before = e.cycleCounters()
@@ -560,20 +559,18 @@ func (e *Engine) runCycle(now time.Time) {
 		e.churn = make(map[flow.Ingress]int)
 	}
 
-	// Snapshot: collect and partition the active set once; splits mutate
-	// the trie, and the classified/unclassified decision is fixed here so a
-	// range expired by the decay phase is not also classified this cycle.
+	// Snapshot: sort the active set, in address order, into classified and
+	// unclassified once; the decision is fixed here so a range expired by
+	// the decay phase is not also classified this cycle.
 	span := e.tracer.Begin(trace.PhaseSnapshot, e.cycleID)
-	classified := make([]*rangeState, 0, e.active.Len())
-	unclassified := make([]*rangeState, 0, e.active.Len())
-	e.active.Walk(func(_ netip.Prefix, rs *rangeState) bool {
+	classified, unclassified := e.classified[:0], e.unclassified[:0]
+	for _, rs := range e.idx.all {
 		if rs.classified {
 			classified = append(classified, rs)
 		} else {
 			unclassified = append(unclassified, rs)
 		}
-		return true
-	})
+	}
 	span.End(len(classified) + len(unclassified))
 
 	// Decay: idle-decay, expire, and invalidate classified ranges. Each
@@ -604,22 +601,13 @@ func (e *Engine) runCycle(now time.Time) {
 		})
 	}
 	span.End(len(unclassified))
+	clear(classified)
+	clear(unclassified)
+	e.classified, e.unclassified = classified, unclassified
 
-	// Split: apply the collected splits, unless the governor is degraded
-	// (pause state growth) or the hard range budget is exhausted. Splits
-	// are the only way the active-range count grows, so gating them here
-	// enforces Config.MaxRanges unconditionally.
+	// Split: apply the collected splits in one rewrite of the partition.
 	span = e.tracer.Begin(trace.PhaseSplit, e.cycleID)
-	deferSplits := e.gov != nil && e.gov.State() != governor.StateNormal
-	for _, ps := range splits {
-		// Sketched ranges have no per-IP state to redistribute, so their
-		// splits wait until they hydrate.
-		if deferSplits || ps.rs.sketched || (e.cfg.MaxRanges > 0 && e.active.Len() >= e.cfg.MaxRanges) {
-			e.tel.splitsDeferred.Inc()
-			continue
-		}
-		e.split(ps.rs, now, ps.share, ps.ncidr)
-	}
+	e.applySplits(splits, now)
 	span.End(len(splits))
 
 	// Join: merge agreeing classified sibling pairs bottom-up.
@@ -639,23 +627,20 @@ func (e *Engine) runCycle(now time.Time) {
 		span.End(e.govern(now))
 	}
 
+	// One pass over the final partition serves both the sketch gauge and
+	// the cycle sample.
+	if sampling || e.sk != nil {
+		e.takeCensus(sampling)
+	}
 	if e.sk != nil {
-		sketched := 0
-		e.active.Walk(func(_ netip.Prefix, rs *rangeState) bool {
-			if rs.sketched {
-				sketched++
-			}
-			return true
-		})
-		e.tel.sketchRanges.Set(int64(sketched))
+		e.tel.sketchRanges.Set(int64(e.samp.sketched))
 		e.tel.sketchBytes.Set(int64(e.sk.Bytes()))
 	}
 
 	dur := time.Since(start)
 	e.tel.cycles.Inc()
-	e.tel.activeRanges.Set(int64(e.active.Len()))
+	e.tel.activeRanges.Set(int64(e.idx.len()))
 	e.tel.ipStates.Set(int64(e.IPStateCount()))
-	e.tel.trieNodes.Set(int64(e.active.Nodes()))
 	e.tel.cycleDuration.Observe(dur.Seconds())
 	e.tel.lastCycleNanos.Store(int64(dur))
 
@@ -666,7 +651,7 @@ func (e *Engine) runCycle(now time.Time) {
 	if sampling {
 		e.deliverCycleSample(now, dur, before)
 	}
-	cycleSpan.End(e.active.Len())
+	cycleSpan.End(e.idx.len())
 }
 
 // cycleCounters is the subset of counters whose per-cycle deltas the
@@ -705,8 +690,8 @@ func (e *Engine) logCycle(now time.Time, dur time.Duration, rangesBefore int, be
 		slog.Uint64("cycle", e.tel.cycles.Value()),
 		slog.Time("stat_time", now),
 		slog.Duration("duration", dur),
-		slog.Int("ranges", e.active.Len()),
-		slog.Int("range_delta", e.active.Len()-rangesBefore),
+		slog.Int("ranges", e.idx.len()),
+		slog.Int("range_delta", e.idx.len()-rangesBefore),
 		slog.Int("ip_states", int(e.tel.ipStates.Value())),
 		slog.Uint64("splits", after.splits-before.splits),
 		slog.Uint64("joins", after.joins-before.joins),
@@ -814,7 +799,7 @@ func (e *Engine) cycleUnclassified(rs *rangeState, now time.Time) (pendingSplit,
 		rs.total = 0
 	}
 
-	ncidr := e.cfg.NCidr(rs.prefix.Bits(), rs.v6)
+	ncidr := e.cfg.NCidr(rs.key.Bits(), rs.key.IsIPv6())
 	in, share := rs.top()
 	e.updateStateMode(rs, now, share, ncidr)
 
@@ -847,7 +832,7 @@ func (e *Engine) cycleUnclassified(rs *rangeState, now time.Time) (pendingSplit,
 			Sketch:   e.sketchAnnotation(wasSketched)})
 		return pendingSplit{}, false
 	}
-	if rs.prefix.Bits() < e.cfg.cidrMax(rs.v6) {
+	if rs.key.Bits() < e.cfg.cidrMax(rs.key.IsIPv6()) {
 		return pendingSplit{rs: rs, share: share, ncidr: ncidr}, true
 	}
 	// At cidr_max with mixed ingress: keep monitoring (the join pass is
@@ -1000,22 +985,50 @@ func (e *Engine) coverageAnnotation(in flow.Ingress) *Reason {
 	return &Reason{Code: ReasonDegradedCoverage, Observed: score, Threshold: floor}
 }
 
-// split replaces rs with its two children (line 13), redistributing the
-// per-IP state so no samples are lost. share and ncidr are the observed
-// top-ingress share and sample threshold that made the split decision; they
-// ride along in the event reason.
-func (e *Engine) split(rs *rangeState, now time.Time, share, ncidr float64) {
-	lo, hi, ok := netaddr.Children(rs.prefix)
-	if !ok {
+// applySplits is the split phase: one rewrite of the partition in which every
+// pending split (in address order, as the classify phase collected them)
+// replaces its range by the two children, unless the governor is degraded
+// (pause state growth) or the hard range budget is exhausted. Splits are the
+// only way the active-range count grows, so gating them here, split by split,
+// enforces Config.MaxRanges unconditionally.
+func (e *Engine) applySplits(splits []pendingSplit, now time.Time) {
+	if len(splits) == 0 {
 		return
 	}
-	cl, ch := newRangeState(lo), newRangeState(hi)
+	deferSplits := e.gov != nil && e.gov.State() != governor.StateNormal
+	next, ranges := 0, e.idx.len()
+	e.idx.rewrite(func(out []*rangeState, rs *rangeState) []*rangeState {
+		if next == len(splits) || splits[next].rs != rs {
+			return append(out, rs)
+		}
+		ps := splits[next]
+		next++
+		// Sketched ranges have no per-IP state to redistribute, so their
+		// splits wait until they hydrate.
+		if deferSplits || rs.sketched || (e.cfg.MaxRanges > 0 && ranges >= e.cfg.MaxRanges) {
+			e.tel.splitsDeferred.Inc()
+			return append(out, rs)
+		}
+		ranges++
+		lo, hi := e.split(ps, now)
+		return append(out, lo, hi)
+	})
+}
+
+// split builds the two children of ps.rs (line 13), redistributing the
+// per-IP state so no samples are lost; a pending split is always above
+// cidr_max, so the children exist. The split decision's observed top-ingress
+// share and sample threshold ride along in the event reason.
+func (e *Engine) split(ps pendingSplit, now time.Time) (lo, hi *rangeState) {
+	rs := ps.rs
+	kl, kh, _ := rs.key.Children()
+	cl, ch := newRangeState(kl), newRangeState(kh)
 	cl.bornAt, ch.bornAt = now, now
 	if e.cfg.KeepIPStateOnSplit {
-		bit := rs.prefix.Bits()
+		bit := rs.key.Bits()
 		for k, st := range rs.ips {
 			child := cl
-			if netaddr.BitAt(k.Prefix().Addr(), bit) {
+			if k.Bit(bit) {
 				child = ch
 			}
 			child.ips[k] = st
@@ -1031,147 +1044,133 @@ func (e *Engine) split(rs *rangeState, now time.Time, share, ncidr float64) {
 		// The children start empty; the parent's per-IP entries die with it.
 		e.ipCount -= len(rs.ips)
 	}
-	e.active.Delete(rs.prefix)
-	e.active.Insert(lo, cl)
-	e.active.Insert(hi, ch)
 	e.tel.splits.Inc()
 	e.emit(Event{Kind: EventSplit, Prefix: rs.prefix.String(), At: now,
-		Reason: Reason{Code: ReasonMixedIngress, Observed: share, Threshold: e.cfg.Q,
-			Samples: rs.total, MinSamples: ncidr},
-		Children: []string{lo.String(), hi.String()}})
+		Reason: Reason{Code: ReasonMixedIngress, Observed: ps.share, Threshold: e.cfg.Q,
+			Samples: rs.total, MinSamples: ps.ncidr},
+		Children: []string{cl.prefix.String(), ch.prefix.String()}})
+	return cl, ch
 }
 
-// mergePass merges sibling ranges bottom-up, repeating until a fixpoint so
-// merges cascade upward. With collapse false it performs classified joins:
-// two classified siblings with the same ingress whose combined samples
-// satisfy the parent's n_cidr become the classified parent. With collapse
-// true it performs empty collapses: two empty-idle unclassified siblings
-// become an empty parent (state cleanup). The two categories are separate
-// traced phases; running them in sequence is equivalent to the former
-// unified pass because neither category can enable the other within a cycle
-// (a collapse's parent has bornAt=now, a join's parent is classified).
-// Returns the number of merges applied.
+// mergeRec is one merge applied by mergePass, kept until the pass is over so
+// its events go out in the specified order.
+type mergeRec struct{ lo, hi, parent *rangeState }
+
+// mergePass merges sibling ranges, one scan over adjacent sibling pairs per
+// sweep, repeating until a fixpoint so merges cascade upward. With collapse
+// false it performs classified joins, with collapse true empty collapses
+// (see tryJoin). The two categories are separate traced phases; running them
+// in sequence is equivalent to a unified pass because neither can enable the
+// other within a cycle (a collapse's parent has bornAt=now, a join's parent
+// is classified). Which merges apply does not depend on the scan order
+// (merging one pair never disables another); their events go out after the
+// fixpoint, deepest parent first, then IPv4 before IPv6, then by ascending
+// address. Returns the number of merges.
 func (e *Engine) mergePass(now time.Time, collapse bool) int {
-	merges := 0
-	for {
-		prefixes := e.active.Prefixes()
-		// Deepest first, so cascades can continue within one sweep.
-		sort.Slice(prefixes, func(i, j int) bool { return prefixes[i].Bits() > prefixes[j].Bits() })
-		changed := false
-		for _, p := range prefixes {
-			rs, ok := e.active.Get(p)
-			if !ok {
-				continue // already merged this sweep
+	var merges []mergeRec
+	for swept := 0; ; swept = len(merges) {
+		e.idx.siblingPairs(func(i int, lo, hi *rangeState) {
+			if parent := e.tryJoin(lo, hi, collapse, now); parent != nil {
+				e.idx.join(i, parent)
+				merges = append(merges, mergeRec{lo, hi, parent})
 			}
-			if !netaddr.IsLowChild(p) || p.Bits() == 0 {
-				continue // visit each pair once, via its low child
-			}
-			sibPfx, ok := netaddr.Sibling(p)
-			if !ok {
-				continue
-			}
-			sib, ok := e.active.Get(sibPfx)
-			if !ok {
-				continue // sibling currently subdivided
-			}
-			parentPfx, _ := netaddr.Parent(p)
-			merged, collapsed := e.tryJoin(rs, sib, parentPfx, now)
-			if merged == nil || collapsed != collapse {
-				continue
-			}
-			e.active.Delete(p)
-			e.active.Delete(sibPfx)
-			e.active.Insert(parentPfx, merged)
-			children := []string{p.String(), sibPfx.String()}
-			if collapsed {
-				e.tel.drops.Inc()
-				idle := now.Sub(rs.bornAt)
-				if h := now.Sub(sib.bornAt); h < idle {
-					idle = h
-				}
-				e.emit(Event{Kind: EventDropped, Prefix: parentPfx.String(), At: now,
-					Reason: Reason{Code: ReasonEmptyIdle, Observed: idle.Seconds(),
-						Threshold: e.cfg.E.Seconds()},
-					Children: children})
-			} else {
-				e.tel.joins.Inc()
-				e.emit(Event{Kind: EventJoined, Prefix: parentPfx.String(), Ingress: merged.ingress, At: now,
-					Reason: Reason{Code: ReasonSiblingsAgree,
-						Observed:  merged.counters[merged.ingress] / merged.total,
-						Threshold: e.cfg.Q, Samples: merged.total,
-						MinSamples: e.cfg.NCidr(parentPfx.Bits(), merged.v6)},
-					Children: children,
-					Coverage: e.coverageAnnotation(merged.ingress),
-					Sketch:   e.sketchAnnotation(merged.classifiedSketched)})
-			}
-			changed = true
-			merges++
+		})
+		if len(merges) == swept {
+			break
 		}
-		if !changed {
-			return merges
+		e.idx.compact()
+	}
+	sort.Slice(merges, func(i, j int) bool {
+		a, b := merges[i].parent.key, merges[j].parent.key
+		if a.Bits() != b.Bits() {
+			return a.Bits() > b.Bits()
+		}
+		return a.Less(b)
+	})
+	for _, m := range merges {
+		children := []string{m.lo.prefix.String(), m.hi.prefix.String()}
+		if collapse {
+			e.tel.drops.Inc()
+			idle := min(now.Sub(m.lo.bornAt), now.Sub(m.hi.bornAt))
+			e.emit(Event{Kind: EventDropped, Prefix: m.parent.prefix.String(), At: now,
+				Reason: Reason{Code: ReasonEmptyIdle, Observed: idle.Seconds(),
+					Threshold: e.cfg.E.Seconds()},
+				Children: children})
+		} else {
+			p := m.parent
+			e.tel.joins.Inc()
+			e.emit(Event{Kind: EventJoined, Prefix: p.prefix.String(), Ingress: p.ingress, At: now,
+				Reason: Reason{Code: ReasonSiblingsAgree,
+					Observed:  p.counters[p.ingress] / p.total,
+					Threshold: e.cfg.Q, Samples: p.total,
+					MinSamples: e.cfg.NCidr(p.key.Bits(), p.key.IsIPv6())},
+				Children: children,
+				Coverage: e.coverageAnnotation(p.ingress),
+				Sketch:   e.sketchAnnotation(p.classifiedSketched)})
 		}
 	}
+	return len(merges)
 }
 
-// tryJoin returns the merged parent range if lo and hi are mergeable, else
-// nil. collapsed distinguishes the empty-sibling cleanup (EventDropped) from
-// the classified merge (EventJoined).
-func (e *Engine) tryJoin(lo, hi *rangeState, parent netip.Prefix, now time.Time) (merged *rangeState, collapsed bool) {
-	// Case 1: both empty and unclassified -> empty parent. Sketched
-	// siblings are excluded: their vote rings may still hold in-window
-	// mass, and the collapse would silently discard it.
-	if !lo.classified && !hi.classified && !lo.sketched && !hi.sketched &&
-		lo.total == 0 && hi.total == 0 &&
-		len(lo.ips) == 0 && len(hi.ips) == 0 {
-		if now.Sub(lo.bornAt) < e.cfg.E || now.Sub(hi.bornAt) < e.cfg.E {
-			return nil, false // fresh emptiness; don't undo a recent split
+// tryJoin returns the merged parent range if lo and hi are mergeable in this
+// phase, else nil. With collapse set that is the empty-sibling cleanup
+// (EventDropped): two empty-idle unclassified siblings become an empty
+// parent. Otherwise it is the classified merge (EventJoined): two classified
+// siblings with the same ingress whose combined samples satisfy the parent's
+// n_cidr become the classified parent.
+func (e *Engine) tryJoin(lo, hi *rangeState, collapse bool, now time.Time) *rangeState {
+	parent, _ := lo.key.Parent()
+	if collapse {
+		// Both empty and unclassified -> empty parent. Sketched siblings are
+		// excluded: their vote rings may still hold in-window mass, and the
+		// collapse would silently discard it. Fresh emptiness does not count;
+		// a recent split is not undone.
+		if lo.classified || hi.classified || lo.sketched || hi.sketched ||
+			lo.total != 0 || hi.total != 0 || len(lo.ips) != 0 || len(hi.ips) != 0 ||
+			now.Sub(lo.bornAt) < e.cfg.E || now.Sub(hi.bornAt) < e.cfg.E {
+			return nil
 		}
 		m := newRangeState(parent)
 		m.bornAt = now
-		return m, true
+		return m
 	}
-	// Case 2: both classified with the same ingress and enough combined
-	// samples for the parent.
-	if lo.classified && hi.classified && lo.ingress == hi.ingress {
-		combined := lo.total + hi.total
-		if combined >= e.cfg.NCidr(parent.Bits(), lo.v6) {
-			m := newRangeState(parent)
-			m.classified = true
-			m.ingress = lo.ingress
-			m.ips = nil
-			m.total = combined
-			m.byteTotal = lo.byteTotal + hi.byteTotal
-			for in, c := range lo.counters {
-				m.counters[in] += c
-			}
-			for in, c := range hi.counters {
-				m.counters[in] += c
-			}
-			m.lastSeen = lo.lastSeen
-			if hi.lastSeen.After(m.lastSeen) {
-				m.lastSeen = hi.lastSeen
-			}
-			m.classifiedAt = lo.classifiedAt
-			if hi.classifiedAt.Before(m.classifiedAt) {
-				m.classifiedAt = hi.classifiedAt
-			}
-			// Sketch provenance is sticky across joins: if either child was
-			// classified on sketched evidence, so was the parent.
-			m.classifiedSketched = lo.classifiedSketched || hi.classifiedSketched
-			// The merged range must still be prevalent; with identical
-			// ingresses it always is, but guard against pathological
-			// counter mixes.
-			if c := m.counters[m.ingress]; m.total > 0 && c/m.total < e.cfg.Q {
-				return nil, false
-			}
-			return m, false
-		}
+	if !lo.classified || !hi.classified || lo.ingress != hi.ingress ||
+		lo.total+hi.total < e.cfg.NCidr(parent.Bits(), parent.IsIPv6()) {
+		return nil
 	}
-	return nil, false
+	m := newRangeState(parent)
+	m.classified = true
+	m.ingress = lo.ingress
+	m.ips = nil
+	m.total = lo.total + hi.total
+	m.byteTotal = lo.byteTotal + hi.byteTotal
+	for in, c := range lo.counters {
+		m.counters[in] += c
+	}
+	for in, c := range hi.counters {
+		m.counters[in] += c
+	}
+	m.lastSeen = lo.lastSeen
+	if hi.lastSeen.After(m.lastSeen) {
+		m.lastSeen = hi.lastSeen
+	}
+	m.classifiedAt = lo.classifiedAt
+	if hi.classifiedAt.Before(m.classifiedAt) {
+		m.classifiedAt = hi.classifiedAt
+	}
+	// Sketch provenance is sticky across joins: if either child was
+	// classified on sketched evidence, so was the parent.
+	m.classifiedSketched = lo.classifiedSketched || hi.classifiedSketched
+	// The merged range must still be prevalent; with identical ingresses it
+	// always is, but guard against pathological counter mixes.
+	if c := m.counters[m.ingress]; m.total > 0 && c/m.total < e.cfg.Q {
+		return nil
+	}
+	return m
 }
 
 // String summarizes the engine state for debugging.
 func (e *Engine) String() string {
 	return fmt.Sprintf("ipd.Engine{ranges: %d, now: %s, cycles: %d}",
-		e.active.Len(), e.now.Format(time.RFC3339), e.tel.cycles.Value())
+		e.idx.len(), e.now.Format(time.RFC3339), e.tel.cycles.Value())
 }

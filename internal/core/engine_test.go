@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ipd/internal/flow"
+	"ipd/internal/netaddr"
 )
 
 var base = time.Unix(1_600_000_000, 0).UTC().Truncate(time.Minute)
@@ -30,6 +31,12 @@ func testConfig() Config {
 	cfg.NCidrFactor4 = 0.001
 	cfg.NCidrFactor6 = 1e-8 // v6 scales from /64: n(/0) = 1e-8 * 2^32 ≈ 43
 	return cfg
+}
+
+// rangeAt returns the active range containing addr.
+func rangeAt(e *Engine, addr netip.Addr) *rangeState {
+	k, _ := netaddr.KeyFromAddr(addr, addr.BitLen())
+	return e.idx.lookup(k)
 }
 
 func rec(ts time.Time, src string, in flow.Ingress) flow.Record {

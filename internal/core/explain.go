@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"ipd/internal/flow"
+	"ipd/internal/netaddr"
 )
 
 // IngressShare is one ingress's contribution to a range's samples — the
@@ -63,19 +64,17 @@ func (ex Explanation) VerdictString() string {
 // ok is false when addr is invalid (the partition always covers valid
 // addresses of both families).
 func (e *Engine) Explain(addr netip.Addr) (Explanation, bool) {
-	if !addr.IsValid() {
-		return Explanation{}, false
-	}
 	addr = addr.Unmap()
-	_, rs, ok := e.active.Lookup(addr)
+	k, ok := netaddr.KeyFromAddr(addr, addr.BitLen())
 	if !ok {
 		return Explanation{}, false
 	}
+	rs := e.idx.lookup(k)
 	ex := Explanation{
 		IP:    addr,
 		Range: e.info(rs),
 	}
-	// The active trie holds a partition, so the only range on the descent is
+	// The active ranges are a partition, so the only one containing addr is
 	// the match itself; reconstruct the full candidate chain bit by bit.
 	for b := 0; b <= rs.prefix.Bits(); b++ {
 		ex.Path = append(ex.Path, netip.PrefixFrom(addr, b).Masked())
@@ -107,7 +106,7 @@ func (e *Engine) Explain(addr netip.Addr) (Explanation, bool) {
 // verdict states the threshold comparison that holds the range in its
 // current state.
 func (e *Engine) verdict(rs *rangeState) Reason {
-	ncidr := e.cfg.NCidr(rs.prefix.Bits(), rs.v6)
+	ncidr := e.cfg.NCidr(rs.key.Bits(), rs.key.IsIPv6())
 	if rs.classified {
 		share := 1.0
 		if rs.total > 0 {

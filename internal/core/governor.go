@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"net/netip"
 	"sort"
 	"time"
 
 	"ipd/internal/governor"
-	"ipd/internal/netaddr"
 )
 
 // quarantineCycles is how many stage-2 cycles a range sits out after a
@@ -57,7 +55,7 @@ func (e *Engine) quarantine(rs *rangeState, now time.Time, cause any) {
 // Returns the number of forced joins applied (the govern span's count).
 func (e *Engine) govern(now time.Time) int {
 	prev := e.gov.State()
-	next := e.gov.Evaluate(governor.Usage{Ranges: e.active.Len(), IPStates: e.ipCount})
+	next := e.gov.Evaluate(governor.Usage{Ranges: e.idx.len(), IPStates: e.ipCount})
 	if next != prev {
 		cfg := e.gov.Config()
 		util := e.gov.Snapshot().Utilization
@@ -91,37 +89,32 @@ func (e *Engine) govern(now time.Time) int {
 // exact margin under Q) until the governed populations are back under their
 // recover targets. It runs ahead of the per-range hysteresis in
 // updateStateMode because an emergency is exactly the "upgrade immediately"
-// case; the walk order is the trie's, so the sweep is deterministic.
-func (e *Engine) sketchSweep(now time.Time) int {
+// case; the walk is in address order, so the sweep is deterministic.
+func (e *Engine) sketchSweep(now time.Time) {
 	if e.sk == nil || !e.overRecoverTarget() {
-		return 0
+		return
 	}
 	boundary := e.cfg.Q - e.cfg.sketchExactMargin()
-	var victims []*rangeState
-	e.active.Walk(func(_ netip.Prefix, rs *rangeState) bool {
-		if !rs.classified && !rs.sketched && len(rs.ips) > 0 {
-			if _, share := rs.top(); share < boundary {
-				victims = append(victims, rs)
-			}
-		}
-		return true
-	})
-	swept := 0
-	for _, rs := range victims {
-		if !e.overRecoverTarget() {
-			break
+	for _, rs := range e.idx.all {
+		if rs.classified || rs.sketched || len(rs.ips) == 0 {
+			continue
 		}
 		_, share := rs.top()
+		if share >= boundary {
+			continue
+		}
+		if !e.overRecoverTarget() {
+			return
+		}
 		e.degrade(rs, now, share)
-		swept++
 	}
-	return swept
 }
 
-// compactCand is one force-joinable sibling pair.
+// compactCand is one force-joinable sibling pair: slots i and i+1 of the
+// partition index.
 type compactCand struct {
+	i      int
 	lo, hi *rangeState
-	parent netip.Prefix
 	total  float64
 }
 
@@ -131,7 +124,7 @@ type compactCand struct {
 // hysteresis room to actually downgrade afterwards.
 func (e *Engine) overRecoverTarget() bool {
 	cfg := e.gov.Config()
-	if cfg.MaxRanges > 0 && float64(e.active.Len()) > cfg.RecoverFraction*float64(cfg.MaxRanges) {
+	if cfg.MaxRanges > 0 && float64(e.idx.len()) > cfg.RecoverFraction*float64(cfg.MaxRanges) {
 		return true
 	}
 	if cfg.MaxIPStates > 0 && float64(e.ipCount) > cfg.RecoverFraction*float64(cfg.MaxIPStates) {
@@ -154,18 +147,14 @@ func (e *Engine) compact(now time.Time) int {
 		if len(cands) == 0 {
 			break
 		}
-		progressed := false
 		for _, c := range cands {
 			if !e.overRecoverTarget() {
 				break
 			}
 			e.forceJoin(c, now)
 			compacted++
-			progressed = true
 		}
-		if !progressed {
-			break
-		}
+		e.idx.compact()
 	}
 	return compacted
 }
@@ -177,33 +166,18 @@ func (e *Engine) compact(now time.Time) int {
 // the sweep's own merges are picked up by the caller's next sweep.
 func (e *Engine) compactCandidates() []compactCand {
 	var cands []compactCand
-	for _, p := range e.active.Prefixes() {
-		if p.Bits() == 0 || !netaddr.IsLowChild(p) {
-			continue
-		}
-		rs, ok := e.active.Get(p)
-		if !ok {
-			continue
-		}
-		sibPfx, ok := netaddr.Sibling(p)
-		if !ok {
-			continue
-		}
-		sib, ok := e.active.Get(sibPfx)
-		if !ok {
-			continue
-		}
-		parent, _ := netaddr.Parent(p)
-		cands = append(cands, compactCand{lo: rs, hi: sib, parent: parent, total: rs.total + sib.total})
-	}
+	e.idx.siblingPairs(func(i int, lo, hi *rangeState) {
+		cands = append(cands, compactCand{i: i, lo: lo, hi: hi, total: lo.total + hi.total})
+	})
 	sort.Slice(cands, func(i, j int) bool {
-		if bi, bj := cands[i].parent.Bits(), cands[j].parent.Bits(); bi != bj {
-			return bi > bj
+		ki, kj := cands[i].lo.key, cands[j].lo.key
+		if ki.Bits() != kj.Bits() {
+			return ki.Bits() > kj.Bits()
 		}
 		if cands[i].total != cands[j].total {
 			return cands[i].total < cands[j].total
 		}
-		return netaddr.KeyOf(cands[i].parent).Less(netaddr.KeyOf(cands[j].parent))
+		return ki.Less(kj)
 	})
 	return cands
 }
@@ -212,13 +186,12 @@ func (e *Engine) compactCandidates() []compactCand {
 // dropping both children's counters and per-IP state.
 func (e *Engine) forceJoin(c compactCand, now time.Time) {
 	e.ipCount -= len(c.lo.ips) + len(c.hi.ips)
-	e.active.Delete(c.lo.prefix)
-	e.active.Delete(c.hi.prefix)
-	m := newRangeState(c.parent)
+	parent, _ := c.lo.key.Parent()
+	m := newRangeState(parent)
 	m.bornAt = now
-	e.active.Insert(c.parent, m)
+	e.idx.join(c.i, m)
 	e.tel.rangesCompacted.Inc()
-	e.emit(Event{Kind: EventCompacted, Prefix: c.parent.String(), At: now,
+	e.emit(Event{Kind: EventCompacted, Prefix: m.prefix.String(), At: now,
 		Reason:   Reason{Code: ReasonForcedCompaction, Observed: c.total},
 		Children: []string{c.lo.prefix.String(), c.hi.prefix.String()}})
 }

@@ -91,7 +91,7 @@ func TestMaxIPStatesCap(t *testing.T) {
 		t.Errorf("ipStatesSkipped = %d, want 70", got)
 	}
 	// Range-level counting continued past the cap.
-	if _, rs, ok := e.active.Lookup(netip.MustParseAddr("10.0.0.0")); !ok || rs.total != 120 {
+	if rs := rangeAt(e, netip.MustParseAddr("10.0.0.0")); rs.total != 120 {
 		t.Errorf("range total = %v, want 120 (votes past the cap still count)", rs.total)
 	}
 }
@@ -332,8 +332,8 @@ func TestCyclePanicContainment(t *testing.T) {
 	}
 
 	// The faulted range was reset to empty unclassified state.
-	if _, rs, ok := e.active.Lookup(lo); !ok || rs.classified || len(rs.ips) != 0 {
-		t.Fatalf("faulted range not reset: ok=%v classified=%v ips=%d", ok, rs.classified, len(rs.ips))
+	if rs := rangeAt(e, lo); rs.classified || len(rs.ips) != 0 {
+		t.Fatalf("faulted range not reset: classified=%v ips=%d", rs.classified, len(rs.ips))
 	}
 
 	// Cycles 3-5: keep feeding the faulted half. It sits out the quarantine

@@ -10,7 +10,6 @@ import (
 	"ipd/internal/netaddr"
 	"ipd/internal/persist"
 	"ipd/internal/sketch"
-	"ipd/internal/trie"
 )
 
 // Checkpoint container: magic "IPDC", version 2, then a binner-present
@@ -37,7 +36,7 @@ func (e *Engine) Seq() uint64 { return e.seq }
 // safe concurrently with ingest).
 func (e *Engine) Cycles() uint64 { return e.tel.cycles.Value() }
 
-// MarshalState serializes the full engine partition — both family tries
+// MarshalState serializes the full engine partition — both families
 // with all per-range and per-IP state, the event sequence, the cycle
 // counter, and the statistical clock — into a CRC-guarded checkpoint
 // payload. The encoding is deterministic: identical engine states produce
@@ -88,13 +87,10 @@ func (e *Engine) encodeState(enc *persist.Encoder) {
 	enc.Time(e.now)
 	enc.Time(e.lastCycle)
 
-	prefixes := e.active.Prefixes()
-	sort.Slice(prefixes, func(i, j int) bool {
-		return netaddr.KeyOf(prefixes[i]).Less(netaddr.KeyOf(prefixes[j]))
-	})
-	enc.Uvarint(uint64(len(prefixes)))
-	for _, p := range prefixes {
-		rs, _ := e.active.Get(p)
+	// The index order — IPv4 before IPv6, ascending address — is the
+	// canonical order.
+	enc.Uvarint(uint64(e.idx.len()))
+	for _, rs := range e.idx.all {
 		encodeRange(enc, rs)
 	}
 
@@ -114,7 +110,7 @@ type engineRestore struct {
 	started   bool
 	now       time.Time
 	lastCycle time.Time
-	active    *trie.Trie[*rangeState]
+	idx       *rangeIndex
 	// sk is the decoded shared-sketch section; nil when the checkpoint was
 	// taken with the sketch tier disabled.
 	sk *sketch.Sketch
@@ -145,16 +141,18 @@ func (e *Engine) decodeState(dec *persist.Decoder) (engineRestore, error) {
 	if err != nil {
 		return st, fmt.Errorf("core: restore range count: %w", err)
 	}
-	st.active = trie.New[*rangeState]()
+	var ranges []*rangeState
 	for i := 0; i < n; i++ {
 		rs, err := decodeRange(dec)
 		if err != nil {
 			return st, fmt.Errorf("core: restore range %d: %w", i, err)
 		}
-		if _, ok := st.active.Get(rs.prefix); ok {
-			return st, fmt.Errorf("core: restore: duplicate range %v", rs.prefix)
-		}
-		st.active.Insert(rs.prefix, rs)
+		ranges = append(ranges, rs)
+	}
+	// Ranges may arrive in any order, but they must tile both families: a
+	// gap or an overlap would mis-attribute traffic silently.
+	if st.idx, err = buildIndex(ranges); err != nil {
+		return st, err
 	}
 	hasSketch, err := dec.Bool()
 	if err != nil {
@@ -169,7 +167,7 @@ func (e *Engine) decodeState(dec *persist.Decoder) (engineRestore, error) {
 }
 
 func (e *Engine) commitState(st engineRestore) {
-	e.active = st.active
+	e.idx = st.idx
 	e.seq = st.seq
 	e.cycleID = st.cycleID
 	e.started = st.started
@@ -191,16 +189,14 @@ func (e *Engine) commitState(st engineRestore) {
 	// partition (the one walk this counter's existence saves every cycle).
 	e.ipCount = 0
 	sketched := 0
-	e.active.Walk(func(_ netip.Prefix, rs *rangeState) bool {
+	for _, rs := range e.idx.all {
 		e.ipCount += len(rs.ips)
 		if rs.sketched {
 			sketched++
 		}
-		return true
-	})
-	e.tel.activeRanges.Set(int64(e.active.Len()))
+	}
+	e.tel.activeRanges.Set(int64(e.idx.len()))
 	e.tel.ipStates.Set(int64(e.IPStateCount()))
-	e.tel.trieNodes.Set(int64(e.active.Nodes()))
 	if e.sk != nil {
 		e.tel.sketchRanges.Set(int64(sketched))
 		e.tel.sketchBytes.Set(int64(e.sk.Bytes()))
@@ -251,7 +247,7 @@ func decodeRange(dec *persist.Decoder) (*rangeState, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs := newRangeState(p.Masked())
+	rs := newRangeState(netaddr.KeyOf(p))
 	if rs.classified, err = dec.Bool(); err != nil {
 		return nil, err
 	}
@@ -423,60 +419,55 @@ func (e *Engine) ApplyEvent(ev Event) error {
 	if err != nil {
 		return fmt.Errorf("core: apply event seq %d: bad prefix: %v", ev.Seq, err)
 	}
+	k := netaddr.KeyOf(p)
+	i := e.idx.pos(k)
+	rs := e.idx.all[i] // the active range k starts in: k itself, if active
+	merge := ev.Kind == EventJoined || ev.Kind == EventDropped || ev.Kind == EventCompacted
+	if rs.key != k && !merge {
+		return fmt.Errorf("core: apply event seq %d (%s): %s is not an active range", ev.Seq, ev.Kind, ev.Prefix)
+	}
 	switch ev.Kind {
 	case EventCreated:
-		if _, ok := e.active.Get(p); !ok {
-			rs := newRangeState(p)
-			rs.bornAt = ev.At
-			e.active.Insert(p, rs)
-		}
-	case EventSplit:
-		old, ok := e.active.Get(p)
-		if !ok {
-			return fmt.Errorf("core: apply event seq %d splits unknown range %s", ev.Seq, ev.Prefix)
-		}
-		children, err := parseChildren(ev)
-		if err != nil {
+		// Only the two family roots are ever created, and they always exist.
+	case EventSplit, EventJoined, EventDropped, EventCompacted:
+		// Structural: the event must name k's two halves. A merge needs both
+		// active: the low half starts where k does, so it is the range just
+		// found, and the high half is the next slot.
+		lo, hi, ok := k.Children()
+		if children, err := parseChildren(ev); err != nil {
 			return err
+		} else if !ok || children != [2]netaddr.Key{lo, hi} {
+			return fmt.Errorf("core: apply event seq %d: %v are not the children of %s", ev.Seq, ev.Children, ev.Prefix)
 		}
-		e.ipCount -= len(old.ips)
-		e.active.Delete(p)
-		for _, cp := range children {
-			rs := newRangeState(cp)
-			rs.bornAt = ev.At
-			e.active.Insert(cp, rs)
+		if !merge {
+			e.ipCount -= len(rs.ips)
+			e.idx.rewrite(func(out []*rangeState, old *rangeState) []*rangeState {
+				if old != rs {
+					return append(out, old)
+				}
+				cl, ch := newRangeState(lo), newRangeState(hi)
+				cl.bornAt, ch.bornAt = ev.At, ev.At
+				return append(out, cl, ch)
+			})
+			break
 		}
-	case EventJoined, EventDropped, EventCompacted:
-		children, err := parseChildren(ev)
-		if err != nil {
-			return err
+		if rs.key != lo || i+1 == len(e.idx.all) || e.idx.all[i+1].key != hi {
+			return fmt.Errorf("core: apply event seq %d merges a range that is not active (%v)", ev.Seq, ev.Children)
 		}
-		for _, cp := range children {
-			if _, ok := e.active.Get(cp); !ok {
-				return fmt.Errorf("core: apply event seq %d merges unknown range %s", ev.Seq, cp)
-			}
-		}
-		for _, cp := range children {
-			old, _ := e.active.Get(cp)
-			e.ipCount -= len(old.ips)
-			e.active.Delete(cp)
-		}
-		rs := newRangeState(p)
-		rs.bornAt = ev.At
+		e.ipCount -= len(rs.ips) + len(e.idx.all[i+1].ips)
+		m := newRangeState(k)
+		m.bornAt = ev.At
 		if ev.Kind == EventJoined {
-			rs.classified = true
-			rs.ingress = ev.Ingress
-			rs.classifiedAt = ev.At
-			rs.lastSeen = ev.At
-			rs.ips = nil
-			approximateCounters(rs, ev)
+			m.classified = true
+			m.ingress = ev.Ingress
+			m.classifiedAt = ev.At
+			m.lastSeen = ev.At
+			m.ips = nil
+			approximateCounters(m, ev)
 		}
-		e.active.Insert(p, rs)
+		e.idx.join(i, m)
+		e.idx.compact()
 	case EventClassified:
-		rs, ok := e.active.Get(p)
-		if !ok {
-			return fmt.Errorf("core: apply event seq %d classifies unknown range %s", ev.Seq, ev.Prefix)
-		}
 		rs.classified = true
 		rs.ingress = ev.Ingress
 		rs.classifiedAt = ev.At
@@ -487,20 +478,12 @@ func (e *Engine) ApplyEvent(ev Event) error {
 		}
 		approximateCounters(rs, ev)
 	case EventInvalidated, EventExpired, EventQuarantined:
-		rs, ok := e.active.Get(p)
-		if !ok {
-			return fmt.Errorf("core: apply event seq %d unclassifies unknown range %s", ev.Seq, ev.Prefix)
-		}
 		e.unclassify(rs, ev.At)
 	case EventStateMode:
 		// Mode flips are partition-neutral; like the sample counters, the
 		// replayed per-source evidence is approximate (the exact map or
 		// vote ring contents at decision time are not journaled) and fresh
 		// traffic re-fills it.
-		rs, ok := e.active.Get(p)
-		if !ok {
-			return fmt.Errorf("core: apply event seq %d flips mode of unknown range %s", ev.Seq, ev.Prefix)
-		}
 		switch ev.Detail {
 		case StateModeSketched:
 			e.ipCount -= len(rs.ips)
@@ -553,19 +536,19 @@ func approximateCounters(rs *rangeState, ev Event) {
 	}
 }
 
-func parseChildren(ev Event) ([]netip.Prefix, error) {
+// parseChildren returns the keys of a structural event's two children.
+func parseChildren(ev Event) (keys [2]netaddr.Key, err error) {
 	if len(ev.Children) != 2 {
-		return nil, fmt.Errorf("core: apply event seq %d carries %d children, want 2", ev.Seq, len(ev.Children))
+		return keys, fmt.Errorf("core: apply event seq %d carries %d children, want 2", ev.Seq, len(ev.Children))
 	}
-	out := make([]netip.Prefix, 2)
 	for i, c := range ev.Children {
 		cp, err := netip.ParsePrefix(c)
 		if err != nil {
-			return nil, fmt.Errorf("core: apply event seq %d: bad child prefix: %v", ev.Seq, err)
+			return keys, fmt.Errorf("core: apply event seq %d: bad child prefix: %v", ev.Seq, err)
 		}
-		out[i] = cp
+		keys[i] = netaddr.KeyOf(cp)
 	}
-	return out, nil
+	return keys, nil
 }
 
 // EncodeCheckpoint serializes the full server state — the engine partition

@@ -7,10 +7,12 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"ipd/internal/flow"
+	"ipd/internal/netaddr"
 	"ipd/internal/persist"
 	"ipd/internal/stattime"
 	"ipd/internal/telemetry"
@@ -226,6 +228,62 @@ func TestEngineUnmarshalAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestRestoreValidatesTiling: a CRC-valid checkpoint whose ranges do not tile
+// both families would restore and then mis-attribute traffic silently; the
+// restore must name the first gap or overlap instead. Wire order is free.
+func TestRestoreValidatesTiling(t *testing.T) {
+	cases := []struct {
+		name    string
+		ranges  []string
+		wantErr string // substring; empty means the restore must succeed
+	}{
+		{"two roots", []string{"0.0.0.0/0", "::/0"}, ""},
+		{"wrong order on the wire", []string{"8000::/1", "128.0.0.0/1", "::/1", "0.0.0.0/2", "64.0.0.0/2"}, ""},
+		{"gap in the middle", []string{"0.0.0.0/2", "128.0.0.0/1", "::/0"}, "gap in the partition before range 128.0.0.0/1"},
+		{"gap at the start", []string{"128.0.0.0/1", "::/0"}, "gap in the partition before range 128.0.0.0/1"},
+		{"gap at the end", []string{"0.0.0.0/0", "::/1", "8000::/2"}, "gap in the partition after range 8000::/2"},
+		{"overlap", []string{"0.0.0.0/1", "64.0.0.0/2", "128.0.0.0/1", "::/0"}, "range 64.0.0.0/2 overlaps 0.0.0.0/1"},
+		{"nested under a root", []string{"0.0.0.0/0", "10.0.0.0/8", "::/0"}, "range 10.0.0.0/8 overlaps 0.0.0.0/0"},
+		{"duplicate", []string{"0.0.0.0/0", "::/0", "::/0"}, "range ::/0 overlaps ::/0"},
+		{"missing IPv6 root", []string{"0.0.0.0/0"}, "no IPv6 range"},
+		{"missing IPv4 root", []string{"::/0"}, "no IPv4 range"},
+		{"no ranges", nil, "no IPv4 range"},
+	}
+	for _, c := range cases {
+		enc := persist.NewEncoder(checkpointMagic, checkpointVersion)
+		enc.Bool(false) // no binner section
+		enc.Uvarint(7)  // seq
+		enc.Uvarint(3)  // cycle id
+		enc.Bool(true)  // started
+		enc.Time(base)
+		enc.Time(base)
+		enc.Uvarint(uint64(len(c.ranges)))
+		for _, p := range c.ranges {
+			encodeRange(enc, newRangeState(netaddr.KeyOf(netip.MustParsePrefix(p))))
+		}
+		enc.Bool(false) // no sketch section
+		eng, err := NewEngine(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := eng.MarshalState()
+		err = eng.UnmarshalState(enc.Finish())
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: restore failed: %v", c.name, err)
+		case c.wantErr == "":
+			checkEngineInvariants(t, eng, false, nil)
+			if eng.RangeCount() != len(c.ranges) {
+				t.Errorf("%s: restored %d ranges, want %d", c.name, eng.RangeCount(), len(c.ranges))
+			}
+		case err == nil || !strings.Contains(err.Error(), c.wantErr):
+			t.Errorf("%s: restore error = %v, want one containing %q", c.name, err, c.wantErr)
+		case !bytes.Equal(eng.MarshalState(), before):
+			t.Errorf("%s: rejected restore mutated the engine", c.name)
+		}
+	}
+}
+
 func TestEngineRejectsServerCheckpoint(t *testing.T) {
 	s := testServer(t)
 	feed(s, recordStream(2))
@@ -342,14 +400,14 @@ func TestApplyEventRejectsOutOfOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := Event{Seq: 1, Kind: EventCreated, Prefix: "10.0.0.0/8", At: base}
+	ev := Event{Seq: 1, Kind: EventCreated, Prefix: "0.0.0.0/0", At: base}
 	if err := eng.ApplyEvent(ev); err != nil {
 		t.Fatalf("first apply: %v", err)
 	}
 	if err := eng.ApplyEvent(ev); err == nil {
 		t.Error("replayed duplicate seq accepted")
 	}
-	if err := eng.ApplyEvent(Event{Seq: 0, Kind: EventCreated, Prefix: "10.0.0.0/9", At: base}); err == nil {
+	if err := eng.ApplyEvent(Event{Seq: 0, Kind: EventCreated, Prefix: "::/0", At: base}); err == nil {
 		t.Error("seq 0 accepted after seq 1")
 	}
 }
@@ -365,6 +423,11 @@ func TestApplyEventStructuralErrors(t *testing.T) {
 		{Seq: 1, Kind: EventClassified, Prefix: "10.0.0.0/8", At: base}, // classifies unknown range
 		{Seq: 1, Kind: EventCreated, Prefix: "not-a-prefix", At: base},  // bad prefix
 		{Seq: 1, Kind: EventKind(99), Prefix: "10.0.0.0/8", At: base},   // unknown kind
+		{Seq: 1, Kind: EventCreated, Prefix: "10.0.0.0/8", At: base},    // would nest inside the root
+		{Seq: 1, Kind: EventSplit, Prefix: "0.0.0.0/0", At: base,
+			Children: []string{"0.0.0.0/1", "64.0.0.0/2"}}, // not the range's two halves
+		{Seq: 1, Kind: EventDropped, Prefix: "0.0.0.0/0", At: base,
+			Children: []string{"0.0.0.0/1", "128.0.0.0/1"}}, // children are not active
 	}
 	for i, ev := range cases {
 		if err := eng.ApplyEvent(ev); err == nil {

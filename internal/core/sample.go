@@ -1,7 +1,6 @@
 package core
 
 import (
-	"net/netip"
 	"sort"
 	"time"
 
@@ -116,7 +115,6 @@ type CycleSample struct {
 	Ranges         int
 	Classified     int
 	IPStates       int
-	TrieNodes      int
 	SketchedRanges int
 
 	// Depth4[b] / Depth6[b] count active ranges with prefix length b
@@ -145,6 +143,9 @@ type CycleSample struct {
 // sampleBufs are the reusable buffers behind CycleSample's slices, so
 // steady-state sampling allocates only per newly seen ingress.
 type sampleBufs struct {
+	// classified and sketched count the ranges in those states.
+	classified, sketched int
+
 	depth4  [33]int
 	depth6  [129]int
 	ingress []IngressCycleStat
@@ -173,50 +174,46 @@ func (e *Engine) sampleThisCycle() bool {
 	return e.cycleID%every == 0
 }
 
-// deliverCycleSample builds the end-of-cycle sample with one walk over the
-// active partition, hands it to Config.OnCycle under the reentrancy guard,
-// and emits the returned alerts as journaled lifecycle events. Called from
-// runCycle after the govern phase and the telemetry updates, so the sample
-// sees the cycle's final state; the walk touches only virtual-time counters,
-// so the sample (and everything an analyzer derives from it) is
-// deterministic for a given input trace.
-func (e *Engine) deliverCycleSample(now time.Time, dur time.Duration, before cycleCounters) {
+// takeCensus is the one end-of-cycle pass over the active partition, into
+// e.samp: it counts the sketched ranges for the gauge and, when sampling,
+// fills the rest of the cycle sample (depth histograms, per-ingress mass).
+// Called from runCycle after the govern phase, so it sees the cycle's final
+// state; the pass touches only virtual-time counters, so the sample (and
+// everything an analyzer derives from it) is deterministic for a given input
+// trace.
+func (e *Engine) takeCensus(sampling bool) {
 	if e.samp == nil {
 		e.samp = &sampleBufs{stats: make(map[flow.Ingress]*IngressCycleStat)}
 	}
 	b := e.samp
-	for i := range b.depth4 {
-		b.depth4[i] = 0
-	}
-	for i := range b.depth6 {
-		b.depth6[i] = 0
-	}
+	b.classified, b.sketched = 0, 0
+	b.depth4, b.depth6 = [33]int{}, [129]int{}
 	clear(b.stats)
-
-	classified, sketched := 0, 0
 	var totalMass float64
-	e.active.Walk(func(p netip.Prefix, rs *rangeState) bool {
-		if rs.v6 {
-			b.depth6[p.Bits()]++
+	for _, rs := range e.idx.all {
+		if rs.sketched {
+			b.sketched++
+		}
+		if !sampling {
+			continue
+		}
+		if rs.key.IsIPv6() {
+			b.depth6[rs.key.Bits()]++
 		} else {
-			b.depth4[p.Bits()]++
+			b.depth4[rs.key.Bits()]++
 		}
 		if rs.classified {
-			classified++
+			b.classified++
 			b.stat(rs.ingress).Ranges++
 		}
-		if rs.sketched {
-			sketched++
-		}
-		for in, c := range rs.counters {
-			if c <= 0 {
+		for in, n := range rs.counters {
+			if n <= 0 {
 				continue
 			}
-			b.stat(in).Samples += c
-			totalMass += c
+			b.stat(in).Samples += n
+			totalMass += n
 		}
-		return true
-	})
+	}
 	b.ingress = b.ingress[:0]
 	for _, st := range b.stats {
 		if totalMass > 0 {
@@ -227,17 +224,22 @@ func (e *Engine) deliverCycleSample(now time.Time, dur time.Duration, before cyc
 	sort.Slice(b.ingress, func(i, j int) bool {
 		return lessIngress(b.ingress[i].Ingress, b.ingress[j].Ingress)
 	})
+}
 
+// deliverCycleSample hands the sample takeCensus filled to Config.OnCycle
+// under the reentrancy guard, and emits the returned alerts as journaled
+// lifecycle events. Called from runCycle after the telemetry updates.
+func (e *Engine) deliverCycleSample(now time.Time, dur time.Duration, before cycleCounters) {
+	b := e.samp
 	after := e.cycleCounters()
 	s := CycleSample{
 		Cycle:           e.cycleID,
 		At:              now,
 		Duration:        dur,
-		Ranges:          e.active.Len(),
-		Classified:      classified,
+		Ranges:          e.idx.len(),
+		Classified:      b.classified,
 		IPStates:        e.ipCount,
-		TrieNodes:       e.active.Nodes(),
-		SketchedRanges:  sketched,
+		SketchedRanges:  b.sketched,
 		Depth4:          b.depth4[:],
 		Depth6:          b.depth6[:],
 		Splits:          after.splits - before.splits,

@@ -49,9 +49,6 @@ func TestOnCycleSampleContents(t *testing.T) {
 	if last.Ranges == 0 || last.Ranges != len(e.Snapshot()) {
 		t.Fatalf("sample ranges %d, engine has %d", last.Ranges, len(e.Snapshot()))
 	}
-	if last.TrieNodes == 0 {
-		t.Fatal("sample reports an empty trie under live traffic")
-	}
 
 	// The depth histogram totals the active ranges.
 	depthTotal := 0

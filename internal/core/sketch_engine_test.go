@@ -64,11 +64,7 @@ func TestSketchRecoversFirstSeenAtCap(t *testing.T) {
 		t.Fatalf("sketchFirstSeen = %d, want 1", got)
 	}
 	masked, _ := netaddr.Mask(netip.MustParseAddr(x), e.cfg.cidrMax(false))
-	_, rs, ok := e.active.Lookup(masked.Addr())
-	if !ok {
-		t.Fatal("no range covers X")
-	}
-	st := rs.ips[netaddr.KeyOf(masked)]
+	st := rangeAt(e, masked.Addr()).ips[netaddr.KeyOf(masked)]
 	if st == nil {
 		t.Fatal("X was not minted despite open headroom")
 	}

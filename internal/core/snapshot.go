@@ -2,7 +2,6 @@ package core
 
 import (
 	"net/netip"
-	"sort"
 	"time"
 
 	"ipd/internal/flow"
@@ -51,7 +50,7 @@ func (e *Engine) info(rs *rangeState) RangeInfo {
 		Ingress:      in,
 		Confidence:   share,
 		Samples:      rs.total,
-		NCidr:        e.cfg.NCidr(rs.prefix.Bits(), rs.v6),
+		NCidr:        e.cfg.NCidr(rs.key.Bits(), rs.key.IsIPv6()),
 		LastSeen:     rs.lastSeen,
 		ClassifiedAt: rs.classifiedAt,
 		Counters:     make(map[flow.Ingress]float64, len(rs.counters)),
@@ -72,14 +71,10 @@ func (e *Engine) info(rs *rangeState) RangeInfo {
 
 // Snapshot returns all active ranges sorted by (family, address, length).
 func (e *Engine) Snapshot() []RangeInfo {
-	out := make([]RangeInfo, 0, e.active.Len())
-	e.active.Walk(func(_ netip.Prefix, rs *rangeState) bool {
+	out := make([]RangeInfo, 0, e.idx.len())
+	for _, rs := range e.idx.all {
 		out = append(out, e.info(rs))
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		return netaddr.KeyOf(out[i].Prefix).Less(netaddr.KeyOf(out[j].Prefix))
-	})
+	}
 	return out
 }
 
@@ -98,11 +93,11 @@ func (e *Engine) Mapped() []RangeInfo {
 
 // Range returns the active range covering addr, if any.
 func (e *Engine) Range(addr netip.Addr) (RangeInfo, bool) {
-	_, rs, ok := e.active.Lookup(addr.Unmap())
+	k, ok := netaddr.KeyFromAddr(addr, addr.Unmap().BitLen())
 	if !ok {
 		return RangeInfo{}, false
 	}
-	return e.info(rs), true
+	return e.info(e.idx.lookup(k)), true
 }
 
 // LookupTable builds the longest-prefix-match table from the currently
@@ -110,11 +105,10 @@ func (e *Engine) Range(addr netip.Addr) (RangeInfo, bool) {
 // create a Longest Prefix Match (LPM) lookup table from the IPD output".
 func (e *Engine) LookupTable() *trie.Trie[flow.Ingress] {
 	t := trie.New[flow.Ingress]()
-	e.active.Walk(func(p netip.Prefix, rs *rangeState) bool {
+	for _, rs := range e.idx.all {
 		if rs.classified {
-			t.Insert(p, rs.ingress)
+			t.Insert(rs.prefix, rs.ingress)
 		}
-		return true
-	})
+	}
 	return t
 }

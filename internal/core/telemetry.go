@@ -48,7 +48,6 @@ type engineMetrics struct {
 
 	activeRanges telemetry.Gauge
 	ipStates     telemetry.Gauge
-	trieNodes    telemetry.Gauge
 	sketchRanges telemetry.Gauge
 	sketchBytes  telemetry.Gauge
 
@@ -111,8 +110,6 @@ func newEngineMetrics() *engineMetrics {
 		"Active IPD ranges after the last stage-2 cycle (Appendix A memory proxy).", &m.activeRanges)
 	m.reg.RegisterGauge("ipd_ip_states",
 		"Per-masked-IP state entries held in unclassified ranges.", &m.ipStates)
-	m.reg.RegisterGauge("ipd_trie_nodes",
-		"Allocated nodes in the active-range tries (including branch-only nodes).", &m.trieNodes)
 	m.cycleDuration = m.reg.Histogram("ipd_cycle_duration_seconds",
 		"Stage-2 cycle wall-clock runtime (Appendix A runtime metric).",
 		telemetry.DurationBuckets())

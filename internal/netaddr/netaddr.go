@@ -1,17 +1,19 @@
 // Package netaddr provides CIDR arithmetic on top of net/netip for the IPD
-// range machinery: masking addresses to a maximum prefix length, walking the
-// binary prefix tree (parent, sibling, children), canonical uint128 keys, and
-// address-count weights.
+// range machinery: masking addresses to a maximum prefix length, canonical
+// uint128 keys that walk the binary prefix tree (parent, sibling, children),
+// and address-count weights.
 //
-// All functions treat a prefix as a node of the binary tree rooted at the /0
-// of its address family (the "IPD tree" of §3.2 of the paper). IPv4 and IPv6
-// live in separate trees; mixing families is a programming error and is
-// reported via ok=false results or panics, as documented per function.
+// A Key is a node of the binary tree rooted at the /0 of its address family
+// (the "IPD tree" of §3.2 of the paper). IPv4 and IPv6 live in separate
+// trees; mixing families is a programming error and is reported via ok=false
+// results or panics, as documented per function.
 package netaddr
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"net/netip"
 )
 
@@ -40,88 +42,25 @@ func Mask(addr netip.Addr, bits int) (netip.Prefix, bool) {
 	return p, true
 }
 
-// Parent returns the prefix one bit shorter that contains p. ok is false for
-// the root (/0).
-func Parent(p netip.Prefix) (netip.Prefix, bool) {
-	if p.Bits() == 0 {
-		return netip.Prefix{}, false
-	}
-	pp, err := p.Addr().Prefix(p.Bits() - 1)
-	if err != nil {
-		return netip.Prefix{}, false
-	}
-	return pp, true
-}
-
-// Children returns the two prefixes one bit longer that partition p: the
-// low (0-bit) child first, then the high (1-bit) child. ok is false when p is
-// already a host route and cannot be split.
-func Children(p netip.Prefix) (lo, hi netip.Prefix, ok bool) {
-	bits := p.Bits()
-	if bits >= HostBits(p) {
-		return netip.Prefix{}, netip.Prefix{}, false
-	}
-	lo = netip.PrefixFrom(p.Addr(), bits+1)
-	hiAddr := setBit(p.Addr(), bits)
-	hi = netip.PrefixFrom(hiAddr, bits+1)
-	return lo, hi, true
-}
-
-// Sibling returns the prefix that shares p's parent. ok is false for the
-// root.
-func Sibling(p netip.Prefix) (netip.Prefix, bool) {
-	if p.Bits() == 0 {
-		return netip.Prefix{}, false
-	}
-	return netip.PrefixFrom(flipBit(p.Addr(), p.Bits()-1), p.Bits()), true
-}
-
-// IsLowChild reports whether p is the 0-bit child of its parent. The root
-// reports true.
-func IsLowChild(p netip.Prefix) bool {
-	if p.Bits() == 0 {
-		return true
-	}
-	return !bitAt(p.Addr(), p.Bits()-1)
-}
-
 // BitAt returns bit i (0-based from the most significant bit) of addr.
 func BitAt(addr netip.Addr, i int) bool { return bitAt(addr, i) }
 
 func bitAt(addr netip.Addr, i int) bool {
-	b := addr.As16()
 	if addr.Is4() {
-		b4 := addr.As4()
-		return b4[i/8]&(1<<(7-i%8)) != 0
+		b := addr.As4()
+		return b[i/8]&(1<<(7-i%8)) != 0
 	}
+	b := addr.As16()
 	return b[i/8]&(1<<(7-i%8)) != 0
-}
-
-func setBit(addr netip.Addr, i int) netip.Addr {
-	if addr.Is4() {
-		b := addr.As4()
-		b[i/8] |= 1 << (7 - i%8)
-		return netip.AddrFrom4(b)
-	}
-	b := addr.As16()
-	b[i/8] |= 1 << (7 - i%8)
-	return netip.AddrFrom16(b)
-}
-
-func flipBit(addr netip.Addr, i int) netip.Addr {
-	if addr.Is4() {
-		b := addr.As4()
-		b[i/8] ^= 1 << (7 - i%8)
-		return netip.AddrFrom4(b)
-	}
-	b := addr.As16()
-	b[i/8] ^= 1 << (7 - i%8)
-	return netip.AddrFrom16(b)
 }
 
 // Key is a canonical comparable identifier for a prefix: family, length and
 // the masked address bits. It is suitable as a map key and sorts IPv4 before
 // IPv6, then by address, then by length.
+//
+// The address is held left-aligned in 128 bits (an IPv4 address occupies the
+// top 32 bits of hi), so bit i of a prefix is bit 127-i of (hi, lo) in both
+// families and the tree arithmetic below is family-agnostic.
 type Key struct {
 	hi, lo uint64
 	// bits is the prefix length. uint8, not int8: an IPv6 /128 must
@@ -130,38 +69,112 @@ type Key struct {
 	v6   bool
 }
 
-// KeyOf returns the canonical key for p. p must be valid and already masked;
-// Masked() is applied defensively.
+// KeyOf returns the canonical key for p, masking it defensively. p must be
+// valid.
 func KeyOf(p netip.Prefix) Key {
-	p = p.Masked()
-	a := p.Addr()
-	if a.Is4() {
-		b := a.As4()
-		return Key{
-			hi:   uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32,
-			bits: uint8(p.Bits()),
-		}
+	k, _ := keyFrom(p.Addr(), p.Bits())
+	return k
+}
+
+// KeyFromAddr returns KeyOf(Mask(addr, length)) computed on integers, without
+// materialising the prefix: the address is read once and truncated by shift.
+func KeyFromAddr(addr netip.Addr, length int) (Key, bool) {
+	return keyFrom(addr.Unmap(), length)
+}
+
+func keyFrom(addr netip.Addr, length int) (Key, bool) {
+	k := Key{bits: uint8(length), v6: addr.Is6()}
+	switch {
+	case length < 0, length > addr.BitLen(), !addr.IsValid():
+		return Key{}, false
+	case k.v6:
+		b := addr.As16()
+		k.hi, k.lo = binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
+	default:
+		b := addr.As4()
+		k.hi = uint64(binary.BigEndian.Uint32(b[:])) << 32
 	}
-	b := a.As16()
-	var hi, lo uint64
-	for i := 0; i < 8; i++ {
-		hi = hi<<8 | uint64(b[i])
-		lo = lo<<8 | uint64(b[i+8])
+	// Shifts of 64 or more yield 0 in Go, which is what /0 and /64 need.
+	k.hi &= ^uint64(0) << max(64-length, 0)
+	k.lo &= ^uint64(0) << min(128-length, 64)
+	return k, true
+}
+
+// bit128 returns the left-aligned 128-bit mask with only bit i set.
+func bit128(i int) (hi, lo uint64) {
+	if i < 64 {
+		return 1 << (63 - i), 0
 	}
-	return Key{hi: hi, lo: lo, bits: uint8(p.Bits()), v6: true}
+	return 0, 1 << (127 - i)
+}
+
+// Bit returns bit i (0-based from the most significant bit) of k's address.
+func (k Key) Bit(i int) bool {
+	hi, lo := bit128(i)
+	return k.hi&hi|k.lo&lo != 0
+}
+
+// Parent returns the key one bit shorter that contains k. ok is false for the
+// root (/0).
+func (k Key) Parent() (Key, bool) {
+	if k.bits == 0 {
+		return Key{}, false
+	}
+	hi, lo := bit128(int(k.bits) - 1)
+	return Key{hi: k.hi &^ hi, lo: k.lo &^ lo, bits: k.bits - 1, v6: k.v6}, true
+}
+
+// Sibling returns the key that shares k's parent. ok is false for the root.
+func (k Key) Sibling() (Key, bool) {
+	if k.bits == 0 {
+		return Key{}, false
+	}
+	hi, lo := bit128(int(k.bits) - 1)
+	return Key{hi: k.hi ^ hi, lo: k.lo ^ lo, bits: k.bits, v6: k.v6}, true
+}
+
+// IsLowChild reports whether k is the 0-bit child of its parent. The root
+// reports true.
+func (k Key) IsLowChild() bool { return k.bits == 0 || !k.Bit(int(k.bits)-1) }
+
+// Children returns the two keys one bit longer that partition k: the low
+// (0-bit) child first, then the high (1-bit) child. ok is false when k is
+// already a host route and cannot be split.
+func (k Key) Children() (lo, hi Key, ok bool) {
+	if k.bits == 128 || (!k.v6 && k.bits == 32) {
+		return Key{}, Key{}, false
+	}
+	bh, bl := bit128(int(k.bits))
+	lo = Key{hi: k.hi, lo: k.lo, bits: k.bits + 1, v6: k.v6}
+	hi = Key{hi: k.hi | bh, lo: k.lo | bl, bits: k.bits + 1, v6: k.v6}
+	return lo, hi, true
+}
+
+// V4 returns the start address of an IPv4 key as a uint32.
+func (k Key) V4() uint32 { return uint32(k.hi >> 32) }
+
+// Words returns the left-aligned 128-bit start address of k.
+func (k Key) Words() (hi, lo uint64) { return k.hi, k.lo }
+
+// Next returns, in Words form, the first address after the range k covers;
+// wrapped reports that k ends at the last address of its family.
+func (k Key) Next() (hi, lo uint64, wrapped bool) {
+	if k.bits == 0 {
+		return 0, 0, true
+	}
+	sh, sl := bit128(int(k.bits) - 1) // the range's size
+	lo, c := bits.Add64(k.lo, sl, 0)
+	hi, c = bits.Add64(k.hi, sh, c)
+	return hi, lo, c != 0
 }
 
 // Prefix reconstructs the prefix identified by k.
 func (k Key) Prefix() netip.Prefix {
-	if !k.v6 {
-		return netip.PrefixFrom(netip.AddrFrom4([4]byte{
-			byte(k.hi >> 56), byte(k.hi >> 48), byte(k.hi >> 40), byte(k.hi >> 32),
-		}), int(k.bits))
-	}
 	var b [16]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(k.hi >> (8 * (7 - i)))
-		b[i+8] = byte(k.lo >> (8 * (7 - i)))
+	binary.BigEndian.PutUint64(b[:8], k.hi)
+	binary.BigEndian.PutUint64(b[8:], k.lo)
+	if !k.v6 {
+		return netip.PrefixFrom(netip.AddrFrom4([4]byte(b[:4])), int(k.bits))
 	}
 	return netip.PrefixFrom(netip.AddrFrom16(b), int(k.bits))
 }

@@ -7,6 +7,76 @@ import (
 	"testing/quick"
 )
 
+// The netip-based tree walk below is the reference the Key methods are
+// checked against: it does the same arithmetic on address bytes.
+
+// Parent returns the prefix one bit shorter that contains p. ok is false for
+// the root (/0).
+func Parent(p netip.Prefix) (netip.Prefix, bool) {
+	if p.Bits() == 0 {
+		return netip.Prefix{}, false
+	}
+	pp, err := p.Addr().Prefix(p.Bits() - 1)
+	if err != nil {
+		return netip.Prefix{}, false
+	}
+	return pp, true
+}
+
+// Children returns the two prefixes one bit longer that partition p: the
+// low (0-bit) child first, then the high (1-bit) child. ok is false when p is
+// already a host route and cannot be split.
+func Children(p netip.Prefix) (lo, hi netip.Prefix, ok bool) {
+	bits := p.Bits()
+	if bits >= HostBits(p) {
+		return netip.Prefix{}, netip.Prefix{}, false
+	}
+	lo = netip.PrefixFrom(p.Addr(), bits+1)
+	hiAddr := setBit(p.Addr(), bits)
+	hi = netip.PrefixFrom(hiAddr, bits+1)
+	return lo, hi, true
+}
+
+// Sibling returns the prefix that shares p's parent. ok is false for the
+// root.
+func Sibling(p netip.Prefix) (netip.Prefix, bool) {
+	if p.Bits() == 0 {
+		return netip.Prefix{}, false
+	}
+	return netip.PrefixFrom(flipBit(p.Addr(), p.Bits()-1), p.Bits()), true
+}
+
+// IsLowChild reports whether p is the 0-bit child of its parent. The root
+// reports true.
+func IsLowChild(p netip.Prefix) bool {
+	if p.Bits() == 0 {
+		return true
+	}
+	return !bitAt(p.Addr(), p.Bits()-1)
+}
+
+func setBit(addr netip.Addr, i int) netip.Addr {
+	if addr.Is4() {
+		b := addr.As4()
+		b[i/8] |= 1 << (7 - i%8)
+		return netip.AddrFrom4(b)
+	}
+	b := addr.As16()
+	b[i/8] |= 1 << (7 - i%8)
+	return netip.AddrFrom16(b)
+}
+
+func flipBit(addr netip.Addr, i int) netip.Addr {
+	if addr.Is4() {
+		b := addr.As4()
+		b[i/8] ^= 1 << (7 - i%8)
+		return netip.AddrFrom4(b)
+	}
+	b := addr.As16()
+	b[i/8] ^= 1 << (7 - i%8)
+	return netip.AddrFrom16(b)
+}
+
 func mustPrefix(t testing.TB, s string) netip.Prefix {
 	t.Helper()
 	p, err := netip.ParsePrefix(s)
@@ -288,5 +358,92 @@ func TestBitAt(t *testing.T) {
 	a6 := netip.MustParseAddr("8000::")
 	if !BitAt(a6, 0) {
 		t.Error("bit 0 of 8000:: should be set")
+	}
+}
+
+// checkIntegerForms asserts that every integer form on Key agrees with its
+// netip-based counterpart for addr masked to length.
+func checkIntegerForms(t *testing.T, addr netip.Addr, length int) {
+	t.Helper()
+	p, pok := Mask(addr, length)
+	k, kok := KeyFromAddr(addr, length)
+	if pok != kok {
+		t.Fatalf("KeyFromAddr(%v,%d) ok=%v, Mask ok=%v", addr, length, kok, pok)
+	}
+	if !pok {
+		return
+	}
+	if k != KeyOf(p) || k.Prefix() != p {
+		t.Fatalf("KeyFromAddr(%v,%d) = %v, want %v", addr, length, k, p)
+	}
+	if k.IsLowChild() != IsLowChild(p) {
+		t.Errorf("%v: IsLowChild = %v", p, k.IsLowChild())
+	}
+	pp, pok := Parent(p)
+	kp, kok := k.Parent()
+	if pok != kok || (pok && kp != KeyOf(pp)) {
+		t.Errorf("%v: Parent = %v,%v want %v,%v", p, kp, kok, pp, pok)
+	}
+	sp, pok := Sibling(p)
+	ks, kok := k.Sibling()
+	if pok != kok || (pok && ks != KeyOf(sp)) {
+		t.Errorf("%v: Sibling = %v,%v want %v,%v", p, ks, kok, sp, pok)
+	}
+	lo, hi, pok := Children(p)
+	klo, khi, kok := k.Children()
+	if pok != kok || (pok && (klo != KeyOf(lo) || khi != KeyOf(hi))) {
+		t.Errorf("%v: Children = %v,%v,%v want %v,%v,%v", p, klo, khi, kok, lo, hi, pok)
+	}
+	for _, i := range []int{0, length / 2, HostBits(p) - 1} {
+		if k.Bit(i) != BitAt(p.Addr(), i) {
+			t.Errorf("%v: Bit(%d) = %v", p, i, k.Bit(i))
+		}
+	}
+	// Next is the start of whatever follows p: one past its last address.
+	nh, nl, wrapped := k.Next()
+	last := p.Addr()
+	for i := length; i < HostBits(p); i++ {
+		last = setBit(last, i)
+	}
+	if next := last.Next(); next.IsValid() == wrapped {
+		t.Errorf("%v: Next wrapped = %v, address after %v is %v", p, wrapped, last, next)
+	} else if nk, _ := KeyFromAddr(next, HostBits(p)); !wrapped && (nk.hi != nh || nk.lo != nl) {
+		t.Errorf("%v: Next = %x:%x, want %v", p, nh, nl, next)
+	}
+	if hi, lo := k.Words(); hi != k.hi || lo != k.lo || (!k.IsIPv6() && uint64(k.V4())<<32 != hi) {
+		t.Errorf("%v: Words/V4 disagree with the key", p)
+	}
+}
+
+func TestIntegerFormsTable(t *testing.T) {
+	for _, s := range []string{"0.0.0.0", "255.255.255.255", "10.1.2.3", "128.0.0.0", "127.255.255.255",
+		"::", "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff", "2001:db8:0:1::1", "8000::", "::ffff:10.1.2.3",
+		"0:0:0:1::", "0:0:0:0:8000::", "7fff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"} {
+		addr := netip.MustParseAddr(s)
+		for length := -1; length <= 129; length++ {
+			checkIntegerForms(t, addr, length)
+		}
+	}
+	if _, ok := KeyFromAddr(netip.Addr{}, 0); ok {
+		t.Error("KeyFromAddr accepted the zero Addr")
+	}
+}
+
+// TestPropertyIntegerForms quick-checks the integer forms against the netip
+// ones for random IPv4 and IPv6 addresses at every prefix length.
+func TestPropertyIntegerForms(t *testing.T) {
+	f := func(b [16]byte) bool {
+		v4 := netip.AddrFrom4([4]byte(b[:4]))
+		for length := 0; length <= 32; length++ {
+			checkIntegerForms(t, v4, length)
+		}
+		v6 := netip.AddrFrom16(b)
+		for length := 0; length <= 128; length++ {
+			checkIntegerForms(t, v6, length)
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(5))}); err != nil {
+		t.Error(err)
 	}
 }

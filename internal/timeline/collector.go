@@ -272,7 +272,6 @@ func (c *Collector) OnCycle(s core.CycleSample) []core.Alert {
 	put("ranges", float64(s.Ranges))
 	put("ranges_classified", float64(s.Classified))
 	put("ip_states", float64(s.IPStates))
-	put("trie_nodes", float64(s.TrieNodes))
 	put("cycle_seconds", s.Duration.Seconds())
 
 	maxD, meanD := depthStats(s.Depth4)

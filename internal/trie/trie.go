@@ -3,9 +3,8 @@
 //
 // The trie stores IPv4 and IPv6 entries in two independent trees (the
 // families never alias). It is the substrate for the validation LPM tables
-// built from IPD output (§5.1 of the paper), for the BGP RIB, and for
-// auxiliary range bookkeeping. The zero value of Trie is not ready to use;
-// call New.
+// built from IPD output (§5.1 of the paper) and for the BGP RIB. The zero
+// value of Trie is not ready to use; call New.
 //
 // Trie is not safe for concurrent mutation; concurrent readers are safe in
 // the absence of writers. The IPD pipeline rebuilds lookup tables per time
@@ -15,8 +14,6 @@ package trie
 import (
 	"fmt"
 	"net/netip"
-	"sort"
-	"strings"
 
 	"ipd/internal/netaddr"
 )
@@ -50,20 +47,6 @@ func New[V any]() *Trie[V] {
 
 // Len returns the number of prefixes with values in the trie.
 func (t *Trie[V]) Len() int { return t.len }
-
-// Nodes returns the number of allocated nodes across both family trees,
-// including branch-only nodes without values (the telemetry memory proxy:
-// resident trie state is linear in this count, not in Len).
-func (t *Trie[V]) Nodes() int {
-	return countNodes(t.root4) + countNodes(t.root6)
-}
-
-func countNodes[V any](n *node[V]) int {
-	if n == nil {
-		return 0
-	}
-	return 1 + countNodes(n.child[0]) + countNodes(n.child[1])
-}
 
 func (t *Trie[V]) rootFor(p netip.Prefix) *node[V] {
 	if p.Addr().Is4() {
@@ -183,38 +166,6 @@ func (t *Trie[V]) Get(p netip.Prefix) (V, bool) {
 	return zero, false
 }
 
-// Delete removes the value stored exactly at p and reports whether a value
-// was present. Branch-only nodes left behind are harmless and are not
-// eagerly pruned (tables are rebuilt per time bin).
-func (t *Trie[V]) Delete(p netip.Prefix) bool {
-	if !p.IsValid() {
-		return false
-	}
-	p = netip.PrefixFrom(p.Addr().Unmap(), p.Bits()).Masked()
-	n := t.rootFor(p)
-	for n != nil {
-		if n.prefix == p {
-			if n.hasVal {
-				n.hasVal = false
-				var zero V
-				n.val = zero
-				t.len--
-				return true
-			}
-			return false
-		}
-		if n.prefix.Bits() >= p.Bits() || !n.prefix.Contains(p.Addr()) {
-			return false
-		}
-		dir := 0
-		if netaddr.BitAt(p.Addr(), n.prefix.Bits()) {
-			dir = 1
-		}
-		n = n.child[dir]
-	}
-	return false
-}
-
 // Lookup performs a longest-prefix match for addr and returns the most
 // specific stored prefix containing it.
 func (t *Trie[V]) Lookup(addr netip.Addr) (netip.Prefix, V, bool) {
@@ -248,39 +199,6 @@ func (t *Trie[V]) Lookup(addr netip.Addr) (netip.Prefix, V, bool) {
 		n = n.child[dir]
 	}
 	return bestP, bestV, found
-}
-
-// Path returns the prefixes of the *stored* entries visited on the
-// longest-prefix-match walk for addr, from the family root down to the match
-// (the last element is what Lookup returns). Branch-only nodes are skipped:
-// the path is the chain of real table entries that cover addr, which is what
-// the explain API renders as the trie descent.
-func (t *Trie[V]) Path(addr netip.Addr) []netip.Prefix {
-	if !addr.IsValid() {
-		return nil
-	}
-	addr = addr.Unmap()
-	var n *node[V]
-	if addr.Is4() {
-		n = t.root4
-	} else {
-		n = t.root6
-	}
-	var out []netip.Prefix
-	for n != nil && n.prefix.Contains(addr) {
-		if n.hasVal {
-			out = append(out, n.prefix)
-		}
-		if n.prefix.Bits() >= netaddr.HostBits(n.prefix) {
-			break
-		}
-		dir := 0
-		if netaddr.BitAt(addr, n.prefix.Bits()) {
-			dir = 1
-		}
-		n = n.child[dir]
-	}
-	return out
 }
 
 // LookupPrefix performs a longest-prefix match for the *whole* prefix p: the
@@ -330,29 +248,4 @@ func walk[V any](n *node[V], fn func(p netip.Prefix, v V) bool) bool {
 		return false
 	}
 	return walk(n.child[0], fn) && walk(n.child[1], fn)
-}
-
-// Prefixes returns all stored prefixes sorted by family, address, and
-// length.
-func (t *Trie[V]) Prefixes() []netip.Prefix {
-	out := make([]netip.Prefix, 0, t.len)
-	t.Walk(func(p netip.Prefix, _ V) bool {
-		out = append(out, p)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		return netaddr.KeyOf(out[i]).Less(netaddr.KeyOf(out[j]))
-	})
-	return out
-}
-
-// String renders the stored entries one per line, for debugging and golden
-// tests.
-func (t *Trie[V]) String() string {
-	var b strings.Builder
-	for _, p := range t.Prefixes() {
-		v, _ := t.Get(p)
-		fmt.Fprintf(&b, "%v -> %v\n", p, v)
-	}
-	return b.String()
 }

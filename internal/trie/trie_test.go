@@ -111,29 +111,6 @@ func TestLookup4In6(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tr := New[string]()
-	tr.Insert(mustPrefix(t, "10.0.0.0/8"), "a")
-	tr.Insert(mustPrefix(t, "10.1.0.0/16"), "b")
-	if !tr.Delete(mustPrefix(t, "10.1.0.0/16")) {
-		t.Fatal("Delete existing returned false")
-	}
-	if tr.Delete(mustPrefix(t, "10.1.0.0/16")) {
-		t.Fatal("double Delete returned true")
-	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	// LPM must now fall back to the /8.
-	p, v, ok := tr.Lookup(netip.MustParseAddr("10.1.2.3"))
-	if !ok || p != mustPrefix(t, "10.0.0.0/8") || v != "a" {
-		t.Errorf("Lookup after delete = %v %q", p, v)
-	}
-	if tr.Delete(mustPrefix(t, "11.0.0.0/8")) {
-		t.Error("Delete of absent prefix returned true")
-	}
-}
-
 func TestLookupPrefix(t *testing.T) {
 	tr := New[string]()
 	tr.Insert(mustPrefix(t, "10.0.0.0/8"), "a")
@@ -153,20 +130,24 @@ func TestLookupPrefix(t *testing.T) {
 	}
 }
 
-func TestWalkAndPrefixes(t *testing.T) {
+func TestWalkOrder(t *testing.T) {
 	tr := New[int]()
 	ins := []string{"10.0.0.0/8", "10.128.0.0/9", "192.168.1.0/24", "2001:db8::/32"}
 	for i, s := range ins {
 		tr.Insert(mustPrefix(t, s), i)
 	}
-	got := tr.Prefixes()
+	var got []netip.Prefix
+	tr.Walk(func(p netip.Prefix, _ int) bool {
+		got = append(got, p)
+		return true
+	})
 	if len(got) != len(ins) {
-		t.Fatalf("Prefixes len = %d", len(got))
+		t.Fatalf("Walk visited %d prefixes", len(got))
 	}
 	want := []string{"10.0.0.0/8", "10.128.0.0/9", "192.168.1.0/24", "2001:db8::/32"}
 	for i, w := range want {
 		if got[i] != mustPrefix(t, w) {
-			t.Errorf("Prefixes[%d] = %v, want %s", i, got[i], w)
+			t.Errorf("Walk[%d] = %v, want %s", i, got[i], w)
 		}
 	}
 	// Early-stop walk.
@@ -181,7 +162,7 @@ func TestWalkAndPrefixes(t *testing.T) {
 }
 
 // TestRandomizedAgainstLinearScan cross-checks trie LPM against a brute-force
-// reference over random insert/delete/lookup workloads.
+// reference over random insert/lookup workloads.
 func TestRandomizedAgainstLinearScan(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	tr := New[int]()
@@ -198,16 +179,6 @@ func TestRandomizedAgainstLinearScan(t *testing.T) {
 			p := randPfx()
 			tr.Insert(p, i)
 			ref[p] = i
-		case 5: // delete
-			p := randPfx()
-			want := false
-			if _, ok := ref[p]; ok {
-				want = true
-				delete(ref, p)
-			}
-			if got := tr.Delete(p); got != want {
-				t.Fatalf("Delete(%v) = %v, want %v", p, got, want)
-			}
 		default: // lookup
 			var a [4]byte
 			r.Read(a[:])
@@ -267,14 +238,6 @@ func TestRandomizedIPv6(t *testing.T) {
 	}
 }
 
-func TestStringRendering(t *testing.T) {
-	tr := New[string]()
-	tr.Insert(mustPrefix(t, "10.0.0.0/8"), "x")
-	if got, want := tr.String(), "10.0.0.0/8 -> x\n"; got != want {
-		t.Errorf("String = %q, want %q", got, want)
-	}
-}
-
 func BenchmarkTrieInsert(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	pfxs := make([]netip.Prefix, 1<<16)
@@ -307,54 +270,5 @@ func BenchmarkTrieLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Lookup(addrs[i%len(addrs)])
-	}
-}
-
-func TestPath(t *testing.T) {
-	tr := New[string]()
-	tr.Insert(mustPrefix(t, "0.0.0.0/0"), "default")
-	tr.Insert(mustPrefix(t, "10.0.0.0/8"), "ten")
-	tr.Insert(mustPrefix(t, "10.1.0.0/16"), "ten-one")
-	tr.Insert(mustPrefix(t, "10.1.2.240/28"), "deep")
-	tr.Insert(mustPrefix(t, "192.168.0.0/16"), "private")
-
-	cases := []struct {
-		addr string
-		want []string
-	}{
-		// The full descent visits every stored ancestor, ending at the
-		// LPM match.
-		{"10.1.2.241", []string{"0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.1.2.240/28"}},
-		{"10.1.9.9", []string{"0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16"}},
-		{"10.9.9.9", []string{"0.0.0.0/0", "10.0.0.0/8"}},
-		{"8.8.8.8", []string{"0.0.0.0/0"}},
-		// Branch-only nodes between stored entries are skipped.
-		{"192.168.1.1", []string{"0.0.0.0/0", "192.168.0.0/16"}},
-	}
-	for _, c := range cases {
-		got := tr.Path(netip.MustParseAddr(c.addr))
-		if len(got) != len(c.want) {
-			t.Errorf("Path(%s) = %v, want %v", c.addr, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != mustPrefix(t, c.want[i]) {
-				t.Errorf("Path(%s) = %v, want %v", c.addr, got, c.want)
-				break
-			}
-		}
-		// The last path element must agree with Lookup.
-		p, _, ok := tr.Lookup(netip.MustParseAddr(c.addr))
-		if !ok || got[len(got)-1] != p {
-			t.Errorf("Path(%s) ends at %v, Lookup returns %v", c.addr, got[len(got)-1], p)
-		}
-	}
-
-	if got := tr.Path(netip.Addr{}); got != nil {
-		t.Errorf("Path of invalid addr = %v, want nil", got)
-	}
-	// v6 walks are independent of v4 entries.
-	if got := tr.Path(netip.MustParseAddr("2001:db8::1")); got != nil {
-		t.Errorf("Path(v6) with only v4 entries = %v, want nil", got)
 	}
 }
