@@ -23,7 +23,11 @@ import (
 // state of each (masked) IP must be held for each range until
 // reclassified").
 type ipState struct {
-	counters map[flow.Ingress]float64
+	// counters starts out over buf: most sources only ever vote for one or
+	// two ingresses, so minting one is a single allocation, and only a source
+	// seen at a third ingress spills to the heap.
+	counters votes
+	buf      [2]vote
 	total    float64
 	lastSeen time.Time
 	// firstSeen is when this masked source first contributed — the anchor
@@ -46,7 +50,7 @@ type rangeState struct {
 
 	// counters hold per-(logical-)ingress sample counts; total is their
 	// sum. For classified ranges this is all that remains (plus lastSeen).
-	counters map[flow.Ingress]float64
+	counters votes
 	total    float64
 	lastSeen time.Time
 
@@ -88,37 +92,30 @@ type rangeState struct {
 
 func newRangeState(k netaddr.Key) *rangeState {
 	return &rangeState{
-		prefix:   k.Prefix(),
-		key:      k,
-		counters: make(map[flow.Ingress]float64),
-		ips:      make(map[netaddr.Key]*ipState),
+		prefix: k.Prefix(),
+		key:    k,
+		ips:    make(map[netaddr.Key]*ipState),
 	}
+}
+
+// newIPState mints the per-source state, first seen at ts.
+func newIPState(ts time.Time) *ipState {
+	st := &ipState{firstSeen: ts}
+	st.counters = st.buf[:0]
+	return st
 }
 
 // top returns the ingress with the highest counter and its share of the
 // total. Ties break deterministically toward the lowest (router, iface).
 func (rs *rangeState) top() (flow.Ingress, float64) {
-	var (
-		best  flow.Ingress
-		bestC = -1.0
-	)
-	for in, c := range rs.counters {
-		if c > bestC || (c == bestC && lessIngress(in, best)) {
-			best, bestC = in, c
-		}
-	}
+	best, bestC := rs.counters.top()
 	if rs.total <= 0 || bestC <= 0 {
 		return best, 0
 	}
 	return best, bestC / rs.total
 }
 
-func lessIngress(a, b flow.Ingress) bool {
-	if a.Router != b.Router {
-		return a.Router < b.Router
-	}
-	return a.Iface < b.Iface
-}
+func lessIngress(a, b flow.Ingress) bool { return ingressKey(a) < ingressKey(b) }
 
 // Stats are cumulative engine counters; they back the §5.7 resource
 // discussion and the Appendix A resource metric. Since the telemetry
@@ -365,7 +362,7 @@ func (e *Engine) observe(rec *flow.Record, t *observed) {
 	if e.tracer.Sample() {
 		defer e.tracer.Begin(trace.PhaseObserve, e.cycleID).End(0)
 	}
-	if !rec.Valid() {
+	if !rec.Src.IsValid() || rec.Ts.IsZero() { // Record.Valid, without copying the record
 		e.tel.recordsDropped.Inc()
 		return
 	}
@@ -388,7 +385,7 @@ func (e *Engine) observe(rec *flow.Record, t *observed) {
 		}
 	}
 	rs.total += w
-	rs.counters[logical] += w
+	rs.counters.add(logical, w)
 	rs.byteTotal += float64(rec.Bytes)
 	if rec.Ts.After(rs.lastSeen) {
 		rs.lastSeen = rec.Ts
@@ -421,7 +418,7 @@ func (e *Engine) observe(rec *flow.Record, t *observed) {
 						e.tel.sketchObserves.Inc()
 					}
 				} else {
-					st = &ipState{counters: make(map[flow.Ingress]float64), firstSeen: rec.Ts}
+					st = newIPState(rec.Ts)
 					if e.sk != nil {
 						if fs, ok := e.sk.FirstSeen(k.Prefix()); ok && fs.Before(st.firstSeen) {
 							st.firstSeen = fs
@@ -434,7 +431,7 @@ func (e *Engine) observe(rec *flow.Record, t *observed) {
 			}
 			if st != nil {
 				st.total += w
-				st.counters[logical] += w
+				st.counters.add(logical, w)
 				if rec.Ts.After(st.lastSeen) {
 					st.lastSeen = rec.Ts
 				}
@@ -713,9 +710,7 @@ func (e *Engine) cycleClassified(rs *rangeState, now, cycleStart time.Time) {
 	if rs.lastSeen.Before(cycleStart) {
 		// No traffic during the past cycle: decay.
 		d := e.cfg.decay(now.Sub(rs.lastSeen))
-		for in := range rs.counters {
-			rs.counters[in] *= d
-		}
+		rs.counters.scale(d)
 		rs.total *= d
 		// The cumulative decay product shrinks roughly like (idle
 		// cycles)^-0.9, so small ranges vanish within minutes of going
@@ -732,7 +727,7 @@ func (e *Engine) cycleClassified(rs *rangeState, now, cycleStart time.Time) {
 			return
 		}
 	}
-	if c := rs.counters[rs.ingress]; rs.total > 0 && c/rs.total < e.cfg.Q {
+	if c := rs.counters.get(rs.ingress); rs.total > 0 && c/rs.total < e.cfg.Q {
 		// Prevalent ingress no longer valid: drop the range (line 19).
 		e.tel.invalidations.Inc()
 		e.noteChurn(rs.ingress)
@@ -749,7 +744,7 @@ func (e *Engine) unclassify(rs *rangeState, now time.Time) {
 	rs.classified = false
 	rs.ingress = flow.Ingress{}
 	rs.classifiedAt = time.Time{}
-	rs.counters = make(map[flow.Ingress]float64)
+	rs.counters = nil
 	rs.total = 0
 	rs.byteTotal = 0
 	rs.ips = make(map[netaddr.Key]*ipState)
@@ -781,13 +776,11 @@ func (e *Engine) cycleUnclassified(rs *rangeState, now time.Time) (pendingSplit,
 		e.expireSketchedVotes(rs)
 	} else {
 		// Remove source-IP information older than E.
+		cutoff := now.Add(-e.cfg.E)
 		for k, st := range rs.ips {
-			if now.Sub(st.lastSeen) > e.cfg.E {
-				for in, c := range st.counters {
-					rs.counters[in] -= c
-					if rs.counters[in] <= 1e-9 {
-						delete(rs.counters, in)
-					}
+			if st.lastSeen.Before(cutoff) {
+				for _, x := range st.counters {
+					rs.counters.sub(x.in, x.n)
 				}
 				rs.total -= st.total
 				delete(rs.ips, k)
@@ -842,26 +835,15 @@ func (e *Engine) cycleUnclassified(rs *rangeState, now time.Time) (pendingSplit,
 
 // expireSketchedVotes rotates the range's vote ring and subtracts the
 // expired generation from the range counters — the sketched analogue of the
-// exact per-IP expiry walk. Sorted iteration keeps the float subtraction
-// order, and therefore checkpoints, deterministic.
+// exact per-IP expiry walk. Each ingress is subtracted once, so the map's
+// iteration order cannot show in the result.
 func (e *Engine) expireSketchedVotes(rs *rangeState) {
 	if rs.ring == nil {
 		return
 	}
 	expired, total := rs.ring.Rotate()
-	if total == 0 {
-		return
-	}
-	ins := make([]flow.Ingress, 0, len(expired))
-	for in := range expired {
-		ins = append(ins, in)
-	}
-	sort.Slice(ins, func(i, j int) bool { return lessIngress(ins[i], ins[j]) })
-	for _, in := range ins {
-		rs.counters[in] -= expired[in]
-		if rs.counters[in] <= 1e-9 {
-			delete(rs.counters, in)
-		}
+	for in, n := range expired {
+		rs.counters.sub(in, n)
 	}
 	rs.total -= total
 }
@@ -922,13 +904,8 @@ func (e *Engine) degrade(rs *rangeState, now time.Time, share float64) {
 	for _, k := range keys {
 		st := rs.ips[k]
 		e.sk.Observe(k.Prefix(), st.total, st.lastSeen)
-		ins := make([]flow.Ingress, 0, len(st.counters))
-		for in := range st.counters {
-			ins = append(ins, in)
-		}
-		sort.Slice(ins, func(i, j int) bool { return lessIngress(ins[i], ins[j]) })
-		for _, in := range ins {
-			ring.Observe(in, st.counters[in])
+		for _, x := range st.counters {
+			ring.Observe(x.in, x.n)
 		}
 	}
 	e.ipCount -= len(rs.ips)
@@ -1033,8 +1010,8 @@ func (e *Engine) split(ps pendingSplit, now time.Time) (lo, hi *rangeState) {
 			}
 			child.ips[k] = st
 			child.total += st.total
-			for in, c := range st.counters {
-				child.counters[in] += c
+			for _, x := range st.counters {
+				child.counters.add(x.in, x.n)
 			}
 			if st.lastSeen.After(child.lastSeen) {
 				child.lastSeen = st.lastSeen
@@ -1101,7 +1078,7 @@ func (e *Engine) mergePass(now time.Time, collapse bool) int {
 			e.tel.joins.Inc()
 			e.emit(Event{Kind: EventJoined, Prefix: p.prefix.String(), Ingress: p.ingress, At: now,
 				Reason: Reason{Code: ReasonSiblingsAgree,
-					Observed:  p.counters[p.ingress] / p.total,
+					Observed:  p.counters.get(p.ingress) / p.total,
 					Threshold: e.cfg.Q, Samples: p.total,
 					MinSamples: e.cfg.NCidr(p.key.Bits(), p.key.IsIPv6())},
 				Children: children,
@@ -1144,11 +1121,9 @@ func (e *Engine) tryJoin(lo, hi *rangeState, collapse bool, now time.Time) *rang
 	m.ips = nil
 	m.total = lo.total + hi.total
 	m.byteTotal = lo.byteTotal + hi.byteTotal
-	for in, c := range lo.counters {
-		m.counters[in] += c
-	}
-	for in, c := range hi.counters {
-		m.counters[in] += c
+	m.counters = append(votes(nil), lo.counters...)
+	for _, x := range hi.counters {
+		m.counters.add(x.in, x.n)
 	}
 	m.lastSeen = lo.lastSeen
 	if hi.lastSeen.After(m.lastSeen) {
@@ -1163,7 +1138,7 @@ func (e *Engine) tryJoin(lo, hi *rangeState, collapse bool, now time.Time) *rang
 	m.classifiedSketched = lo.classifiedSketched || hi.classifiedSketched
 	// The merged range must still be prevalent; with identical ingresses it
 	// always is, but guard against pathological counter mixes.
-	if c := m.counters[m.ingress]; m.total > 0 && c/m.total < e.cfg.Q {
+	if c := m.counters.get(m.ingress); m.total > 0 && c/m.total < e.cfg.Q {
 		return nil
 	}
 	return m

@@ -80,10 +80,10 @@ func (e *Engine) Explain(addr netip.Addr) (Explanation, bool) {
 		ex.Path = append(ex.Path, netip.PrefixFrom(addr, b).Masked())
 	}
 	ex.Shares = make([]IngressShare, 0, len(rs.counters))
-	for in, c := range rs.counters {
-		s := IngressShare{Ingress: in, Count: c}
+	for _, x := range rs.counters {
+		s := IngressShare{Ingress: x.in, Count: x.n}
 		if rs.total > 0 {
-			s.Share = c / rs.total
+			s.Share = x.n / rs.total
 		}
 		ex.Shares = append(ex.Shares, s)
 	}
@@ -110,7 +110,7 @@ func (e *Engine) verdict(rs *rangeState) Reason {
 	if rs.classified {
 		share := 1.0
 		if rs.total > 0 {
-			share = rs.counters[rs.ingress] / rs.total
+			share = rs.counters.get(rs.ingress) / rs.total
 		}
 		return Reason{Code: ReasonPrevalentIngress, Observed: share,
 			Threshold: e.cfg.Q, Samples: rs.total, MinSamples: ncidr}

@@ -105,12 +105,9 @@ func checkEngineInvariants(t *testing.T, e *Engine, replayed bool, probes []neti
 		}
 		// Range bookkeeping.
 		ipCount += len(rs.ips)
-		sum := 0.0
-		for _, c := range rs.counters {
-			sum += c
-		}
-		if !replayed && math.Abs(rs.total-sum) > 1e-6*math.Max(1, rs.total) {
-			t.Fatalf("range %v: total %v != counter sum %v", rs.prefix, rs.total, sum)
+		checkTally(t, rs.prefix, rs.counters, rs.total, replayed)
+		for k, st := range rs.ips {
+			checkTally(t, k.Prefix(), st.counters, st.total, false)
 		}
 		if rs.sketched && rs.ips != nil {
 			t.Fatalf("range %v is sketched but holds per-IP state", rs.prefix)
@@ -137,6 +134,26 @@ func checkEngineInvariants(t *testing.T, e *Engine, replayed bool, probes []neti
 		if got := rangeAt(e, a); got != hit {
 			t.Fatalf("lookup(%v) = %v, linear scan found %v", a, got.prefix, hit.prefix)
 		}
+	}
+}
+
+// checkTally asserts a tally's own invariants: strictly ascending by (router,
+// iface), nothing at or below the float dust sub removes, and — unless the
+// state was rebuilt approximately — summing to the total kept beside it.
+func checkTally(t *testing.T, of netip.Prefix, v votes, total float64, approximate bool) {
+	t.Helper()
+	sum := 0.0
+	for i, x := range v {
+		if i > 0 && !lessIngress(v[i-1].in, x.in) {
+			t.Fatalf("%v: tally %v is not strictly ascending at %d", of, v, i)
+		}
+		if x.n <= 1e-9 {
+			t.Fatalf("%v: tally %v keeps a dust entry at %d", of, v, i)
+		}
+		sum += x.n
+	}
+	if !approximate && math.Abs(total-sum) > 1e-6*math.Max(1, total) {
+		t.Fatalf("%v: total %v != tally sum %v", of, total, sum)
 	}
 }
 

@@ -269,7 +269,7 @@ func decodeRange(dec *persist.Decoder) (*rangeState, error) {
 	if rs.byteTotal, err = dec.Float64(); err != nil {
 		return nil, err
 	}
-	if rs.counters, err = decodeCounters(dec); err != nil {
+	if err = decodeCounters(dec, &rs.counters); err != nil {
 		return nil, err
 	}
 	hasIPs, err := dec.Bool()
@@ -289,8 +289,8 @@ func decodeRange(dec *persist.Decoder) (*rangeState, error) {
 			if err != nil {
 				return nil, err
 			}
-			st := &ipState{}
-			if st.counters, err = decodeCounters(dec); err != nil {
+			st := newIPState(time.Time{})
+			if err = decodeCounters(dec, &st.counters); err != nil {
 				return nil, err
 			}
 			if st.total, err = dec.Float64(); err != nil {
@@ -355,38 +355,39 @@ func decodeIngress(dec *persist.Decoder) (flow.Ingress, error) {
 	return flow.Ingress{Router: flow.RouterID(router), Iface: flow.IfaceID(iface)}, nil
 }
 
-// encodeCounters writes a per-ingress counter map in (router, iface) order.
-func encodeCounters(enc *persist.Encoder, m map[flow.Ingress]float64) {
-	keys := make([]flow.Ingress, 0, len(m))
-	for in := range m {
-		keys = append(keys, in)
-	}
-	sort.Slice(keys, func(i, j int) bool { return lessIngress(keys[i], keys[j]) })
-	enc.Uvarint(uint64(len(keys)))
-	for _, in := range keys {
-		encodeIngress(enc, in)
-		enc.Float64(m[in])
+// encodeCounters writes a tally; the vector is already in (router, iface)
+// order.
+func encodeCounters(enc *persist.Encoder, v votes) {
+	enc.Uvarint(uint64(len(v)))
+	for _, x := range v {
+		encodeIngress(enc, x.in)
+		enc.Float64(x.n)
 	}
 }
 
-func decodeCounters(dec *persist.Decoder) (map[flow.Ingress]float64, error) {
+// decodeCounters appends a tally to *v (empty on entry). Entries must arrive
+// in the strictly ascending order encodeCounters writes: the vector's lookups
+// depend on it.
+func decodeCounters(dec *persist.Decoder, v *votes) error {
 	n, err := dec.Len()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	m := make(map[flow.Ingress]float64, n)
 	for i := 0; i < n; i++ {
 		in, err := decodeIngress(dec)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		v, err := dec.Float64()
+		if i > 0 && ingressKey(in) <= ingressKey((*v)[i-1].in) {
+			return fmt.Errorf("core: restore: tally entry %s is not above its predecessor %s", in, (*v)[i-1].in)
+		}
+		c, err := dec.Float64()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		m[in] = v
+		*v = append(*v, vote{in, c})
 	}
-	return m, nil
+	return nil
 }
 
 // ApplyEvent folds one recorded lifecycle event into the engine's partition
@@ -529,10 +530,10 @@ func (e *Engine) finishApply(ev Event) {
 // decision event's reason: total samples and the prevalent share at
 // decision time.
 func approximateCounters(rs *rangeState, ev Event) {
-	rs.counters = make(map[flow.Ingress]float64)
+	rs.counters = nil
 	rs.total = ev.Reason.Samples
 	if rs.total > 0 {
-		rs.counters[ev.Ingress] = ev.Reason.Observed * ev.Reason.Samples
+		rs.counters = votes{{ev.Ingress, ev.Reason.Observed * ev.Reason.Samples}}
 	}
 }
 

@@ -206,12 +206,12 @@ func (e *Engine) takeCensus(sampling bool) {
 			b.classified++
 			b.stat(rs.ingress).Ranges++
 		}
-		for in, n := range rs.counters {
-			if n <= 0 {
+		for _, x := range rs.counters {
+			if x.n <= 0 {
 				continue
 			}
-			b.stat(in).Samples += n
-			totalMass += n
+			b.stat(x.in).Samples += x.n
+			totalMass += x.n
 		}
 	}
 	b.ingress = b.ingress[:0]

@@ -60,11 +60,11 @@ func (e *Engine) info(rs *rangeState) RangeInfo {
 	if rs.classified {
 		ri.Ingress = rs.ingress
 		if rs.total > 0 {
-			ri.Confidence = rs.counters[rs.ingress] / rs.total
+			ri.Confidence = rs.counters.get(rs.ingress) / rs.total
 		}
 	}
-	for k, v := range rs.counters {
-		ri.Counters[k] = v
+	for _, x := range rs.counters {
+		ri.Counters[x.in] = x.n
 	}
 	return ri
 }

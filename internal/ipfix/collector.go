@@ -141,7 +141,11 @@ func (c *Collector) HandleMessage(b []byte, from netip.Addr) {
 		c.stats.UnknownExporter.Add(1)
 		return
 	}
-	msg, err := DecodeMessage(b)
+	// Validate the whole message before anything is sunk; its templates go
+	// into the cache before any data set is decoded, so a data set may
+	// precede its template inside one message.
+	var msg Message
+	sets, err := scanMessage(b, &msg)
 	if err != nil {
 		c.stats.Malformed.Add(1)
 		return
@@ -157,27 +161,37 @@ func (c *Collector) HandleMessage(b []byte, from netip.Addr) {
 
 	c.stats.Messages.Add(1)
 	dataRecords, unknownSets := 0, 0
-	for _, ds := range msg.DataSets {
+	for len(sets) > 0 {
+		var setID uint16
+		var payload []byte
+		setID, payload, sets, _ = nextSet(sets) // framing validated by scanMessage
+		if setID < MinDataSetID {
+			continue
+		}
 		c.mu.RLock()
-		tmpl, ok := cache.Lookup(msg.DomainID, ds.TemplateID)
+		tmpl, ok := cache.Lookup(msg.DomainID, setID)
 		c.mu.RUnlock()
 		if !ok {
 			c.stats.UnknownTemplate.Add(1)
 			unknownSets++
 			continue
 		}
-		recs, skipped, err := DecodeRecords(msg, tmpl, ds, router)
+		// A set with more than padding behind its last record sinks nothing.
+		recLen, n, err := tmpl.split(payload)
 		if err != nil {
 			c.stats.Malformed.Add(1)
 			continue
 		}
-		c.stats.SkippedRecords.Add(uint64(skipped))
 		// Skipped records still occupied sequence numbers on the exporter.
-		dataRecords += len(recs) + skipped
-		for _, rec := range recs {
-			c.sink(rec)
-			sunk++
+		dataRecords += n
+		before := sunk
+		for i := 0; i < n; i++ {
+			if rec, ok := decodeOne(&msg, tmpl, payload[i*recLen:(i+1)*recLen], router); ok {
+				c.sink(rec)
+				sunk++
+			}
 		}
+		c.stats.SkippedRecords.Add(uint64(n - (sunk - before)))
 	}
 	if c.health != nil {
 		c.health.ObserveIPFIX(router, msg.DomainID, msg.Sequence, dataRecords, len(msg.Templates), unknownSets, msg.ExportTime)

@@ -100,8 +100,31 @@ type DataSet struct {
 }
 
 // DecodeMessage parses one IPFIX message (without resolving data sets; use
-// a Cache for that).
+// a Cache for that). The collector does not come through here:
+// HandleMessage validates with the same scanMessage, then walks the data
+// sets in place.
 func DecodeMessage(b []byte) (*Message, error) {
+	msg := &Message{}
+	sets, err := scanMessage(b, msg)
+	if err != nil {
+		return nil, err
+	}
+	for len(sets) > 0 {
+		var ds DataSet
+		ds.TemplateID, ds.Payload, sets, _ = nextSet(sets) // framing validated by scanMessage
+		if ds.TemplateID >= MinDataSetID {
+			msg.DataSets = append(msg.DataSets, ds)
+		}
+	}
+	return msg, nil
+}
+
+// scanMessage validates the whole message's framing — header, every set
+// header, every template record — and fills msg's header fields and
+// templates; data sets are left alone. It returns the set area, which
+// nextSet then splits without failing. A message carrying no template set
+// allocates nothing.
+func scanMessage(b []byte, msg *Message) (sets []byte, err error) {
 	if len(b) < MessageHeaderLen {
 		return nil, fmt.Errorf("ipfix: message too short (%d bytes)", len(b))
 	}
@@ -112,22 +135,16 @@ func DecodeMessage(b []byte) (*Message, error) {
 	if msgLen < MessageHeaderLen || msgLen > len(b) {
 		return nil, fmt.Errorf("ipfix: bad message length %d (have %d bytes)", msgLen, len(b))
 	}
-	msg := &Message{
-		ExportTime: time.Unix(int64(binary.BigEndian.Uint32(b[4:])), 0).UTC(),
-		Sequence:   binary.BigEndian.Uint32(b[8:]),
-		DomainID:   binary.BigEndian.Uint32(b[12:]),
-	}
-	rest := b[MessageHeaderLen:msgLen]
-	for len(rest) > 0 {
-		if len(rest) < SetHeaderLen {
-			return nil, fmt.Errorf("ipfix: truncated set header")
+	msg.ExportTime = time.Unix(int64(binary.BigEndian.Uint32(b[4:])), 0).UTC()
+	msg.Sequence = binary.BigEndian.Uint32(b[8:])
+	msg.DomainID = binary.BigEndian.Uint32(b[12:])
+	sets = b[MessageHeaderLen:msgLen]
+	for rest := sets; len(rest) > 0; {
+		var setID uint16
+		var body []byte
+		if setID, body, rest, err = nextSet(rest); err != nil {
+			return nil, err
 		}
-		setID := binary.BigEndian.Uint16(rest[0:])
-		setLen := int(binary.BigEndian.Uint16(rest[2:]))
-		if setLen < SetHeaderLen || setLen > len(rest) {
-			return nil, fmt.Errorf("ipfix: bad set length %d", setLen)
-		}
-		body := rest[SetHeaderLen:setLen]
 		switch {
 		case setID == TemplateSetID:
 			ts, err := parseTemplates(body)
@@ -138,13 +155,24 @@ func DecodeMessage(b []byte) (*Message, error) {
 		case setID == OptionsTemplateSetID:
 			// Options data is irrelevant to IPD; skip.
 		case setID >= MinDataSetID:
-			msg.DataSets = append(msg.DataSets, DataSet{TemplateID: setID, Payload: body})
 		default:
 			return nil, fmt.Errorf("ipfix: reserved set id %d", setID)
 		}
-		rest = rest[setLen:]
 	}
-	return msg, nil
+	return sets, nil
+}
+
+// nextSet splits the first set off a message's set area.
+func nextSet(rest []byte) (setID uint16, body, tail []byte, err error) {
+	if len(rest) < SetHeaderLen {
+		return 0, nil, nil, fmt.Errorf("ipfix: truncated set header")
+	}
+	setID = binary.BigEndian.Uint16(rest[0:])
+	setLen := int(binary.BigEndian.Uint16(rest[2:]))
+	if setLen < SetHeaderLen || setLen > len(rest) {
+		return 0, nil, nil, fmt.Errorf("ipfix: bad set length %d", setLen)
+	}
+	return setID, rest[SetHeaderLen:setLen], rest[setLen:], nil
 }
 
 func parseTemplates(b []byte) ([]Template, error) {
@@ -238,26 +266,31 @@ func (c *Cache) Len() int {
 // counted in the second return value. Up to 3 bytes of trailing padding are
 // tolerated.
 func DecodeRecords(msg *Message, t Template, ds DataSet, router flow.RouterID) ([]flow.Record, int, error) {
-	recLen := t.recordLen()
-	if recLen == 0 {
-		return nil, 0, fmt.Errorf("ipfix: empty template %d", t.ID)
+	recLen, n, err := t.split(ds.Payload)
+	if err != nil {
+		return nil, 0, err
 	}
 	var out []flow.Record
-	skipped := 0
-	b := ds.Payload
-	for len(b) >= recLen {
-		rec, ok := decodeOne(msg, t, b[:recLen], router)
-		if ok {
+	for i := 0; i < n; i++ {
+		if rec, ok := decodeOne(msg, t, ds.Payload[i*recLen:(i+1)*recLen], router); ok {
 			out = append(out, rec)
-		} else {
-			skipped++
 		}
-		b = b[recLen:]
 	}
-	if len(b) >= 4 {
-		return nil, 0, fmt.Errorf("ipfix: %d trailing bytes in data set %d", len(b), t.ID)
+	return out, n - len(out), nil
+}
+
+// split validates a data set's payload against the template: the record
+// length, how many records the payload holds, and an error when the template
+// is empty or more than padding (4 bytes or more) trails the last record.
+func (t Template) split(payload []byte) (recLen, n int, err error) {
+	if recLen = t.recordLen(); recLen == 0 {
+		return 0, 0, fmt.Errorf("ipfix: empty template %d", t.ID)
 	}
-	return out, skipped, nil
+	n = len(payload) / recLen
+	if trail := len(payload) - n*recLen; trail >= 4 {
+		return 0, 0, fmt.Errorf("ipfix: %d trailing bytes in data set %d", trail, t.ID)
+	}
+	return recLen, n, nil
 }
 
 func decodeOne(msg *Message, t Template, b []byte, router flow.RouterID) (flow.Record, bool) {

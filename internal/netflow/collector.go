@@ -169,7 +169,7 @@ func (c *Collector) HandleDatagram(b []byte, from netip.AddrPort) {
 		}
 		c.stats.Records.Add(uint64(sunk))
 	}()
-	d, err := Decode(b)
+	h, err := parseHeader(b)
 	if err != nil {
 		c.stats.Malformed.Add(1)
 		return
@@ -200,11 +200,13 @@ func (c *Collector) HandleDatagram(b []byte, from netip.AddrPort) {
 		return
 	}
 	c.stats.Datagrams.Add(1)
+	ts := h.ExportTime()
 	if c.health != nil {
-		c.health.ObserveNetFlow(router, d.Header.FlowSequence, len(d.Records), d.Header.ExportTime(), d.Header.SamplingInterval)
+		c.health.ObserveNetFlow(router, h.FlowSequence, int(h.Count), ts, h.SamplingInterval)
 	}
-	for _, r := range d.Records {
-		c.sink(ToFlow(d.Header, r, router))
+	// The framing is validated; walk the wire records and sink each by value.
+	for off, end := HeaderLen, HeaderLen+int(h.Count)*RecordLen; off < end; off += RecordLen {
+		c.sink(decodeFlow(ts, b[off:off+RecordLen], router))
 		sunk++
 	}
 }

@@ -164,15 +164,31 @@ func addr4(a netip.Addr) ([4]byte, bool) {
 	return a.As4(), true
 }
 
-// Decode parses a v5 datagram.
+// Decode parses a v5 datagram into freshly allocated structures. The
+// collector shares parseHeader and the per-record decoder with it, but reads
+// the records in place (HandleDatagram).
 func Decode(b []byte) (*Datagram, error) {
+	h, err := parseHeader(b)
+	if err != nil {
+		return nil, err
+	}
+	d := &Datagram{Header: h, Records: make([]Record, h.Count)}
+	for i := range d.Records {
+		d.Records[i] = decodeRecord(b[HeaderLen+i*RecordLen:])
+	}
+	return d, nil
+}
+
+// parseHeader decodes the header and validates the datagram's framing —
+// version, record count, every announced record present — so a caller may
+// index the records without further checks.
+func parseHeader(b []byte) (h Header, err error) {
 	if len(b) < HeaderLen {
-		return nil, fmt.Errorf("netflow: datagram too short (%d bytes)", len(b))
+		return h, fmt.Errorf("netflow: datagram too short (%d bytes)", len(b))
 	}
 	if v := binary.BigEndian.Uint16(b[0:]); v != Version {
-		return nil, fmt.Errorf("netflow: unsupported version %d", v)
+		return h, fmt.Errorf("netflow: unsupported version %d", v)
 	}
-	var h Header
 	h.Count = binary.BigEndian.Uint16(b[2:])
 	h.SysUptime = binary.BigEndian.Uint32(b[4:])
 	h.UnixSecs = binary.BigEndian.Uint32(b[8:])
@@ -182,28 +198,35 @@ func Decode(b []byte) (*Datagram, error) {
 	h.EngineID = b[21]
 	h.SamplingInterval = binary.BigEndian.Uint16(b[22:])
 	if h.Count == 0 || h.Count > MaxRecords {
-		return nil, fmt.Errorf("netflow: invalid record count %d", h.Count)
+		return h, fmt.Errorf("netflow: invalid record count %d", h.Count)
 	}
 	want := HeaderLen + int(h.Count)*RecordLen
 	if len(b) < want {
-		return nil, fmt.Errorf("netflow: truncated datagram: %d bytes, want %d", len(b), want)
+		return h, fmt.Errorf("netflow: truncated datagram: %d bytes, want %d", len(b), want)
 	}
-	d := &Datagram{Header: h, Records: make([]Record, h.Count)}
-	for i := range d.Records {
-		d.Records[i] = decodeRecord(b[HeaderLen+i*RecordLen:])
-	}
-	return d, nil
+	return h, nil
 }
 
+// decodeFlow reads the five fields the engine's record model keeps straight
+// off one wire record; ts is the datagram's export time.
+func decodeFlow(ts time.Time, b []byte, router flow.RouterID) flow.Record {
+	return flow.Record{
+		Ts:      ts,
+		Src:     netip.AddrFrom4([4]byte(b[0:4])),
+		Dst:     netip.AddrFrom4([4]byte(b[4:8])),
+		In:      flow.Ingress{Router: router, Iface: flow.IfaceID(binary.BigEndian.Uint16(b[12:]))},
+		Packets: binary.BigEndian.Uint32(b[16:]),
+		Bytes:   binary.BigEndian.Uint32(b[20:]),
+	}
+}
+
+// decodeRecord is decodeFlow plus the twelve fields only the wire model
+// keeps, so each field's position is read in one place.
 func decodeRecord(b []byte) Record {
-	var r Record
-	r.SrcAddr = netip.AddrFrom4([4]byte(b[0:4]))
-	r.DstAddr = netip.AddrFrom4([4]byte(b[4:8]))
+	f := decodeFlow(time.Time{}, b, 0)
+	r := Record{SrcAddr: f.Src, DstAddr: f.Dst, Input: uint16(f.In.Iface), Packets: f.Packets, Octets: f.Bytes}
 	r.NextHop = netip.AddrFrom4([4]byte(b[8:12]))
-	r.Input = binary.BigEndian.Uint16(b[12:])
 	r.Output = binary.BigEndian.Uint16(b[14:])
-	r.Packets = binary.BigEndian.Uint32(b[16:])
-	r.Octets = binary.BigEndian.Uint32(b[20:])
 	r.First = binary.BigEndian.Uint32(b[24:])
 	r.Last = binary.BigEndian.Uint32(b[28:])
 	r.SrcPort = binary.BigEndian.Uint16(b[32:])

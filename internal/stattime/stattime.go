@@ -278,7 +278,7 @@ func (b *Binner) offer(rec *flow.Record) bool {
 	if b.tracer != nil && b.tracer.Sample() {
 		defer b.tracer.Begin(trace.PhaseBin, 0).End(0)
 	}
-	if !rec.Valid() {
+	if !rec.Src.IsValid() || rec.Ts.IsZero() { // Record.Valid, without copying the record
 		b.pend.stale++
 		return false
 	}
