@@ -403,23 +403,6 @@ func BenchmarkObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineEndToEnd measures stage 1 + stage 2 over a continuous
-// stream (cycles included).
-func BenchmarkEngineEndToEnd(b *testing.B) {
-	records := benchRecords(b, 500_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		eng := benchEngine(b)
-		b.StartTimer()
-		for _, rec := range records {
-			eng.Observe(rec)
-		}
-		eng.AdvanceTo(eng.Now())
-	}
-	b.ReportMetric(float64(len(records))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-}
-
 // BenchmarkLPMLookup measures the validation-path lookups (§5.1 rebuilds an
 // LPM table every 5 minutes and classifies every flow against it).
 func BenchmarkLPMLookup(b *testing.B) {
@@ -600,17 +583,5 @@ func BenchmarkLBDetection(b *testing.B) {
 		groups := det.Groups()
 		b.ReportMetric(float64(len(groups)), "lb-groups")
 		b.ReportMetric(float64(det.TrackedPairs()), "tracked-pairs")
-	}
-}
-
-// BenchmarkThroughputReport mirrors the §5.7 deployment-scale table.
-func BenchmarkThroughputReport(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Throughput(benchOpts(), 1_000_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.RecordsPerSec, "records/s")
-		b.ReportMetric(res.HeapMB, "heap-MB")
 	}
 }

@@ -124,14 +124,6 @@ var commands = map[string]struct {
 		_, err := experiments.ParamStudy(o, grid)
 		return err
 	}},
-	"throughput": {"§5.7 ingest throughput and memory", func(o experiments.Options, _ int, _ time.Duration, full bool) error {
-		n := 1_000_000
-		if full {
-			n = 5_000_000
-		}
-		_, err := experiments.Throughput(o, n)
-		return err
-	}},
 }
 
 func main() {
@@ -142,7 +134,7 @@ func main() {
 		quick  = flag.Bool("quick", false, "shrink runs for a fast look")
 		points = flag.Int("points", 12, "longitudinal snapshot count (fig10/15/16/17)")
 		every  = flag.Duration("every", 30*24*time.Hour, "longitudinal snapshot spacing")
-		full   = flag.Bool("full", false, "full-size variant (paramstudy, throughput)")
+		full   = flag.Bool("full", false, "full-size variant (paramstudy)")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -165,13 +157,13 @@ func main() {
 	if name == "all" {
 		names := make([]string, 0, len(commands))
 		for n := range commands {
-			if n == "fig14" || n == "paramstudy" || n == "throughput" {
-				continue // fig14 aliases fig13; the heavy ones run last
+			if n == "fig14" || n == "paramstudy" {
+				continue // fig14 aliases fig13; the heavy one runs last
 			}
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		names = append(names, "paramstudy", "throughput")
+		names = append(names, "paramstudy")
 		for _, n := range names {
 			fmt.Println()
 			if err := commands[n].run(opts, *points, *every, *full); err != nil {

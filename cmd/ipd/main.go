@@ -251,28 +251,32 @@ func config(f4, f6, floor, q float64, cm4, cm6 int, t, e time.Duration, bytesCnt
 	return cfg
 }
 
-// replay implements -replay: rebuild the partition from a decision log.
+// replay implements -replay: rebuild the partition from a decision log by
+// folding it through a fresh engine (OnEvent nil, so it starts at seq 0).
 func replay(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	rp, err := ipd.ReplayJournal(bufio.NewReader(f))
+	eng, err := ipd.NewEngine(ipd.DefaultConfig())
 	if err != nil {
+		return err
+	}
+	if _, err := ipd.ReplayJournalTail(bufio.NewReader(f), 0, eng.ApplyEvent); err != nil {
 		return err
 	}
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
-	views := rp.Snapshot()
-	for _, v := range views {
-		if v.Classified {
-			fmt.Fprintf(out, "%s\t%s\n", v.Prefix, v.Ingress)
+	ranges := eng.Snapshot()
+	for _, ri := range ranges {
+		if ri.Classified {
+			fmt.Fprintf(out, "%s\t%s\n", ri.Prefix, ri.Ingress)
 		} else {
-			fmt.Fprintf(out, "%s\tunclassified\n", v.Prefix)
+			fmt.Fprintf(out, "%s\tunclassified\n", ri.Prefix)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "ipd: replayed %d events into %d active ranges\n", rp.Seq(), len(views))
+	fmt.Fprintf(os.Stderr, "ipd: replayed %d events into %d active ranges\n", eng.Seq(), len(ranges))
 	return nil
 }
 

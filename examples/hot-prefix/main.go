@@ -33,9 +33,9 @@ import (
 )
 
 const (
-	warmupMin = 20  // clean traffic before the burst
-	burstMin  = 40  // elephant active
-	coolMin   = 60  // clean traffic again; decay must clear the alert
+	warmupMin = 20 // clean traffic before the burst
+	burstMin  = 40 // elephant active
+	coolMin   = 60 // clean traffic again; decay must clear the alert
 	flowsMin  = 3000
 	hotShare  = 0.45
 )

@@ -280,14 +280,18 @@ func run(snapOut string) error {
 	if modeEvents == 0 {
 		return fmt.Errorf("journal carries no EventStateMode events despite %d degrades", status.Degrades)
 	}
-	rep, err := ipd.ReplayJournal(&jsonl)
+	repCfg := govCfg
+	repCfg.OnEvent, repCfg.Governor = nil, nil
+	rep, err := ipd.NewEngine(repCfg)
 	if err != nil {
 		return err
 	}
-	replayed := rep.Snapshot()
-	engine := ipd.ProjectRanges(eng.Snapshot())
-	if !ipd.RangeViewsEqual(replayed, engine) {
-		return fmt.Errorf("replayed partition (%d ranges) does not match the engine (%d ranges)", len(replayed), len(engine))
+	if _, err := ipd.ReplayJournalTail(&jsonl, 0, rep.ApplyEvent); err != nil {
+		return err
+	}
+	engine := eng.Snapshot()
+	if err := ipd.DiffPartitions(engine, rep.Snapshot()); err != nil {
+		return fmt.Errorf("replayed partition does not match the engine: %v", err)
 	}
 
 	fmt.Printf("\nOK: governed per-IP state stayed at or under the %d cap while the reference peaked at %d.\n", ipCap, refPeak)

@@ -187,17 +187,8 @@ func checkRestoreAndReplay(t *testing.T, e *Engine, cfg Config, journal *[]Event
 		}
 	}
 	checkEngineInvariants(t, replayed, true, nil)
-	want, got := e.Snapshot(), replayed.Snapshot()
-	if len(want) != len(got) {
-		t.Fatalf("replayed partition has %d ranges, engine has %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i].Prefix != got[i].Prefix || want[i].Classified != got[i].Classified ||
-			(want[i].Classified && want[i].Ingress != got[i].Ingress) {
-			t.Fatalf("replayed range %d = %v classified=%v %v, engine has %v classified=%v %v", i,
-				got[i].Prefix, got[i].Classified, got[i].Ingress,
-				want[i].Prefix, want[i].Classified, want[i].Ingress)
-		}
+	if err := DiffPartitions(e.Snapshot(), replayed.Snapshot()); err != nil {
+		t.Fatalf("replayed partition diverged: %v", err)
 	}
 	return restored
 }

@@ -255,15 +255,8 @@ func TestGovernedRunReplays(t *testing.T) {
 	if replayed == 0 {
 		t.Fatal("no events to replay")
 	}
-	a, b := e.Snapshot(), restored.Snapshot()
-	if len(a) != len(b) {
-		t.Fatalf("partition sizes differ: live %d vs replayed %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Prefix != b[i].Prefix || a[i].Classified != b[i].Classified ||
-			a[i].Ingress != b[i].Ingress {
-			t.Errorf("range %d: live %+v vs replayed %+v", i, a[i], b[i])
-		}
+	if err := DiffPartitions(e.Snapshot(), restored.Snapshot()); err != nil {
+		t.Errorf("replayed partition diverged: %v", err)
 	}
 	if restored.Seq() != e.Seq() {
 		t.Errorf("replayed seq = %d, want %d", restored.Seq(), e.Seq())

@@ -391,18 +391,18 @@ func decodeCounters(dec *persist.Decoder, v *votes) error {
 }
 
 // ApplyEvent folds one recorded lifecycle event into the engine's partition
-// without emitting anything: the journal-tail replay path of crash
-// recovery. After restoring a checkpoint covering events 1..Seq, applying
-// the journal's events with Seq greater than that reconstructs the
-// partition structure and classification decisions taken between the
-// checkpoint and the crash.
+// without emitting anything. It is the one interpreter of the decision log:
+// after restoring a checkpoint covering events 1..Seq, applying the
+// journal's events with Seq greater than that is the tail replay of crash
+// recovery; applying a whole log from seq 1 to a fresh engine built with
+// OnEvent nil (so it starts at seq 0) is the offline replay.
 //
-// Sample counters for ranges touched only by tail events are approximate
-// (rebuilt from the event's Reason: the observed share and sample count at
-// decision time), because the journal records decisions, not every observed
-// flow. The partition itself — which ranges exist and how they are
-// classified — is exact, and fresh traffic re-fills the counters within a
-// cycle or two.
+// The partition, each range's classification, and its sketch provenance
+// (what DiffPartitions compares) are exact. Sample counters for ranges
+// touched only by replayed events are approximate (rebuilt from the event's
+// Reason: the observed share and sample count at decision time), because
+// the journal records decisions, not every observed flow; fresh traffic
+// re-fills them within a cycle or two.
 func (e *Engine) ApplyEvent(ev Event) error {
 	e.guardReentry()
 	if ev.Seq <= e.seq {
@@ -455,7 +455,8 @@ func (e *Engine) ApplyEvent(ev Event) error {
 		if rs.key != lo || i+1 == len(e.idx.all) || e.idx.all[i+1].key != hi {
 			return fmt.Errorf("core: apply event seq %d merges a range that is not active (%v)", ev.Seq, ev.Children)
 		}
-		e.ipCount -= len(rs.ips) + len(e.idx.all[i+1].ips)
+		sib := e.idx.all[i+1]
+		e.ipCount -= len(rs.ips) + len(sib.ips)
 		m := newRangeState(k)
 		m.bornAt = ev.At
 		if ev.Kind == EventJoined {
@@ -464,6 +465,8 @@ func (e *Engine) ApplyEvent(ev Event) error {
 			m.classifiedAt = ev.At
 			m.lastSeen = ev.At
 			m.ips = nil
+			// Sketch provenance is sticky across joins, as in tryJoin.
+			m.classifiedSketched = rs.classifiedSketched || sib.classifiedSketched
 			approximateCounters(m, ev)
 		}
 		e.idx.join(i, m)
@@ -474,6 +477,10 @@ func (e *Engine) ApplyEvent(ev Event) error {
 		rs.classifiedAt = ev.At
 		e.ipCount -= len(rs.ips)
 		rs.ips = nil
+		// A classification taken in sketched mode keeps that provenance and
+		// leaves the tier, as in cycleUnclassified.
+		rs.classifiedSketched = rs.sketched
+		rs.sketched, rs.sketchCalm, rs.ring = false, 0, nil
 		if ev.At.After(rs.lastSeen) {
 			rs.lastSeen = ev.At
 		}

@@ -383,15 +383,8 @@ func TestJournalTailReplayAfterCheckpoint(t *testing.T) {
 	}
 	// The replayed partition structure must match exactly: same ranges, same
 	// classifications. (Counters are approximate by design.)
-	a, b := eng.Snapshot(), restored.Snapshot()
-	if len(a) != len(b) {
-		t.Fatalf("partition sizes differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Prefix != b[i].Prefix || a[i].Classified != b[i].Classified ||
-			a[i].Ingress != b[i].Ingress {
-			t.Errorf("range %d: %+v vs replayed %+v", i, a[i], b[i])
-		}
+	if err := DiffPartitions(eng.Snapshot(), restored.Snapshot()); err != nil {
+		t.Errorf("replayed partition diverged: %v", err)
 	}
 }
 
@@ -428,6 +421,8 @@ func TestApplyEventStructuralErrors(t *testing.T) {
 			Children: []string{"0.0.0.0/1", "64.0.0.0/2"}}, // not the range's two halves
 		{Seq: 1, Kind: EventDropped, Prefix: "0.0.0.0/0", At: base,
 			Children: []string{"0.0.0.0/1", "128.0.0.0/1"}}, // children are not active
+		{Seq: 1, Kind: EventSplit, Prefix: "0.0.0.0/0", At: base},                     // split without children
+		{Seq: 1, Kind: EventClassified, Prefix: "1.2.3.0/24", Ingress: inA, At: base}, // classifies an inactive range
 	}
 	for i, ev := range cases {
 		if err := eng.ApplyEvent(ev); err == nil {

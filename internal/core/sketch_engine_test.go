@@ -198,17 +198,8 @@ func TestSketchFloodLifecycle(t *testing.T) {
 			t.Fatalf("ApplyEvent seq %d (%v): %v", ev.Seq, ev.Kind, err)
 		}
 	}
-	a, b := e.Snapshot(), restored.Snapshot()
-	if len(a) != len(b) {
-		t.Fatalf("partition sizes differ: live %d vs replayed %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Prefix != b[i].Prefix || a[i].Classified != b[i].Classified ||
-			a[i].Sketched != b[i].Sketched {
-			t.Errorf("range %d differs: live %v/%v/%v vs replayed %v/%v/%v",
-				i, a[i].Prefix, a[i].Classified, a[i].Sketched,
-				b[i].Prefix, b[i].Classified, b[i].Sketched)
-		}
+	if err := DiffPartitions(e.Snapshot(), restored.Snapshot()); err != nil {
+		t.Fatalf("replayed partition diverged: %v", err)
 	}
 }
 

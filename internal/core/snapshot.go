@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"net/netip"
 	"time"
 
@@ -76,6 +77,26 @@ func (e *Engine) Snapshot() []RangeInfo {
 		out = append(out, e.info(rs))
 	}
 	return out
+}
+
+// DiffPartitions compares two snapshots on what the decision log determines
+// — the partition, each range's classification and classified ingress, and
+// its sketch provenance — and returns an error naming the first range that
+// differs, or nil. Counters, confidence and timestamps are not compared: a
+// journal replay rebuilds them only approximately (see Engine.ApplyEvent).
+func DiffPartitions(want, got []RangeInfo) error {
+	for i := 0; i < len(want) && i < len(got); i++ {
+		w, g := want[i], got[i]
+		if w.Prefix != g.Prefix || w.Classified != g.Classified || w.Sketched != g.Sketched ||
+			(w.Classified && w.Ingress != g.Ingress) {
+			return fmt.Errorf("core: range %d is %v classified=%t %v sketched=%t, want %v classified=%t %v sketched=%t",
+				i, g.Prefix, g.Classified, g.Ingress, g.Sketched, w.Prefix, w.Classified, w.Ingress, w.Sketched)
+		}
+	}
+	if len(want) != len(got) {
+		return fmt.Errorf("core: partition has %d ranges, want %d", len(got), len(want))
+	}
+	return nil
 }
 
 // Mapped returns only the classified ranges — the stage-2 output that is

@@ -442,19 +442,6 @@ func TestParamStudyScreening(t *testing.T) {
 	}
 }
 
-func TestThroughput(t *testing.T) {
-	res, err := Throughput(quickOpts(), 200_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RecordsPerSec < 100_000 {
-		t.Errorf("throughput = %v rec/s, want at least 100k on any modern machine", res.RecordsPerSec)
-	}
-	if res.Ranges == 0 {
-		t.Error("no ranges after ingest")
-	}
-}
-
 func TestDayRunMapsIPv6(t *testing.T) {
 	run, err := RunDay(quickOpts())
 	if err != nil {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -229,83 +227,4 @@ func studyANOVA(results []ParamResult) map[string]map[string]metrics.AnovaResult
 		}
 	}
 	return out
-}
-
-// ThroughputResult is the §5.7 resource picture.
-type ThroughputResult struct {
-	// RecordsPerSec is the sustained stage-1+2 ingest rate.
-	RecordsPerSec float64
-	// Ranges is the active range count at the end.
-	Ranges int
-	// IPStates is the per-IP entry count at the end.
-	IPStates int
-	// HeapMB is the heap in use after the run.
-	HeapMB float64
-	// CycleMicros is the mean stage-2 cycle runtime.
-	CycleMicros float64
-}
-
-// Throughput measures single-core ingest throughput on a pre-generated
-// workload of n records (§5.7: the deployment sustains 4M records/s average
-// across reader processes and a single-core stage-2).
-func Throughput(opts Options, n int) (ThroughputResult, error) {
-	spec := trafficgen.DefaultSpec()
-	spec.Seed = opts.Seed
-	scn, err := trafficgen.NewScenario(spec)
-	if err != nil {
-		return ThroughputResult{}, err
-	}
-	perMinute := 200_000 // dense virtual minutes keep the cycle count sane
-	gen := trafficgen.GenConfig{FlowsPerMinute: perMinute, NoiseFraction: 0.002, Seed: opts.Seed, Diurnal: false}
-	records := make([]flow.Record, 0, n)
-	start := scn.Start.Add(20 * time.Hour)
-	horizon := time.Duration(n/perMinute+2) * time.Minute
-	err = scn.Stream(start, start.Add(horizon), gen, func(r flow.Record) bool {
-		records = append(records, r)
-		return len(records) < n
-	})
-	if err != nil {
-		return ThroughputResult{}, err
-	}
-
-	eng, err := core.NewEngine(opts.engineConfig(scn.Topo))
-	if err != nil {
-		return ThroughputResult{}, err
-	}
-	runtime.GC()
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-	wall := time.Now()
-	for _, rec := range records {
-		eng.Observe(rec)
-	}
-	eng.AdvanceTo(eng.Now())
-	elapsed := time.Since(wall)
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-
-	st := eng.Stats()
-	res := ThroughputResult{
-		RecordsPerSec: float64(len(records)) / elapsed.Seconds(),
-		Ranges:        eng.RangeCount(),
-		IPStates:      eng.IPStateCount(),
-		HeapMB:        float64(after.HeapInuse) / (1 << 20),
-		CycleMicros:   float64(st.LastCycleDuration.Microseconds()),
-	}
-	w := opts.out()
-	fprintf(w, "# §5.7: operational deployment scale (single process)\n")
-	fprintf(w, "# paper: 4M records/s avg (6.5M peak) on one 48-core server, 120 GB RSS\n")
-	fprintf(w, "records=%d rate=%s/s ranges=%d ip_states=%d heap=%.1fMB cycle=%.0fus\n",
-		len(records), fmtRate(res.RecordsPerSec), res.Ranges, res.IPStates, res.HeapMB, res.CycleMicros)
-	return res, nil
-}
-
-func fmtRate(r float64) string {
-	switch {
-	case r >= 1e6:
-		return fmt.Sprintf("%.2fM", r/1e6)
-	case r >= 1e3:
-		return fmt.Sprintf("%.1fk", r/1e3)
-	}
-	return fmt.Sprintf("%.0f", r)
 }

@@ -312,10 +312,10 @@ func TestMaxExportersBound(t *testing.T) {
 // only ever booked from a bounded forward gap).
 func FuzzNoteSequence(f *testing.F) {
 	f.Add(uint32(0), uint16(30), uint32(30), uint16(30))
-	f.Add(uint32(0xFFFFFFF0), uint16(30), uint32(14), uint16(30))  // wrap
-	f.Add(uint32(5_000_000), uint16(30), uint32(0), uint16(30))    // restart
-	f.Add(uint32(60), uint16(30), uint32(30), uint16(30))          // reorder
-	f.Add(uint32(0), uint16(0), uint32(1<<30), uint16(30))         // huge jump
+	f.Add(uint32(0xFFFFFFF0), uint16(30), uint32(14), uint16(30)) // wrap
+	f.Add(uint32(5_000_000), uint16(30), uint32(0), uint16(30))   // restart
+	f.Add(uint32(60), uint16(30), uint32(30), uint16(30))         // reorder
+	f.Add(uint32(0), uint16(0), uint32(1<<30), uint16(30))        // huge jump
 	f.Fuzz(func(t *testing.T, seq1 uint32, n1 uint16, seq2 uint32, n2 uint16) {
 		opts := Options{}.withDefaults()
 		fs := &feedState{}

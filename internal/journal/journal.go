@@ -4,10 +4,10 @@
 //
 // The ring answers the live introspection queries — "what happened to this
 // prefix" (History) and "what happened since sequence N" (Since) — while the
-// JSONL sink is the durable decision log: replaying it offline (see Replayer)
-// reconstructs the partition and classification state at any point of a run,
-// which is how the paper's churn-attribution and case-study analyses are done
-// after the fact.
+// JSONL sink is the durable decision log: ReplayTail feeds it back through
+// core.Engine.ApplyEvent, which reconstructs the partition, classification
+// and sketch provenance at any point of a run — how the paper's
+// churn-attribution and case-study analyses are done after the fact.
 //
 // A Journal is attached to an engine via core.Config.OnEvent (Record matches
 // that signature). Record is called synchronously from the engine's mutation

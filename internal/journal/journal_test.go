@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/netip"
 	"strings"
 	"testing"
@@ -187,6 +188,20 @@ func driveEngine(t *testing.T, cfg core.Config) *core.Engine {
 	return e
 }
 
+// replayLog is the offline replay: a fresh engine (OnEvent nil, so it starts
+// at seq 0) folds the whole JSONL decision log through ApplyEvent.
+func replayLog(t *testing.T, rd io.Reader) *core.Engine {
+	t.Helper()
+	eng, err := core.NewEngine(engineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReplayTail(rd, 0, eng.ApplyEvent); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 // TestReplayReconstructsSnapshot is the acceptance check: replaying the
 // JSONL decision log of a run reconstructs the engine's final partition and
 // classification state exactly.
@@ -197,22 +212,17 @@ func TestReplayReconstructsSnapshot(t *testing.T) {
 	cfg.OnEvent = j.Record
 	e := driveEngine(t, cfg)
 
-	rp, err := ReplayJSONL(&sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed := rp.Snapshot()
-	engineView := Project(e.Snapshot())
-	if !Equal(replayed, engineView) {
-		t.Errorf("replayed snapshot != engine snapshot\nreplayed: %+v\nengine:   %+v", replayed, engineView)
+	rp := replayLog(t, &sink)
+	if err := core.DiffPartitions(e.Snapshot(), rp.Snapshot()); err != nil {
+		t.Errorf("replayed snapshot != engine snapshot: %v", err)
 	}
 	// Sanity: the workload exercised structural events, so the partition is
 	// non-trivial.
-	if len(replayed) < 3 {
-		t.Errorf("workload produced only %d ranges; the test lost its teeth", len(replayed))
+	if n := rp.RangeCount(); n < 3 {
+		t.Errorf("workload produced only %d ranges; the test lost its teeth", n)
 	}
-	if rp.Seq() == 0 {
-		t.Error("replayer saw no events")
+	if rp.Seq() != e.Seq() {
+		t.Errorf("replayed seq %d, engine seq %d", rp.Seq(), e.Seq())
 	}
 }
 
@@ -226,46 +236,37 @@ func TestReplayFromRing(t *testing.T) {
 	if j.Dropped() != 0 {
 		t.Fatalf("ring overflowed (%d dropped); raise capacity for this test", j.Dropped())
 	}
-	rp := NewReplayer()
+	rp, err := core.NewEngine(engineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, ev := range j.All() {
-		if err := rp.Apply(ev); err != nil {
+		if err := rp.ApplyEvent(ev); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !Equal(rp.Snapshot(), Project(e.Snapshot())) {
-		t.Error("ring replay diverged from engine snapshot")
+	if err := core.DiffPartitions(e.Snapshot(), rp.Snapshot()); err != nil {
+		t.Errorf("ring replay diverged from engine snapshot: %v", err)
 	}
 }
 
+// TestReplayErrors pins ReplayTail's error reporting: a decode error and an
+// apply error both abort with the line number, the latter after counting
+// what was applied.
 func TestReplayErrors(t *testing.T) {
-	rp := NewReplayer()
-	if err := rp.Apply(core.Event{Seq: 1, Kind: core.EventCreated, Prefix: "0.0.0.0/0"}); err != nil {
+	apply := func(core.Event) error { return nil }
+	if _, err := ReplayTail(strings.NewReader("{broken\n"), 0, apply); err == nil || !strings.Contains(err.Error(), "line 1") {
+		t.Errorf("ReplayTail on garbage = %v, want line-1 error", err)
+	}
+	eng, err := core.NewEngine(engineConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Out-of-order seq.
-	if err := rp.Apply(core.Event{Seq: 1, Kind: core.EventCreated, Prefix: "::/0"}); err == nil {
-		t.Error("replayed a stale seq")
-	}
-	// Split of an unknown range.
-	if err := rp.Apply(core.Event{Seq: 2, Kind: core.EventSplit, Prefix: "10.0.0.0/8",
-		Children: []string{"10.0.0.0/9", "10.128.0.0/9"}}); err == nil {
-		t.Error("split of unknown range accepted")
-	}
-	// Split with missing children.
-	if err := rp.Apply(core.Event{Seq: 3, Kind: core.EventSplit, Prefix: "0.0.0.0/0"}); err == nil {
-		t.Error("split without children accepted")
-	}
-	// Classify of an unknown range.
-	if err := rp.Apply(core.Event{Seq: 4, Kind: core.EventClassified, Prefix: "1.2.3.0/24", Ingress: inA}); err == nil {
-		t.Error("classify of unknown range accepted")
-	}
-	// Bad prefix text.
-	if err := rp.Apply(core.Event{Seq: 5, Kind: core.EventCreated, Prefix: "not-a-prefix"}); err == nil {
-		t.Error("bad prefix accepted")
-	}
-	// Bad JSONL aborts with a line number.
-	if _, err := ReplayJSONL(strings.NewReader("{broken\n")); err == nil || !strings.Contains(err.Error(), "line 1") {
-		t.Errorf("ReplayJSONL on garbage = %v, want line-1 error", err)
+	log := `{"seq":1,"kind":"created","prefix":"0.0.0.0/0"}` + "\n\n" +
+		`{"seq":2,"kind":"classified","prefix":"1.2.3.0/24","ingress":"R1.1"}` + "\n"
+	n, err := ReplayTail(strings.NewReader(log), 0, eng.ApplyEvent)
+	if n != 1 || err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("ReplayTail = %d, %v; want 1 applied and a line-3 error", n, err)
 	}
 }
 
@@ -285,13 +286,11 @@ func TestEventJSONRoundTrip(t *testing.T) {
 			t.Errorf("JSONL line missing %s: %s", want, line)
 		}
 	}
-	rp, err := ReplayJSONL(strings.NewReader(
-		`{"seq":1,"kind":"created","prefix":"10.0.0.0/8","ingress":"R0.0","reason":{"code":"root"}}` + "\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rp.Snapshot(); len(got) != 1 || got[0].Prefix.String() != "10.0.0.0/8" {
-		t.Errorf("replay of hand-written line = %+v", got)
+	// A hand-written line replays too.
+	rp := replayLog(t, strings.NewReader(
+		`{"seq":1,"kind":"created","prefix":"0.0.0.0/0","ingress":"R0.0","reason":{"code":"root"}}`+"\n"))
+	if rp.Seq() != 1 {
+		t.Errorf("replay of hand-written line left the engine at seq %d, want 1", rp.Seq())
 	}
 }
 
@@ -359,7 +358,7 @@ func driveGovernedEngine(t *testing.T, cfg core.Config) *core.Engine {
 // TestReplayGovernedRun is the governed sibling of
 // TestReplayReconstructsSnapshot: a journal carrying governor transitions,
 // forced compactions, and a panic quarantine must still replay to the exact
-// engine partition, and the replayer must surface the final governor state.
+// engine partition.
 func TestReplayGovernedRun(t *testing.T) {
 	var sink bytes.Buffer
 	cfg := engineConfig()
@@ -377,15 +376,8 @@ func TestReplayGovernedRun(t *testing.T) {
 		}
 	}
 
-	rp, err := ReplayJSONL(&sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(rp.Snapshot(), Project(e.Snapshot())) {
-		t.Errorf("replayed snapshot != engine snapshot\nreplayed: %+v\nengine:   %+v",
-			rp.Snapshot(), Project(e.Snapshot()))
-	}
-	if got := rp.GovernorState(); got != "normal" {
-		t.Errorf("GovernorState = %q, want %q (the run recovered)", got, "normal")
+	rp := replayLog(t, &sink)
+	if err := core.DiffPartitions(e.Snapshot(), rp.Snapshot()); err != nil {
+		t.Errorf("replayed snapshot != engine snapshot: %v", err)
 	}
 }

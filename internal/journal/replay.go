@@ -5,257 +5,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/netip"
-	"sort"
 
 	"ipd/internal/core"
-	"ipd/internal/flow"
-	"ipd/internal/netaddr"
 )
 
-// RangeView is the replayed state of one active range: the projection of
-// core.RangeInfo that lifecycle events determine. Stage-1 counters (sample
-// totals, per-ingress votes) are intentionally absent — the decision log
-// records decisions, not every observed flow, so a replay reconstructs the
-// partition and the classification of every range, which is exactly what
-// the paper's offline analyses consume.
-type RangeView struct {
-	Prefix     netip.Prefix `json:"prefix"`
-	Classified bool         `json:"classified"`
-	Ingress    flow.Ingress `json:"ingress"`
-	// Sketched tracks the fixed-memory tier: true after an EventStateMode
-	// degrade, false again after the hydrate. A classification taken while
-	// sketched keeps the flag (provenance), mirroring
-	// core.RangeInfo.Sketched.
-	Sketched bool `json:"sketched,omitempty"`
-	// LastSeq is the sequence number of the newest event that touched the
-	// range (created it, classified it, ...).
-	LastSeq uint64 `json:"last_seq"`
-}
-
-// Replayer folds a stream of lifecycle events back into the active-range
-// partition they describe. Feed it a complete decision log from seq 1 (the
-// JSONL sink of a run, or Journal.All of an un-overflowed ring) and its
-// Snapshot matches the engine's at the same point in the stream.
-type Replayer struct {
-	ranges   map[netip.Prefix]*RangeView
-	seq      uint64
-	govState string
-
-	alertsRaised  uint64
-	alertsCleared uint64
-}
-
-// NewReplayer returns an empty replayer. The /0 roots arrive as the first
-// two Created events of any journal, so no pre-seeding happens here.
-func NewReplayer() *Replayer {
-	return &Replayer{ranges: make(map[netip.Prefix]*RangeView)}
-}
-
-// Apply folds one event into the reconstructed state. Events must arrive in
-// seq order; structural events whose subject ranges are missing (a journal
-// that lost its head to ring overflow) return an error.
-func (r *Replayer) Apply(ev core.Event) error {
-	if ev.Seq <= r.seq {
-		return fmt.Errorf("journal: event seq %d out of order (already at %d)", ev.Seq, r.seq)
-	}
-	r.seq = ev.Seq
-	if ev.Kind == core.EventGovernor {
-		// Governor transitions carry no prefix; they advance the replayed
-		// governor state and nothing else.
-		r.govState = ev.Detail
-		return nil
-	}
-	if ev.Kind == core.EventAlertRaised || ev.Kind == core.EventAlertCleared {
-		// Analytics alerts are the pipeline observing itself, not a
-		// partition mutation — and their subject may be an ingress (empty
-		// prefix) or a range that has since merged away. Count them, change
-		// nothing.
-		if ev.Kind == core.EventAlertRaised {
-			r.alertsRaised++
-		} else {
-			r.alertsCleared++
-		}
-		return nil
-	}
-	p, err := netip.ParsePrefix(ev.Prefix)
-	if err != nil {
-		return fmt.Errorf("journal: event seq %d: bad prefix: %v", ev.Seq, err)
-	}
-	switch ev.Kind {
-	case core.EventCreated:
-		r.ranges[p] = &RangeView{Prefix: p, LastSeq: ev.Seq}
-	case core.EventSplit:
-		if err := r.replaceWithChildren(ev, p); err != nil {
-			return err
-		}
-	case core.EventJoined, core.EventDropped, core.EventCompacted:
-		// Only a join leaves the parent classified; drops and forced
-		// compactions produce an empty unclassified parent.
-		sketched := false
-		if ev.Kind == core.EventJoined {
-			// Sketch provenance is sticky across joins, like in the engine.
-			for _, c := range ev.Children {
-				if cp, err := netip.ParsePrefix(c); err == nil {
-					if cv, ok := r.ranges[cp]; ok && cv.Sketched {
-						sketched = true
-					}
-				}
-			}
-		}
-		if err := r.replaceChildrenWithParent(ev, p); err != nil {
-			return err
-		}
-		if ev.Kind == core.EventJoined {
-			r.ranges[p].Classified = true
-			r.ranges[p].Ingress = ev.Ingress
-			r.ranges[p].Sketched = sketched
-		}
-	case core.EventClassified:
-		rv, ok := r.ranges[p]
-		if !ok {
-			return fmt.Errorf("journal: event seq %d classifies unknown range %s", ev.Seq, ev.Prefix)
-		}
-		rv.Classified = true
-		rv.Ingress = ev.Ingress
-		rv.LastSeq = ev.Seq
-	case core.EventInvalidated, core.EventExpired, core.EventQuarantined:
-		rv, ok := r.ranges[p]
-		if !ok {
-			return fmt.Errorf("journal: event seq %d unclassifies unknown range %s", ev.Seq, ev.Prefix)
-		}
-		rv.Classified = false
-		rv.Ingress = flow.Ingress{}
-		rv.Sketched = false
-		rv.LastSeq = ev.Seq
-	case core.EventStateMode:
-		rv, ok := r.ranges[p]
-		if !ok {
-			return fmt.Errorf("journal: event seq %d flips mode of unknown range %s", ev.Seq, ev.Prefix)
-		}
-		switch ev.Detail {
-		case core.StateModeSketched:
-			rv.Sketched = true
-		case core.StateModeExact:
-			rv.Sketched = false
-		default:
-			return fmt.Errorf("journal: event seq %d has unknown state mode %q", ev.Seq, ev.Detail)
-		}
-		rv.LastSeq = ev.Seq
-	default:
-		return fmt.Errorf("journal: event seq %d has unknown kind %d", ev.Seq, ev.Kind)
-	}
-	return nil
-}
-
-// replaceWithChildren applies a split: the parent leaves the partition, the
-// two children enter it unclassified (splits only happen to unclassified
-// ranges).
-func (r *Replayer) replaceWithChildren(ev core.Event, parent netip.Prefix) error {
-	if _, ok := r.ranges[parent]; !ok {
-		return fmt.Errorf("journal: event seq %d splits unknown range %s", ev.Seq, ev.Prefix)
-	}
-	if len(ev.Children) != 2 {
-		return fmt.Errorf("journal: event seq %d split carries %d children, want 2", ev.Seq, len(ev.Children))
-	}
-	delete(r.ranges, parent)
-	for _, c := range ev.Children {
-		cp, err := netip.ParsePrefix(c)
-		if err != nil {
-			return fmt.Errorf("journal: event seq %d: bad child prefix: %v", ev.Seq, err)
-		}
-		r.ranges[cp] = &RangeView{Prefix: cp, LastSeq: ev.Seq}
-	}
-	return nil
-}
-
-// replaceChildrenWithParent applies a join or drop: the children leave the
-// partition, the parent enters it.
-func (r *Replayer) replaceChildrenWithParent(ev core.Event, parent netip.Prefix) error {
-	if len(ev.Children) != 2 {
-		return fmt.Errorf("journal: event seq %d %s carries %d children, want 2", ev.Seq, ev.Kind, len(ev.Children))
-	}
-	for _, c := range ev.Children {
-		cp, err := netip.ParsePrefix(c)
-		if err != nil {
-			return fmt.Errorf("journal: event seq %d: bad child prefix: %v", ev.Seq, err)
-		}
-		if _, ok := r.ranges[cp]; !ok {
-			return fmt.Errorf("journal: event seq %d merges unknown range %s", ev.Seq, c)
-		}
-		delete(r.ranges, cp)
-	}
-	r.ranges[parent] = &RangeView{Prefix: parent, LastSeq: ev.Seq}
-	return nil
-}
-
-// Seq returns the sequence number of the last applied event.
-func (r *Replayer) Seq() uint64 { return r.seq }
-
-// GovernorState returns the governor state named by the last EventGovernor
-// applied, or "" when the journal carries none (an ungoverned run).
-func (r *Replayer) GovernorState() string { return r.govState }
-
-// Alerts returns how many alert-raised and alert-cleared events the journal
-// carried — the offline view of the run's analytics decisions.
-func (r *Replayer) Alerts() (raised, cleared uint64) {
-	return r.alertsRaised, r.alertsCleared
-}
-
-// Snapshot returns the reconstructed partition sorted like
-// core.Engine.Snapshot (family, address, length), so the two can be compared
-// element-wise.
-func (r *Replayer) Snapshot() []RangeView {
-	out := make([]RangeView, 0, len(r.ranges))
-	for _, rv := range r.ranges {
-		out = append(out, *rv)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return netaddr.KeyOf(out[i].Prefix).Less(netaddr.KeyOf(out[j].Prefix))
-	})
-	return out
-}
-
-// Project reduces an engine snapshot to the event-determined fields, for
-// comparison against a replayed Snapshot.
-func Project(infos []core.RangeInfo) []RangeView {
-	out := make([]RangeView, len(infos))
-	for i, ri := range infos {
-		out[i] = RangeView{Prefix: ri.Prefix, Classified: ri.Classified, Sketched: ri.Sketched}
-		if ri.Classified {
-			out[i].Ingress = ri.Ingress
-		}
-	}
-	return out
-}
-
-// Equal compares a replayed snapshot against a projected engine snapshot,
-// ignoring LastSeq (which the engine does not track).
-func Equal(replayed, engine []RangeView) bool {
-	if len(replayed) != len(engine) {
-		return false
-	}
-	for i := range replayed {
-		a, b := replayed[i], engine[i]
-		if a.Prefix != b.Prefix || a.Classified != b.Classified || a.Ingress != b.Ingress ||
-			a.Sketched != b.Sketched {
-			return false
-		}
-	}
-	return true
-}
-
-// ReplayTail reads an append-only JSONL decision log (the Options.Sink
-// format), skips events with Seq <= afterSeq, and feeds the rest to apply
-// in order. It returns how many events were applied — the
-// ipd_restore_journal_events_replayed accounting of crash recovery, where
-// afterSeq is the restored checkpoint's covered sequence and apply is
-// Engine.ApplyEvent (via Server.ApplyEvent under the server lock).
-//
-// Blank lines are skipped. A decode error aborts with the line number; an
-// apply error aborts with the line number and the count applied so far, so
-// a journal torn mid-line by the crash itself surfaces loudly instead of
-// being silently half-applied.
+// ReplayTail feeds the events of an append-only JSONL decision log (the
+// Options.Sink format) with Seq > afterSeq to apply — core.Engine.ApplyEvent,
+// the log's one interpreter — and returns how many it applied. Crash recovery
+// passes the restored checkpoint's sequence; an offline replay passes 0 and
+// a fresh engine built with OnEvent nil. Blank lines are skipped; a decode
+// or apply error aborts with the line number, so a journal torn mid-line by
+// a crash surfaces loudly instead of being silently half-applied.
 func ReplayTail(rd io.Reader, afterSeq uint64, apply func(core.Event) error) (int, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -282,32 +42,4 @@ func ReplayTail(rd io.Reader, afterSeq uint64, apply func(core.Event) error) (in
 		return applied, fmt.Errorf("journal: read: %v", err)
 	}
 	return applied, nil
-}
-
-// ReplayJSONL reads an append-only JSONL decision log (the Options.Sink
-// format) and returns the replayer state after the final event. Blank lines
-// are skipped; any decode or apply error aborts with the line number.
-func ReplayJSONL(rd io.Reader) (*Replayer, error) {
-	r := NewReplayer()
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var ev core.Event
-		if err := json.Unmarshal(b, &ev); err != nil {
-			return nil, fmt.Errorf("journal: line %d: %v", line, err)
-		}
-		if err := r.Apply(ev); err != nil {
-			return nil, fmt.Errorf("journal: line %d: %v", line, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("journal: read: %v", err)
-	}
-	return r, nil
 }

@@ -47,8 +47,8 @@ const (
 	trailerSize = 4
 )
 
-// Encoder builds a CRC-guarded payload: a magic/version header, caller
-//-appended primitives, and a CRC-32 trailer over everything before it.
+// Encoder builds a CRC-guarded payload: a magic/version header,
+// caller-appended primitives, and a CRC-32 trailer over everything before it.
 type Encoder struct {
 	buf []byte
 }

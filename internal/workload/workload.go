@@ -140,8 +140,8 @@ type Profiler struct {
 
 	// shard simulation: per-cycle record counts at the deepest candidate
 	// depth; shallower depths fold at cycle time.
-	buckets       []uint64 // len 1<<MaxDepth
-	windowRecords uint64   // profiled records this cycle
+	buckets       []uint64  // len 1<<MaxDepth
+	windowRecords uint64    // profiled records this cycle
 	imbalance     []float64 // EWMA imbalance per depth (index = depth)
 	imbalanceLast []float64 // last cycle's raw imbalance per depth
 	hotShardShare []float64 // last cycle's max shard share per depth

@@ -200,19 +200,15 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) { return governor.New(cf
 
 // Decision-provenance types. A Journal records the engine's lifecycle
 // events (attach it via Config.OnEvent = j.Record); the introspection
-// handler serves the /ipd/* explain API over a live source and its journal;
-// a Replayer reconstructs the partition and classification state from a
-// recorded decision log.
+// handler serves the /ipd/* explain API over a live source and its journal.
+// A recorded decision log replays through ReplayJournalTail into
+// Engine.ApplyEvent (see there).
 type (
 	// Journal is a bounded ring of lifecycle events with per-prefix
 	// history and an optional JSONL sink.
 	Journal = journal.Journal
 	// JournalOptions configures a Journal (capacity, sink, telemetry).
 	JournalOptions = journal.Options
-	// RangeView is the replayed, event-determined state of one range.
-	RangeView = journal.RangeView
-	// Replayer folds a decision log back into the partition it describes.
-	Replayer = journal.Replayer
 	// IntrospectSource is the live engine view the /ipd/* handlers read;
 	// *Server implements it.
 	IntrospectSource = introspect.Source
@@ -368,21 +364,10 @@ func WriteChromeTrace(w io.Writer, spans []TraceSpan) error { return trace.Write
 // the journal's Record already does).
 func NewJournal(opts JournalOptions) *Journal { return journal.New(opts) }
 
-// NewReplayer returns an empty decision-log replayer.
-func NewReplayer() *Replayer { return journal.NewReplayer() }
-
-// ReplayJournal replays an append-only JSONL decision log (the
-// JournalOptions.Sink format) and returns the state after the last event.
-func ReplayJournal(r io.Reader) (*Replayer, error) { return journal.ReplayJSONL(r) }
-
-// ProjectRanges reduces an engine snapshot to the event-determined fields
-// (partition, classification, sketch provenance), for comparison against a
-// Replayer.Snapshot.
-func ProjectRanges(infos []RangeInfo) []RangeView { return journal.Project(infos) }
-
-// RangeViewsEqual compares a replayed snapshot against a projected engine
-// snapshot, ignoring LastSeq (which the engine does not track).
-func RangeViewsEqual(replayed, engine []RangeView) bool { return journal.Equal(replayed, engine) }
+// DiffPartitions compares two snapshots on what the decision log determines
+// (partition, classification, sketch provenance) and names the first range
+// that differs; nil means a replay reproduced the run.
+func DiffPartitions(want, got []RangeInfo) error { return core.DiffPartitions(want, got) }
 
 // Crash-safety types. A CheckpointManager rotates CRC-guarded checkpoint
 // files (atomic rename writes, newest-first restore with fallback past
@@ -416,9 +401,10 @@ func NewCheckpointManager(opts CheckpointOptions) (*CheckpointManager, error) {
 func NewIngestQueue(capacity int) *IngestQueue { return core.NewIngestQueue(capacity) }
 
 // ReplayJournalTail replays the events of an append-only JSONL decision log
-// with Seq > afterSeq through apply (typically Engine.ApplyEvent or
-// Server.ApplyEvent after restoring a checkpoint covering 1..afterSeq) and
-// returns how many events were applied.
+// with Seq > afterSeq through apply and returns how many events were
+// applied. Apply is Engine.ApplyEvent or Server.ApplyEvent: after restoring
+// a checkpoint covering 1..afterSeq for crash recovery, or with afterSeq 0
+// on a fresh engine built with OnEvent nil for a full offline replay.
 func ReplayJournalTail(r io.Reader, afterSeq uint64, apply func(Event) error) (int, error) {
 	return journal.ReplayTail(r, afterSeq, apply)
 }
