@@ -71,16 +71,12 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"net/netip"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -91,390 +87,127 @@ import (
 	"ipd/internal/cliflags"
 	"ipd/internal/ipfix"
 	"ipd/internal/netflow"
-	"ipd/internal/telemetry"
+	"ipd/internal/node"
 )
 
+// options are the ipd-collector flags; the ones ipd shares are in node.
+type options struct {
+	node *node.Flags
+	cfg  ipd.Config
+
+	listen, ipfix, http, exporters string
+	trust                          bool
+	queue, sample, boost           int
+
+	shipTo, edgeID string
+	spoolCap       int
+}
+
+func newOptions(fs *flag.FlagSet) *options {
+	o := &options{cfg: ipd.DefaultConfig()}
+	o.node = node.RegisterFlags(fs, &o.cfg)
+	fs.StringVar(&o.listen, "listen", ":2055", "UDP address for NetFlow v5")
+	fs.StringVar(&o.ipfix, "ipfix", "", "UDP address for IPFIX ('' disables, registered port :4739)")
+	fs.StringVar(&o.http, "http", ":8080", "HTTP status address ('' disables)")
+	fs.StringVar(&o.exporters, "exporters", "", "CSV file mapping exporter address to router id")
+	fs.BoolVar(&o.trust, "trust", false, "auto-register unknown exporters (lab use only)")
+	fs.IntVar(&o.queue, "queue", 1<<14, "bounded ingest queue capacity (oldest records shed under overload)")
+	fs.IntVar(&o.sample, "sample", 1, "additional 1-in-N record sampling in front of the ingest queue (1 = keep everything; routers already sample)")
+	fs.IntVar(&o.boost, "sample-boost", 8, "multiply the -sample denominator by this factor while the governor is degraded or worse")
+	fs.StringVar(&o.shipTo, "ship-to", "", "ship every ingested record to this core address (host:port) over the resilient delta transport ('' disables cluster mode)")
+	fs.StringVar(&o.edgeID, "edge-id", "", "stable unique name for this edge in the cluster handshake (required with -ship-to)")
+	fs.IntVar(&o.spoolCap, "spool-cap", 1<<16, "delta spool capacity in records (waiting + unacked); oldest are shed under overflow")
+	return o
+}
+
 func main() {
-	var (
-		listen     = flag.String("listen", ":2055", "UDP address for NetFlow v5")
-		ipfixAddr  = flag.String("ipfix", "", "UDP address for IPFIX ('' disables, registered port :4739)")
-		httpAddr   = flag.String("http", ":8080", "HTTP status address ('' disables)")
-		exporters  = flag.String("exporters", "", "CSV file mapping exporter address to router id")
-		trust      = flag.Bool("trust", false, "auto-register unknown exporters (lab use only)")
-		factor4    = flag.Float64("factor4", 0.01, "IPv4 n_cidr factor")
-		floor      = flag.Float64("floor", 4, "n_cidr floor")
-		q          = flag.Float64("q", 0.95, "quality threshold")
-		logLevel   = flag.String("log-level", "warn", "structured log level: debug, info, warn, error (info and below log one line per stage-2 cycle)")
-		journalOut = flag.String("journal", "", "append every lifecycle decision as JSON lines to this file ('' disables the sink; the in-memory journal always runs)")
-		journalCap = flag.Int("journal-cap", 4096, "in-memory decision journal ring capacity")
-		traceCap   = flag.Int("trace-cap", 8192, "span flight-recorder ring capacity (tail it at /ipd/traces)")
-		traceSmpl  = flag.Int("trace-sample", 1024, "sample 1-in-N per-record spans (bin, observe); stage-2 cycle phases are always traced")
-		queueCap   = flag.Int("queue", 1<<14, "bounded ingest queue capacity (oldest records shed under overload)")
-		ckptDir    = flag.String("checkpoint-dir", "", "write periodic CRC-guarded state checkpoints to this directory and restore the newest valid one on startup ('' disables)")
-		ckptEvery  = flag.Uint64("checkpoint-every", 10, "checkpoint every N stage-2 cycles (with -checkpoint-dir)")
-		govern     = flag.Bool("governor", false, "enable the resource governor (normal/degraded/emergency degradation; implied by -max-ranges or -mem-budget)")
-		maxRanges  = flag.Int("max-ranges", 0, "hard cap on active ranges; splits beyond it are deferred (0 = unlimited, implies -governor)")
-		memBudget  = flag.Int64("mem-budget", 0, "live-heap budget in bytes for the governor (0 = unlimited, implies -governor)")
-		sampleN    = flag.Int("sample", 1, "additional 1-in-N record sampling in front of the ingest queue (1 = keep everything; routers already sample)")
-		boostN     = flag.Int("sample-boost", 8, "multiply the -sample denominator by this factor while the governor is degraded or worse")
-		tlWindow   = flag.Int("timeline-window", 512, "per-series timeline ring window in cycles; older points are downsampled into coarser tiers (0 disables the timeline)")
-		tlEvery    = flag.Int("timeline-every", 1, "sample the timeline every N stage-2 cycles")
-		staleAfter = flag.Duration("exporter-stale-after", 3*time.Minute, "raise AlertExporterStale once an exporter feed has been silent this long (statistical time)")
-		wlTopK     = flag.Int("workload-topk", 32, "workload profiler heavy-hitter capacity (top-K /24 or /48 aggregates)")
-		wlDepth    = flag.Int("workload-maxdepth", 10, "deepest candidate shard depth simulated by the workload profiler (2..10)")
-		skewMax    = flag.Duration("skew-max", 5*time.Minute, "raise AlertClockSkew once an exporter's export clock drifts this far from the collector clock")
-		mutexProf  = flag.Int("mutexprofile", 0, "runtime mutex/block profiling fraction for /debug/pprof/{mutex,block} (0 disables)")
-		sketchOn   = flag.Bool("sketch", false, "enable the fixed-memory sketch tier: under governor pressure, unclassified ranges far from the classification threshold degrade per-IP state to a count-min sketch and hydrate back when calm")
-		sketchW    = flag.Int("sketch-width", 1024, "count-min sketch width in counters per row (16..1048576; error bound ε = e/width of window mass)")
-		sketchD    = flag.Int("sketch-depth", 4, "count-min sketch depth in rows (1..16; bound failure probability δ = e^-depth)")
-		sketchM    = flag.Float64("sketch-exact-margin", 0.05, "keep exact per-IP state while a range's top share is within this margin below q (0 uses the engine default)")
-		shipTo     = flag.String("ship-to", "", "ship every ingested record to this core address (host:port) over the resilient delta transport ('' disables cluster mode)")
-		edgeID     = flag.String("edge-id", "", "stable unique name for this edge in the cluster handshake (required with -ship-to)")
-		spoolCap   = flag.Int("spool-cap", 1<<16, "delta spool capacity in records (waiting + unacked); oldest are shed under overflow")
-		heartbeat  = flag.Duration("heartbeat", 2*time.Second, "delta transport keepalive interval; peers declare a connection dead after 4x this")
-	)
+	o := newOptions(flag.CommandLine)
 	flag.Parse()
-	logger, err := newLogger(*logLevel)
+	err := o.node.Validate()
+	if err == nil {
+		err = cliflags.Ingest(o.queue, o.sample, o.boost)
+	}
+	if err == nil {
+		err = cliflags.DeltaShip(o.shipTo, o.edgeID, o.spoolCap, o.node.Heartbeat)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ipd-collector:", err)
 		os.Exit(2)
 	}
-	if err := validateFlags(*ckptEvery, *traceSmpl, *queueCap, *maxRanges, *memBudget, *sampleN, *boostN, *tlWindow, *tlEvery, *mutexProf); err != nil {
-		fmt.Fprintln(os.Stderr, "ipd-collector:", err)
-		os.Exit(2)
-	}
-	if err := cliflags.Workload(*wlTopK, *wlDepth); err != nil {
-		fmt.Fprintln(os.Stderr, "ipd-collector:", err)
-		os.Exit(2)
-	}
-	if err := cliflags.ExporterHealth(*staleAfter, *skewMax); err != nil {
-		fmt.Fprintln(os.Stderr, "ipd-collector:", err)
-		os.Exit(2)
-	}
-	if err := cliflags.DeltaShip(*shipTo, *edgeID, *spoolCap, *heartbeat); err != nil {
-		fmt.Fprintln(os.Stderr, "ipd-collector:", err)
-		os.Exit(2)
-	}
-	if err := cliflags.Sketch(*sketchOn, *sketchW, *sketchD, *sketchM); err != nil {
-		fmt.Fprintln(os.Stderr, "ipd-collector:", err)
-		os.Exit(2)
-	}
-	if *mutexProf > 0 {
-		runtime.SetMutexProfileFraction(*mutexProf)
-		runtime.SetBlockProfileRate(*mutexProf)
-	}
-	cf := ckptFlags{dir: *ckptDir, every: *ckptEvery}
-	gf := govFlags{enabled: *govern, maxRanges: *maxRanges, memBudget: *memBudget, sampleN: *sampleN, boostN: *boostN}
-	tl := timelineFlags{window: *tlWindow, every: *tlEvery}
-	ef := exporterFlags{staleAfter: *staleAfter, skewMax: *skewMax}
-	wf := workloadFlags{topK: *wlTopK, maxDepth: *wlDepth}
-	sf := shipFlags{target: *shipTo, edgeID: *edgeID, spoolCap: *spoolCap, heartbeat: *heartbeat}
-	skf := sketchFlags{enabled: *sketchOn, width: *sketchW, depth: *sketchD, exactMargin: *sketchM}
-	if err := run(*listen, *ipfixAddr, *httpAddr, *exporters, *trust, *factor4, *floor, *q, logger, *journalOut, *journalCap, *traceCap, *traceSmpl, *queueCap, cf, gf, tl, ef, wf, sf, skf); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "ipd-collector:", err)
 		os.Exit(1)
 	}
 }
 
-// validateFlags chains the shared rule sets from internal/cliflags plus the
-// collector-only ingest pipeline checks; the first violated rule wins.
-func validateFlags(ckptEvery uint64, traceSample, queueCap, maxRanges int, memBudget int64, sampleN, boostN, tlWindow, tlEvery, mutexProf int) error {
-	if err := cliflags.Engine(ckptEvery, traceSample, maxRanges, memBudget, tlWindow, tlEvery, mutexProf); err != nil {
-		return err
-	}
-	return cliflags.Ingest(queueCap, sampleN, boostN)
-}
-
-// sketchFlags carries the fixed-memory sketch-tier flag values into run.
-type sketchFlags struct {
-	enabled     bool
-	width       int
-	depth       int
-	exactMargin float64
-}
-
-// shipFlags carries the delta-shipping (cluster edge) flag values into run.
-type shipFlags struct {
-	target    string // core address; "" disables shipping
-	edgeID    string
-	spoolCap  int
-	heartbeat time.Duration
-}
-
-// workloadFlags carries the workload-profiler flag values into run.
-type workloadFlags struct {
-	topK     int
-	maxDepth int
-}
-
-// exporterFlags carries the exporter-health flag values into run.
-type exporterFlags struct {
-	staleAfter time.Duration
-	skewMax    time.Duration
-}
-
-// govFlags carries the resource-governor flag values into run.
-type govFlags struct {
-	enabled   bool
-	maxRanges int
-	memBudget int64
-	sampleN   int
-	boostN    int
-}
-
-// active reports whether a governor should be built (explicitly enabled or
-// implied by a budget flag).
-func (g govFlags) active() bool { return g.enabled || g.maxRanges > 0 || g.memBudget > 0 }
-
-// ckptFlags carries the crash-safety flag values into run.
-type ckptFlags struct {
-	dir   string
-	every uint64
-}
-
-// timelineFlags carries the longitudinal-observability flag values into run.
-type timelineFlags struct {
-	window int // per-series ring window in cycles; 0 disables the timeline
-	every  int // sample every N stage-2 cycles
-}
-
-// restoreState implements the startup half of crash recovery: load the
-// newest valid checkpoint from mgr into srv, then replay the tail of the
-// previous run's journal (events newer than the checkpoint) on top. A cold
-// start (no checkpoint) or a missing journal file is not an error.
-func restoreState(srv *ipd.Server, mgr *ipd.CheckpointManager, journalPath string) error {
-	path, err := mgr.Load(srv.RestoreCheckpoint)
-	if err != nil {
-		if errors.Is(err, ipd.ErrNoCheckpoint) {
-			return nil // cold start
-		}
-		return fmt.Errorf("checkpoint restore: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "ipd-collector: restored checkpoint %s (seq %d)\n", path, srv.Seq())
-	if journalPath == "" {
-		return nil
-	}
-	f, err := os.Open(journalPath)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("journal tail: %v", err)
-	}
-	defer f.Close()
-	n, err := ipd.ReplayJournalTail(bufio.NewReader(f), srv.Seq(), srv.ApplyEvent)
-	if err != nil {
-		return fmt.Errorf("journal tail replay: %v", err)
-	}
-	mgr.NoteReplayed(n)
-	if n > 0 {
-		fmt.Fprintf(os.Stderr, "ipd-collector: replayed %d journal events (now at seq %d)\n", n, srv.Seq())
-	}
-	return nil
-}
-
-// newLogger builds the process slog.Logger writing structured text records
-// to stderr at the given level.
-func newLogger(level string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q (want debug, info, warn, or error)", level)
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})), nil
-}
-
-func run(listen, ipfixAddr, httpAddr, exportersFile string, trust bool, factor4, floor, q float64, logger *slog.Logger, journalOut string, journalCap, traceCap, traceSample, queueCap int, cf ckptFlags, gf govFlags, tl timelineFlags, ef exporterFlags, wf workloadFlags, sf shipFlags, skf sketchFlags) error {
-	cfg := ipd.DefaultConfig()
-	cfg.NCidrFactor4 = factor4
-	cfg.NCidrFloor = floor
-	cfg.Q = q
-	cfg.Logger = logger
-	if skf.enabled {
-		cfg.Sketch = true
-		cfg.SketchWidth = skf.width
-		cfg.SketchDepth = skf.depth
-		cfg.SketchExactMargin = skf.exactMargin
-	}
-
+func run(o *options) error {
 	// The bounded ingest queue decouples the UDP receive loops from the
 	// engine: Offer never blocks, and under overload the queue sheds the
 	// *oldest* buffered records (ipd_records_shed_total) — the statistical
 	// time binner would discard stale records anyway, so fresh traffic wins.
 	// It is built first so the governor can watch its depth.
-	queue := ipd.NewIngestQueue(queueCap)
+	queue := ipd.NewIngestQueue(o.queue)
 
 	// The degradation sampler sits between the collectors and the queue. At
 	// the configured -sample rate it is a plain 1-in-N subsampler; while the
 	// governor is degraded or worse its denominator is multiplied by
 	// -sample-boost, cutting inbound volume without reconfiguring exporters.
-	sampler := ipd.NewFlowSampler(gf.sampleN, 0)
+	sampler := ipd.NewFlowSampler(o.sample, 0)
 
-	// The governor is built before the server (it is part of the engine
-	// config) but registers its metrics after, on the server's registry. It
-	// watches all four budget axes here: ranges, per-IP counters, heap, and
-	// the ingest-queue depth.
-	var gov *ipd.Governor
-	if gf.active() {
-		var err error
-		gov, err = ipd.NewGovernor(ipd.GovernorConfig{
-			MaxRanges:  gf.maxRanges,
-			MemBudget:  uint64(gf.memBudget),
-			QueueCap:   queueCap,
-			QueueDepth: queue.Len,
-			SketchTier: skf.enabled,
-			OnTransition: func(from, to ipd.GovernorState, _ ipd.GovernorUsage) {
-				if to == ipd.GovernorNormal {
-					sampler.SetBoost(1)
-				} else {
-					sampler.SetBoost(gf.boostN)
-				}
-				logger.Warn("governor transition", "from", from.String(), "to", to.String())
-			},
-		})
-		if err != nil {
-			return err
-		}
-		cfg.Governor = gov
-		cfg.MaxRanges = gf.maxRanges
-	}
-
-	// The decision journal records every range-lifecycle event for the
-	// /ipd/* introspection endpoints; -journal adds a durable JSONL sink.
-	// With -checkpoint-dir the file is opened in append mode — its existing
-	// tail is the replay source for crash recovery, so truncating it would
-	// destroy exactly the events a restore needs.
-	jopts := ipd.JournalOptions{Capacity: journalCap}
-	if journalOut != "" {
-		var f *os.File
-		var err error
-		if cf.dir != "" {
-			f, err = os.OpenFile(journalOut, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		} else {
-			f, err = os.Create(journalOut)
-		}
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		jopts.Sink = f
-	}
-	j := ipd.NewJournal(jopts)
-	cfg.OnEvent = j.Record
-
-	// The exporter-health tracker accounts every decoded datagram per
-	// exporter feed (sequence-gap loss, clock skew, staleness) and folds
-	// them into a per-router coverage score at each cycle tick. The engine
-	// consults it at classification time: decisions made over a degraded
-	// feed carry a ReasonDegradedCoverage annotation in their events and in
-	// /ipd/explain.
-	health := ipd.NewExporterHealth(ipd.ExporterHealthOptions{
-		StaleAfter: ef.staleAfter,
-		SkewMax:    ef.skewMax,
+	// The transition hook reads n.Logger: transitions fire only in stage-2
+	// cycles, after New has returned.
+	var n *node.Node
+	n, err := node.New("ipd-collector", o.node, o.cfg, node.GovernorInputs{
+		QueueCap:   o.queue,
+		QueueDepth: queue.Len,
+		OnTransition: func(from, to ipd.GovernorState) {
+			if to == ipd.GovernorNormal {
+				sampler.SetBoost(1)
+			} else {
+				sampler.SetBoost(o.boost)
+			}
+			n.Logger.Warn("governor transition", "from", from.String(), "to", to.String())
+		},
 	})
-	cfg.Coverage = health.IngressCoverage
-
-	// The workload profiler measures what the scale designs need to know —
-	// heavy-hitter aggregates, shard balance per candidate depth, drain-
-	// batch locality, end-to-end latency — always on, in fixed memory. It
-	// is fed the drained record batches (Server.SetWorkload below) and
-	// ticked per cycle by the timeline collector; export-to-ingest latency
-	// is corrected by the health tracker's per-router skew estimate.
-	wl := ipd.NewWorkloadProfiler(ipd.WorkloadOptions{
-		TopK:     wf.topK,
-		MaxDepth: wf.maxDepth,
-		Skew:     health.RouterSkew,
-	})
-
-	// The timeline collector turns the end-of-cycle samples and the journal
-	// event stream into longitudinal series plus flap/drift/convergence
-	// analytics, served at /ipd/timeline and /ipd/alerts. It also drives
-	// the exporter-health cycle ticks and the exporter alerts.
-	var tlColl *ipd.TimelineCollector
-	if tl.window > 0 {
-		tlColl = ipd.NewTimelineCollector(ipd.TimelineOptions{Window: tl.window})
-		tlColl.SetExporterHealth(health)
-		tlColl.SetWorkload(wl)
-		cfg.OnEvent = func(ev ipd.Event) {
-			j.Record(ev)
-			tlColl.ObserveEvent(ev)
-		}
-		cfg.OnCycle = tlColl.OnCycle
-		cfg.OnCycleEvery = tl.every
-	} else {
-		// No timeline: still tick the tracker on statistical time so
-		// staleness and coverage stay live for /ipd/exporters and the
-		// engine's coverage annotations (no alerts without the analyzer).
-		cfg.OnCycle = func(s ipd.CycleSample) []ipd.Alert {
-			health.Tick(s.At)
-			wl.TickCycle(s.Cycle, s.At)
-			return nil
-		}
-	}
-
-	srv, err := ipd.NewServer(cfg, ipd.DefaultStatTimeConfig())
 	if err != nil {
 		return err
 	}
-	srv.SetWorkload(wl.ObserveBatch)
-	j.RegisterMetrics(srv.Telemetry())
+	defer n.Close()
+	srv, err := ipd.NewServer(n.Config, ipd.DefaultStatTimeConfig())
+	if err != nil {
+		return err
+	}
+	// The workload profiler sees the drained record batches, so its
+	// batch-locality stats measure the real drain granularity.
+	srv.SetWorkload(n.Workload.ObserveBatch)
+	if err := n.Attach(srv, o.http != ""); err != nil {
+		return err
+	}
 	queue.RegisterMetrics(srv.Telemetry())
-	health.RegisterMetrics(srv.Telemetry())
-	wl.RegisterMetrics(srv.Telemetry())
-	if tlColl != nil {
-		tlColl.RegisterMetrics(srv.Telemetry())
+	if n.Timeline != nil {
 		// The ingest-lock contention series (lock wait, batch count) is the
 		// one wall-clock input; it lands only in the timeline store, never in
 		// journaled events, so replay determinism is unaffected.
-		tlColl.SetContention(srv.LockContention)
+		n.Timeline.SetContention(srv.LockContention)
 	}
+	gov := n.Governor
 	if gov != nil {
-		gov.RegisterMetrics(srv.Telemetry())
 		// During emergency the queue admits 1 in EmergencyAdmitN offered
 		// records — deterministic, so the surviving subsample stays unbiased.
 		queue.SetAdmission(gov.AdmitIngest)
 	}
-	if gf.sampleN > 1 || gov != nil {
+	sampling := o.sample > 1 || gov != nil
+	if sampling {
 		sampler.SetMetrics(ipd.NewFlowMetrics(srv.Telemetry()))
 	}
 
-	// Crash recovery: restore the newest valid checkpoint, replay the journal
-	// tail, and register the periodic checkpoint cadence with the server (it
-	// writes at ingest-batch boundaries, off the engine lock, plus a final
-	// checkpoint during graceful shutdown).
-	if cf.dir != "" {
-		mgr, err := ipd.NewCheckpointManager(ipd.CheckpointOptions{Dir: cf.dir, Registry: srv.Telemetry()})
-		if err != nil {
-			return err
-		}
-		if err := restoreState(srv, mgr, journalOut); err != nil {
-			return err
-		}
-		srv.SetCheckpoint(mgr, cf.every)
-	}
-
-	// The collector is a long-running daemon, so tracing and the cycle
-	// watchdog are always on: the flight recorder backs /ipd/traces, the
-	// per-phase histograms land on /metrics, and the watchdog turns cycle
-	// spans into /healthz (stall) and /readyz (overrun) state.
-	tracer := ipd.NewTracer(ipd.TracerOptions{
-		Capacity: traceCap,
-		SampleN:  traceSample,
-		Registry: srv.Telemetry(),
-	})
-	srv.SetTracer(tracer)
-	wd, err := ipd.NewWatchdog(ipd.WatchdogConfig{
-		Interval: cfg.T,
-		Registry: srv.Telemetry(),
-	})
-	if err != nil {
+	// Crash recovery: restore the newest valid checkpoint and replay the
+	// journal tail; the server then checkpoints at ingest-batch boundaries,
+	// off the engine lock, plus a final checkpoint during graceful shutdown.
+	if err := n.Restore(); err != nil {
 		return err
 	}
-	tracer.SetOnSpan(wd.ObserveSpan)
-	if gov != nil {
-		// /readyz flips to 503 while the governor is in emergency, steering
-		// load balancers away while the engine sheds state.
-		wd.SetGovernor(gov)
-	}
+	srv.SetCheckpoint(n.Checkpoints, o.node.CheckpointEvery)
 
 	// Cluster mode (-ship-to): every decoded record is also offered to the
 	// delta sender, which ships it to the core over the resilient transport.
@@ -484,39 +217,24 @@ func run(listen, ipfixAddr, httpAddr, exportersFile string, trust bool, factor4,
 	// gates the spool the way it gates the queue: in emergency, Offer sheds
 	// instead of buffering.
 	var shipper *ipd.DeltaSender
-	if sf.target != "" {
+	if o.shipTo != "" {
 		scfg := ipd.DeltaSenderConfig{
-			Target:    sf.target,
-			EdgeID:    sf.edgeID,
-			SpoolCap:  sf.spoolCap,
-			Heartbeat: sf.heartbeat,
+			Target:    o.shipTo,
+			EdgeID:    o.edgeID,
+			SpoolCap:  o.spoolCap,
+			Heartbeat: o.node.Heartbeat,
 			Logf: func(format string, args ...any) {
-				logger.Info("delta: "+fmt.Sprintf(format, args...), "edge", sf.edgeID)
+				n.Logger.Info("delta: "+fmt.Sprintf(format, args...), "edge", o.edgeID)
 			},
 		}
 		if gov != nil {
 			scfg.Gate = func() bool { return gov.State() != ipd.GovernorEmergency }
 		}
-		var err error
-		shipper, err = ipd.NewDeltaSender(scfg)
-		if err != nil {
+		if shipper, err = ipd.NewDeltaSender(scfg); err != nil {
 			return err
 		}
-		shipper.RegisterMetrics(srv.Telemetry())
-		if tlColl != nil {
-			tlColl.SetCluster(func() ipd.TimelineClusterCounters {
-				st := shipper.Stats()
-				return ipd.TimelineClusterCounters{
-					Sent:          st.Sent,
-					Acked:         st.Acked,
-					Retransmitted: st.Retransmitted,
-					Shed:          st.Shed,
-					Reconnects:    st.Reconnects,
-					SpoolDepth:    st.SpoolDepth,
-				}
-			})
-		}
-		fmt.Fprintf(os.Stderr, "ipd-collector: shipping deltas to %s as edge %q\n", sf.target, sf.edgeID)
+		n.AttachSender(shipper)
+		fmt.Fprintf(os.Stderr, "ipd-collector: shipping deltas to %s as edge %q\n", o.shipTo, o.edgeID)
 	}
 
 	// The collectors feed the queue through the degradation sampler. When no
@@ -524,7 +242,7 @@ func run(listen, ipfixAddr, httpAddr, exportersFile string, trust bool, factor4,
 	// passthrough; keep the direct Offer in that case to spare the hot path
 	// a closure call per record.
 	sink := queue.Offer
-	if gf.sampleN > 1 || gov != nil {
+	if sampling {
 		sink = func(rec ipd.Record) {
 			if sampler.Keep() {
 				queue.Offer(rec)
@@ -542,27 +260,27 @@ func run(listen, ipfixAddr, httpAddr, exportersFile string, trust bool, factor4,
 	if err != nil {
 		return err
 	}
-	coll.SetHealth(health)
+	coll.SetHealth(n.Health)
 	var ipfixColl *ipfix.Collector
-	if ipfixAddr != "" {
+	if o.ipfix != "" {
 		ipfixColl, err = ipfix.NewCollector(sink)
 		if err != nil {
 			return err
 		}
-		ipfixColl.SetHealth(health)
+		ipfixColl.SetHealth(n.Health)
 	}
-	if exportersFile != "" {
-		n, err := loadExporters(coll, ipfixColl, exportersFile)
+	if o.exporters != "" {
+		count, err := loadExporters(coll, ipfixColl, o.exporters)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "ipd-collector: %d exporters registered\n", n)
+		fmt.Fprintf(os.Stderr, "ipd-collector: %d exporters registered\n", count)
 	}
-	if trust {
+	if o.trust {
 		enableTrust(coll)
 	}
 
-	addrPort, err := coll.Listen(listen)
+	addrPort, err := coll.Listen(o.listen)
 	if err != nil {
 		return err
 	}
@@ -571,11 +289,17 @@ func run(listen, ipfixAddr, httpAddr, exportersFile string, trust bool, factor4,
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	errc := make(chan error, 4)
+	// One slot per sender: the NetFlow, IPFIX and HTTP loops.
+	errc := make(chan error, 3)
 	go func() { errc <- coll.Serve(ctx) }()
-	go func() { errc <- srv.RunQueue(ctx, queue) }()
+	drained := make(chan struct{})
+	go func() {
+		// RunQueue returns ctx.Err(): only shutdown stops it.
+		_ = srv.RunQueue(ctx, queue)
+		close(drained)
+	}()
 	if ipfixColl != nil {
-		ipfixPort, err := ipfixColl.Listen(ipfixAddr)
+		ipfixPort, err := ipfixColl.Listen(o.ipfix)
 		if err != nil {
 			return err
 		}
@@ -583,44 +307,11 @@ func run(listen, ipfixAddr, httpAddr, exportersFile string, trust bool, factor4,
 		go func() { errc <- ipfixColl.Serve(ctx) }()
 	}
 
-	if httpAddr != "" {
-		reg := srv.Telemetry()
-		telemetry.RegisterProcessMetrics(reg)
-		registerCollectorMetrics(reg, coll, ipfixColl)
-
-		mux := http.NewServeMux()
-		mux.Handle("/healthz", wd.HealthzHandler())
-		mux.Handle("/readyz", wd.ReadyzHandler())
-		mux.Handle("/metrics", reg.Handler())
-		mux.Handle("/debug/vars", reg.JSONHandler())
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		ih := ipd.NewIntrospectHandler(srv, j)
-		ih.SetTraces(tracer.Recorder())
-		if gov != nil {
-			ih.SetGovernor(gov)
-		}
-		if tlColl != nil {
-			ih.SetTimeline(tlColl)
-		}
-		ih.SetExporterHealth(health)
-		ih.SetWorkload(wl)
-		if shipper != nil {
-			ih.SetCluster(func() ipd.ClusterStatus {
-				st := shipper.Stats()
-				return ipd.ClusterStatus{Role: "edge", Sender: &st}
-			})
-		}
-		if skf.enabled {
-			ih.SetSketch(srv.SketchStatus)
-		}
-		mux.Handle("/ipd/", ih)
+	if o.http != "" {
+		registerCollectorMetrics(srv.Telemetry(), coll, ipfixColl)
+		mux := n.Handler()
 		mux.HandleFunc("/ranges", func(w http.ResponseWriter, _ *http.Request) {
-			mapped := srv.Mapped()
-			if err := ipd.WriteOutputSnapshot(w, time.Now(), mapped, nil); err != nil {
+			if err := ipd.WriteOutputSnapshot(w, time.Now(), srv.Mapped(), nil); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		})
@@ -651,29 +342,22 @@ func run(listen, ipfixAddr, httpAddr, exportersFile string, trust bool, factor4,
 					"dropped_stale":  bin.DroppedStale,
 					"dropped_future": bin.DroppedFuture,
 				},
-				"exporters": health.Summary(),
+				"exporters": n.Health.Summary(),
 			}
 			w.Header().Set("Content-Type", "application/json")
 			_ = json.NewEncoder(w).Encode(out)
 		})
-		httpSrv := &http.Server{Addr: httpAddr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-		go func() {
-			<-ctx.Done()
-			shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = httpSrv.Shutdown(shutdownCtx)
-		}()
-		go func() {
-			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				errc <- err
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "ipd-collector: status on http://%s\n", httpAddr)
+		go func() { errc <- node.ListenAndServe(ctx, o.http, mux) }()
+		fmt.Fprintf(os.Stderr, "ipd-collector: status on http://%s\n", o.http)
 	}
 
 	err = <-errc
 	stop()
 	queue.Close()
+	// The drain ingests what is buffered, flushes the open statistical-time
+	// buckets and writes the final checkpoint; its events must reach the
+	// journal before Close.
+	<-drained
 	if shipper != nil {
 		// Graceful shutdown flushes the spool: stop accepting new records,
 		// give the supervisor a bounded window to ship and collect acks for
@@ -688,10 +372,10 @@ func run(listen, ipfixAddr, httpAddr, exportersFile string, trust bool, factor4,
 		cancel()
 		_ = shipper.Close()
 	}
-	if err == context.Canceled {
-		return nil
+	if err != nil {
+		return err
 	}
-	return err
+	return n.Close()
 }
 
 // registerCollectorMetrics exposes the UDP collectors' atomic counters on

@@ -14,9 +14,9 @@
 //	GET /ipd/workload                                     workload profile + shard plan
 //	GET /ipd/sketch                                       fixed-memory sketch tier status + ε/δ bound
 //
-// The handlers read through a Source (core.Server implements it; cmd/ipd
-// wraps its single-threaded engine in a mutex adapter) and never mutate, so
-// mounting them on the debug mux of a running collector is safe.
+// The handlers read through a Source (core.Server implements it; node.Locked
+// wraps a single-threaded engine in a mutex) and never mutate, so mounting
+// them on the debug mux of a running collector is safe.
 //
 // Error handling is uniform across all endpoints: every response is JSON; a
 // malformed query parameter is 400 with an {"error": ...} body naming the
@@ -63,15 +63,24 @@ type Handler struct {
 	mux    *http.ServeMux
 	routes []RouteInfo
 	src    Source
-	j      *journal.Journal    // may be nil: history fields are omitted, /ipd/events is 404
-	rec    *trace.Recorder     // may be nil: /ipd/traces is 404
-	gov    *governor.Governor  // may be nil: /ipd/governor is 404
-	tl     *timeline.Collector // may be nil: /ipd/timeline and /ipd/alerts are 404
-	exp    *exphealth.Tracker  // may be nil: /ipd/exporters is 404
-	wl     *workload.Profiler  // may be nil: /ipd/workload is 404
+	a      Attached
+}
 
-	cluster func() delta.ClusterStatus // may be nil: /ipd/cluster is 404
-	sketch  func() core.SketchStatus   // may be nil: /ipd/sketch is 404
+// Attached lists the optional subsystems a Handler serves next to its
+// Source. A nil field disables its endpoints: they answer 404.
+type Attached struct {
+	Journal   *journal.Journal    // history fields and /ipd/events
+	Traces    *trace.Recorder     // /ipd/traces
+	Governor  *governor.Governor  // /ipd/governor
+	Timeline  *timeline.Collector // /ipd/timeline and /ipd/alerts
+	Exporters *exphealth.Tracker  // /ipd/exporters
+	Workload  *workload.Profiler  // /ipd/workload
+
+	// Cluster snapshots the node's delta sender or receiver (/ipd/cluster).
+	Cluster func() delta.ClusterStatus
+	// Sketch reads the engine's sketch-tier status under the engine's lock
+	// (/ipd/sketch).
+	Sketch func() core.SketchStatus
 }
 
 // RouteInfo describes one mounted endpoint in the GET /ipd/ index.
@@ -80,11 +89,12 @@ type RouteInfo struct {
 	Description string `json:"description"`
 }
 
-// New builds the handler. j may be nil when no journal is attached; the
-// snapshot and explain endpoints still work, only event history is
-// unavailable.
-func New(src Source, j *journal.Journal) *Handler {
-	h := &Handler{mux: http.NewServeMux(), src: src, j: j}
+// New builds the handler over src and the subsystems in a. Without a
+// journal the snapshot and explain endpoints still work; only event history
+// is unavailable. Every route is listed in the index whether or not its
+// subsystem is attached.
+func New(src Source, a Attached) *Handler {
+	h := &Handler{mux: http.NewServeMux(), src: src, a: a}
 	h.handle("/ipd/ranges", "filterable snapshot of active ranges (classified=, ingress=, family=, limit=)", h.ranges)
 	h.handle("/ipd/range", "one range with its journal history (prefix=)", h.rangeOne)
 	h.handle("/ipd/explain", "LPM walk, vote shares, and threshold verdict for an address (ip=)", h.explain)
@@ -143,36 +153,6 @@ func (h *Handler) index(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"endpoints": h.routes})
 }
-
-// SetTraces attaches the pipeline tracer's flight recorder, enabling
-// /ipd/traces. Call during setup, before serving.
-func (h *Handler) SetTraces(rec *trace.Recorder) { h.rec = rec }
-
-// SetGovernor attaches the resource governor, enabling /ipd/governor. Call
-// during setup, before serving.
-func (h *Handler) SetGovernor(g *governor.Governor) { h.gov = g }
-
-// SetTimeline attaches the timeline collector, enabling /ipd/timeline and
-// /ipd/alerts. Call during setup, before serving.
-func (h *Handler) SetTimeline(c *timeline.Collector) { h.tl = c }
-
-// SetExporterHealth attaches the exporter-health tracker, enabling
-// /ipd/exporters. Call during setup, before serving.
-func (h *Handler) SetExporterHealth(t *exphealth.Tracker) { h.exp = t }
-
-// SetWorkload attaches the workload profiler, enabling /ipd/workload. Call
-// during setup, before serving.
-func (h *Handler) SetWorkload(p *workload.Profiler) { h.wl = p }
-
-// SetCluster attaches the delta-shipping status reader (a closure snapshotting
-// the node's sender or receiver), enabling /ipd/cluster. Call during setup,
-// before serving.
-func (h *Handler) SetCluster(fn func() delta.ClusterStatus) { h.cluster = fn }
-
-// SetSketch attaches the sketch-tier status reader (a closure over the
-// engine's SketchStatus under the server lock), enabling /ipd/sketch. Call
-// during setup, before serving.
-func (h *Handler) SetSketch(fn func() core.SketchStatus) { h.sketch = fn }
 
 // ServeHTTP dispatches to the /ipd/* routes.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
@@ -352,10 +332,10 @@ func (h *Handler) rangeOne(w http.ResponseWriter, r *http.Request) {
 	if found {
 		resp["range"] = toRangeJSON(ri)
 	}
-	if h.j != nil {
-		resp["history"] = toEventJSON(h.j.History(p.String()))
+	if h.a.Journal != nil {
+		resp["history"] = toEventJSON(h.a.Journal.History(p.String()))
 	}
-	if !found && h.j == nil {
+	if !found && h.a.Journal == nil {
 		writeErr(w, http.StatusNotFound, "prefix is not an active range")
 		return
 	}
@@ -410,16 +390,16 @@ func (h *Handler) explain(w http.ResponseWriter, r *http.Request) {
 		resp["sketch"] = ex.Sketch
 		resp["sketch_text"] = ex.Sketch.String()
 	}
-	if h.j != nil {
+	if h.a.Journal != nil {
 		// The reason chain: every journal event that touched the matched
 		// range or one of the ancestors it was carved out of.
-		chain := h.j.History(ex.Range.Prefix.String())
+		chain := h.a.Journal.History(ex.Range.Prefix.String())
 		seen := map[uint64]bool{}
 		for _, ev := range chain {
 			seen[ev.Seq] = true
 		}
 		for _, anc := range path[:max(0, len(path)-1)] {
-			for _, ev := range h.j.History(anc) {
+			for _, ev := range h.a.Journal.History(anc) {
 				if !seen[ev.Seq] {
 					chain = append(chain, ev)
 					seen[ev.Seq] = true
@@ -437,7 +417,7 @@ func (h *Handler) explain(w http.ResponseWriter, r *http.Request) {
 // reports how many events have been lost to ring overflow so a client can
 // detect gaps.
 func (h *Handler) events(w http.ResponseWriter, r *http.Request) {
-	if h.j == nil {
+	if h.a.Journal == nil {
 		writeErr(w, http.StatusNotFound, "no journal attached")
 		return
 	}
@@ -460,12 +440,12 @@ func (h *Handler) events(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	evs := h.j.Since(since, limit)
-	oldest, newest := h.j.Bounds()
+	evs := h.a.Journal.Since(since, limit)
+	oldest, newest := h.a.Journal.Bounds()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"oldest_seq": oldest,
 		"latest_seq": newest,
-		"dropped":    h.j.Dropped(),
+		"dropped":    h.a.Journal.Dropped(),
 		"count":      len(evs),
 		"events":     toEventJSON(evs),
 	})
@@ -475,21 +455,21 @@ func (h *Handler) events(w http.ResponseWriter, r *http.Request) {
 // per-budget utilization, transition counts, and downgrade-hold progress —
 // the first stop when an instance reports not-ready or starts shedding.
 func (h *Handler) governor(w http.ResponseWriter, _ *http.Request) {
-	if h.gov == nil {
+	if h.a.Governor == nil {
 		writeErr(w, http.StatusNotFound, "no governor attached")
 		return
 	}
-	writeJSON(w, http.StatusOK, h.gov.Snapshot())
+	writeJSON(w, http.StatusOK, h.a.Governor.Snapshot())
 }
 
 // clusterStatus serves GET /ipd/cluster: the delta transport snapshot of
 // this node — sender stats on an edge, receiver stats on a core.
 func (h *Handler) clusterStatus(w http.ResponseWriter, _ *http.Request) {
-	if h.cluster == nil {
+	if h.a.Cluster == nil {
 		writeErr(w, http.StatusNotFound, "no cluster transport attached")
 		return
 	}
-	writeJSON(w, http.StatusOK, h.cluster())
+	writeJSON(w, http.StatusOK, h.a.Cluster())
 }
 
 // sketchStatus serves GET /ipd/sketch: the fixed-memory sketch tier's sizing
@@ -497,11 +477,11 @@ func (h *Handler) clusterStatus(w http.ResponseWriter, _ *http.Request) {
 // the degrade/hydrate counters — the operator's view of how much of the
 // partition runs on approximate evidence and how tight that approximation is.
 func (h *Handler) sketchStatus(w http.ResponseWriter, _ *http.Request) {
-	if h.sketch == nil {
+	if h.a.Sketch == nil {
 		writeErr(w, http.StatusNotFound, "no sketch tier attached")
 		return
 	}
-	writeJSON(w, http.StatusOK, h.sketch())
+	writeJSON(w, http.StatusOK, h.a.Sketch())
 }
 
 // timeline serves GET /ipd/timeline?series=&from=&to=&format=: the windowed
@@ -511,7 +491,7 @@ func (h *Handler) sketchStatus(w http.ResponseWriter, _ *http.Request) {
 // JSON. The JSON body carries the available series names, the newest sample
 // cycle, and the convergence histogram alongside the windowed points.
 func (h *Handler) timeline(w http.ResponseWriter, r *http.Request) {
-	if h.tl == nil {
+	if h.a.Timeline == nil {
 		writeErr(w, http.StatusNotFound, "no timeline attached")
 		return
 	}
@@ -542,20 +522,20 @@ func (h *Handler) timeline(w http.ResponseWriter, r *http.Request) {
 	case "", "json":
 	case "csv":
 		w.Header().Set("Content-Type", "text/csv")
-		_ = h.tl.WriteCSV(w, names, from, to)
+		_ = h.a.Timeline.WriteCSV(w, names, from, to)
 		return
 	default:
 		writeErr(w, http.StatusBadRequest, "format must be json or csv")
 		return
 	}
-	cycle, at := h.tl.LastCycle()
+	cycle, at := h.a.Timeline.LastCycle()
 	resp := map[string]any{
 		"last_cycle":  cycle,
-		"names":       h.tl.Store().Names(),
-		"window":      h.tl.Store().Window(),
-		"downsample":  h.tl.Store().Downsample(),
-		"series":      h.tl.Window(names, from, to),
-		"convergence": h.tl.Convergence(),
+		"names":       h.a.Timeline.Store().Names(),
+		"window":      h.a.Timeline.Store().Window(),
+		"downsample":  h.a.Timeline.Store().Downsample(),
+		"series":      h.a.Timeline.Window(names, from, to),
+		"convergence": h.a.Timeline.Convergence(),
 	}
 	if !at.IsZero() {
 		resp["last_at"] = at
@@ -567,11 +547,11 @@ func (h *Handler) timeline(w http.ResponseWriter, r *http.Request) {
 // the bounded raise/clear history — the operator's first stop when an
 // ingress mapping looks unstable.
 func (h *Handler) alerts(w http.ResponseWriter, _ *http.Request) {
-	if h.tl == nil {
+	if h.a.Timeline == nil {
 		writeErr(w, http.StatusNotFound, "no timeline attached")
 		return
 	}
-	writeJSON(w, http.StatusOK, h.tl.Alerts())
+	writeJSON(w, http.StatusOK, h.a.Timeline.Alerts())
 }
 
 // exporters serves GET /ipd/exporters: every exporter feed's loss, skew,
@@ -579,11 +559,11 @@ func (h *Handler) alerts(w http.ResponseWriter, _ *http.Request) {
 // first stop when the classified map looks wrong and the question is "did
 // the network move, or did an exporter break".
 func (h *Handler) exporters(w http.ResponseWriter, _ *http.Request) {
-	if h.exp == nil {
+	if h.a.Exporters == nil {
 		writeErr(w, http.StatusNotFound, "no exporter-health tracker attached")
 		return
 	}
-	writeJSON(w, http.StatusOK, h.exp.Snapshot())
+	writeJSON(w, http.StatusOK, h.a.Exporters.Snapshot())
 }
 
 // workloadSnapshot serves GET /ipd/workload: the profiler's heavy-hitter
@@ -592,11 +572,11 @@ func (h *Handler) exporters(w http.ResponseWriter, _ *http.Request) {
 // the end-to-end latency distributions — the numbers the scale-arc designs
 // (sharding, LPM caching) are sized from.
 func (h *Handler) workloadSnapshot(w http.ResponseWriter, _ *http.Request) {
-	if h.wl == nil {
+	if h.a.Workload == nil {
 		writeErr(w, http.StatusNotFound, "no workload profiler attached")
 		return
 	}
-	writeJSON(w, http.StatusOK, h.wl.Snapshot())
+	writeJSON(w, http.StatusOK, h.a.Workload.Snapshot())
 }
 
 // traces serves GET /ipd/traces?limit=&phase=: the flight recorder's span
@@ -604,7 +584,7 @@ func (h *Handler) workloadSnapshot(w http.ResponseWriter, _ *http.Request) {
 // observe, snapshot, decay, classify, split, join, drop, cycle); dropped
 // reports ring overflow so a client can detect gaps.
 func (h *Handler) traces(w http.ResponseWriter, r *http.Request) {
-	if h.rec == nil {
+	if h.a.Traces == nil {
 		writeErr(w, http.StatusNotFound, "no tracer attached")
 		return
 	}
@@ -629,7 +609,7 @@ func (h *Handler) traces(w http.ResponseWriter, r *http.Request) {
 	}
 	// With a phase filter the tail is taken unlimited and filtered, so
 	// limit bounds matching spans rather than scanned ones.
-	spans := h.rec.Tail(0)
+	spans := h.a.Traces.Tail(0)
 	if phaseFilter != nil {
 		kept := spans[:0]
 		for _, sp := range spans {
@@ -643,9 +623,9 @@ func (h *Handler) traces(w http.ResponseWriter, r *http.Request) {
 		spans = spans[len(spans)-limit:]
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"recorded": h.rec.Recorded(),
-		"dropped":  h.rec.Dropped(),
-		"capacity": h.rec.Capacity(),
+		"recorded": h.a.Traces.Recorded(),
+		"dropped":  h.a.Traces.Dropped(),
+		"capacity": h.a.Traces.Capacity(),
 		"count":    len(spans),
 		"spans":    spans,
 	})

@@ -87,7 +87,7 @@ func get(t *testing.T, h http.Handler, url string) (int, map[string]any) {
 // walk, the matched range, the vote shares, and the reason chain.
 func TestExplainEndpoint(t *testing.T) {
 	e, j := quadrantEngine(t)
-	h := New(e, j)
+	h := New(e, Attached{Journal: j})
 
 	code, body := get(t, h, "/ipd/explain?ip=70.0.0.1")
 	if code != http.StatusOK {
@@ -140,7 +140,7 @@ func TestExplainEndpoint(t *testing.T) {
 
 func TestExplainBadRequests(t *testing.T) {
 	e, j := quadrantEngine(t)
-	h := New(e, j)
+	h := New(e, Attached{Journal: j})
 	if code, _ := get(t, h, "/ipd/explain"); code != http.StatusBadRequest {
 		t.Errorf("missing ip: status = %d", code)
 	}
@@ -151,7 +151,7 @@ func TestExplainBadRequests(t *testing.T) {
 
 func TestRangesFilters(t *testing.T) {
 	e, j := quadrantEngine(t)
-	h := New(e, j)
+	h := New(e, Attached{Journal: j})
 
 	code, body := get(t, h, "/ipd/ranges")
 	if code != http.StatusOK {
@@ -195,7 +195,7 @@ func TestRangesFilters(t *testing.T) {
 
 func TestRangeEndpoint(t *testing.T) {
 	e, j := quadrantEngine(t)
-	h := New(e, j)
+	h := New(e, Attached{Journal: j})
 
 	code, body := get(t, h, "/ipd/range?prefix=64.0.0.0/2")
 	if code != http.StatusOK || body["active"] != true {
@@ -225,7 +225,7 @@ func TestRangeEndpoint(t *testing.T) {
 	}
 
 	// Without a journal, an inactive prefix has nothing to report.
-	bare := New(e, nil)
+	bare := New(e, Attached{})
 	if code, _ := get(t, bare, "/ipd/range?prefix=55.0.0.0/8"); code != http.StatusNotFound {
 		t.Errorf("no journal + inactive: status = %d, want 404", code)
 	}
@@ -233,7 +233,7 @@ func TestRangeEndpoint(t *testing.T) {
 
 func TestEventsEndpoint(t *testing.T) {
 	e, j := quadrantEngine(t)
-	h := New(e, j)
+	h := New(e, Attached{Journal: j})
 
 	code, body := get(t, h, "/ipd/events")
 	if code != http.StatusOK {
@@ -260,7 +260,7 @@ func TestEventsEndpoint(t *testing.T) {
 		t.Errorf("bad limit: status = %d", code)
 	}
 
-	bare := New(e, nil)
+	bare := New(e, Attached{})
 	if code, _ := get(t, bare, "/ipd/events"); code != http.StatusNotFound {
 		t.Errorf("no journal: status = %d, want 404", code)
 	}
@@ -291,11 +291,10 @@ func TestTracesEndpoint(t *testing.T) {
 		e.AdvanceTo(ts)
 	}
 
-	h := New(e, j)
-	if code, _ := get(t, h, "/ipd/traces"); code != http.StatusNotFound {
+	if code, _ := get(t, New(e, Attached{Journal: j}), "/ipd/traces"); code != http.StatusNotFound {
 		t.Errorf("no recorder: status = %d, want 404", code)
 	}
-	h.SetTraces(tr.Recorder())
+	h := New(e, Attached{Journal: j, Traces: tr.Recorder()})
 
 	code, body := get(t, h, "/ipd/traces")
 	if code != http.StatusOK {
@@ -362,7 +361,7 @@ func TestConcurrentTailDuringIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(srv, j))
+	ts := httptest.NewServer(New(srv, Attached{Journal: j}))
 	defer ts.Close()
 
 	in := make(chan flow.Record, 256)
@@ -456,8 +455,7 @@ func TestConcurrentTailDuringIngest(t *testing.T) {
 // hysteresis progress.
 func TestGovernorEndpoint(t *testing.T) {
 	e, j := quadrantEngine(t)
-	h := New(e, j)
-	if code, _ := get(t, h, "/ipd/governor"); code != http.StatusNotFound {
+	if code, _ := get(t, New(e, Attached{Journal: j}), "/ipd/governor"); code != http.StatusNotFound {
 		t.Errorf("governor without attachment = %d, want 404", code)
 	}
 	g, err := governor.New(governor.Config{MaxRanges: 10, HoldCycles: 2})
@@ -465,8 +463,7 @@ func TestGovernorEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Evaluate(governor.Usage{Ranges: 10}) // util 1.0: emergency
-	h.SetGovernor(g)
-	code, body := get(t, h, "/ipd/governor")
+	code, body := get(t, New(e, Attached{Journal: j, Governor: g}), "/ipd/governor")
 	if code != http.StatusOK {
 		t.Fatalf("governor = %d, want 200", code)
 	}
@@ -490,8 +487,7 @@ func TestGovernorEndpoint(t *testing.T) {
 // the per-feed health snapshot once one is attached and fed.
 func TestExportersEndpoint(t *testing.T) {
 	e, j := quadrantEngine(t)
-	h := New(e, j)
-	if code, _ := get(t, h, "/ipd/exporters"); code != http.StatusNotFound {
+	if code, _ := get(t, New(e, Attached{Journal: j}), "/ipd/exporters"); code != http.StatusNotFound {
 		t.Errorf("exporters without attachment = %d, want 404", code)
 	}
 
@@ -500,9 +496,8 @@ func TestExportersEndpoint(t *testing.T) {
 	tr.ObserveNetFlow(2, 0, 10, now, 100)
 	tr.ObserveNetFlow(2, 40, 10, now, 100) // 30-record gap: loss
 	tr.Tick(now)
-	h.SetExporterHealth(tr)
 
-	code, body := get(t, h, "/ipd/exporters")
+	code, body := get(t, New(e, Attached{Journal: j, Exporters: tr}), "/ipd/exporters")
 	if code != http.StatusOK {
 		t.Fatalf("exporters = %d, want 200 (body %v)", code, body)
 	}
@@ -545,7 +540,7 @@ func TestExplainCoverageAnnotation(t *testing.T) {
 		ts = ts.Add(time.Minute)
 		e.AdvanceTo(ts)
 	}
-	h := New(e, j)
+	h := New(e, Attached{Journal: j})
 
 	code, body := get(t, h, "/ipd/explain?ip=70.0.0.1")
 	if code != http.StatusOK {

@@ -32,24 +32,25 @@ func addrIn(base string, host byte) netip.Addr {
 func fullHandler(t *testing.T) *Handler {
 	t.Helper()
 	e, j := quadrantEngine(t)
-	h := New(e, j)
 	tr := trace.New(trace.Options{Capacity: 16, SampleN: 1})
-	h.SetTraces(tr.Recorder())
 	g, err := governor.New(governor.Config{MaxRanges: 10, HoldCycles: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.SetGovernor(g)
-	h.SetTimeline(timeline.NewCollector(timeline.Options{}))
-	h.SetExporterHealth(exphealth.New(exphealth.Options{}))
-	h.SetWorkload(workload.New(workload.Options{SampleN: 1}))
-	h.SetCluster(func() delta.ClusterStatus {
-		return delta.ClusterStatus{Role: "edge", Sender: &delta.SenderStats{EdgeID: "edge-test"}}
+	return New(e, Attached{
+		Journal:   j,
+		Traces:    tr.Recorder(),
+		Governor:  g,
+		Timeline:  timeline.NewCollector(timeline.Options{}),
+		Exporters: exphealth.New(exphealth.Options{}),
+		Workload:  workload.New(workload.Options{SampleN: 1}),
+		Cluster: func() delta.ClusterStatus {
+			return delta.ClusterStatus{Role: "edge", Sender: &delta.SenderStats{EdgeID: "edge-test"}}
+		},
+		Sketch: func() core.SketchStatus {
+			return core.SketchStatus{Enabled: true, Width: 1024, Depth: 4}
+		},
 	})
-	h.SetSketch(func() core.SketchStatus {
-		return core.SketchStatus{Enabled: true, Width: 1024, Depth: 4}
-	})
-	return h
 }
 
 // TestIndexRoutes is the anti-drift check for GET /ipd/: every advertised
@@ -186,19 +187,18 @@ func TestBadParamsUniform(t *testing.T) {
 // plus transport snapshot once a reader is attached.
 func TestClusterEndpoint(t *testing.T) {
 	e, j := quadrantEngine(t)
-	h := New(e, j)
 
-	code, body := get(t, h, "/ipd/cluster")
+	code, body := get(t, New(e, Attached{Journal: j}), "/ipd/cluster")
 	if code != http.StatusNotFound {
 		t.Fatalf("detached /ipd/cluster = %d, body %v", code, body)
 	}
 
-	h.SetCluster(func() delta.ClusterStatus {
+	h := New(e, Attached{Journal: j, Cluster: func() delta.ClusterStatus {
 		return delta.ClusterStatus{
 			Role:     "core",
 			Receiver: &delta.ReceiverStats{Applied: 42, Batches: 3},
 		}
-	})
+	}})
 	code, body = get(t, h, "/ipd/cluster")
 	if code != http.StatusOK {
 		t.Fatalf("attached /ipd/cluster = %d, body %v", code, body)
@@ -219,9 +219,8 @@ func TestClusterEndpoint(t *testing.T) {
 // full snapshot shape once a fed profiler is attached.
 func TestWorkloadEndpoint(t *testing.T) {
 	e, j := quadrantEngine(t)
-	h := New(e, j)
 
-	code, body := get(t, h, "/ipd/workload")
+	code, body := get(t, New(e, Attached{Journal: j}), "/ipd/workload")
 	if code != http.StatusNotFound {
 		t.Fatalf("detached /ipd/workload = %d, body %v", code, body)
 	}
@@ -237,9 +236,8 @@ func TestWorkloadEndpoint(t *testing.T) {
 		p.TickCycle(uint64(cycle+1), ts)
 		ts = ts.Add(time.Minute)
 	}
-	h.SetWorkload(p)
 
-	code, body = get(t, h, "/ipd/workload")
+	code, body = get(t, New(e, Attached{Journal: j, Workload: p}), "/ipd/workload")
 	if code != http.StatusOK {
 		t.Fatalf("attached /ipd/workload = %d, body %v", code, body)
 	}

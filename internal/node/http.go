@@ -1,0 +1,74 @@
+package node
+
+import (
+	"context"
+	"errors"
+	"net/http"
+	"net/http/pprof"
+	"time"
+
+	"ipd/internal/introspect"
+	"ipd/internal/telemetry"
+)
+
+// Handler returns the debug surface over the attached engine: /metrics
+// (Prometheus), /debug/vars (JSON), /debug/pprof/, the /ipd/ introspection
+// API, and, while tracing runs, the watchdog's /healthz and /readyz. Callers
+// may mount more routes on the returned mux. Call after Attach and after any
+// AttachSender or AttachReceiver.
+func (n *Node) Handler() *http.ServeMux {
+	reg := n.target.Telemetry()
+	telemetry.RegisterProcessMetrics(reg)
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", reg.Handler())
+	mux.Handle("/debug/vars", reg.JSONHandler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+
+	a := introspect.Attached{
+		Journal:   n.Journal,
+		Governor:  n.Governor,
+		Timeline:  n.Timeline,
+		Exporters: n.Health,
+		Workload:  n.Workload,
+		Cluster:   n.cluster,
+	}
+	if n.Tracer != nil {
+		a.Traces = n.Tracer.Recorder()
+	}
+	if n.Config.Sketch {
+		a.Sketch = n.target.SketchStatus
+	}
+	mux.Handle("/ipd/", introspect.New(n.target, a))
+	if n.watchdog != nil {
+		mux.Handle("/healthz", n.watchdog.HealthzHandler())
+		mux.Handle("/readyz", n.watchdog.ReadyzHandler())
+	}
+	return mux
+}
+
+// ListenAndServe serves h on addr until ctx is done, then shuts the server
+// down, giving in-flight requests two seconds. It returns nil after that
+// shutdown and the listen or serve error otherwise.
+func ListenAndServe(ctx context.Context, addr string, h http.Handler) error {
+	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 5 * time.Second}
+	stopped := make(chan struct{})
+	defer close(stopped)
+	go func() {
+		select {
+		case <-ctx.Done():
+		case <-stopped:
+			return
+		}
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(shutdownCtx)
+	}()
+	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
+}

@@ -1,0 +1,380 @@
+// Package node assembles one IPD process around its engine: the part of the
+// deployment both binaries share. cmd/ipd (trace files, or the cluster core)
+// and cmd/ipd-collector (UDP collectors, or a cluster edge) differ only in
+// how records reach the engine; everything around it is built here, in
+// dependency order:
+//
+//  1. New: the logger, the decision journal and its JSONL sink, exporter
+//     health, the workload profiler, the timeline (or its tick-only
+//     fallback), the resource governor, and the engine config hooks that
+//     connect them. The binary then builds its core.Engine or core.Server
+//     from Node.Config.
+//  2. Attach: metric registration on the engine's registry, the checkpoint
+//     manager, and — only when something can read them — the tracer and the
+//     cycle watchdog.
+//  3. Restore: the newest valid checkpoint plus the journal tail after it.
+//  4. Handler: the debug surface (/metrics, /debug/vars, pprof, /ipd/*,
+//     /healthz, /readyz).
+//  5. Close: the journal sink's error, which the binaries exit non-zero on.
+//
+// The benchmark and the examples wire the same parts by hand: each needs a
+// virtual clock, a sampling rate, or a subsystem left out that the binaries
+// do not offer as a flag.
+package node
+
+import (
+	"bufio"
+	"errors"
+	"fmt"
+	"log/slog"
+	"net/netip"
+	"os"
+	"runtime"
+	"sync"
+
+	"ipd/internal/core"
+	"ipd/internal/delta"
+	"ipd/internal/exphealth"
+	"ipd/internal/governor"
+	"ipd/internal/introspect"
+	"ipd/internal/journal"
+	"ipd/internal/persist"
+	"ipd/internal/telemetry"
+	"ipd/internal/timeline"
+	"ipd/internal/trace"
+	"ipd/internal/workload"
+)
+
+// Node is one assembled process. The exported fields are the parts the
+// binaries feed or read; a nil field is a part the flags left out.
+type Node struct {
+	// Config is the engine configuration with every node-driven hook set;
+	// build the engine or server from it.
+	Config core.Config
+
+	Logger   *slog.Logger
+	Journal  *journal.Journal
+	Health   *exphealth.Tracker
+	Workload *workload.Profiler
+	Timeline *timeline.Collector // nil with -timeline-window 0
+	Governor *governor.Governor  // nil unless enabled or implied by a budget
+
+	// Set by Attach.
+	Tracer      *trace.Tracer    // nil unless traced
+	Checkpoints *persist.Manager // nil without -checkpoint-dir
+
+	name     string // message prefix on stderr
+	flags    *Flags
+	sink     *os.File
+	target   Target
+	watchdog *core.Watchdog
+	cluster  func() delta.ClusterStatus
+}
+
+// GovernorInputs are what a binary with an ingest queue hands the governor:
+// the queue's capacity and depth (a fourth budget axis) and a hook run on
+// every state change. cmd/ipd has no queue and passes the zero value.
+type GovernorInputs struct {
+	QueueCap     int
+	QueueDepth   func() int
+	OnTransition func(from, to governor.State)
+}
+
+// New builds the parts that must exist before the engine, and returns them
+// with Config: cfg plus the sketch-tier flags and the hooks into the
+// journal, exporter health, workload profiler, timeline and governor. name
+// prefixes the node's stderr messages. f must have passed Validate.
+func New(name string, f *Flags, cfg core.Config, gi GovernorInputs) (*Node, error) {
+	lvl, err := f.level()
+	if err != nil {
+		return nil, err
+	}
+	n := &Node{
+		name:   name,
+		flags:  f,
+		Logger: slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})),
+	}
+	if f.MutexProfile > 0 {
+		runtime.SetMutexProfileFraction(f.MutexProfile)
+		runtime.SetBlockProfileRate(f.MutexProfile)
+	}
+	cfg.Logger = n.Logger
+	if f.Sketch {
+		cfg.Sketch = true
+		cfg.SketchWidth = f.SketchWidth
+		cfg.SketchDepth = f.SketchDepth
+		cfg.SketchExactMargin = f.SketchMargin
+	}
+
+	if f.Governor || f.MaxRanges > 0 || f.MemBudget > 0 {
+		gcfg := governor.Config{
+			MaxRanges:  f.MaxRanges,
+			MemBudget:  uint64(f.MemBudget),
+			QueueCap:   gi.QueueCap,
+			QueueDepth: gi.QueueDepth,
+			SketchTier: f.Sketch,
+		}
+		if hook := gi.OnTransition; hook != nil {
+			gcfg.OnTransition = func(from, to governor.State, _ governor.Usage) { hook(from, to) }
+		}
+		if n.Governor, err = governor.New(gcfg); err != nil {
+			return nil, err
+		}
+		cfg.Governor = n.Governor
+		cfg.MaxRanges = f.MaxRanges
+	}
+
+	// Exporter health scores every router's feed each cycle; the engine
+	// annotates classifications made over a degraded one. The workload
+	// profiler corrects export-to-ingest latency by the tracker's per-router
+	// skew estimate.
+	n.Health = exphealth.New(exphealth.Options{StaleAfter: f.StaleAfter, SkewMax: f.SkewMax})
+	cfg.Coverage = n.Health.IngressCoverage
+	n.Workload = workload.New(workload.Options{
+		TopK:     f.WorkloadTopK,
+		MaxDepth: f.WorkloadDepth,
+		Skew:     n.Health.RouterSkew,
+	})
+
+	// The journal sink is written per decision, unbuffered, so a crash leaves
+	// every recorded event in the file. With -checkpoint-dir the file's
+	// existing tail is the replay source of the next restore: append to it
+	// instead of truncating it.
+	jopts := journal.Options{Capacity: f.JournalCap}
+	if f.Journal != "" {
+		mode := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
+		if f.CheckpointDir != "" {
+			mode = os.O_WRONLY | os.O_CREATE | os.O_APPEND
+		}
+		if n.sink, err = os.OpenFile(f.Journal, mode, 0o644); err != nil {
+			return nil, err
+		}
+		jopts.Sink = n.sink
+	}
+	n.Journal = journal.New(jopts)
+	cfg.OnEvent = n.Journal.Record
+
+	// The timeline turns end-of-cycle samples and the event stream into
+	// series plus flap/drift/convergence analytics, and drives the exporter
+	// and workload cycle ticks. Without it the ticks still run, so staleness,
+	// coverage and the workload window stay live (no alerts).
+	if f.TimelineWindow > 0 {
+		tl := timeline.NewCollector(timeline.Options{Window: f.TimelineWindow})
+		tl.SetExporterHealth(n.Health)
+		tl.SetWorkload(n.Workload)
+		cfg.OnEvent = func(ev core.Event) {
+			n.Journal.Record(ev)
+			tl.ObserveEvent(ev)
+		}
+		cfg.OnCycle = tl.OnCycle
+		cfg.OnCycleEvery = f.TimelineEvery
+		n.Timeline = tl
+	} else {
+		cfg.OnCycle = func(s core.CycleSample) []core.Alert {
+			n.Health.Tick(s.At)
+			n.Workload.TickCycle(s.Cycle, s.At)
+			return nil
+		}
+	}
+	n.Config = cfg
+	return n, nil
+}
+
+// Target is the engine a Node serves: a *core.Server, or a *Locked engine.
+// The read methods must be safe for concurrent use.
+type Target interface {
+	introspect.Source
+	SketchStatus() core.SketchStatus
+	Telemetry() *telemetry.Registry
+	SetTracer(*trace.Tracer)
+	Seq() uint64
+	ApplyEvent(core.Event) error
+	RestoreCheckpoint(data []byte) error
+}
+
+// Locked makes a single-threaded core.Engine a Target: its owner holds Mu
+// around every mutation, and the debug surface's reads below take it. The
+// embedded engine's other methods are not locked.
+type Locked struct {
+	Mu sync.Mutex
+	*core.Engine
+}
+
+// Snapshot returns all active ranges under Mu.
+func (l *Locked) Snapshot() []core.RangeInfo {
+	l.Mu.Lock()
+	defer l.Mu.Unlock()
+	return l.Engine.Snapshot()
+}
+
+// Range returns the active range covering addr under Mu.
+func (l *Locked) Range(addr netip.Addr) (core.RangeInfo, bool) {
+	l.Mu.Lock()
+	defer l.Mu.Unlock()
+	return l.Engine.Range(addr)
+}
+
+// Explain explains addr's verdict under Mu.
+func (l *Locked) Explain(addr netip.Addr) (core.Explanation, bool) {
+	l.Mu.Lock()
+	defer l.Mu.Unlock()
+	return l.Engine.Explain(addr)
+}
+
+// SketchStatus reads the sketch tier's status under Mu.
+func (l *Locked) SketchStatus() core.SketchStatus {
+	l.Mu.Lock()
+	defer l.Mu.Unlock()
+	return l.Engine.SketchStatus()
+}
+
+// RestoreCheckpoint replaces the engine state with a MarshalState payload.
+func (l *Locked) RestoreCheckpoint(data []byte) error { return l.UnmarshalState(data) }
+
+// Attach connects the node to the engine built from Config: it registers
+// every part's metrics on t's registry, opens the checkpoint directory, and,
+// when traced, builds the tracer and the cycle watchdog. Trace only when
+// something reads the spans (an HTTP address or a trace file); otherwise the
+// hot paths pay a nil check.
+func (n *Node) Attach(t Target, traced bool) error {
+	n.target = t
+	reg := t.Telemetry()
+	n.Journal.RegisterMetrics(reg)
+	n.Health.RegisterMetrics(reg)
+	n.Workload.RegisterMetrics(reg)
+	if n.Timeline != nil {
+		n.Timeline.RegisterMetrics(reg)
+	}
+	if n.Governor != nil {
+		n.Governor.RegisterMetrics(reg)
+	}
+	if n.flags.CheckpointDir != "" {
+		mgr, err := persist.NewManager(persist.Options{Dir: n.flags.CheckpointDir, Registry: reg})
+		if err != nil {
+			return err
+		}
+		n.Checkpoints = mgr
+	}
+	if !traced {
+		return nil
+	}
+	n.Tracer = trace.New(trace.Options{
+		Capacity: n.flags.TraceCap,
+		SampleN:  n.flags.TraceSample,
+		Registry: reg,
+	})
+	t.SetTracer(n.Tracer)
+	wd, err := core.NewWatchdog(core.WatchdogConfig{Interval: n.Config.T, Registry: reg})
+	if err != nil {
+		return err
+	}
+	n.Tracer.SetOnSpan(wd.ObserveSpan)
+	if n.Governor != nil {
+		// /readyz fails while the governor is in emergency.
+		wd.SetGovernor(n.Governor)
+	}
+	n.watchdog = wd
+	return nil
+}
+
+// AttachSender serves an edge's delta sender: its metrics, the timeline's
+// delta.* series, and /ipd/cluster. Call after Attach.
+func (n *Node) AttachSender(s *delta.Sender) {
+	s.RegisterMetrics(n.target.Telemetry())
+	if n.Timeline != nil {
+		n.Timeline.SetCluster(func() timeline.ClusterCounters {
+			st := s.Stats()
+			return timeline.ClusterCounters{
+				Sent:          st.Sent,
+				Acked:         st.Acked,
+				Retransmitted: st.Retransmitted,
+				Shed:          st.Shed,
+				Reconnects:    st.Reconnects,
+				SpoolDepth:    st.SpoolDepth,
+			}
+		})
+	}
+	n.cluster = func() delta.ClusterStatus {
+		st := s.Stats()
+		return delta.ClusterStatus{Role: "edge", Sender: &st}
+	}
+}
+
+// AttachReceiver serves a core's delta receiver: its metrics, the
+// timeline's delta.* series, and /ipd/cluster. Call after Attach.
+func (n *Node) AttachReceiver(r *delta.Receiver) {
+	r.RegisterMetrics(n.target.Telemetry())
+	if n.Timeline != nil {
+		n.Timeline.SetCluster(func() timeline.ClusterCounters {
+			st := r.Stats()
+			cc := timeline.ClusterCounters{Applied: st.Applied, Sessions: st.Sessions}
+			for _, e := range st.Edges {
+				cc.Duplicates += e.Duplicates
+				cc.Gaps += e.Gaps
+				cc.Pending += e.Pending
+			}
+			return cc
+		})
+	}
+	n.cluster = func() delta.ClusterStatus {
+		st := r.Stats()
+		return delta.ClusterStatus{Role: "core", Receiver: &st}
+	}
+}
+
+// Restore is the startup half of crash recovery: load the newest valid
+// checkpoint into the attached engine, then replay the events the previous
+// run journaled after it. No checkpoint directory, an empty one, or a
+// missing journal file is a cold start, not an error.
+func (n *Node) Restore() error {
+	if n.Checkpoints == nil {
+		return nil
+	}
+	path, err := n.Checkpoints.Load(n.target.RestoreCheckpoint)
+	if errors.Is(err, persist.ErrNoCheckpoint) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("checkpoint restore: %v", err)
+	}
+	fmt.Fprintf(os.Stderr, "%s: restored checkpoint %s (seq %d)\n", n.name, path, n.target.Seq())
+	if n.flags.Journal == "" {
+		return nil
+	}
+	f, err := os.Open(n.flags.Journal)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("journal tail: %v", err)
+	}
+	defer f.Close()
+	replayed, err := journal.ReplayTail(bufio.NewReader(f), n.target.Seq(), n.target.ApplyEvent)
+	if err != nil {
+		return fmt.Errorf("journal tail replay: %v", err)
+	}
+	n.Checkpoints.NoteReplayed(replayed)
+	if replayed > 0 {
+		fmt.Fprintf(os.Stderr, "%s: replayed %d journal events (now at seq %d)\n", n.name, replayed, n.target.Seq())
+	}
+	return nil
+}
+
+// Close closes the journal sink and returns the first error the sink hit:
+// a failed event write, else a failed close. The binaries exit non-zero on
+// it, so a run whose decision log is incomplete does not look successful.
+// Call it after the engine's last event.
+func (n *Node) Close() error {
+	if n.sink == nil {
+		return nil
+	}
+	err := n.Journal.SinkErr()
+	if cerr := n.sink.Close(); err == nil {
+		err = cerr
+	}
+	n.sink = nil
+	if err != nil {
+		return fmt.Errorf("journal sink: %w", err)
+	}
+	return nil
+}

@@ -1,0 +1,328 @@
+package node
+
+import (
+	"encoding/json"
+	"flag"
+	"net/http"
+	"net/http/httptest"
+	"net/netip"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"ipd/internal/core"
+	"ipd/internal/delta"
+	"ipd/internal/flow"
+	"ipd/internal/stattime"
+)
+
+// parseFlags registers the shared flags on a fresh set and parses args.
+func parseFlags(t *testing.T, args ...string) (*Flags, core.Config) {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	cfg := core.DefaultConfig()
+	f := RegisterFlags(fs, &cfg)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return f, cfg
+}
+
+// newNode builds a validated node from command-line style args.
+func newNode(t *testing.T, args ...string) *Node {
+	t.Helper()
+	f, cfg := parseFlags(t, args...)
+	if err := f.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	n, err := New("test", f, cfg, GovernorInputs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = n.Close() })
+	return n
+}
+
+// attachEngine builds the engine from n.Config and attaches it.
+func attachEngine(t *testing.T, n *Node, traced bool) *Locked {
+	t.Helper()
+	eng, err := core.NewEngine(n.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &Locked{Engine: eng}
+	if err := n.Attach(l, traced); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+func TestValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want string // "" = accepted; else a substring of the error
+	}{
+		{"defaults", nil, ""},
+		{"non-defaults", []string{"-checkpoint-every", "1", "-trace-sample", "1", "-max-ranges", "2",
+			"-mem-budget", "1073741824", "-timeline-window", "0", "-timeline-every", "5", "-mutexprofile", "100"}, ""},
+		{"log-level", []string{"-log-level", "loud"}, "-log-level"},
+		{"ckpt-every", []string{"-checkpoint-every", "0"}, "-checkpoint-every"},
+		{"trace-sample", []string{"-trace-sample", "0"}, "-trace-sample"},
+		{"max-ranges-neg", []string{"-max-ranges", "-1"}, "-max-ranges"},
+		{"max-ranges-one", []string{"-max-ranges", "1"}, "/0 roots"},
+		{"mem-budget", []string{"-mem-budget", "-1"}, "-mem-budget"},
+		{"timeline-window", []string{"-timeline-window", "-1"}, "-timeline-window"},
+		{"timeline-every", []string{"-timeline-every", "0"}, "-timeline-every"},
+		{"mutexprofile", []string{"-mutexprofile", "-1"}, "-mutexprofile"},
+		{"first-error-wins", []string{"-checkpoint-every", "0", "-trace-sample", "0", "-max-ranges", "1",
+			"-mem-budget", "-1", "-timeline-window", "-1", "-timeline-every", "0", "-mutexprofile", "-1"}, "-checkpoint-every"},
+		{"stale-after-zero", []string{"-exporter-stale-after", "0s"}, "-exporter-stale-after"},
+		{"skew-max-neg", []string{"-exporter-stale-after", "1m", "-skew-max", "-1s"}, "-skew-max"},
+		{"workload-topk", []string{"-workload-topk", "1"}, "-workload-topk"},
+		{"workload-depth-1", []string{"-workload-maxdepth", "1"}, "-workload-maxdepth"},
+		{"workload-depth-11", []string{"-workload-maxdepth", "11"}, "-workload-maxdepth"},
+		// With the sketch tier off its sizing is not checked at all.
+		{"sketch-off-nonsense", []string{"-sketch-width", "0", "-sketch-depth", "0", "-sketch-exact-margin", "-1"}, ""},
+		{"sketch-on", []string{"-sketch"}, ""},
+		{"sketch-zero-margin", []string{"-sketch", "-sketch-exact-margin", "0"}, ""},
+		{"sketch-width-15", []string{"-sketch", "-sketch-width", "15"}, "-sketch-width"},
+		{"sketch-width-big", []string{"-sketch", "-sketch-width", "1048577"}, "-sketch-width"},
+		{"sketch-depth-0", []string{"-sketch", "-sketch-depth", "0"}, "-sketch-depth"},
+		{"sketch-depth-17", []string{"-sketch", "-sketch-depth", "17"}, "-sketch-depth"},
+		{"sketch-margin-neg", []string{"-sketch", "-sketch-exact-margin", "-0.1"}, "-sketch-exact-margin"},
+		{"sketch-margin-1", []string{"-sketch", "-sketch-exact-margin", "1"}, "-sketch-exact-margin"},
+		{"sketch-margin-1.5", []string{"-sketch", "-sketch-exact-margin", "1.5"}, "-sketch-exact-margin"},
+		// The heartbeat matters only with delta shipping; the binaries check it.
+		{"heartbeat-zero", []string{"-heartbeat", "0s"}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, _ := parseFlags(t, tc.args...)
+			err := f.Validate()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case tc.want != "" && err == nil:
+				t.Fatal("bad value accepted")
+			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+				t.Fatalf("error %q does not name %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestCloseReportsSinkError pins the journal-sink contract of the binaries:
+// an event that did not reach the file makes Close fail, and a healthy sink
+// holds one JSON line per recorded event.
+func TestCloseReportsSinkError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	n := newNode(t, "-journal", path)
+	attachEngine(t, n, false) // the engine journals its two /0 roots
+	if err := n.Close(); err != nil {
+		t.Fatalf("healthy sink: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(data), "\n"); uint64(lines) != n.Journal.Recorded() || lines == 0 {
+		t.Fatalf("sink holds %d lines, journal recorded %d events", lines, n.Journal.Recorded())
+	}
+
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	n = newNode(t, "-journal", "/dev/full")
+	attachEngine(t, n, false)
+	if err := n.Close(); err == nil || !strings.Contains(err.Error(), "journal sink") {
+		t.Fatalf("Close with a full sink = %v, want a journal sink error", err)
+	}
+}
+
+var quadrants = []struct {
+	base string
+	in   flow.Ingress
+}{
+	{"10.0.0.0", flow.Ingress{Router: 1, Iface: 1}},  // 0.0.0.0/2
+	{"70.0.0.0", flow.Ingress{Router: 2, Iface: 1}},  // 64.0.0.0/2
+	{"140.0.0.0", flow.Ingress{Router: 3, Iface: 1}}, // 128.0.0.0/2
+	{"210.0.0.0", flow.Ingress{Router: 4, Iface: 1}}, // 192.0.0.0/2
+}
+
+// feed runs cycles [from, to) of a stream with one ingress per /2 quadrant;
+// from cycle shiftAt on, the first quadrant enters through the last
+// quadrant's ingress, which invalidates and reclassifies it.
+func feed(l *Locked, from, to, shiftAt int) {
+	start := time.Date(2024, 8, 4, 12, 0, 0, 0, time.UTC)
+	for c := from; c < to; c++ {
+		ts := start.Add(time.Duration(c) * time.Minute)
+		for qi, q := range quadrants {
+			in := q.in
+			if qi == 0 && c >= shiftAt {
+				in = quadrants[3].in
+			}
+			a := netip.MustParseAddr(q.base).As4()
+			for i := 0; i < 20; i++ {
+				a[3] = byte(i)
+				l.Observe(flow.Record{Ts: ts, Src: netip.AddrFrom4(a), In: in, Bytes: 1200, Packets: 1})
+			}
+		}
+		l.AdvanceTo(ts.Add(time.Minute))
+	}
+}
+
+// TestRestore is the crash-recovery contract both binaries rely on: a
+// checkpoint plus the journal events recorded after it reproduce the live
+// engine's partition, into a bare engine and into a server alike.
+func TestRestore(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "j.jsonl")
+	args := []string{"-checkpoint-dir", filepath.Join(dir, "ckpt"), "-journal", jpath, "-factor4", "0.0005"}
+
+	live := newNode(t, args...)
+	eng := attachEngine(t, live, false)
+	if err := live.Restore(); err != nil {
+		t.Fatalf("cold start: %v", err)
+	}
+	feed(eng, 0, 6, 8)
+	if err := live.Checkpoints.Save(eng.Seq(), eng.MarshalState()); err != nil {
+		t.Fatal(err)
+	}
+	ckptSeq := eng.Seq()
+	feed(eng, 6, 14, 8)
+	if eng.Seq() == ckptSeq {
+		t.Fatal("no events after the checkpoint: the tail replay goes unexercised")
+	}
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("engine", func(t *testing.T) {
+		n := newNode(t, args...)
+		got := attachEngine(t, n, false)
+		if err := n.Restore(); err != nil {
+			t.Fatal(err)
+		}
+		if n.Checkpoints.Replayed() == 0 {
+			t.Error("restore replayed no journal events")
+		}
+		if err := core.DiffPartitions(eng.Snapshot(), got.Snapshot()); err != nil {
+			t.Fatalf("restored engine diverged from the live one: %v", err)
+		}
+	})
+	t.Run("server", func(t *testing.T) {
+		n := newNode(t, args...)
+		srv, err := core.NewServer(n.Config, stattime.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Attach(srv, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Restore(); err != nil {
+			t.Fatal(err)
+		}
+		if err := core.DiffPartitions(eng.Snapshot(), srv.Snapshot()); err != nil {
+			t.Fatalf("restored server diverged from the live engine: %v", err)
+		}
+	})
+	t.Run("journal-missing", func(t *testing.T) {
+		// The checkpoint alone is restored; no journal tail is not an error.
+		n := newNode(t, args...)
+		got := attachEngine(t, n, false)
+		if err := os.Remove(jpath); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Restore(); err != nil {
+			t.Fatal(err)
+		}
+		if got.Seq() != ckptSeq {
+			t.Fatalf("seq after restore = %d, want the checkpoint's %d", got.Seq(), ckptSeq)
+		}
+	})
+	t.Run("no-checkpoint", func(t *testing.T) {
+		n := newNode(t, "-checkpoint-dir", t.TempDir(), "-journal", filepath.Join(t.TempDir(), "j.jsonl"))
+		got := attachEngine(t, n, false)
+		before := got.Seq()
+		if err := n.Restore(); err != nil {
+			t.Fatal(err)
+		}
+		if got.Seq() != before {
+			t.Fatalf("cold start moved seq %d -> %d", before, got.Seq())
+		}
+	})
+}
+
+func getJSON(t *testing.T, h http.Handler, path string) (int, map[string]any) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	var body map[string]any
+	_ = json.Unmarshal(rec.Body.Bytes(), &body)
+	return rec.Code, body
+}
+
+// TestHandlerRoutes checks the debug surface under each optional subsystem:
+// the /ipd/ index always lists the same routes, the governor, sketch and
+// cluster endpoints answer exactly when their subsystem runs, and the
+// watchdog probes are mounted exactly when tracing runs.
+func TestHandlerRoutes(t *testing.T) {
+	wantIndex := []string{"/ipd/ranges", "/ipd/range", "/ipd/explain", "/ipd/events", "/ipd/traces",
+		"/ipd/governor", "/ipd/timeline", "/ipd/alerts", "/ipd/exporters", "/ipd/workload",
+		"/ipd/cluster", "/ipd/sketch"}
+	for _, gov := range []bool{false, true} {
+		for _, sketch := range []bool{false, true} {
+			for _, cluster := range []bool{false, true} {
+				for _, traced := range []bool{false, true} {
+					var args []string
+					if gov {
+						args = append(args, "-governor")
+					}
+					if sketch {
+						args = append(args, "-sketch")
+					}
+					n := newNode(t, args...)
+					attachEngine(t, n, traced)
+					if cluster {
+						recv, err := delta.NewReceiver(delta.ReceiverConfig{
+							Apply: func([]flow.Record, map[string]uint64) error { return nil },
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						n.AttachReceiver(recv)
+					}
+					mux := n.Handler()
+
+					code, body := getJSON(t, mux, "/ipd/")
+					eps, _ := body["endpoints"].([]any)
+					var got []string
+					for _, ep := range eps {
+						got = append(got, ep.(map[string]any)["path"].(string))
+					}
+					if code != http.StatusOK || strings.Join(got, " ") != strings.Join(wantIndex, " ") {
+						t.Errorf("gov=%v sketch=%v cluster=%v: index = %d %v", gov, sketch, cluster, code, got)
+					}
+					for path, on := range map[string]bool{
+						"/ipd/governor": gov, "/ipd/sketch": sketch, "/ipd/cluster": cluster,
+						"/ipd/traces": traced, "/healthz": traced, "/readyz": traced,
+						"/ipd/timeline": true, "/ipd/exporters": true, "/ipd/workload": true,
+						"/ipd/events": true, "/metrics": true,
+					} {
+						want := http.StatusNotFound
+						if on {
+							want = http.StatusOK
+						}
+						if code, _ := getJSON(t, mux, path); code != want {
+							t.Errorf("gov=%v sketch=%v cluster=%v traced=%v: GET %s = %d, want %d",
+								gov, sketch, cluster, traced, path, code, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

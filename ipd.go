@@ -38,9 +38,7 @@ import (
 	"ipd/internal/export"
 	"ipd/internal/flow"
 	"ipd/internal/governor"
-	"ipd/internal/introspect"
 	"ipd/internal/journal"
-	"ipd/internal/persist"
 	"ipd/internal/stattime"
 	"ipd/internal/telemetry"
 	"ipd/internal/timeline"
@@ -175,8 +173,6 @@ type (
 	GovernorConfig = governor.Config
 	// GovernorState is the operating mode: normal, degraded, or emergency.
 	GovernorState = governor.State
-	// GovernorUsage is one point-in-time resource reading.
-	GovernorUsage = governor.Usage
 	// GovernorSnapshot is the JSON view served at /ipd/governor.
 	GovernorSnapshot = governor.Snapshot
 	// GovernorBudgetStatus is one budget axis inside a snapshot.
@@ -192,38 +188,26 @@ const (
 
 // NewGovernor validates cfg, applies threshold defaults (0.8 degraded,
 // 0.95 emergency, 0.6 recover, 3 hold cycles), and returns a governor in
-// the normal state. Wire it into an engine via Config.Governor, into the
-// ingest queue via IngestQueue.SetAdmission(g.AdmitIngest), into the
-// watchdog via Watchdog.SetGovernor, and into the introspection surface via
-// IntrospectHandler.SetGovernor.
+// the normal state. Wire it into an engine via Config.Governor and into the
+// ingest queue via IngestQueue.SetAdmission(g.AdmitIngest).
 func NewGovernor(cfg GovernorConfig) (*Governor, error) { return governor.New(cfg) }
 
 // Decision-provenance types. A Journal records the engine's lifecycle
-// events (attach it via Config.OnEvent = j.Record); the introspection
-// handler serves the /ipd/* explain API over a live source and its journal.
-// A recorded decision log replays through ReplayJournalTail into
-// Engine.ApplyEvent (see there).
+// events (attach it via Config.OnEvent = j.Record). A recorded decision log
+// replays through ReplayJournalTail into Engine.ApplyEvent (see there).
 type (
 	// Journal is a bounded ring of lifecycle events with per-prefix
 	// history and an optional JSONL sink.
 	Journal = journal.Journal
 	// JournalOptions configures a Journal (capacity, sink, telemetry).
 	JournalOptions = journal.Options
-	// IntrospectSource is the live engine view the /ipd/* handlers read;
-	// *Server implements it.
-	IntrospectSource = introspect.Source
-	// IntrospectHandler serves /ipd/ranges, /ipd/range, /ipd/explain,
-	// /ipd/events, /ipd/traces, /ipd/timeline, and /ipd/alerts.
-	IntrospectHandler = introspect.Handler
 )
 
 // Longitudinal-observability types. A TimelineCollector samples the engine at
 // the end of every stage-2 cycle into a bounded multi-resolution time-series
 // store and runs the flap/drift/convergence analytics over the history. Wire
-// it with Config.OnCycle = c.OnCycle, chain c.ObserveEvent into the
-// Config.OnEvent callback after the journal, and attach it to the
-// introspection surface via IntrospectHandler.SetTimeline (enabling
-// /ipd/timeline and /ipd/alerts).
+// it with Config.OnCycle = c.OnCycle and chain c.ObserveEvent into the
+// Config.OnEvent callback after the journal.
 type (
 	// TimelineCollector binds the store and analytics to an engine.
 	TimelineCollector = timeline.Collector
@@ -258,8 +242,7 @@ func NewTimelineCollector(opts TimelineOptions) *TimelineCollector {
 // t.IngressCoverage (classifications made over a degraded feed carry a
 // ReasonDegradedCoverage annotation), the timeline via
 // TimelineCollector.SetExporterHealth (which drives the cycle ticks and the
-// exporter-loss/stale/clock-skew alerts), and the introspection surface via
-// IntrospectHandler.SetExporterHealth (/ipd/exporters).
+// exporter-loss/stale/clock-skew alerts).
 type (
 	// ExporterHealth is the per-exporter feed health tracker.
 	ExporterHealth = exphealth.Tracker
@@ -294,8 +277,7 @@ func NewExporterHealth(opts ExporterHealthOptions) *ExporterHealth {
 // export-to-ingest/-commit latency. Feed it from Server.SetWorkload (batch
 // drain path) or per record via ObserveRecord; drive cycles via
 // TimelineCollector.SetWorkload (which also runs the AlertHotPrefix
-// hysteresis); serve it at /ipd/workload via IntrospectHandler.SetWorkload;
-// expose ipd_workload_* metrics via RegisterMetrics.
+// hysteresis); expose ipd_workload_* metrics via RegisterMetrics.
 type (
 	// WorkloadProfiler is the workload profiler.
 	WorkloadProfiler = workload.Profiler
@@ -323,9 +305,7 @@ func NewWorkloadProfiler(opts WorkloadOptions) *WorkloadProfiler {
 // whole pipeline — flow decode, statistical-time binning, stage-1 Observe
 // (all sampled 1-in-N), and every stage-2 cycle phase — into a bounded
 // lock-free flight recorder. Attach one via Config.Tracer, the SetTracer
-// methods of TraceReader and the stattime binner, and
-// IntrospectHandler.SetTraces; subscribe a Watchdog with Tracer.SetOnSpan to
-// derive /healthz (stall) and /readyz (overrun) from the cycle spans.
+// methods of TraceReader and the stattime binner.
 type (
 	// Tracer produces pipeline spans; nil is a valid disabled tracer.
 	Tracer = trace.Tracer
@@ -338,26 +318,12 @@ type (
 	TracePhase = trace.Phase
 	// TraceRecorder is the bounded lock-free flight recorder spans land in.
 	TraceRecorder = trace.Recorder
-	// Watchdog derives pipeline health from stage-2 cycle spans.
-	Watchdog = core.Watchdog
-	// WatchdogConfig parameterizes the watchdog (bucket interval, overrun
-	// fraction, stall factor).
-	WatchdogConfig = core.WatchdogConfig
 )
 
 // NewTracer returns a pipeline tracer; wire it via Config.Tracer (cycle and
 // Observe spans), TraceReader.SetTracer, and the stattime binner's
 // SetTracer.
 func NewTracer(opts TracerOptions) *Tracer { return trace.New(opts) }
-
-// NewWatchdog returns a cycle watchdog; subscribe it to a tracer with
-// tracer.SetOnSpan(w.ObserveSpan) and mount w.HealthzHandler /
-// w.ReadyzHandler on the debug mux.
-func NewWatchdog(cfg WatchdogConfig) (*Watchdog, error) { return core.NewWatchdog(cfg) }
-
-// WriteChromeTrace writes spans in Chrome trace-event format, loadable in
-// Perfetto (ui.perfetto.dev) or chrome://tracing.
-func WriteChromeTrace(w io.Writer, spans []TraceSpan) error { return trace.WriteChrome(w, spans) }
 
 // NewJournal returns a decision journal; attach it to an engine with
 // Config.OnEvent = j.Record (respecting the OnEvent reentrancy contract —
@@ -369,33 +335,15 @@ func NewJournal(opts JournalOptions) *Journal { return journal.New(opts) }
 // that differs; nil means a replay reproduced the run.
 func DiffPartitions(want, got []RangeInfo) error { return core.DiffPartitions(want, got) }
 
-// Crash-safety types. A CheckpointManager rotates CRC-guarded checkpoint
-// files (atomic rename writes, newest-first restore with fallback past
-// corruption); an IngestQueue is the bounded shed-oldest overload buffer
-// between collectors and Server.RunQueue. See Engine.MarshalState /
+// Crash-safety types. An IngestQueue is the bounded shed-oldest overload
+// buffer between collectors and Server.RunQueue. See Engine.MarshalState /
 // UnmarshalState, Server.EncodeCheckpoint / RestoreCheckpoint /
 // SetCheckpoint, and ReplayJournalTail for the full recovery recipe.
 type (
-	// CheckpointManager writes, rotates, and restores checkpoint files.
-	CheckpointManager = persist.Manager
-	// CheckpointOptions configures a CheckpointManager (directory, retained
-	// file count, telemetry registry).
-	CheckpointOptions = persist.Options
 	// IngestQueue is the bounded shed-oldest record buffer consumed by
 	// Server.RunQueue.
 	IngestQueue = core.IngestQueue
 )
-
-// ErrNoCheckpoint is returned by CheckpointManager.Load when the checkpoint
-// directory holds no checkpoint (a cold start, not an error condition).
-var ErrNoCheckpoint = persist.ErrNoCheckpoint
-
-// NewCheckpointManager returns a checkpoint manager over opts.Dir (created
-// if missing), registering ipd_checkpoint_* and ipd_restore_* metrics when
-// opts.Registry is set.
-func NewCheckpointManager(opts CheckpointOptions) (*CheckpointManager, error) {
-	return persist.NewManager(opts)
-}
 
 // NewIngestQueue returns a bounded ingest queue (see IngestQueue).
 func NewIngestQueue(capacity int) *IngestQueue { return core.NewIngestQueue(capacity) }
@@ -409,12 +357,6 @@ func ReplayJournalTail(r io.Reader, afterSeq uint64, apply func(Event) error) (i
 	return journal.ReplayTail(r, afterSeq, apply)
 }
 
-// NewIntrospectHandler returns the /ipd/* introspection handler over src
-// (typically a *Server) and an optional journal (nil disables history).
-func NewIntrospectHandler(src IntrospectSource, j *Journal) *IntrospectHandler {
-	return introspect.New(src, j)
-}
-
 // Edge→core delta-shipping types. A DeltaSender runs on an edge collector
 // and ships stage-1 flow records to a central core over a resilient framed
 // TCP transport (exponential backoff with jitter, heartbeats, a bounded
@@ -422,8 +364,7 @@ func NewIntrospectHandler(src IntrospectSource, j *Journal) *IntrospectHandler {
 // per-edge offsets so a reconnect handshake resumes exactly once, and merges
 // the per-edge streams in deterministic statistical-time order before
 // feeding the engine. The merged central partition is byte-identical to a
-// single-node run over the concatenated input. Wire sender stats into
-// IntrospectHandler.SetCluster and TimelineCollector.SetCluster; pair
+// single-node run over the concatenated input. Pair
 // DeltaReceiverConfig.DurableAcks with EncodeClusterCheckpoint /
 // DecodeClusterCheckpoint + DeltaReceiver.SetApplied for crash-safe cores.
 type (
@@ -444,12 +385,6 @@ type (
 	DeltaReceiverStats = delta.ReceiverStats
 	// DeltaReceiverEdgeStats is one edge's slice of DeltaReceiverStats.
 	DeltaReceiverEdgeStats = delta.ReceiverEdgeStats
-	// ClusterStatus is the /ipd/cluster introspection body (role plus the
-	// role's transport snapshot).
-	ClusterStatus = delta.ClusterStatus
-	// TimelineClusterCounters is the role-agnostic transport counter set a
-	// TimelineCollector turns into per-cycle delta.* series.
-	TimelineClusterCounters = timeline.ClusterCounters
 )
 
 // NewDeltaSender validates cfg, applies defaults (64 KiB spool, 2 s
@@ -548,13 +483,8 @@ type (
 // their own; this is for auxiliary metric sets such as flow-codec counters).
 func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.NewRegistry() }
 
-// RegisterProcessMetrics adds Go-runtime gauges (heap, GC, goroutines) and
-// the ipd_build_info gauge to reg; binaries call it once on their serving
-// registry.
-func RegisterProcessMetrics(reg *TelemetryRegistry) { telemetry.RegisterProcessMetrics(reg) }
-
-// RegisterBuildInfo adds only the constant ipd_build_info gauge (version, go
-// runtime, GOMAXPROCS labels); RegisterProcessMetrics already includes it.
+// RegisterBuildInfo adds the constant ipd_build_info gauge (version, go
+// runtime, GOMAXPROCS labels).
 func RegisterBuildInfo(reg *TelemetryRegistry) { telemetry.RegisterBuildInfo(reg) }
 
 // NewFlowMetrics returns the flow-layer metric set (trace decode outcomes,
