@@ -192,8 +192,9 @@ func run(o *options) error {
 	}
 	gov := n.Governor
 	if gov != nil {
-		// During emergency the queue admits 1 in EmergencyAdmitN offered
-		// records — deterministic, so the surviving subsample stays unbiased.
+		// During emergency the queue admits 1 in 8 offered records (the
+		// governor's emergencyAdmitN) — deterministic, so the surviving
+		// subsample stays unbiased.
 		queue.SetAdmission(gov.AdmitIngest)
 	}
 	sampling := o.sample > 1 || gov != nil

@@ -541,7 +541,7 @@ func (e *Engine) runCycle(now time.Time) {
 	e.hydroBudget = math.Inf(1)
 	if e.sk != nil && e.gov != nil {
 		if gcfg := e.gov.Config(); gcfg.MaxIPStates > 0 {
-			e.hydroBudget = gcfg.RecoverFraction*float64(gcfg.MaxIPStates) - float64(e.ipCount)
+			e.hydroBudget = governor.RecoverFraction*float64(gcfg.MaxIPStates) - float64(e.ipCount)
 		}
 	}
 

@@ -57,17 +57,16 @@ func (e *Engine) govern(now time.Time) int {
 	prev := e.gov.State()
 	next := e.gov.Evaluate(governor.Usage{Ranges: e.idx.len(), IPStates: e.ipCount})
 	if next != prev {
-		cfg := e.gov.Config()
 		util := e.gov.Snapshot().Utilization
 		reason := Reason{Code: ReasonOverBudget, Observed: util}
 		switch {
 		case next == governor.StateEmergency:
-			reason.Threshold = cfg.EmergencyFraction
+			reason.Threshold = governor.EmergencyFraction
 		case next > prev:
-			reason.Threshold = cfg.DegradedFraction
+			reason.Threshold = governor.DegradedFraction
 		default:
 			reason = Reason{Code: ReasonBudgetRecovered, Observed: util,
-				Threshold: cfg.RecoverFraction, Samples: float64(cfg.HoldCycles)}
+				Threshold: governor.RecoverFraction, Samples: governor.HoldCycles}
 		}
 		e.emit(Event{Kind: EventGovernor, At: now, Reason: reason, Detail: next.String()})
 	}
@@ -124,10 +123,10 @@ type compactCand struct {
 // hysteresis room to actually downgrade afterwards.
 func (e *Engine) overRecoverTarget() bool {
 	cfg := e.gov.Config()
-	if cfg.MaxRanges > 0 && float64(e.idx.len()) > cfg.RecoverFraction*float64(cfg.MaxRanges) {
+	if cfg.MaxRanges > 0 && float64(e.idx.len()) > governor.RecoverFraction*float64(cfg.MaxRanges) {
 		return true
 	}
-	if cfg.MaxIPStates > 0 && float64(e.ipCount) > cfg.RecoverFraction*float64(cfg.MaxIPStates) {
+	if cfg.MaxIPStates > 0 && float64(e.ipCount) > governor.RecoverFraction*float64(cfg.MaxIPStates) {
 		return true
 	}
 	return false

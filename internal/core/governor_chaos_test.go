@@ -56,13 +56,7 @@ func chaosIngress(v uint64) flow.Ingress {
 // splits must be accounted.
 func TestScanTrafficMixedFamilyRangeCap(t *testing.T) {
 	const maxRanges = 24
-	g, err := governor.New(governor.Config{
-		MaxRanges:         maxRanges,
-		DegradedFraction:  0.5,
-		EmergencyFraction: 0.9,
-		RecoverFraction:   0.3,
-		HoldCycles:        2,
-	})
+	g, err := governor.New(governor.Config{MaxRanges: maxRanges})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +93,7 @@ func TestScanTrafficMixedFamilyRangeCap(t *testing.T) {
 // mutate the partition aggressively — while reader goroutines continuously
 // take snapshots, range lookups, and governor snapshots.
 func TestServerSnapshotsDuringEmergencyCompaction(t *testing.T) {
-	g, err := governor.New(governor.Config{
-		MaxIPStates:       100,
-		DegradedFraction:  0.5,
-		EmergencyFraction: 0.8,
-		RecoverFraction:   0.3,
-		HoldCycles:        2,
-	})
+	g, err := governor.New(governor.Config{MaxIPStates: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

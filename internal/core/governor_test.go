@@ -96,18 +96,11 @@ func TestMaxIPStatesCap(t *testing.T) {
 	}
 }
 
-// governedEngine builds a testConfig engine whose governor budgets 500
-// per-IP entries with thresholds degraded 0.5 / emergency 0.8 / recover 0.3
-// and a 2-cycle hold, collecting all events.
+// governedEngine builds a testConfig engine whose governor budgets 360
+// per-IP entries, collecting all events.
 func governedEngine(t *testing.T) (*Engine, *governor.Governor, *[]Event) {
 	t.Helper()
-	g, err := governor.New(governor.Config{
-		MaxIPStates:       500,
-		DegradedFraction:  0.5,
-		EmergencyFraction: 0.8,
-		RecoverFraction:   0.3,
-		HoldCycles:        2,
-	})
+	g, err := governor.New(governor.Config{MaxIPStates: 360})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,20 +131,20 @@ func governorTrail(events []Event) []string {
 // emergency, emergency compaction reclaims the state, and the hysteresis
 // walks back down to normal over the following calm cycles.
 func driveGovernedOverload(e *Engine) {
-	// Cycle 1: 150 entries (util 0.3, normal); the mixed v4 root splits.
+	// Cycle 1: 150 entries (util 0.42, normal); the mixed v4 root splits.
 	feedMixed(e, base, netip.MustParseAddr("10.0.0.0"), 150)
 	e.AdvanceTo(base.Add(1 * time.Minute))
-	// Cycle 2: +150 fresh entries -> 300 (util 0.6): degraded.
+	// Cycle 2: +150 fresh entries -> 300 (util 0.83): degraded.
 	feedMixed(e, base.Add(1*time.Minute), netip.MustParseAddr("10.1.0.0"), 150)
 	e.AdvanceTo(base.Add(2 * time.Minute))
-	// Cycle 3: cycle-1 entries expire (E=2m), +300 fresh -> 450 (util 0.9):
+	// Cycle 3: cycle-1 entries expire (E=2m), +300 fresh -> 450 (util 1.25):
 	// emergency, and the compaction pass force-joins the populated subtree.
 	feedMixed(e, base.Add(2*time.Minute), netip.MustParseAddr("10.2.0.0"), 300)
 	e.AdvanceTo(base.Add(3 * time.Minute))
-	// Cycles 4-7: silence. Utilization is back under recover, so the hold
-	// counter walks the state down: emergency -> degraded (cycle 5) ->
-	// normal (cycle 7).
-	e.AdvanceTo(base.Add(7 * time.Minute))
+	// Cycles 4-9: silence. Utilization is back under recover, so the hold
+	// counter walks the state down: emergency -> degraded (cycle 6) ->
+	// normal (cycle 9).
+	e.AdvanceTo(base.Add(9 * time.Minute))
 }
 
 // TestGovernorLifecycleHysteresis drives the full governed overload
@@ -190,8 +183,7 @@ func TestGovernorLifecycleHysteresis(t *testing.T) {
 		}
 	}
 	// Compaction reclaimed the per-IP population below the recover target.
-	cfg := g.Config()
-	if tgt := int(cfg.RecoverFraction * float64(cfg.MaxIPStates)); e.IPStateCount() > tgt {
+	if tgt := int(governor.RecoverFraction * float64(g.Config().MaxIPStates)); e.IPStateCount() > tgt {
 		t.Errorf("IPStateCount = %d after recovery, want <= %d", e.IPStateCount(), tgt)
 	}
 	// The governor transitions are all journaled with budget reasons.
@@ -359,7 +351,7 @@ func TestWatchdogGovernorReadiness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := governor.New(governor.Config{MaxRanges: 10, HoldCycles: 1})
+	g, err := governor.New(governor.Config{MaxRanges: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,9 +374,11 @@ func TestWatchdogGovernorReadiness(t *testing.T) {
 	if body, code := probe(t, w.HealthzHandler()); code != 200 {
 		t.Errorf("healthz = %d %q, want 200 (emergency must not flip liveness)", code, body)
 	}
-	// Recover: two calm evaluations walk emergency -> degraded -> normal.
-	g.Evaluate(governor.Usage{Ranges: 0})
-	g.Evaluate(governor.Usage{Ranges: 0})
+	// Recover: a hold of calm evaluations per step walks emergency ->
+	// degraded -> normal.
+	for i := 0; i < 2*governor.HoldCycles; i++ {
+		g.Evaluate(governor.Usage{Ranges: 0})
+	}
 	if g.State() != governor.StateNormal {
 		t.Fatalf("state = %v after calm evaluations, want normal", g.State())
 	}

@@ -16,17 +16,6 @@ type WatchdogConfig struct {
 	// Interval is the stage-2 bucket interval t (Config.T). Required.
 	Interval time.Duration
 
-	// MaxCycleFraction is the fraction of Interval a cycle may take before
-	// it counts as an overrun (the paper's deployment-viability requirement
-	// is that cycles finish well inside t). 0 means 0.8.
-	MaxCycleFraction float64
-
-	// StallFactor is the multiple of Interval after which the absence of a
-	// completed cycle flips liveness: no cycle within StallFactor*Interval
-	// of the last one (or of arming) means the pipeline is stalled. 0 means
-	// 3.
-	StallFactor float64
-
 	// Registry, when non-nil, receives ipd_cycle_overrun_total,
 	// ipd_watchdog_stalled, and ipd_watchdog_last_cycle_age_seconds.
 	Registry *telemetry.Registry
@@ -35,15 +24,26 @@ type WatchdogConfig struct {
 	Now func() time.Time
 }
 
+const (
+	// maxCycleFraction is the fraction of the interval a cycle may take
+	// before it counts as an overrun (the paper's deployment-viability
+	// requirement is that cycles finish well inside t).
+	maxCycleFraction = 0.8
+	// stallFactor is the multiple of the interval after which the absence
+	// of a completed cycle flips liveness: no cycle within stallFactor*t of
+	// the last one (or of arming) means the pipeline is stalled.
+	stallFactor = 3
+)
+
 // Watchdog watches stage-2 cycle spans and derives the health of the
 // pipeline from them, lazily at request time — no background goroutine.
 //
 //   - Healthy (liveness, /healthz): a cycle completed within
-//     StallFactor*Interval of now (measured from arming before the first
+//     stallFactor*Interval of now (measured from arming before the first
 //     cycle). A stalled pipeline — wedged ingest, a cycle that never
 //     returns — goes unhealthy.
 //   - Ready (readiness, /readyz): Healthy, and the last completed cycle did
-//     not overrun MaxCycleFraction*Interval. An overloaded instance stops
+//     not overrun maxCycleFraction*Interval. An overloaded instance stops
 //     being ready before it stops being alive.
 //
 // Subscribe it to a Tracer with tracer.SetOnSpan(w.ObserveSpan); only
@@ -70,28 +70,14 @@ func NewWatchdog(cfg WatchdogConfig) (*Watchdog, error) {
 	if cfg.Interval <= 0 {
 		return nil, fmt.Errorf("core: watchdog Interval %v must be positive", cfg.Interval)
 	}
-	frac := cfg.MaxCycleFraction
-	if frac == 0 {
-		frac = 0.8
-	}
-	if frac < 0 || frac > 1 {
-		return nil, fmt.Errorf("core: watchdog MaxCycleFraction %v must be in (0, 1]", frac)
-	}
-	factor := cfg.StallFactor
-	if factor == 0 {
-		factor = 3
-	}
-	if factor < 1 {
-		return nil, fmt.Errorf("core: watchdog StallFactor %v must be >= 1", factor)
-	}
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
 	}
 	w := &Watchdog{
 		interval:   cfg.Interval,
-		maxCycle:   time.Duration(frac * float64(cfg.Interval)),
-		stallAfter: time.Duration(factor * float64(cfg.Interval)),
+		maxCycle:   time.Duration(maxCycleFraction * float64(cfg.Interval)),
+		stallAfter: time.Duration(stallFactor * float64(cfg.Interval)),
 		now:        now,
 		armed:      now().UnixNano(),
 	}

@@ -32,10 +32,6 @@ type ReceiverConfig struct {
 	// Heartbeat must match the senders'; read deadlines are 4x this. <= 0
 	// selects DefaultHeartbeat.
 	Heartbeat time.Duration
-	// BufferCap bounds each edge's pending (received, not yet emitted)
-	// records; past it the edge's reader blocks, pushing backpressure onto
-	// TCP. <= 0 selects DefaultBufferCap.
-	BufferCap int
 	// MergeStall, when > 0, excludes an edge from the merge gate after it
 	// has been silent that long — trading determinism for liveness when an
 	// edge dies mid-stream. 0 (the default) never excludes: a silent edge
@@ -56,9 +52,9 @@ type ReceiverConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// DefaultBufferCap bounds per-edge pending records when the config leaves
-// BufferCap zero.
-const DefaultBufferCap = 1 << 16
+// bufferCap bounds each edge's pending (received, not yet emitted) records;
+// past it the edge's reader blocks, pushing backpressure onto TCP.
+const bufferCap = 1 << 16
 
 // keyedRec is one pending record with its merge key and edge offset.
 type keyedRec struct {
@@ -149,9 +145,6 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = DefaultHeartbeat
-	}
-	if cfg.BufferCap <= 0 {
-		cfg.BufferCap = DefaultBufferCap
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -492,7 +485,7 @@ func (r *Receiver) ingestFrame(e *edgeState, sess uint64, f Frame) bool {
 
 	// Backpressure: hold this edge's reader until the merge consumes its
 	// backlog (progress comes from other edges' watermarks advancing).
-	for e.pending() > r.cfg.BufferCap && !r.closed && e.sess == sess {
+	for e.pending() > bufferCap && !r.closed && e.sess == sess {
 		waker := time.AfterFunc(r.cfg.Heartbeat, r.cond.Broadcast)
 		r.cond.Wait()
 		waker.Stop()

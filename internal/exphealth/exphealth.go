@@ -90,38 +90,39 @@ type Options struct {
 	// Default 5m.
 	SkewMax time.Duration
 
-	// DegradedBelow is the coverage floor: an ingress whose routers'
-	// feeds score below it has classifications annotated with
-	// ReasonDegradedCoverage. Default 0.9.
-	DegradedBelow float64
-
-	// LossAlpha, RateAlpha, SkewAlpha are EWMA smoothing factors for the
-	// loss fraction, per-cycle record rate, and clock skew estimates.
-	// Defaults 0.5, 0.3, 0.2.
-	LossAlpha float64
-	RateAlpha float64
-	SkewAlpha float64
-
-	// ReorderTolerance bounds how far backwards a datagram's sequence
-	// may sit from the expected value and still be treated as late
-	// delivery (netted against booked loss) rather than an exporter
-	// restart. In records. Default 4096.
-	ReorderTolerance uint32
-
-	// MaxForwardGap bounds how large a forward sequence gap is believed
-	// as loss; anything larger is an exporter restart with a re-seeded
-	// counter. In records. Default 1<<26.
-	MaxForwardGap uint32
-
-	// MaxExporters bounds tracked feeds; feeds beyond it are counted as
-	// dropped and not tracked. Default 4096.
-	MaxExporters int
-
 	// Now supplies the collector wall clock used for skew measurement.
 	// Injectable so deterministic harnesses can pin it to virtual time.
 	// Default time.Now.
 	Now func() time.Time
 }
+
+const (
+	// degradedBelow is the coverage floor: an ingress whose routers' feeds
+	// score below it has classifications annotated with
+	// ReasonDegradedCoverage.
+	degradedBelow = 0.9
+
+	// lossAlpha, rateAlpha and skewAlpha are the EWMA smoothing factors for
+	// the loss fraction, per-cycle record rate, and clock skew estimates.
+	lossAlpha = 0.5
+	rateAlpha = 0.3
+	skewAlpha = 0.2
+
+	// reorderTolerance bounds how far backwards a datagram's sequence may
+	// sit from the expected value and still be treated as late delivery
+	// (netted against booked loss) rather than an exporter restart. In
+	// records.
+	reorderTolerance = 4096
+
+	// maxForwardGap bounds how large a forward sequence gap is believed as
+	// loss; anything larger is an exporter restart with a re-seeded
+	// counter. In records.
+	maxForwardGap = 1 << 26
+
+	// maxExporters bounds tracked feeds; feeds beyond it are counted as
+	// dropped and not tracked.
+	maxExporters = 4096
+)
 
 func (o Options) withDefaults() Options {
 	if o.StaleAfter <= 0 {
@@ -129,27 +130,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SkewMax <= 0 {
 		o.SkewMax = 5 * time.Minute
-	}
-	if o.DegradedBelow <= 0 || o.DegradedBelow > 1 {
-		o.DegradedBelow = 0.9
-	}
-	if o.LossAlpha <= 0 || o.LossAlpha > 1 {
-		o.LossAlpha = 0.5
-	}
-	if o.RateAlpha <= 0 || o.RateAlpha > 1 {
-		o.RateAlpha = 0.3
-	}
-	if o.SkewAlpha <= 0 || o.SkewAlpha > 1 {
-		o.SkewAlpha = 0.2
-	}
-	if o.ReorderTolerance == 0 {
-		o.ReorderTolerance = 4096
-	}
-	if o.MaxForwardGap == 0 {
-		o.MaxForwardGap = 1 << 26
-	}
-	if o.MaxExporters <= 0 {
-		o.MaxExporters = 4096
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -239,12 +219,12 @@ type Tracker struct {
 	mu      sync.Mutex
 	feeds   map[Key]*feedState
 	order   []*feedState // sorted by key string
-	dropped uint64       // feeds rejected at MaxExporters
+	dropped uint64       // feeds rejected at maxExporters
 
 	// fast is the per-record trace path: RouterID-indexed copy-on-write
 	// slice so ObserveRecord is one bounds check + one atomic add.
 	fast atomic.Pointer[[]*feedState]
-	// blackhole absorbs records for routers past MaxExporters so the
+	// blackhole absorbs records for routers past maxExporters so the
 	// rejected path stays off the mutex.
 	blackhole feedState
 
@@ -286,7 +266,7 @@ func (t *Tracker) feedLocked(key Key) *feedState {
 	if fs, ok := t.feeds[key]; ok {
 		return fs
 	}
-	if len(t.feeds) >= t.opts.MaxExporters {
+	if len(t.feeds) >= maxExporters {
 		t.dropped++
 		return nil
 	}
@@ -354,8 +334,8 @@ func (t *Tracker) ObserveNetFlow(router flow.RouterID, seq uint32, records int, 
 	}
 	fs.datagrams++
 	fs.records.Add(uint64(records))
-	fs.noteSequence(seq, records, t.opts)
-	fs.noteExport(exportTime, t.opts.Now(), t.opts)
+	fs.noteSequence(seq, records)
+	fs.noteExport(exportTime, t.opts.Now())
 	if fs.samplingSet && fs.sampling != sampling {
 		fs.samplingChanges++
 	}
@@ -378,18 +358,18 @@ func (t *Tracker) ObserveIPFIX(router flow.RouterID, domain, seq uint32, dataRec
 	fs.datagrams++
 	fs.records.Add(uint64(dataRecords))
 	fs.templateRecords += uint64(templateRecords)
-	fs.noteSequence(seq, dataRecords, t.opts)
+	fs.noteSequence(seq, dataRecords)
 	if unknownSets > 0 {
 		fs.unknownSets += uint64(unknownSets)
 		fs.seqInit = false // record total unknowable: resync next message
 	}
-	fs.noteExport(exportTime, t.opts.Now(), t.opts)
+	fs.noteExport(exportTime, t.opts.Now())
 }
 
 // noteSequence runs the shared sequence-gap state machine. seq is the
 // counter carried by this datagram (records sent before it), n the records
 // it carries. All arithmetic is uint32 so wraparound at 2^32 behaves.
-func (fs *feedState) noteSequence(seq uint32, n int, opts Options) {
+func (fs *feedState) noteSequence(seq uint32, n int) {
 	next := seq + uint32(n)
 	if !fs.seqInit {
 		fs.seqInit = true
@@ -400,7 +380,7 @@ func (fs *feedState) noteSequence(seq uint32, n int, opts Options) {
 	switch {
 	case delta == 0:
 		fs.nextSeq = next
-	case delta < 0 && delta >= -int64(opts.ReorderTolerance):
+	case delta < 0 && delta >= -reorderTolerance:
 		// A datagram we already booked as lost arrived late (or twice):
 		// net its records back out. Expected sequence stays put.
 		fs.reordered++
@@ -409,7 +389,7 @@ func (fs *feedState) noteSequence(seq uint32, n int, opts Options) {
 		} else {
 			fs.lost = 0
 		}
-	case delta > 0 && delta <= int64(opts.MaxForwardGap):
+	case delta > 0 && delta <= maxForwardGap:
 		fs.lost += uint64(delta)
 		fs.nextSeq = next
 	default:
@@ -420,14 +400,14 @@ func (fs *feedState) noteSequence(seq uint32, n int, opts Options) {
 	}
 }
 
-func (fs *feedState) noteExport(exportTime, now time.Time, opts Options) {
+func (fs *feedState) noteExport(exportTime, now time.Time) {
 	fs.lastExport = exportTime
 	skew := exportTime.Sub(now).Seconds()
 	if !fs.skewInit {
 		fs.skewInit = true
 		fs.skewEWMA = skew
 	} else {
-		fs.skewEWMA += opts.SkewAlpha * (skew - fs.skewEWMA)
+		fs.skewEWMA += skewAlpha * (skew - fs.skewEWMA)
 	}
 	if a := math.Abs(skew); a > fs.maxAbsSkew {
 		fs.maxAbsSkew = a
@@ -508,7 +488,7 @@ func (fs *feedState) fold(at time.Time, opts Options) CycleStat {
 
 	if dr+dl > 0 {
 		inst := float64(dl) / float64(dr+dl)
-		fs.lossEWMA += opts.LossAlpha * (inst - fs.lossEWMA)
+		fs.lossEWMA += lossAlpha * (inst - fs.lossEWMA)
 	}
 
 	rate := float64(dr)
@@ -519,7 +499,7 @@ func (fs *feedState) fold(at time.Time, opts Options) CycleStat {
 	if !fs.haveRate {
 		fs.rateEWMA, fs.haveRate = rate, true
 	} else {
-		fs.rateEWMA += opts.RateAlpha * (rate - fs.rateEWMA)
+		fs.rateEWMA += rateAlpha * (rate - fs.rateEWMA)
 	}
 
 	skewExceeded := fs.skewInit && math.Abs(fs.skewEWMA) >= opts.SkewMax.Seconds()
@@ -570,7 +550,7 @@ func (fs *feedState) fold(at time.Time, opts Options) CycleStat {
 // the first Tick) report full coverage — absence of evidence is not
 // degradation. Lock-free; callable from inside the engine's cycle.
 func (t *Tracker) IngressCoverage(in flow.Ingress) (score, floor float64, degraded bool) {
-	floor = t.opts.DegradedBelow
+	floor = degradedBelow
 	m := t.cov.Load()
 	if m == nil {
 		return 1, floor, false
@@ -644,7 +624,7 @@ func (t *Tracker) Snapshot() Snapshot {
 		DroppedFeeds:      t.dropped,
 		StaleAfterSeconds: t.opts.StaleAfter.Seconds(),
 		SkewMaxSeconds:    t.opts.SkewMax.Seconds(),
-		CoverageFloor:     t.opts.DegradedBelow,
+		CoverageFloor:     degradedBelow,
 		LastTick:          t.lastTick,
 		Exporters:         make([]FeedSnapshot, 0, len(t.order)),
 	}

@@ -2,6 +2,7 @@ package exphealth
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -291,15 +292,25 @@ func TestTickSortedAndSnapshotStable(t *testing.T) {
 }
 
 func TestMaxExportersBound(t *testing.T) {
-	tr := New(Options{MaxExporters: 2, Now: fixedNow(t0)})
-	tr.ObserveNetFlow(1, 0, 1, t0, 0)
-	tr.ObserveNetFlow(2, 0, 1, t0, 0)
-	tr.ObserveNetFlow(3, 0, 1, t0, 0) // over the cap: dropped
-	tr.ObserveRecord(4)               // over the cap: blackholed, no panic
-	tr.ObserveRecord(4)
+	tr := New(Options{Now: fixedNow(t0)})
+	routers := make([]flow.RouterID, maxExporters+1)
+	for i := range routers {
+		routers[i] = flow.RouterID(i + 1)
+	}
+	// Descending key order makes each insert land at the front of the
+	// sorted feed list, keeping the fill linear.
+	sort.Slice(routers, func(i, j int) bool {
+		return Key{Router: routers[i]}.String() > Key{Router: routers[j]}.String()
+	})
+	for _, r := range routers {
+		tr.ObserveNetFlow(r, 0, 1, t0, 0) // the last is over the cap: dropped
+	}
+	over := flow.RouterID(maxExporters + 2)
+	tr.ObserveRecord(over) // over the cap: blackholed, no panic
+	tr.ObserveRecord(over)
 	snap := tr.Snapshot()
-	if snap.TrackedFeeds != 2 {
-		t.Fatalf("TrackedFeeds = %d, want 2", snap.TrackedFeeds)
+	if snap.TrackedFeeds != maxExporters {
+		t.Fatalf("TrackedFeeds = %d, want %d", snap.TrackedFeeds, maxExporters)
 	}
 	if snap.DroppedFeeds != 2 {
 		t.Fatalf("DroppedFeeds = %d, want 2", snap.DroppedFeeds)
@@ -317,12 +328,11 @@ func FuzzNoteSequence(f *testing.F) {
 	f.Add(uint32(60), uint16(30), uint32(30), uint16(30))         // reorder
 	f.Add(uint32(0), uint16(0), uint32(1<<30), uint16(30))        // huge jump
 	f.Fuzz(func(t *testing.T, seq1 uint32, n1 uint16, seq2 uint32, n2 uint16) {
-		opts := Options{}.withDefaults()
 		fs := &feedState{}
-		fs.noteSequence(seq1, int(n1), opts)
-		fs.noteSequence(seq2, int(n2), opts)
-		if fs.lost > uint64(opts.MaxForwardGap) {
-			t.Fatalf("booked %d lost records from one gap (max %d)", fs.lost, opts.MaxForwardGap)
+		fs.noteSequence(seq1, int(n1))
+		fs.noteSequence(seq2, int(n2))
+		if fs.lost > maxForwardGap {
+			t.Fatalf("booked %d lost records from one gap (max %d)", fs.lost, maxForwardGap)
 		}
 	})
 }

@@ -133,24 +133,6 @@ type Config struct {
 	QueueCap   int
 	QueueDepth func() int
 
-	// DegradedFraction and EmergencyFraction are the upgrade thresholds on
-	// each budget's utilization; RecoverFraction is the downgrade
-	// threshold. Defaults 0.8, 0.95, 0.6. Required ordering:
-	// recover < degraded < emergency.
-	DegradedFraction  float64
-	EmergencyFraction float64
-	RecoverFraction   float64
-
-	// HoldCycles is how many consecutive calm evaluations (all budgets
-	// below RecoverFraction) a downgrade requires. Default 3.
-	HoldCycles int
-
-	// EmergencyAdmitN is the admission-control rate during emergency: the
-	// ingest queue accepts 1 in N offered records (deterministic,
-	// counter-based, so the accepted subsample stays unbiased over time).
-	// Default 8.
-	EmergencyAdmitN int
-
 	// ReadHeap overrides the live-heap reading (tests); nil reads
 	// /memory/classes/heap/objects:bytes from runtime/metrics.
 	ReadHeap func() uint64
@@ -170,6 +152,23 @@ type Config struct {
 	// "stop-minting" in the degradation ladder reported by Snapshot.
 	SketchTier bool
 }
+
+// The state machine's thresholds on each budget's utilization.
+// DegradedFraction and EmergencyFraction are the upgrade thresholds and
+// RecoverFraction the downgrade threshold; a downgrade requires HoldCycles
+// consecutive calm evaluations (all budgets below RecoverFraction). The
+// engine compacts down to RecoverFraction, so that the hold can start.
+const (
+	DegradedFraction  = 0.8
+	EmergencyFraction = 0.95
+	RecoverFraction   = 0.6
+	HoldCycles        = 3
+)
+
+// emergencyAdmitN is the admission-control rate during emergency: the
+// ingest queue accepts 1 in emergencyAdmitN offered records (deterministic,
+// counter-based, so the accepted subsample stays unbiased over time).
+const emergencyAdmitN = 8
 
 // BudgetStatus is the per-axis view inside a Snapshot.
 type BudgetStatus struct {
@@ -219,37 +218,10 @@ type Governor struct {
 	lastUtil float64
 }
 
-// New validates cfg, applies defaults, and returns a governor in
-// StateNormal.
+// New validates cfg and returns a governor in StateNormal.
 func New(cfg Config) (*Governor, error) {
-	if cfg.DegradedFraction == 0 {
-		cfg.DegradedFraction = 0.8
-	}
-	if cfg.EmergencyFraction == 0 {
-		cfg.EmergencyFraction = 0.95
-	}
-	if cfg.RecoverFraction == 0 {
-		cfg.RecoverFraction = 0.6
-	}
-	if cfg.HoldCycles == 0 {
-		cfg.HoldCycles = 3
-	}
-	if cfg.EmergencyAdmitN == 0 {
-		cfg.EmergencyAdmitN = 8
-	}
-	if cfg.EmergencyAdmitN < 1 {
-		return nil, fmt.Errorf("governor: EmergencyAdmitN %d must be >= 1", cfg.EmergencyAdmitN)
-	}
 	if cfg.MaxRanges < 0 || cfg.MaxIPStates < 0 || cfg.QueueCap < 0 {
 		return nil, fmt.Errorf("governor: budgets must be >= 0")
-	}
-	if !(cfg.RecoverFraction > 0 && cfg.RecoverFraction < cfg.DegradedFraction &&
-		cfg.DegradedFraction < cfg.EmergencyFraction && cfg.EmergencyFraction <= 1) {
-		return nil, fmt.Errorf("governor: need 0 < recover (%v) < degraded (%v) < emergency (%v) <= 1",
-			cfg.RecoverFraction, cfg.DegradedFraction, cfg.EmergencyFraction)
-	}
-	if cfg.HoldCycles < 1 {
-		return nil, fmt.Errorf("governor: HoldCycles %d must be >= 1", cfg.HoldCycles)
 	}
 	if cfg.ReadHeap == nil {
 		cfg.ReadHeap = readHeapBytes
@@ -305,7 +277,7 @@ func readHeapBytes() uint64 {
 // from the ingest hot path).
 func (g *Governor) State() State { return State(g.state.Load()) }
 
-// Config returns the governor's effective (defaulted) configuration.
+// Config returns the governor's configuration.
 func (g *Governor) Config() Config { return g.cfg }
 
 // budgets assembles the per-axis utilization readings for u. Unlimited axes
@@ -346,18 +318,18 @@ func (g *Governor) Evaluate(u Usage) State {
 	prev := g.State()
 	next := prev
 	switch {
-	case util >= g.cfg.EmergencyFraction:
+	case util >= EmergencyFraction:
 		next = StateEmergency
 		g.hold.Store(0)
-	case util >= g.cfg.DegradedFraction:
+	case util >= DegradedFraction:
 		// Never downgrade here: an emergency recovers through the hysteresis
 		// path below, not by sliding back the moment it dips under 0.95.
 		if next < StateDegraded {
 			next = StateDegraded
 		}
 		g.hold.Store(0)
-	case util < g.cfg.RecoverFraction && prev != StateNormal:
-		if g.hold.Add(1) >= int32(g.cfg.HoldCycles) {
+	case util < RecoverFraction && prev != StateNormal:
+		if g.hold.Add(1) >= HoldCycles {
 			next = prev - 1
 			g.hold.Store(0)
 		}
@@ -384,13 +356,13 @@ func (g *Governor) Evaluate(u Usage) State {
 }
 
 // AdmitIngest is the ingest-queue admission predicate: every record is
-// admitted outside emergency; during emergency 1 in EmergencyAdmitN is.
+// admitted outside emergency; during emergency 1 in emergencyAdmitN is.
 // Safe for concurrent use (receive loops call it per record).
 func (g *Governor) AdmitIngest() bool {
 	if g.State() != StateEmergency {
 		return true
 	}
-	return g.admitTick.Add(1)%uint64(g.cfg.EmergencyAdmitN) == 0
+	return g.admitTick.Add(1)%emergencyAdmitN == 0
 }
 
 // Transitions returns the cumulative transition count into s.
@@ -418,7 +390,7 @@ func (g *Governor) Snapshot() Snapshot {
 		Actions:      g.State().Actions(g.cfg.SketchTier),
 		Transitions:  total,
 		HoldProgress: g.holdProgress(),
-		HoldCycles:   g.cfg.HoldCycles,
+		HoldCycles:   HoldCycles,
 		Evaluations:  g.evaluations.Value(),
 	}
 }

@@ -18,32 +18,19 @@ func mustNew(t *testing.T, cfg Config) *Governor {
 
 func TestDefaultsAndValidation(t *testing.T) {
 	g := mustNew(t, Config{MaxRanges: 100})
-	cfg := g.Config()
-	if cfg.DegradedFraction != 0.8 || cfg.EmergencyFraction != 0.95 || cfg.RecoverFraction != 0.6 {
-		t.Errorf("unexpected default fractions: %+v", cfg)
-	}
-	if cfg.HoldCycles != 3 {
-		t.Errorf("HoldCycles = %d, want 3", cfg.HoldCycles)
-	}
 	if g.State() != StateNormal {
 		t.Errorf("fresh governor state = %v, want normal", g.State())
 	}
-
-	bad := []Config{
-		{MaxRanges: -1},
-		{DegradedFraction: 0.9, EmergencyFraction: 0.8, RecoverFraction: 0.5},
-		{DegradedFraction: 0.5, EmergencyFraction: 0.9, RecoverFraction: 0.6},
-		{DegradedFraction: 0.8, EmergencyFraction: 1.5, RecoverFraction: 0.6},
+	if hc := g.Snapshot().HoldCycles; hc != HoldCycles {
+		t.Errorf("snapshot HoldCycles = %d, want %d", hc, HoldCycles)
 	}
-	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("config %d: expected error", i)
-		}
+	if _, err := New(Config{MaxRanges: -1}); err == nil {
+		t.Error("negative budget: expected error")
 	}
 }
 
 func TestUpgradeImmediateDowngradeHysteretic(t *testing.T) {
-	g := mustNew(t, Config{MaxRanges: 100, HoldCycles: 2})
+	g := mustNew(t, Config{MaxRanges: 100})
 
 	if s := g.Evaluate(Usage{Ranges: 10}); s != StateNormal {
 		t.Fatalf("calm evaluate = %v, want normal", s)
@@ -56,17 +43,21 @@ func TestUpgradeImmediateDowngradeHysteretic(t *testing.T) {
 	if s := g.Evaluate(Usage{Ranges: 96}); s != StateEmergency {
 		t.Fatalf("96%% = %v, want emergency", s)
 	}
-	// One calm cycle is not enough with HoldCycles 2.
-	if s := g.Evaluate(Usage{Ranges: 10}); s != StateEmergency {
-		t.Fatalf("one calm cycle = %v, want still emergency", s)
+	// Fewer than HoldCycles calm cycles are not enough.
+	for i := 1; i < HoldCycles; i++ {
+		if s := g.Evaluate(Usage{Ranges: 10}); s != StateEmergency {
+			t.Fatalf("%d calm cycles = %v, want still emergency", i, s)
+		}
 	}
-	// Second calm cycle: one step down, not straight to normal.
+	// The HoldCycles-th calm cycle: one step down, not straight to normal.
 	if s := g.Evaluate(Usage{Ranges: 10}); s != StateDegraded {
-		t.Fatalf("two calm cycles = %v, want degraded", s)
+		t.Fatalf("%d calm cycles = %v, want degraded", HoldCycles, s)
 	}
-	g.Evaluate(Usage{Ranges: 10})
+	for i := 1; i < HoldCycles; i++ {
+		g.Evaluate(Usage{Ranges: 10})
+	}
 	if s := g.Evaluate(Usage{Ranges: 10}); s != StateNormal {
-		t.Fatalf("four calm cycles = %v, want normal", s)
+		t.Fatalf("%d calm cycles = %v, want normal", 2*HoldCycles, s)
 	}
 	if n := g.Transitions(StateEmergency); n != 1 {
 		t.Errorf("emergency transitions = %d, want 1", n)
@@ -77,12 +68,16 @@ func TestUpgradeImmediateDowngradeHysteretic(t *testing.T) {
 }
 
 func TestMidBandResetsHold(t *testing.T) {
-	g := mustNew(t, Config{MaxRanges: 100, HoldCycles: 2})
+	g := mustNew(t, Config{MaxRanges: 100})
 	g.Evaluate(Usage{Ranges: 85}) // degraded
-	g.Evaluate(Usage{Ranges: 10}) // hold 1
+	for i := 1; i < HoldCycles; i++ {
+		g.Evaluate(Usage{Ranges: 10}) // one short of the hold
+	}
 	// 70% sits between recover (60%) and degraded (80%): resets the hold.
 	g.Evaluate(Usage{Ranges: 70})
-	g.Evaluate(Usage{Ranges: 10}) // hold 1 again
+	for i := 1; i < HoldCycles; i++ {
+		g.Evaluate(Usage{Ranges: 10}) // one short of the hold again
+	}
 	if s := g.State(); s != StateDegraded {
 		t.Fatalf("state = %v, want degraded (hold must have reset)", s)
 	}

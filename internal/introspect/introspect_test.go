@@ -458,7 +458,7 @@ func TestGovernorEndpoint(t *testing.T) {
 	if code, _ := get(t, New(e, Attached{Journal: j}), "/ipd/governor"); code != http.StatusNotFound {
 		t.Errorf("governor without attachment = %d, want 404", code)
 	}
-	g, err := governor.New(governor.Config{MaxRanges: 10, HoldCycles: 2})
+	g, err := governor.New(governor.Config{MaxRanges: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,6 +472,9 @@ func TestGovernorEndpoint(t *testing.T) {
 	}
 	if got := body["utilization"]; got != 1.0 {
 		t.Errorf("utilization = %v, want 1", got)
+	}
+	if got := body["hold_cycles"]; got != float64(governor.HoldCycles) {
+		t.Errorf("hold_cycles = %v, want %d", got, governor.HoldCycles)
 	}
 	budgets, ok := body["budgets"].([]any)
 	if !ok || len(budgets) == 0 {

@@ -33,7 +33,7 @@ func fullHandler(t *testing.T) *Handler {
 	t.Helper()
 	e, j := quadrantEngine(t)
 	tr := trace.New(trace.Options{Capacity: 16, SampleN: 1})
-	g, err := governor.New(governor.Config{MaxRanges: 10, HoldCycles: 2})
+	g, err := governor.New(governor.Config{MaxRanges: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -302,13 +302,7 @@ func TestEventJSONRoundTrip(t *testing.T) {
 // EventQuarantined alongside the ordinary lifecycle kinds.
 func driveGovernedEngine(t *testing.T, cfg core.Config) *core.Engine {
 	t.Helper()
-	g, err := governor.New(governor.Config{
-		MaxIPStates:       500,
-		DegradedFraction:  0.5,
-		EmergencyFraction: 0.8,
-		RecoverFraction:   0.3,
-		HoldCycles:        2,
-	})
+	g, err := governor.New(governor.Config{MaxIPStates: 360})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +342,7 @@ func driveGovernedEngine(t *testing.T, cfg core.Config) *core.Engine {
 	e.AdvanceTo(base.Add(2 * time.Minute)) // degraded
 	feedMixed(base.Add(2*time.Minute), "10.2.0.0", 300)
 	e.AdvanceTo(base.Add(3 * time.Minute)) // emergency + compaction
-	e.AdvanceTo(base.Add(7 * time.Minute)) // hysteresis back to normal
+	e.AdvanceTo(base.Add(9 * time.Minute)) // hysteresis back to normal
 	if !faulted {
 		t.Fatal("fault never injected; governed workload shape changed")
 	}

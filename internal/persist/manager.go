@@ -10,11 +10,11 @@ import (
 	"ipd/internal/telemetry"
 )
 
-// DefaultKeep is how many checkpoint files a Manager retains when
-// Options.Keep is unset: the newest plus one fallback, so a checkpoint that
-// turns out corrupt (torn write discovered at restore) still leaves a valid
-// predecessor.
-const DefaultKeep = 2
+// keep is how many checkpoint files a Manager retains (older ones are pruned
+// after each successful save): the newest plus one fallback, so a checkpoint
+// that turns out corrupt (torn write discovered at restore) still leaves a
+// valid predecessor.
+const keep = 2
 
 // ErrNoCheckpoint is returned by Load when the directory holds no
 // checkpoint files at all (a cold start, not a failure).
@@ -24,9 +24,6 @@ var ErrNoCheckpoint = errors.New("persist: no checkpoint found")
 type Options struct {
 	// Dir is the checkpoint directory; it is created if missing.
 	Dir string
-	// Keep bounds how many checkpoint files are retained (older ones are
-	// pruned after each successful save). 0 means DefaultKeep.
-	Keep int
 	// Registry, when non-nil, exposes the manager's accounting:
 	// ipd_checkpoint_writes_total, ipd_checkpoint_errors_total,
 	// ipd_checkpoint_bytes, ipd_checkpoint_last_unix, and
@@ -44,8 +41,7 @@ type Options struct {
 // use from one writer and any readers of the metric atomics; Save itself is
 // expected to be called from a single goroutine (the ingest loop).
 type Manager struct {
-	dir  string
-	keep int
+	dir string
 
 	writes   telemetry.Counter
 	errs     telemetry.Counter
@@ -70,13 +66,8 @@ func NewManager(opts Options) (*Manager, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	keep := opts.Keep
-	if keep <= 0 {
-		keep = DefaultKeep
-	}
 	m := &Manager{
-		dir:  opts.Dir,
-		keep: keep,
+		dir: opts.Dir,
 		writeFile: func(path string, data []byte) error {
 			return WriteFileAtomic(path, data, 0o644)
 		},
@@ -142,7 +133,7 @@ func (m *Manager) prune() {
 		m.errs.Inc()
 		return
 	}
-	for _, name := range names[min(len(names), m.keep):] {
+	for _, name := range names[min(len(names), keep):] {
 		if err := os.Remove(filepath.Join(m.dir, name)); err != nil {
 			m.errs.Inc()
 		}

@@ -58,8 +58,8 @@ func TestManagerPrunesOldCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != DefaultKeep {
-		t.Fatalf("kept %d checkpoints, want %d: %v", len(names), DefaultKeep, names)
+	if len(names) != keep {
+		t.Fatalf("kept %d checkpoints, want %d: %v", len(names), keep, names)
 	}
 	// Newest first: seq 5, then seq 4.
 	if names[0] != checkpointName(5) || names[1] != checkpointName(4) {

@@ -10,198 +10,152 @@ import (
 	"ipd/internal/workload"
 )
 
-// AnalyzerConfig parameterizes the three analytics. The zero value selects
-// the defaults below. All thresholds use hysteresis: a raise threshold, a
-// lower clear threshold, and a hold of consecutive calm cycles before the
-// clear — so boundary noise cannot make an alert itself flap.
-type AnalyzerConfig struct {
-	// FlapWindow is the cycle window over which classification transitions
-	// are counted (default 30). FlapRaise transitions in the window raise
-	// the alert (default 4); the alert clears after FlapHold consecutive
-	// evaluations with at most FlapClear transitions in the window
-	// (defaults 1 and 5).
-	FlapWindow int
-	FlapRaise  int
-	FlapClear  int
-	FlapHold   int
+// Alert thresholds. Every alert runs through one hysteresis machine: a raise
+// threshold, a lower clear threshold, and a hold of consecutive calm ticks
+// before the clear, so boundary noise cannot make an alert itself flap.
+const (
+	// A prefix with flapRaise classification transitions within the last
+	// flapWindow cycles raises AlertFlap; it clears after flapHold
+	// consecutive evaluations with at most flapClear transitions in the
+	// window.
+	flapWindow = 30
+	flapRaise  = 4
+	flapClear  = 1
+	flapHold   = 5
 
-	// DriftAlpha is the EWMA smoothing factor for per-ingress traffic share
-	// (default 0.05; one cycle contributes 5%). A share falling at least
-	// DriftDelta below its EWMA raises the drift alert (default 0.25 — a
-	// quarter of total traffic left that ingress); it clears after DriftHold
-	// consecutive cycles with the deficit at most DriftDelta*DriftClearFrac
-	// (defaults 5 and 0.5). Only the collapse direction alerts: shares are
-	// relative, so when one ingress's traffic vanishes every other share
+	// driftAlpha is the EWMA smoothing factor for per-ingress traffic share
+	// (one cycle contributes 5%). A share falling at least driftDelta below
+	// its EWMA raises AlertDrift (a quarter of total traffic left that
+	// ingress); it clears after driftHold consecutive cycles with the
+	// deficit at most driftClear. Only the collapse direction alerts: shares
+	// are relative, so when one ingress's traffic vanishes every other share
 	// inflates mechanically — alerting the complement would double-report a
 	// single episode. Ingresses whose share and EWMA are both below
-	// DriftMinShare are ignored (default 0.02): a 1%-of-traffic ingress
-	// vanishing is churn, not drift. A newly seen ingress initializes its
-	// EWMA to the first observed share, so appearing is never itself drift.
-	DriftAlpha     float64
-	DriftDelta     float64
-	DriftClearFrac float64
-	DriftHold      int
-	DriftMinShare  float64
+	// driftMinShare are ignored: a 1%-of-traffic ingress vanishing is churn,
+	// not drift. A newly seen ingress initializes its EWMA to the first
+	// observed share, so appearing is never itself drift.
+	driftAlpha    = 0.05
+	driftDelta    = 0.25
+	driftClear    = 0.125
+	driftHold     = 5
+	driftMinShare = 0.02
 
-	// ExporterLossRaise is the smoothed sequence-gap loss fraction at
-	// which an exporter feed raises AlertExporterLoss (default 0.05); it
-	// clears after ExporterHold consecutive cycle ticks at or below
-	// ExporterLossClear (defaults 0.01 and 3). The same hold governs the
-	// stale and clock-skew alerts: staleness clears after ExporterHold
-	// ticks of renewed activity, skew after ExporterHold ticks within
-	// half the -skew-max limit. Raise conditions (staleness, skew
-	// excess) come pre-computed from the exphealth tracker, which owns
-	// the -exporter-stale-after/-skew-max thresholds.
-	ExporterLossRaise float64
-	ExporterLossClear float64
-	ExporterHold      int
+	// An exporter feed whose smoothed sequence-gap loss fraction reaches
+	// exporterLossRaise raises AlertExporterLoss; it clears after
+	// exporterHold consecutive cycle ticks at or below exporterLossClear.
+	// The same hold governs the stale and clock-skew alerts: staleness
+	// clears after exporterHold ticks of renewed activity, skew after
+	// exporterHold ticks within half the -skew-max limit. Raise conditions
+	// (staleness, skew excess) come pre-computed from the exphealth tracker,
+	// which owns the -exporter-stale-after/-skew-max thresholds.
+	exporterLossRaise = 0.05
+	exporterLossClear = 0.01
+	exporterHold      = 3
 
-	// HotRaiseShare is the share of the workload profiler's decayed record
-	// mass at which one /24 (IPv6 /48) aggregate raises AlertHotPrefix
-	// (default 0.25); it clears after HotHold consecutive cycles at or
-	// below HotClearShare (defaults 3 and HotRaiseShare*0.4). Cycles whose
-	// profiled mass is below HotMinRecords decide nothing (default 256):
-	// shares over a near-empty window are noise. The machine consumes only
-	// the profiler's deterministic cycle stats, never its wall-clock
-	// latency fields, so hot-prefix alerts replay byte-identically.
-	HotRaiseShare float64
-	HotClearShare float64
-	HotHold       int
-	HotMinRecords uint64
+	// One /24 (IPv6 /48) aggregate holding hotRaiseShare of the workload
+	// profiler's decayed record mass raises AlertHotPrefix; it clears after
+	// hotHold consecutive cycles at or below hotClearShare. Cycles whose
+	// profiled mass is below hotMinRecords decide nothing: shares over a
+	// near-empty window are noise. The machine consumes only the profiler's
+	// deterministic cycle stats, never its wall-clock latency fields, so
+	// hot-prefix alerts replay byte-identically.
+	hotRaiseShare = 0.25
+	hotClearShare = 0.1
+	hotHold       = 3
+	hotMinRecords = 256
 
-	// SketchRaiseShare is the fraction of unclassified ranges running in
-	// the fixed-memory sketch tier at which AlertSketchShare raises
-	// (default 0.5 — half the open questions ride on approximate
-	// evidence); it clears after SketchHold consecutive cycles at or below
-	// SketchClearShare (defaults 3 and SketchRaiseShare*0.5). Cycles with
-	// fewer than SketchMinRanges unclassified ranges decide nothing
-	// (default 8): a share over a handful of ranges is noise. The machine
-	// consumes only CycleSample fields, so the alert replays
-	// byte-identically.
-	SketchRaiseShare float64
-	SketchClearShare float64
-	SketchHold       int
-	SketchMinRanges  int
+	// AlertSketchShare raises when sketchRaiseShare of the unclassified
+	// ranges run in the fixed-memory sketch tier (half the open questions
+	// ride on approximate evidence); it clears after sketchHold consecutive
+	// cycles at or below sketchClearShare. Cycles with fewer than
+	// sketchMinRanges unclassified ranges decide nothing: a share over a
+	// handful of ranges is noise. The machine consumes only CycleSample
+	// fields, so the alert replays byte-identically.
+	sketchRaiseShare = 0.5
+	sketchClearShare = 0.25
+	sketchHold       = 3
+	sketchMinRanges  = 8
 
-	// ConvergenceBuckets are the upper bounds of the creation-to-first-
-	// classification histogram, in cycles (default 1,2,3,5,8,13,21,34,55;
-	// a final +Inf bucket is implicit).
-	ConvergenceBuckets []float64
+	// maxTracked caps the per-subject tracking maps. At the cap the
+	// longest-quiet flap and birth entries are evicted deterministically
+	// (oldest activity, then prefix order), so two identical runs evict
+	// identically; exporter feeds and hot prefixes past it go untracked.
+	maxTracked = 4096
+)
 
-	// MaxTracked caps the per-prefix tracking maps (flap transition history,
-	// convergence birth records). At the cap the longest-quiet entries are
-	// evicted deterministically (oldest activity, then prefix order), so two
-	// identical runs evict identically (default 4096).
-	MaxTracked int
+// convergenceBuckets are the upper bounds of the creation-to-first-
+// classification histogram, in cycles; a final +Inf bucket is implicit.
+var convergenceBuckets = [...]float64{1, 2, 3, 5, 8, 13, 21, 34, 55}
+
+// hysteresis is one raise/clear alert machine. It raises on a tick whose
+// raise condition holds and clears after hold consecutive calm ticks; a
+// tick that is not calm restarts the count, and the raising tick never
+// counts toward the clear.
+type hysteresis struct {
+	alerted bool
+	calm    int
 }
 
-func (c *AnalyzerConfig) withDefaults() AnalyzerConfig {
-	out := *c
-	if out.FlapWindow <= 0 {
-		out.FlapWindow = 30
+// step advances the machine by one tick and reports whether it raised or
+// cleared.
+func (h *hysteresis) step(raise, calm bool, hold int) (raised, cleared bool) {
+	switch {
+	case !h.alerted:
+		if raise {
+			*h = hysteresis{alerted: true}
+		}
+		return raise, false
+	case !calm:
+		h.calm = 0
+		return false, false
+	case h.calm+1 < hold:
+		h.calm++
+		return false, false
 	}
-	if out.FlapRaise <= 0 {
-		out.FlapRaise = 4
+	*h = hysteresis{}
+	return false, true
+}
+
+// emit appends al when a step raised or cleared, stamped with the direction
+// and the threshold of the side that fired.
+func emit(alerts []core.Alert, raised, cleared bool, al core.Alert, raiseAt, clearAt float64) []core.Alert {
+	if !raised && !cleared {
+		return alerts
 	}
-	if out.FlapClear <= 0 {
-		out.FlapClear = 1
+	al.Raise = raised
+	al.Reason.Threshold = clearAt
+	if raised {
+		al.Reason.Threshold = raiseAt
 	}
-	if out.FlapHold <= 0 {
-		out.FlapHold = 5
-	}
-	if out.DriftAlpha <= 0 || out.DriftAlpha > 1 {
-		out.DriftAlpha = 0.05
-	}
-	if out.DriftDelta <= 0 {
-		out.DriftDelta = 0.25
-	}
-	if out.DriftClearFrac <= 0 || out.DriftClearFrac >= 1 {
-		out.DriftClearFrac = 0.5
-	}
-	if out.DriftHold <= 0 {
-		out.DriftHold = 5
-	}
-	if out.DriftMinShare <= 0 {
-		out.DriftMinShare = 0.02
-	}
-	if out.ExporterLossRaise <= 0 {
-		out.ExporterLossRaise = 0.05
-	}
-	if out.ExporterLossClear <= 0 || out.ExporterLossClear >= out.ExporterLossRaise {
-		out.ExporterLossClear = out.ExporterLossRaise / 5
-	}
-	if out.ExporterHold <= 0 {
-		out.ExporterHold = 3
-	}
-	if out.HotRaiseShare <= 0 || out.HotRaiseShare > 1 {
-		out.HotRaiseShare = 0.25
-	}
-	if out.HotClearShare <= 0 || out.HotClearShare >= out.HotRaiseShare {
-		out.HotClearShare = out.HotRaiseShare * 0.4
-	}
-	if out.HotHold <= 0 {
-		out.HotHold = 3
-	}
-	if out.HotMinRecords == 0 {
-		out.HotMinRecords = 256
-	}
-	if out.SketchRaiseShare <= 0 || out.SketchRaiseShare > 1 {
-		out.SketchRaiseShare = 0.5
-	}
-	if out.SketchClearShare <= 0 || out.SketchClearShare >= out.SketchRaiseShare {
-		out.SketchClearShare = out.SketchRaiseShare * 0.5
-	}
-	if out.SketchHold <= 0 {
-		out.SketchHold = 3
-	}
-	if out.SketchMinRanges <= 0 {
-		out.SketchMinRanges = 8
-	}
-	if len(out.ConvergenceBuckets) == 0 {
-		out.ConvergenceBuckets = []float64{1, 2, 3, 5, 8, 13, 21, 34, 55}
-	}
-	if out.MaxTracked <= 0 {
-		out.MaxTracked = 4096
-	}
-	return out
+	return append(alerts, al)
 }
 
 // flapState tracks one prefix's classification transitions. transitions
 // holds the cycles of the most recent transitions (bounded by the raise
 // threshold plus slack — counting above the threshold adds nothing).
 type flapState struct {
+	hysteresis
 	transitions []uint64
 	lastIngress flow.Ingress
 	hasIngress  bool
-	alerted     bool
-	calm        int
 	lastTouch   uint64 // cycle of the last transition (eviction key)
 }
 
-// driftState tracks one ingress's share EWMA. lastDev is the signed deficit
-// (EWMA minus share): positive when traffic left the ingress.
+// driftState tracks one ingress's share EWMA.
 type driftState struct {
-	ewma      float64
-	alerted   bool
-	calm      int
-	lastShare float64
-	lastDev   float64
+	hysteresis
+	ewma float64
 }
 
-// hotState is one aggregate prefix's hot-prefix alert hysteresis.
+// hotState is one aggregate prefix's hot-prefix alert machine.
 type hotState struct {
+	hysteresis
 	ingress flow.Ingress
-	alerted bool
-	calm    int
 }
 
-// exporterState is one feed's alert hysteresis: three independent
-// raise/clear machines (loss, stale, skew) sharing the ExporterHold calm
-// requirement.
+// exporterState is one feed's three alert machines.
 type exporterState struct {
-	router                                 flow.RouterID
-	lossAlerted, staleAlerted, skewAlerted bool
-	lossCalm, staleCalm, skewCalm          int
+	loss, stale, skew hysteresis
 }
 
 // analyzer runs the three analytics. It is not safe for concurrent use; the
@@ -209,23 +163,20 @@ type exporterState struct {
 // consumes is virtual-time and everything it returns is deterministically
 // ordered, so the alert events it produces replay byte-identically.
 type analyzer struct {
-	cfg AnalyzerConfig
-
 	flaps     map[string]*flapState
 	drifts    map[flow.Ingress]*driftState
 	births    map[string]uint64 // prefix -> creation cycle (convergence)
 	exporters map[string]*exporterState
 	hot       map[string]*hotState
 
-	// sketch-share alert hysteresis: one machine, no subject (the alert is
-	// about the pipeline as a whole).
-	sketchAlerted bool
-	sketchCalm    int
+	// sketch is the sketch-share machine: the alert is about the pipeline
+	// as a whole, so it has no subject.
+	sketch hysteresis
 
 	// convergence histogram: counts[i] observes delta <= buckets[i];
 	// the last slot is the +Inf overflow. onConv, when set, mirrors each
 	// observation into the registry histogram.
-	convCounts []uint64
+	convCounts [len(convergenceBuckets) + 1]uint64
 	convTotal  uint64
 	convSum    float64
 	onConv     func(float64)
@@ -235,16 +186,13 @@ type analyzer struct {
 	transitionsThisCycle int
 }
 
-func newAnalyzer(cfg AnalyzerConfig) *analyzer {
-	c := cfg.withDefaults()
+func newAnalyzer() *analyzer {
 	return &analyzer{
-		cfg:        c,
-		flaps:      make(map[string]*flapState),
-		drifts:     make(map[flow.Ingress]*driftState),
-		births:     make(map[string]uint64),
-		exporters:  make(map[string]*exporterState),
-		hot:        make(map[string]*hotState),
-		convCounts: make([]uint64, len(c.ConvergenceBuckets)+1),
+		flaps:     make(map[string]*flapState),
+		drifts:    make(map[flow.Ingress]*driftState),
+		births:    make(map[string]uint64),
+		exporters: make(map[string]*exporterState),
+		hot:       make(map[string]*hotState),
 	}
 }
 
@@ -297,7 +245,7 @@ func (a *analyzer) observeEvent(ev core.Event) {
 }
 
 func (a *analyzer) recordBirth(prefix string, cycle uint64) {
-	if len(a.births) >= a.cfg.MaxTracked {
+	if len(a.births) >= maxTracked {
 		a.evictBirth()
 	}
 	a.births[prefix] = cycle
@@ -324,7 +272,7 @@ func (a *analyzer) evictBirth() {
 func (a *analyzer) flap(prefix string) *flapState {
 	fs := a.flaps[prefix]
 	if fs == nil {
-		if len(a.flaps) >= a.cfg.MaxTracked {
+		if len(a.flaps) >= maxTracked {
 			a.evictFlap()
 		}
 		fs = &flapState{}
@@ -364,9 +312,9 @@ func (a *analyzer) dropFlap(prefix string) {
 func (a *analyzer) noteTransition(fs *flapState, cycle uint64) {
 	a.transitionsThisCycle++
 	fs.lastTouch = cycle
-	// Keep at most FlapRaise+FlapClear+1 recent transition cycles: counting
+	// Keep at most flapRaise+flapClear+1 recent transition cycles: counting
 	// further above the raise threshold never changes a decision.
-	keep := a.cfg.FlapRaise + a.cfg.FlapClear + 1
+	const keep = flapRaise + flapClear + 1
 	if len(fs.transitions) >= keep {
 		copy(fs.transitions, fs.transitions[1:])
 		fs.transitions = fs.transitions[:keep-1]
@@ -374,11 +322,11 @@ func (a *analyzer) noteTransition(fs *flapState, cycle uint64) {
 	fs.transitions = append(fs.transitions, cycle)
 }
 
-// inWindow counts transitions with cycle > cur-window.
-func (fs *flapState) inWindow(cur uint64, window int) int {
+// inWindow counts transitions with cycle > cur-flapWindow.
+func (fs *flapState) inWindow(cur uint64) int {
 	floor := uint64(0)
-	if cur > uint64(window) {
-		floor = cur - uint64(window)
+	if cur > flapWindow {
+		floor = cur - flapWindow
 	}
 	n := 0
 	for _, c := range fs.transitions {
@@ -396,7 +344,7 @@ func (a *analyzer) observeConvergence(delta float64) {
 	if a.onConv != nil {
 		a.onConv(delta)
 	}
-	for i, ub := range a.cfg.ConvergenceBuckets {
+	for i, ub := range convergenceBuckets {
 		if delta <= ub {
 			a.convCounts[i]++
 			return
@@ -423,98 +371,49 @@ func (a *analyzer) evaluate(s core.CycleSample) []core.Alert {
 	return alerts
 }
 
+// sortBySubject orders one machine family's alerts by subject: the prefix
+// for flap alerts, the ingress for drift alerts (whose prefix is empty).
+func sortBySubject(alerts []core.Alert) {
+	sort.Slice(alerts, func(i, j int) bool {
+		if alerts[i].Prefix != alerts[j].Prefix {
+			return alerts[i].Prefix < alerts[j].Prefix
+		}
+		return lessIngress(alerts[i].Ingress, alerts[j].Ingress)
+	})
+}
+
 // evaluateSketch runs the sketch-share alert decision over one cycle sample:
-// the fraction of unclassified ranges in the fixed-memory tier against the
-// raise/clear thresholds with the usual hold. A run without Config.Sketch
-// reports SketchedRanges 0 every cycle, so the machine stays silent for free.
+// the fraction of unclassified ranges in the fixed-memory tier. A run without
+// Config.Sketch reports SketchedRanges 0 every cycle, so the machine stays
+// silent for free.
 func (a *analyzer) evaluateSketch(s core.CycleSample, alerts []core.Alert) []core.Alert {
 	unclassified := s.Ranges - s.Classified
-	if unclassified < a.cfg.SketchMinRanges {
+	if unclassified < sketchMinRanges {
 		// Too few open questions to judge a share; hold the machine.
 		return alerts
 	}
 	share := float64(s.SketchedRanges) / float64(unclassified)
-	reason := func(threshold float64) core.Reason {
-		return core.Reason{Code: core.ReasonSketched, Observed: share,
-			Threshold: threshold, Samples: float64(unclassified),
-			MinSamples: float64(a.cfg.SketchMinRanges)}
-	}
-	if !a.sketchAlerted {
-		if share >= a.cfg.SketchRaiseShare {
-			a.sketchAlerted = true
-			a.sketchCalm = 0
-			alerts = append(alerts, core.Alert{Kind: core.AlertSketchShare, Raise: true,
-				Reason: reason(a.cfg.SketchRaiseShare)})
-		}
-		return alerts
-	}
-	if share <= a.cfg.SketchClearShare {
-		if a.sketchCalm+1 >= a.cfg.SketchHold {
-			a.sketchAlerted = false
-			a.sketchCalm = 0
-			alerts = append(alerts, core.Alert{Kind: core.AlertSketchShare, Raise: false,
-				Reason: reason(a.cfg.SketchClearShare)})
-		} else {
-			a.sketchCalm++
-		}
-	} else {
-		a.sketchCalm = 0
-	}
-	return alerts
+	raised, cleared := a.sketch.step(share >= sketchRaiseShare, share <= sketchClearShare, sketchHold)
+	return emit(alerts, raised, cleared, core.Alert{Kind: core.AlertSketchShare,
+		Reason: core.Reason{Code: core.ReasonSketched, Observed: share,
+			Samples: float64(unclassified), MinSamples: sketchMinRanges}},
+		sketchRaiseShare, sketchClearShare)
 }
 
 func (a *analyzer) evaluateFlaps(cycle uint64, alerts []core.Alert) []core.Alert {
-	// Deterministic iteration: collect the keys that change state, sorted.
-	var changed []string
+	mark := len(alerts)
 	for p, fs := range a.flaps {
-		n := fs.inWindow(cycle, a.cfg.FlapWindow)
-		if !fs.alerted {
-			if n >= a.cfg.FlapRaise {
-				changed = append(changed, p)
-			}
-			continue
-		}
-		if n <= a.cfg.FlapClear {
-			if fs.calm+1 >= a.cfg.FlapHold {
-				changed = append(changed, p)
-			}
+		n := fs.inWindow(cycle)
+		// Every classified range is tracked here, so build an alert only on
+		// a transition.
+		if raised, cleared := fs.step(n >= flapRaise, n <= flapClear, flapHold); raised || cleared {
+			alerts = emit(alerts, raised, cleared, core.Alert{Kind: core.AlertFlap, Prefix: p,
+				Ingress: fs.lastIngress, Reason: core.Reason{Code: core.ReasonFlapRate,
+					Observed: float64(n), Samples: flapWindow}},
+				flapRaise, flapClear)
 		}
 	}
-	sort.Strings(changed)
-	for _, p := range changed {
-		fs := a.flaps[p]
-		n := fs.inWindow(cycle, a.cfg.FlapWindow)
-		if !fs.alerted {
-			fs.alerted = true
-			fs.calm = 0
-			alerts = append(alerts, core.Alert{
-				Kind: core.AlertFlap, Raise: true, Prefix: p, Ingress: fs.lastIngress,
-				Reason: core.Reason{Code: core.ReasonFlapRate,
-					Observed: float64(n), Threshold: float64(a.cfg.FlapRaise),
-					Samples: float64(a.cfg.FlapWindow)},
-			})
-		} else {
-			fs.alerted = false
-			fs.calm = 0
-			alerts = append(alerts, core.Alert{
-				Kind: core.AlertFlap, Raise: false, Prefix: p, Ingress: fs.lastIngress,
-				Reason: core.Reason{Code: core.ReasonFlapRate,
-					Observed: float64(n), Threshold: float64(a.cfg.FlapClear),
-					Samples: float64(a.cfg.FlapWindow)},
-			})
-		}
-	}
-	// Advance the calm counters of alerted entries that did not clear yet.
-	for _, fs := range a.flaps {
-		if !fs.alerted {
-			continue
-		}
-		if fs.inWindow(cycle, a.cfg.FlapWindow) <= a.cfg.FlapClear {
-			fs.calm++
-		} else {
-			fs.calm = 0
-		}
-	}
+	sortBySubject(alerts[mark:])
 	return alerts
 }
 
@@ -525,72 +424,29 @@ func (a *analyzer) evaluateDrift(s core.CycleSample, alerts []core.Alert) []core
 	seen := make(map[flow.Ingress]float64, len(s.Ingress))
 	for _, st := range s.Ingress {
 		seen[st.Ingress] = st.Share
-	}
-	// New ingresses enter tracking with EWMA = first share (appearing is
-	// not drift). Iterate the sorted sample slice so map insertion order is
-	// deterministic (irrelevant for output, but keeps eviction deterministic
-	// too).
-	for _, st := range s.Ingress {
+		// New ingresses enter tracking with EWMA = first share (appearing
+		// is not drift).
 		if _, ok := a.drifts[st.Ingress]; !ok {
 			a.drifts[st.Ingress] = &driftState{ewma: st.Share}
 		}
 	}
 
-	var changed []flow.Ingress
+	mark := len(alerts)
 	for in, ds := range a.drifts {
 		share := seen[in]
 		// Signed deficit: positive when the share fell below its baseline.
 		// A share above baseline (dev < 0) never raises and always counts as
-		// calm for the clear hold.
+		// calm for the clear hold. The raise compares this cycle's share
+		// against the pre-shift baseline: the EWMA moves after the decision.
 		dev := ds.ewma - share
-		ds.lastShare = share
-		ds.lastDev = dev
-		significant := share >= a.cfg.DriftMinShare || ds.ewma >= a.cfg.DriftMinShare
-		if !ds.alerted {
-			if significant && dev >= a.cfg.DriftDelta {
-				changed = append(changed, in)
-			}
-		} else if dev <= a.cfg.DriftDelta*a.cfg.DriftClearFrac {
-			if ds.calm+1 >= a.cfg.DriftHold {
-				changed = append(changed, in)
-			}
-		}
+		significant := share >= driftMinShare || ds.ewma >= driftMinShare
+		raised, cleared := ds.step(significant && dev >= driftDelta, dev <= driftClear, driftHold)
+		alerts = emit(alerts, raised, cleared, core.Alert{Kind: core.AlertDrift, Ingress: in,
+			Reason: core.Reason{Code: core.ReasonShareDrift, Observed: dev, Samples: share}},
+			driftDelta, driftClear)
+		ds.ewma += driftAlpha * (share - ds.ewma)
 	}
-	sort.Slice(changed, func(i, j int) bool { return lessIngress(changed[i], changed[j]) })
-	for _, in := range changed {
-		ds := a.drifts[in]
-		if !ds.alerted {
-			ds.alerted = true
-			ds.calm = 0
-			alerts = append(alerts, core.Alert{
-				Kind: core.AlertDrift, Raise: true, Ingress: in,
-				Reason: core.Reason{Code: core.ReasonShareDrift,
-					Observed: ds.lastDev, Threshold: a.cfg.DriftDelta,
-					Samples: ds.lastShare},
-			})
-		} else {
-			ds.alerted = false
-			ds.calm = 0
-			alerts = append(alerts, core.Alert{
-				Kind: core.AlertDrift, Raise: false, Ingress: in,
-				Reason: core.Reason{Code: core.ReasonShareDrift,
-					Observed: ds.lastDev, Threshold: a.cfg.DriftDelta * a.cfg.DriftClearFrac,
-					Samples: ds.lastShare},
-			})
-		}
-	}
-	// Advance calm counters and the EWMA after the decisions, so the raise
-	// compares this cycle's share against the pre-shift baseline.
-	for _, ds := range a.drifts {
-		if ds.alerted {
-			if ds.lastDev <= a.cfg.DriftDelta*a.cfg.DriftClearFrac {
-				ds.calm++
-			} else {
-				ds.calm = 0
-			}
-		}
-		ds.ewma += a.cfg.DriftAlpha * (ds.lastShare - ds.ewma)
-	}
+	sortBySubject(alerts[mark:])
 	return alerts
 }
 
@@ -601,76 +457,35 @@ func (a *analyzer) evaluateDrift(s core.CycleSample, alerts []core.Alert) []core
 // alerts — and therefore the journal — are deterministic. Subjects are
 // feed keys carried in Alert.Prefix, with the router in Alert.Ingress.
 func (a *analyzer) evaluateExporters(stats []exphealth.CycleStat, alerts []core.Alert) []core.Alert {
-	// decide applies one raise/clear machine with the shared hold and
-	// reports the transition, advancing the calm counter afterwards so
-	// this tick's calm does not count toward its own clear.
-	decide := func(alerted *bool, calm *int, raiseNow, calmNow bool) (raise, clear bool) {
-		if !*alerted {
-			if raiseNow {
-				*alerted = true
-				*calm = 0
-				return true, false
-			}
-			return false, false
-		}
-		if calmNow && *calm+1 >= a.cfg.ExporterHold {
-			*alerted = false
-			*calm = 0
-			return false, true
-		}
-		if calmNow {
-			*calm++
-		} else {
-			*calm = 0
-		}
-		return false, false
-	}
 	for _, st := range stats {
 		es := a.exporters[st.Key]
 		if es == nil {
-			if len(a.exporters) >= a.cfg.MaxTracked {
+			if len(a.exporters) >= maxTracked {
 				continue // bounded mirror; untracked feeds never alert
 			}
-			es = &exporterState{router: st.Router}
+			es = &exporterState{}
 			a.exporters[st.Key] = es
 		}
-		subject := func(kind core.AlertKind, raise bool, r core.Reason) core.Alert {
-			return core.Alert{Kind: kind, Raise: raise, Prefix: st.Key,
-				Ingress: flow.Ingress{Router: st.Router}, Reason: r}
+		feed := func(kind core.AlertKind, code core.ReasonCode, observed float64) core.Alert {
+			return core.Alert{Kind: kind, Prefix: st.Key, Ingress: flow.Ingress{Router: st.Router},
+				Reason: core.Reason{Code: code, Observed: observed}}
 		}
 
-		lossCalm := st.LossFrac <= a.cfg.ExporterLossClear
-		if raise, clear := decide(&es.lossAlerted, &es.lossCalm,
-			st.LossFrac >= a.cfg.ExporterLossRaise, lossCalm); raise {
-			alerts = append(alerts, subject(core.AlertExporterLoss, true, core.Reason{
-				Code: core.ReasonExporterLoss, Observed: st.LossFrac,
-				Threshold: a.cfg.ExporterLossRaise}))
-		} else if clear {
-			alerts = append(alerts, subject(core.AlertExporterLoss, false, core.Reason{
-				Code: core.ReasonExporterLoss, Observed: st.LossFrac,
-				Threshold: a.cfg.ExporterLossClear}))
-		}
+		raised, cleared := es.loss.step(st.LossFrac >= exporterLossRaise, st.LossFrac <= exporterLossClear, exporterHold)
+		alerts = emit(alerts, raised, cleared,
+			feed(core.AlertExporterLoss, core.ReasonExporterLoss, st.LossFrac),
+			exporterLossRaise, exporterLossClear)
 
-		if raise, clear := decide(&es.staleAlerted, &es.staleCalm, st.Stale, !st.Stale); raise {
-			alerts = append(alerts, subject(core.AlertExporterStale, true, core.Reason{
-				Code: core.ReasonExporterStale, Observed: st.SilentForSeconds,
-				Threshold: st.StaleAfterSeconds}))
-		} else if clear {
-			alerts = append(alerts, subject(core.AlertExporterStale, false, core.Reason{
-				Code: core.ReasonExporterStale, Observed: st.SilentForSeconds,
-				Threshold: st.StaleAfterSeconds}))
-		}
+		raised, cleared = es.stale.step(st.Stale, !st.Stale, exporterHold)
+		alerts = emit(alerts, raised, cleared,
+			feed(core.AlertExporterStale, core.ReasonExporterStale, st.SilentForSeconds),
+			st.StaleAfterSeconds, st.StaleAfterSeconds)
 
 		skewCalm := math.Abs(st.SkewSeconds) <= st.SkewMaxSeconds/2
-		if raise, clear := decide(&es.skewAlerted, &es.skewCalm, st.SkewExceeded, skewCalm); raise {
-			alerts = append(alerts, subject(core.AlertClockSkew, true, core.Reason{
-				Code: core.ReasonClockSkew, Observed: st.SkewSeconds,
-				Threshold: st.SkewMaxSeconds}))
-		} else if clear {
-			alerts = append(alerts, subject(core.AlertClockSkew, false, core.Reason{
-				Code: core.ReasonClockSkew, Observed: st.SkewSeconds,
-				Threshold: st.SkewMaxSeconds / 2}))
-		}
+		raised, cleared = es.skew.step(st.SkewExceeded, skewCalm, exporterHold)
+		alerts = emit(alerts, raised, cleared,
+			feed(core.AlertClockSkew, core.ReasonClockSkew, st.SkewSeconds),
+			st.SkewMaxSeconds, st.SkewMaxSeconds/2)
 	}
 	return alerts
 }
@@ -684,7 +499,7 @@ func (a *analyzer) evaluateExporters(stats []exphealth.CycleStat, alerts []core.
 // active alert is pinned at raise time, so the clear names the same prefix
 // even if a different aggregate has taken the top slot since.
 func (a *analyzer) evaluateWorkload(ws workload.CycleStats, alerts []core.Alert) []core.Alert {
-	if ws.Mass < a.cfg.HotMinRecords {
+	if ws.Mass < hotMinRecords {
 		// Too little profiled traffic to judge shares; hold all machines.
 		return alerts
 	}
@@ -698,7 +513,7 @@ func (a *analyzer) evaluateWorkload(ws workload.CycleStats, alerts []core.Alert)
 	// journal.
 	var subjects []string
 	for p, h := range shares {
-		if _, tracked := a.hot[p]; !tracked && h.Share >= a.cfg.HotRaiseShare {
+		if _, tracked := a.hot[p]; !tracked && h.Share >= hotRaiseShare {
 			subjects = append(subjects, p)
 		}
 	}
@@ -708,14 +523,10 @@ func (a *analyzer) evaluateWorkload(ws workload.CycleStats, alerts []core.Alert)
 	sort.Strings(subjects)
 
 	for _, p := range subjects {
-		h, present := shares[p]
-		share := 0.0
-		if present {
-			share = h.Share
-		}
+		h, present := shares[p] // an absent aggregate has share 0
 		hs := a.hot[p]
 		if hs == nil {
-			if len(a.hot) >= a.cfg.MaxTracked {
+			if len(a.hot) >= maxTracked {
 				continue
 			}
 			hs = &hotState{}
@@ -724,33 +535,14 @@ func (a *analyzer) evaluateWorkload(ws workload.CycleStats, alerts []core.Alert)
 		if present {
 			hs.ingress = h.Ingress
 		}
-		reason := func(threshold float64) core.Reason {
-			return core.Reason{Code: core.ReasonHotPrefix, Observed: share,
-				Threshold: threshold, Samples: float64(ws.Mass),
-				MinSamples: float64(a.cfg.HotMinRecords)}
-		}
+		raised, cleared := hs.step(h.Share >= hotRaiseShare, h.Share <= hotClearShare, hotHold)
+		alerts = emit(alerts, raised, cleared, core.Alert{Kind: core.AlertHotPrefix,
+			Prefix: p, Ingress: hs.ingress, Reason: core.Reason{Code: core.ReasonHotPrefix,
+				Observed: h.Share, Samples: float64(ws.Mass), MinSamples: hotMinRecords}},
+			hotRaiseShare, hotClearShare)
 		if !hs.alerted {
-			if share >= a.cfg.HotRaiseShare {
-				hs.alerted = true
-				hs.calm = 0
-				alerts = append(alerts, core.Alert{Kind: core.AlertHotPrefix, Raise: true,
-					Prefix: p, Ingress: hs.ingress, Reason: reason(a.cfg.HotRaiseShare)})
-			} else {
-				// Tracked but neither hot nor alerted: forget it.
-				delete(a.hot, p)
-			}
-			continue
-		}
-		if share <= a.cfg.HotClearShare {
-			if hs.calm+1 >= a.cfg.HotHold {
-				alerts = append(alerts, core.Alert{Kind: core.AlertHotPrefix, Raise: false,
-					Prefix: p, Ingress: hs.ingress, Reason: reason(a.cfg.HotClearShare)})
-				delete(a.hot, p)
-			} else {
-				hs.calm++
-			}
-		} else {
-			hs.calm = 0
+			// Cleared, or tracked without ever getting hot: forget it.
+			delete(a.hot, p)
 		}
 	}
 	return alerts

@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"fmt"
 	"testing"
 
 	"ipd/internal/core"
@@ -41,8 +42,66 @@ func collectAlerts(a *analyzer, s core.CycleSample) (raised, cleared []core.Aler
 	return raised, cleared
 }
 
+// TestHysteresisStep pins the one raise/clear machine every alert runs
+// through: each tick feeds (raise, calm) and checks the transition reported
+// and the state left behind.
+func TestHysteresisStep(t *testing.T) {
+	type tick struct {
+		raise, calm     bool
+		raised, cleared bool
+		after           hysteresis
+	}
+	alerted := func(calm int) hysteresis { return hysteresis{alerted: true, calm: calm} }
+	cases := []struct {
+		name  string
+		start hysteresis
+		hold  int
+		ticks []tick
+	}{
+		{"a raise resets calm", hysteresis{calm: 2}, 3, []tick{
+			{raise: true, raised: true, after: alerted(0)},
+		}},
+		{"nothing happens while clear and not raising", hysteresis{}, 3, []tick{
+			{calm: true},
+			{},
+		}},
+		{"no re-raise while alerted", alerted(1), 3, []tick{
+			{raise: true, after: alerted(0)},
+		}},
+		{"a non-calm tick resets the hold", alerted(0), 3, []tick{
+			{calm: true, after: alerted(1)},
+			{calm: true, after: alerted(2)},
+			{after: alerted(0)},
+			{calm: true, after: alerted(1)},
+		}},
+		{"the clear happens exactly at the hold", alerted(0), 3, []tick{
+			{calm: true, after: alerted(1)},
+			{calm: true, after: alerted(2)},
+			{calm: true, cleared: true},
+			{calm: true},
+		}},
+		{"with hold 1 the first calm tick clears", alerted(0), 1, []tick{
+			{calm: true, cleared: true},
+		}},
+		{"a raising and calm tick raises without counting as calm", hysteresis{}, 1, []tick{
+			{raise: true, calm: true, raised: true, after: alerted(0)},
+			{calm: true, cleared: true},
+		}},
+	}
+	for _, tc := range cases {
+		h := tc.start
+		for i, tk := range tc.ticks {
+			raised, cleared := h.step(tk.raise, tk.calm, tc.hold)
+			if raised != tk.raised || cleared != tk.cleared || h != tk.after {
+				t.Errorf("%s: tick %d (raise=%v calm=%v): raised=%v cleared=%v left %+v, want %v/%v and %+v",
+					tc.name, i, tk.raise, tk.calm, raised, cleared, h, tk.raised, tk.cleared, tk.after)
+			}
+		}
+	}
+}
+
 func TestFlapRaiseAndClear(t *testing.T) {
-	a := newAnalyzer(AnalyzerConfig{FlapWindow: 10, FlapRaise: 3, FlapClear: 1, FlapHold: 3})
+	a := newAnalyzer()
 	const p = "10.0.0.0/24"
 
 	classify(a, 1, p, tIn1) // first classification: not a transition
@@ -70,12 +129,12 @@ func TestFlapRaiseAndClear(t *testing.T) {
 			}
 		}
 	}
-	if raises != 1 || raiseCycle != 3 {
-		t.Fatalf("got %d raises (first at cycle %d), want 1 at cycle 3", raises, raiseCycle)
+	if raises != 1 || raiseCycle != flapRaise {
+		t.Fatalf("got %d raises (first at cycle %d), want 1 at cycle %d", raises, raiseCycle, flapRaise)
 	}
 
-	// Quiet cycles: the window drains, then FlapHold calm evaluations clear.
-	for ; cycle <= 40 && clearCycle == 0; cycle++ {
+	// Quiet cycles: the window drains, then flapHold calm evaluations clear.
+	for ; cycle <= 80 && clearCycle == 0; cycle++ {
 		r, c := collectAlerts(a, core.CycleSample{Cycle: cycle})
 		raises += len(r)
 		clears += len(c)
@@ -86,11 +145,11 @@ func TestFlapRaiseAndClear(t *testing.T) {
 	if raises != 1 || clears != 1 {
 		t.Fatalf("got %d raises / %d clears, want exactly 1 / 1", raises, clears)
 	}
-	// Transitions at cycles 1..6 leave the 10-cycle window by cycle 16; one
-	// may remain at <= FlapClear from cycle 15 on, so the 3-cycle hold can
-	// complete at cycle 17 at the earliest.
-	if clearCycle < 17 {
-		t.Fatalf("cleared at cycle %d, before the hold could possibly elapse", clearCycle)
+	// Transitions at cycles 1..6 leave the 30-cycle window by cycle 36; one
+	// remains at <= flapClear from cycle 35 on, so the 5-cycle hold
+	// completes at cycle 39.
+	if clearCycle != 39 {
+		t.Fatalf("cleared at cycle %d, want 39 (the fifth calm evaluation)", clearCycle)
 	}
 }
 
@@ -99,7 +158,7 @@ func TestFlapRaiseAndClear(t *testing.T) {
 // episode: the alert must clear exactly once and never re-raise — boundary
 // noise must not make the alert itself flap.
 func TestFlapHysteresisBoundaryNoise(t *testing.T) {
-	a := newAnalyzer(AnalyzerConfig{FlapWindow: 10, FlapRaise: 4, FlapClear: 1, FlapHold: 4})
+	a := newAnalyzer()
 	const p = "10.1.0.0/24"
 
 	classify(a, 1, p, tIn1)
@@ -117,11 +176,12 @@ func TestFlapHysteresisBoundaryNoise(t *testing.T) {
 		t.Fatalf("setup: got %d raises, want 1", raises)
 	}
 
-	// Boundary noise: one transition every 5 cycles keeps the window count
-	// oscillating between 1 (== FlapClear: calm) and 2-3 (> FlapClear: not
-	// calm, but below FlapRaise). The calm hold keeps being interrupted.
-	for ; cycle <= 30; cycle++ {
-		if cycle%5 == 0 {
+	// Boundary noise: one transition every 16 cycles keeps the 30-cycle
+	// window count oscillating between 2 (> flapClear: not calm, but below
+	// flapRaise) for 14 cycles and 1 (== flapClear: calm) for 2. The calm
+	// hold of 5 keeps being interrupted.
+	for ; cycle <= 100; cycle++ {
+		if cycle%16 == 0 {
 			invalidate(a, cycle, p)
 			classify(a, cycle, p, tIn1)
 		}
@@ -129,10 +189,13 @@ func TestFlapHysteresisBoundaryNoise(t *testing.T) {
 		raises += len(r)
 		clears += len(c)
 	}
+	if raises != 1 || clears != 0 {
+		t.Fatalf("boundary noise: %d raises / %d clears, want the alert held (1 / 0)", raises, clears)
+	}
 	// Then true calm: the alert clears once and stays cleared even when a
-	// single isolated transition (count 1 <= FlapRaise) happens later.
-	for ; cycle <= 60; cycle++ {
-		if cycle == 50 {
+	// single isolated transition (count 1 < flapRaise) happens later.
+	for ; cycle <= 200; cycle++ {
+		if cycle == 150 {
 			invalidate(a, cycle, p)
 			classify(a, cycle, p, tIn1)
 		}
@@ -146,7 +209,7 @@ func TestFlapHysteresisBoundaryNoise(t *testing.T) {
 }
 
 func TestDriftCollapseRaisesAndClearsOnce(t *testing.T) {
-	a := newAnalyzer(AnalyzerConfig{})
+	a := newAnalyzer()
 	shares := map[flow.Ingress]float64{tIn1: 0.8, tIn2: 0.2}
 	var raises, clears int
 	cycle := uint64(1)
@@ -180,7 +243,7 @@ func TestDriftCollapseRaisesAndClearsOnce(t *testing.T) {
 }
 
 func TestDriftAppearingIngressNeverAlerts(t *testing.T) {
-	a := newAnalyzer(AnalyzerConfig{})
+	a := newAnalyzer()
 	var alerts int
 	for cycle := uint64(1); cycle <= 50; cycle++ {
 		shares := map[flow.Ingress]float64{tIn1: 1.0}
@@ -188,7 +251,7 @@ func TestDriftAppearingIngressNeverAlerts(t *testing.T) {
 			// tIn2 appears with most of the traffic; its EWMA initializes to
 			// the first observed share, so appearing is not drift — and tIn1
 			// keeps 0.4, a 0.6 deficit... but gradual EWMA tracking below the
-			// delta would not fire; use a deficit below DriftDelta.
+			// delta would not fire; use a deficit below driftDelta.
 			shares = map[flow.Ingress]float64{tIn1: 0.8, tIn2: 0.2}
 		}
 		alerts += len(a.evaluate(sampleWithShares(cycle, shares)))
@@ -199,7 +262,7 @@ func TestDriftAppearingIngressNeverAlerts(t *testing.T) {
 }
 
 func TestDriftIgnoresTinyShares(t *testing.T) {
-	a := newAnalyzer(AnalyzerConfig{})
+	a := newAnalyzer()
 	var alerts int
 	for cycle := uint64(1); cycle <= 50; cycle++ {
 		shares := map[flow.Ingress]float64{tIn1: 0.99, tIn2: 0.01}
@@ -209,12 +272,56 @@ func TestDriftIgnoresTinyShares(t *testing.T) {
 		alerts += len(a.evaluate(sampleWithShares(cycle, shares)))
 	}
 	if alerts != 0 {
-		t.Fatalf("sub-DriftMinShare churn alerted %d times", alerts)
+		t.Fatalf("sub-driftMinShare churn alerted %d times", alerts)
+	}
+}
+
+// TestSimultaneousAlertsSorted raises many flap and drift alerts in one
+// cycle: they must come out flap first by prefix, then drift by ingress,
+// whatever order the tracking maps iterate in, so the journal is stable.
+func TestSimultaneousAlertsSorted(t *testing.T) {
+	ins := []flow.Ingress{{Router: 3, Iface: 1}, {Router: 1, Iface: 2}, {Router: 1, Iface: 1}, {Router: 2, Iface: 1}}
+	steady := map[flow.Ingress]float64{}
+	for _, in := range ins {
+		steady[in] = 0.25
+	}
+	const prefixes = 8
+	for run := 0; run < 20; run++ {
+		a := newAnalyzer()
+		var got []core.Alert
+		for cycle := uint64(1); cycle <= flapRaise; cycle++ {
+			for i := prefixes - 1; i >= 0; i-- {
+				invalidate(a, cycle, prefixFor(i))
+			}
+			shares := steady
+			if cycle == flapRaise {
+				shares = nil // every ingress vanishes at once
+			}
+			got = a.evaluate(sampleWithShares(cycle, shares))
+		}
+		if len(got) != prefixes+len(ins) {
+			t.Fatalf("run %d: %d alerts, want %d flap + %d drift raises", run, len(got), prefixes, len(ins))
+		}
+		for i, al := range got {
+			wantKind := core.AlertFlap
+			if i >= prefixes {
+				wantKind = core.AlertDrift
+			}
+			if al.Kind != wantKind || !al.Raise {
+				t.Fatalf("run %d: alert %d is %v raise=%v, want a %v raise", run, i, al.Kind, al.Raise, wantKind)
+			}
+			if i > 0 && al.Kind == got[i-1].Kind {
+				prev := got[i-1]
+				if al.Prefix < prev.Prefix || (al.Prefix == prev.Prefix && !lessIngress(prev.Ingress, al.Ingress)) {
+					t.Fatalf("run %d: alerts %d and %d out of subject order: %+v then %+v", run, i-1, i, prev, al)
+				}
+			}
+		}
 	}
 }
 
 func TestConvergenceHistogram(t *testing.T) {
-	a := newAnalyzer(AnalyzerConfig{ConvergenceBuckets: []float64{1, 3, 10}})
+	a := newAnalyzer()
 	var observed []float64
 	a.onConv = func(d float64) { observed = append(observed, d) }
 
@@ -235,7 +342,8 @@ func TestConvergenceHistogram(t *testing.T) {
 	if a.convTotal != 3 {
 		t.Fatalf("convTotal %d, want 3", a.convTotal)
 	}
-	want := []uint64{1, 1, 0, 1} // deltas 1, 3, 20 into buckets <=1, <=3, <=10, +Inf
+	// Deltas 1, 3, 20 land in buckets <=1, <=3, <=21 of 1,2,3,5,8,13,21,34,55,+Inf.
+	want := []uint64{1, 0, 1, 0, 0, 0, 1, 0, 0, 0}
 	for i, n := range want {
 		if a.convCounts[i] != n {
 			t.Fatalf("bucket %d count %d, want %d (counts %v)", i, a.convCounts[i], n, a.convCounts)
@@ -249,13 +357,13 @@ func TestConvergenceHistogram(t *testing.T) {
 	}
 }
 
-// TestAnalyzerEvictionDeterministic fills the tracking maps past MaxTracked
+// TestAnalyzerEvictionDeterministic fills the tracking maps past maxTracked
 // twice with identical input and checks the surviving sets match — eviction
 // must be a pure function of the event history.
 func TestAnalyzerEvictionDeterministic(t *testing.T) {
 	runOnce := func() ([]string, []string) {
-		a := newAnalyzer(AnalyzerConfig{MaxTracked: 8})
-		for i := 0; i < 40; i++ {
+		a := newAnalyzer()
+		for i := 0; i < maxTracked+64; i++ {
 			p := prefixFor(i)
 			a.observeEvent(core.Event{Kind: core.EventCreated, Cycle: uint64(i + 1), Prefix: p})
 			classify(a, uint64(i+1), p, tIn1)
@@ -272,16 +380,17 @@ func TestAnalyzerEvictionDeterministic(t *testing.T) {
 	}
 	b1, f1 := runOnce()
 	b2, f2 := runOnce()
-	if len(b1) > 8 || len(f1) > 8 {
-		t.Fatalf("maps exceed MaxTracked: %d births, %d flaps", len(b1), len(f1))
+	if len(b1) > maxTracked || len(f1) > maxTracked {
+		t.Fatalf("maps exceed maxTracked: %d births, %d flaps", len(b1), len(f1))
 	}
 	if !sameSet(b1, b2) || !sameSet(f1, f2) {
-		t.Fatalf("eviction diverged between identical runs:\nbirths %v vs %v\nflaps  %v vs %v", b1, b2, f1, f2)
+		t.Fatalf("eviction diverged between identical runs: births %d vs %d, flaps %d vs %d",
+			len(b1), len(b2), len(f1), len(f2))
 	}
 }
 
 func prefixFor(i int) string {
-	return "10." + string(rune('0'+i/10)) + string(rune('0'+i%10)) + ".0.0/24"
+	return fmt.Sprintf("10.%d.%d.0/24", i/256, i%256)
 }
 
 func sameSet(a, b []string) bool {

@@ -17,18 +17,12 @@ import (
 type Options struct {
 	// Window is the per-tier ring length of every series (0 means
 	// DefaultWindow). With downsampling the total span per series is
-	// Window * (1 + D + D²) cycles.
+	// Window * (1 + D + D²) cycles, D being the fold factor 8.
 	Window int
-	// Downsample is the tier fold factor (0 means DefaultDownsample).
-	Downsample int
-	// MaxSeries bounds the series population (0 means DefaultMaxSeries).
-	MaxSeries int
-	// Analyzer parameterizes the flap/drift/convergence analytics; the zero
-	// value selects the documented defaults.
-	Analyzer AnalyzerConfig
-	// AlertHistory bounds the retained alert log (0 means 256).
-	AlertHistory int
 }
+
+// alertHistory bounds the retained alert log.
+const alertHistory = 256
 
 // ActiveAlert is one currently raised alert, keyed by (kind, subject).
 type ActiveAlert struct {
@@ -85,7 +79,6 @@ type Collector struct {
 	an      *analyzer
 	active  map[string]ActiveAlert // key: kind + " " + subject
 	history []AlertRecord
-	histCap int
 	raised  uint64
 	cleared uint64
 
@@ -128,15 +121,10 @@ type Collector struct {
 
 // NewCollector builds a collector with its own store.
 func NewCollector(opts Options) *Collector {
-	histCap := opts.AlertHistory
-	if histCap <= 0 {
-		histCap = 256
-	}
 	return &Collector{
-		store:   NewStore(opts.Window, opts.Downsample, opts.MaxSeries),
-		an:      newAnalyzer(opts.Analyzer),
-		active:  make(map[string]ActiveAlert),
-		histCap: histCap,
+		store:  NewStore(opts.Window),
+		an:     newAnalyzer(),
+		active: make(map[string]ActiveAlert),
 	}
 }
 
@@ -238,7 +226,7 @@ func (c *Collector) RegisterMetrics(reg *telemetry.Registry) {
 	}
 	c.convHist = reg.Histogram("ipd_timeline_convergence_cycles",
 		"Cycles from range creation to first stable classification.",
-		append([]float64(nil), c.an.cfg.ConvergenceBuckets...))
+		append([]float64(nil), convergenceBuckets[:]...))
 	c.an.onConv = c.convHist.Observe
 }
 
@@ -426,9 +414,9 @@ func (c *Collector) noteAlerts(alerts []core.Alert, s core.CycleSample) {
 		key := kind + " " + subject
 		rec := AlertRecord{Kind: kind, Raise: a.Raise, Subject: subject,
 			Cycle: s.Cycle, At: s.At, Reason: a.Reason.String()}
-		if len(c.history) >= c.histCap {
+		if len(c.history) >= alertHistory {
 			copy(c.history, c.history[1:])
-			c.history = c.history[:c.histCap-1]
+			c.history = c.history[:alertHistory-1]
 		}
 		c.history = append(c.history, rec)
 		if a.Raise {
@@ -511,8 +499,8 @@ func (c *Collector) Convergence() ConvergenceView {
 		Total:   c.an.convTotal,
 	}
 	for i, n := range c.an.convCounts {
-		if i < len(c.an.cfg.ConvergenceBuckets) {
-			v.Buckets[i].UpperCycles = c.an.cfg.ConvergenceBuckets[i]
+		if i < len(convergenceBuckets) {
+			v.Buckets[i].UpperCycles = convergenceBuckets[i]
 		}
 		v.Buckets[i].Count = n
 	}

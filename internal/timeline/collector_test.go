@@ -125,7 +125,7 @@ func metricsDump(t *testing.T, reg *telemetry.Registry) []byte {
 // TestCollectorConcurrentReads hammers every read surface while the engine
 // cycles (run with -race).
 func TestCollectorConcurrentReads(t *testing.T) {
-	c := NewCollector(Options{Window: 32, Downsample: 4})
+	c := NewCollector(Options{Window: 32})
 	reg := telemetry.NewRegistry()
 	c.RegisterMetrics(reg)
 	c.SetContention(func() (time.Duration, uint64) { return 0, 0 })

@@ -31,7 +31,7 @@ func kinds(alerts []core.Alert) []string {
 }
 
 func TestExporterLossHysteresis(t *testing.T) {
-	a := newAnalyzer(AnalyzerConfig{}) // raise 0.05, clear 0.01, hold 3
+	a := newAnalyzer() // raise 0.05, clear 0.01, hold 3
 	tick := func(loss float64) []core.Alert {
 		st := expStat("netflow:R2", 2)
 		st.LossFrac = loss
@@ -69,7 +69,7 @@ func TestExporterLossHysteresis(t *testing.T) {
 }
 
 func TestExporterStaleAndSkewHysteresis(t *testing.T) {
-	a := newAnalyzer(AnalyzerConfig{ExporterHold: 2})
+	a := newAnalyzer()
 	tick := func(stale, skewExceeded bool, skew float64) []core.Alert {
 		st := expStat("ipfix:R3/256", 3)
 		st.Stale, st.SkewExceeded, st.SkewSeconds = stale, skewExceeded, skew
@@ -84,13 +84,15 @@ func TestExporterStaleAndSkewHysteresis(t *testing.T) {
 	}
 	// Skew back within half the limit, feed active again: both clear after
 	// the hold. Skew exactly at half the limit counts as calm.
-	if al := tick(false, false, 150); len(al) != 0 {
-		t.Fatalf("first calm tick: %v, want nothing", kinds(al))
+	for i := 1; i < exporterHold; i++ {
+		if al := tick(false, false, 150); len(al) != 0 {
+			t.Fatalf("calm tick %d: %v, want nothing", i, kinds(al))
+		}
 	}
 	al = tick(false, false, 150)
 	if got := kinds(al); len(al) != 2 ||
 		got[0] != "exporter-stale/clear" || got[1] != "clock-skew/clear" {
-		t.Fatalf("second calm tick: %v, want stale+skew clears", got)
+		t.Fatalf("calm tick %d: %v, want stale+skew clears", exporterHold, got)
 	}
 	// Skew above half the limit but below the limit: neither raises nor
 	// counts as calm.

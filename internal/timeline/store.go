@@ -9,7 +9,7 @@
 // because they are stable over weeks, and deviations are what operators act
 // on — so the store keeps enough history to see them without unbounded
 // memory: each series is three fixed rings, tier 0 at per-cycle resolution
-// and each older tier folding Downsample points of the tier below into one
+// and each older tier folding downsample points of the tier below into one
 // min/max/sum/count point. With the defaults (window 512, downsample 8) a
 // series spans 512 + 512*8 + 512*64 ≈ 37k cycles ≈ 25 days at T=60s, in a
 // few tens of KB.
@@ -30,12 +30,12 @@ import (
 const (
 	// DefaultWindow is the per-tier ring length when Options.Window is 0.
 	DefaultWindow = 512
-	// DefaultDownsample is the tier fold factor when Options.Downsample is 0.
-	DefaultDownsample = 8
-	// DefaultMaxSeries bounds the series population (per-ingress series are
+	// downsample is the tier fold factor.
+	downsample = 8
+	// maxSeries bounds the series population (per-ingress series are
 	// open-ended; the cap keeps a mis-mapped topology from minting series
 	// without limit).
-	DefaultMaxSeries = 256
+	maxSeries = 256
 	// tiers is the number of resolution levels per series.
 	tiers = 3
 )
@@ -78,8 +78,8 @@ func (s *series) push(tier int, p Point) {
 }
 
 // fold merges p into the accumulator feeding tier level+1 and flushes it
-// upward when Downsample points have been folded.
-func (s *series) fold(level, factor int, p Point) {
+// upward when downsample points have been folded.
+func (s *series) fold(level int, p Point) {
 	a := &s.acc[level]
 	if s.accN[level] == 0 {
 		*a = p
@@ -95,21 +95,21 @@ func (s *series) fold(level, factor int, p Point) {
 		a.Span += p.Span
 	}
 	s.accN[level]++
-	if s.accN[level] < factor {
+	if s.accN[level] < downsample {
 		return
 	}
 	flushed := *a
 	s.accN[level] = 0
 	s.push(level+1, flushed)
 	if level+1 < tiers-1 {
-		s.fold(level+1, factor, flushed)
+		s.fold(level+1, flushed)
 	}
 }
 
-func (s *series) append(p Point, factor int) {
+func (s *series) append(p Point) {
 	s.total++
 	s.push(0, p)
-	s.fold(0, factor, p)
+	s.fold(0, p)
 }
 
 // oldestRetained returns the cycle of the oldest point retained in tier, or
@@ -187,10 +187,8 @@ func (s *series) window(from, to uint64, out []Point) []Point {
 // Store holds the named series under one RWMutex: single writer (the
 // collector's OnCycle), concurrent readers (HTTP handlers, CSV export).
 type Store struct {
-	mu        sync.RWMutex
-	window    int
-	factor    int
-	maxSeries int
+	mu     sync.RWMutex
+	window int
 
 	byName map[string]*series
 	names  []string // insertion order; sorted views sort a copy
@@ -199,22 +197,15 @@ type Store struct {
 	dropped uint64 // appends refused because the series cap was reached
 }
 
-// NewStore builds a store; zero options take the defaults.
-func NewStore(window, downsample, maxSeries int) *Store {
+// NewStore builds a store with the given per-tier ring length (0 means
+// DefaultWindow).
+func NewStore(window int) *Store {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	if downsample <= 1 {
-		downsample = DefaultDownsample
-	}
-	if maxSeries <= 0 {
-		maxSeries = DefaultMaxSeries
-	}
 	return &Store{
-		window:    window,
-		factor:    downsample,
-		maxSeries: maxSeries,
-		byName:    make(map[string]*series),
+		window: window,
+		byName: make(map[string]*series),
 	}
 }
 
@@ -222,7 +213,7 @@ func NewStore(window, downsample, maxSeries int) *Store {
 func (st *Store) Window() int { return st.window }
 
 // Downsample returns the tier fold factor.
-func (st *Store) Downsample() int { return st.factor }
+func (st *Store) Downsample() int { return downsample }
 
 // Append records one raw sample for the named series at the given cycle.
 // Unknown names create the series unless the cap is reached (accounted in
@@ -232,7 +223,7 @@ func (st *Store) Append(name string, cycle uint64, unix int64, v float64) {
 	defer st.mu.Unlock()
 	s := st.byName[name]
 	if s == nil {
-		if len(st.byName) >= st.maxSeries {
+		if len(st.byName) >= maxSeries {
 			st.dropped++
 			return
 		}
@@ -243,7 +234,7 @@ func (st *Store) Append(name string, cycle uint64, unix int64, v float64) {
 		st.byName[name] = s
 		st.names = append(st.names, name)
 	}
-	s.append(Point{Cycle: cycle, Unix: unix, Span: 1, Min: v, Max: v, Sum: v, Count: 1}, st.factor)
+	s.append(Point{Cycle: cycle, Unix: unix, Span: 1, Min: v, Max: v, Sum: v, Count: 1})
 	st.points++
 }
 

@@ -3,6 +3,7 @@ package timeline
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -51,7 +52,7 @@ func checkCoverage(t *testing.T, pts []Point, newest uint64) {
 }
 
 func TestStoreTier0Exact(t *testing.T) {
-	st := NewStore(16, 4, 0)
+	st := NewStore(16)
 	appendRamp(st, "ramp", 10)
 	pts := st.Get("ramp", 0, 0)
 	if len(pts) != 10 {
@@ -67,20 +68,21 @@ func TestStoreTier0Exact(t *testing.T) {
 }
 
 func TestStoreWraparoundDownsamples(t *testing.T) {
-	// window 8, factor 4: tier0 retains the last 8 cycles raw, tier1 the
-	// last 8 4-cycle folds, tier2 the last 8 16-cycle folds — total reach
-	// 8 + 32 + 128 = 168 cycles.
+	// window 8, factor 8: tier0 retains the last 8 cycles raw, tier1 the
+	// last 8 8-cycle folds, tier2 the last 8 64-cycle folds — total reach
+	// 8 + 64 + 512 = 584 cycles.
 	// Seam alignment must hold at every fill level, not just multiples of the
 	// fold factor — a fine tier's oldest retained point can start inside a
-	// coarse fold.
-	for n := 150; n <= 213; n++ {
-		st := NewStore(8, 4, 0)
+	// coarse fold. Two tier-2 fold periods past the point where every tier
+	// has wrapped cover every phase.
+	for n := 600; n < 600+2*downsample*downsample; n++ {
+		st := NewStore(8)
 		appendRamp(st, "seam", n)
 		checkCoverage(t, st.Get("seam", 0, 0), uint64(n))
 	}
 
-	st := NewStore(8, 4, 0)
-	const n = 200
+	st := NewStore(8)
+	const n = 1000
 	appendRamp(st, "ramp", n)
 
 	pts := st.Get("ramp", 0, 0)
@@ -93,22 +95,22 @@ func TestStoreWraparoundDownsamples(t *testing.T) {
 			t.Fatalf("tail point %d has span %d, want 1", i, p.Span)
 		}
 	}
-	// Older points must be downsampled, not raw: spans 4 and 16 must appear.
+	// Older points must be downsampled, not raw: spans 8 and 64 must appear.
 	spans := map[uint32]int{}
 	for _, p := range pts {
 		spans[p.Span]++
 	}
-	if spans[4] == 0 || spans[16] == 0 {
+	if spans[8] == 0 || spans[64] == 0 {
 		t.Fatalf("downsampled tiers missing from window: span histogram %v", spans)
 	}
 	// Reach: the oldest retained point must go back at least the tier-2 ring.
-	if first := pts[0].Cycle; first > n-100 {
+	if first := pts[0].Cycle; first > n-500 {
 		t.Fatalf("history reaches only back to cycle %d of %d", first, n)
 	}
 }
 
 func TestStoreWindowBounds(t *testing.T) {
-	st := NewStore(8, 4, 0)
+	st := NewStore(8)
 	appendRamp(st, "ramp", 200)
 	pts := st.Get("ramp", 193, 196)
 	if len(pts) != 4 {
@@ -131,28 +133,32 @@ func TestStoreWindowBounds(t *testing.T) {
 }
 
 func TestStoreSeriesCapDropsDeterministically(t *testing.T) {
-	st := NewStore(8, 4, 2)
-	st.Append("a", 1, 60, 1)
-	st.Append("b", 1, 60, 2)
-	st.Append("c", 1, 60, 3) // over the cap: dropped, never mis-filed
-	st.Append("a", 2, 120, 4)
-	if got := st.Len(); got != 2 {
-		t.Fatalf("series count %d, want 2", got)
+	st := NewStore(8)
+	for i := 0; i < maxSeries; i++ {
+		st.Append(fmt.Sprintf("s%03d", i), 1, 60, float64(i))
+	}
+	st.Append("over", 1, 60, 1) // over the cap: dropped, never mis-filed
+	st.Append("s000", 2, 120, 4)
+	if got := st.Len(); got != maxSeries {
+		t.Fatalf("series count %d, want %d", got, maxSeries)
 	}
 	if got := st.DroppedSeries(); got != 1 {
 		t.Fatalf("dropped %d, want 1", got)
 	}
-	if pts := st.Get("c", 0, 0); pts != nil {
+	if pts := st.Get("over", 0, 0); pts != nil {
 		t.Fatalf("capped series has points: %+v", pts)
 	}
+	if pts := st.Get("s000", 0, 0); len(pts) != 2 {
+		t.Fatalf("series under the cap has %d points, want 2", len(pts))
+	}
 	names := st.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names %v, want [a b]", names)
+	if len(names) != maxSeries || names[0] != "s000" || names[maxSeries-1] != fmt.Sprintf("s%03d", maxSeries-1) {
+		t.Fatalf("names %v, want s000..s%03d", names, maxSeries-1)
 	}
 }
 
 func TestStoreWriteCSV(t *testing.T) {
-	st := NewStore(16, 4, 0)
+	st := NewStore(16)
 	appendRamp(st, "ramp", 5)
 	st.Append("other", 1, 60, 2.5)
 
@@ -186,7 +192,7 @@ func TestStoreWriteCSV(t *testing.T) {
 }
 
 func TestStoreAppendDoesNotAllocate(t *testing.T) {
-	st := NewStore(64, 8, 0)
+	st := NewStore(64)
 	st.Append("steady", 1, 60, 1) // create the series outside the measurement
 	allocs := testing.AllocsPerRun(1000, func() {
 		st.Append("steady", 2, 120, 2)

@@ -85,7 +85,7 @@ type Snapshot struct {
 
 	// IngestLatency measures export (skew-corrected) to ingest dequeue;
 	// CommitLatency export to the next stage-2 cycle's vote fold. Both are
-	// wall-clock and sampled 1-in-LatencyEvery profiled records.
+	// wall-clock and sampled 1-in-latencyEvery profiled records.
 	IngestLatency LatencyDist `json:"ingest_latency"`
 	CommitLatency LatencyDist `json:"commit_latency"`
 }

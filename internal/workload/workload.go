@@ -58,11 +58,6 @@ type Options struct {
 	// profiled counts with SampleN reported alongside.
 	SampleN int
 
-	// LatencyEvery samples the latency measurement every Nth profiled
-	// record (default 64) — the only hot-path site that reads the wall
-	// clock.
-	LatencyEvery int
-
 	// DecayEvery halves the heavy-hitter counters every N cycles (default
 	// 16): the epoch decay that lets yesterday's elephant fade instead of
 	// occupying a summary slot forever.
@@ -100,9 +95,6 @@ func (o Options) withDefaults() Options {
 	if o.SampleN <= 0 {
 		o.SampleN = 16
 	}
-	if o.LatencyEvery <= 0 {
-		o.LatencyEvery = 64
-	}
 	if o.DecayEvery <= 0 {
 		o.DecayEvery = 16
 	}
@@ -124,11 +116,9 @@ type Profiler struct {
 
 	// sampleN mirrors opts.SampleN as uint64; sampleMask is sampleN-1 when
 	// sampleN is a power of two (the default), letting the per-record gate
-	// use a mask instead of a division. latencyMask plays the same role for
-	// the LatencyEvery gate inside the locked section.
-	sampleN     uint64
-	sampleMask  uint64
-	latencyMask uint64
+	// use a mask instead of a division.
+	sampleN    uint64
+	sampleMask uint64
 
 	mu sync.Mutex
 
@@ -167,6 +157,10 @@ type Profiler struct {
 // fixed memory no matter how many records arrive between cycles.
 const pendingCap = 256
 
+// latencyEvery samples the latency measurement every Nth profiled record —
+// the only hot-path site that reads the wall clock.
+const latencyEvery = 64
+
 // New returns a profiler with the given options.
 func New(opts Options) *Profiler {
 	o := opts.withDefaults()
@@ -175,16 +169,10 @@ func New(opts Options) *Profiler {
 	if n&(n-1) == 0 {
 		mask = n - 1
 	}
-	le := uint64(o.LatencyEvery)
-	var lmask uint64
-	if le&(le-1) == 0 {
-		lmask = le - 1
-	}
 	return &Profiler{
 		opts:          o,
 		sampleN:       n,
 		sampleMask:    mask,
-		latencyMask:   lmask,
 		hh:            newSummary(o.TopK),
 		buckets:       make([]uint64, 1<<o.MaxDepth),
 		imbalance:     make([]float64, o.MaxDepth+1),
@@ -266,11 +254,7 @@ func (p *Profiler) observeLocked(rec flow.Record) {
 	p.hh.observe(key, rec.In)
 	p.buckets[shardBucket(rec.Src, p.opts.MaxDepth)]++
 
-	latencyDue := p.profiled&p.latencyMask == 0
-	if p.latencyMask == 0 {
-		latencyDue = p.profiled%uint64(p.opts.LatencyEvery) == 0
-	}
-	if latencyDue && !rec.Ts.IsZero() {
+	if p.profiled%latencyEvery == 0 && !rec.Ts.IsZero() {
 		now := p.opts.Now()
 		export := rec.Ts
 		if p.opts.Skew != nil {

@@ -193,14 +193,15 @@ func TestLatency(t *testing.T) {
 	base := time.Unix(10_000, 0)
 	now = base
 	p := New(Options{
-		SampleN:      1,
-		LatencyEvery: 1,
-		Now:          func() time.Time { return now },
-		Skew:         func(flow.RouterID) float64 { return 2.0 }, // exporter 2s ahead
+		SampleN: 1,
+		Now:     func() time.Time { return now },
+		Skew:    func(flow.RouterID) float64 { return 2.0 }, // exporter 2s ahead
 	})
-	// Record exported at base-3s by the exporter clock; corrected export is
-	// base-5s, so ingest latency is 5s.
-	p.ObserveRecord(rec(netip.MustParseAddr("10.0.0.1"), testIngress, base.Add(-3*time.Second)))
+	// Records exported at base-3s by the exporter clock; corrected export is
+	// base-5s, so ingest latency is 5s. Only the latencyEvery-th is measured.
+	for i := 0; i < latencyEvery; i++ {
+		p.ObserveRecord(rec(netip.MustParseAddr("10.0.0.1"), testIngress, base.Add(-3*time.Second)))
+	}
 	now = base.Add(10 * time.Second) // cycle fires 10s later: commit latency 15s
 	st := p.TickCycle(1, now)
 	s := p.Snapshot()
@@ -241,9 +242,9 @@ func TestLatHistQuantiles(t *testing.T) {
 // TestPendingBounded checks the commit-latency buffer never grows past its
 // cap no matter how many records arrive between cycles.
 func TestPendingBounded(t *testing.T) {
-	p := New(Options{SampleN: 1, LatencyEvery: 1})
+	p := New(Options{SampleN: 1})
 	ts := time.Now()
-	for i := 0; i < 10*pendingCap; i++ {
+	for i := 0; i < 10*pendingCap*latencyEvery; i++ {
 		p.ObserveRecord(rec(v4From24(i%64, 1), testIngress, ts))
 	}
 	p.mu.Lock()
@@ -298,7 +299,7 @@ func TestConcurrent(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.TopK != 32 || o.MaxDepth != 10 || o.SampleN != 16 || o.LatencyEvery != 64 || o.DecayEvery != 16 {
+	if o.TopK != 32 || o.MaxDepth != 10 || o.SampleN != 16 || o.DecayEvery != 16 {
 		t.Errorf("defaults = %+v", o)
 	}
 	if o := (Options{MaxDepth: 99}).withDefaults(); o.MaxDepth != 10 {

@@ -18,14 +18,23 @@
 // readers, statistical-time cleaning of router clock drift) use NewServer
 // and Server.Run.
 //
-// The package re-exports the internal building blocks a downstream user
-// needs: the engine (internal/core), the flow-record model and trace codecs
-// (internal/flow), the statistical-time pre-processor (internal/stattime),
-// the ISP topology model used for LAG-bundle folding and miss taxonomy
-// (internal/topology), the Appendix-B output-trace codec (internal/export),
-// and a synthetic tier-1 workload generator (internal/trafficgen) that
-// every published figure of the paper can be regenerated against — see
-// cmd/ipd-bench and EXPERIMENTS.md.
+// The package re-exports what the repository's commands, examples and
+// benchmark build on:
+//
+//   - the engine and server (internal/core): config, range snapshots,
+//     lifecycle events and their decision-log replay, partition diffs, the
+//     ingest queue, and the event, alert and reason constants they consume;
+//   - the operational layers wired around the engine: the resource
+//     governor, the decision journal, the timeline collector, exporter
+//     health, the workload profiler, the pipeline tracer, and edge→core
+//     delta shipping with its cluster checkpoints;
+//   - the flow-record model, trace codecs and packet sampler
+//     (internal/flow), and the statistical-time config (internal/stattime);
+//   - the topology's AS and link-class types (internal/topology) and the
+//     Appendix-B output-trace writer (internal/export);
+//   - a synthetic tier-1 workload generator with exporter-fault injection
+//     (internal/trafficgen) that every published figure of the paper can be
+//     regenerated against — see cmd/ipd-bench and EXPERIMENTS.md.
 package ipd
 
 import (
@@ -45,7 +54,6 @@ import (
 	"ipd/internal/topology"
 	"ipd/internal/trace"
 	"ipd/internal/trafficgen"
-	"ipd/internal/trie"
 	"ipd/internal/workload"
 )
 
@@ -62,69 +70,24 @@ type (
 	// RangeInfo is the externally visible state of one IPD range (one
 	// Appendix-B output row).
 	RangeInfo = core.RangeInfo
-	// Stats are cumulative engine counters.
-	Stats = core.Stats
 	// Event is one range-lifecycle decision (sequence number, cycle id,
 	// kind, prefix, reason) delivered via Config.OnEvent.
 	Event = core.Event
-	// EventKind enumerates Event types.
-	EventKind = core.EventKind
-	// Reason records which threshold fired for an event, with observed vs
-	// configured values.
-	Reason = core.Reason
-	// ReasonCode identifies the threshold comparison behind a Reason.
-	ReasonCode = core.ReasonCode
-	// Explanation answers "why is this IP classified this way" from live
-	// engine state (Engine.Explain / Server.Explain).
-	Explanation = core.Explanation
-	// IngressShare is one ingress's vote within a range.
-	IngressShare = core.IngressShare
-	// DecayFunc computes the idle-range decay factor.
-	DecayFunc = core.DecayFunc
-	// IngressMapper folds physical interfaces into logical ingresses
-	// (LAG bundles).
-	IngressMapper = core.IngressMapper
-	// CycleSample is the end-of-cycle observation delivered via
-	// Config.OnCycle: engine shape, lifecycle deltas, per-ingress traffic
-	// shares, and the governor snapshot.
-	CycleSample = core.CycleSample
-	// IngressCycleStat is the per-ingress slice of a CycleSample.
-	IngressCycleStat = core.IngressCycleStat
-	// Alert is one analytics decision returned by Config.OnCycle; the
-	// engine journals each as an alert lifecycle event.
-	Alert = core.Alert
-	// AlertKind enumerates the analytics alerts (flap, drift, exporter
-	// loss/stale/skew).
-	AlertKind = core.AlertKind
 	// SketchStatus is the fixed-memory sketch tier's status (sizing, ε/δ
 	// bound, degrade/hydrate counters) served at /ipd/sketch.
 	SketchStatus = core.SketchStatus
 )
 
-// Event kinds (the full range lifecycle).
+// Event kinds the commands and examples act on (the Kind field of Event).
 const (
 	EventClassified   = core.EventClassified
-	EventInvalidated  = core.EventInvalidated
-	EventExpired      = core.EventExpired
-	EventSplit        = core.EventSplit
-	EventJoined       = core.EventJoined
-	EventCreated      = core.EventCreated
-	EventDropped      = core.EventDropped
-	EventCompacted    = core.EventCompacted
-	EventQuarantined  = core.EventQuarantined
-	EventGovernor     = core.EventGovernor
 	EventAlertRaised  = core.EventAlertRaised
 	EventAlertCleared = core.EventAlertCleared
 	EventStateMode    = core.EventStateMode
 )
 
-// State-mode details carried by EventStateMode events (the Detail field).
-const (
-	StateModeSketched = core.StateModeSketched
-	StateModeExact    = core.StateModeExact
-)
-
-// Alert kinds (the timeline analytics).
+// Alert kinds (the timeline analytics), carried in the Detail field of
+// alert events.
 const (
 	AlertFlap          = core.AlertFlap
 	AlertDrift         = core.AlertDrift
@@ -132,32 +95,11 @@ const (
 	AlertExporterStale = core.AlertExporterStale
 	AlertClockSkew     = core.AlertClockSkew
 	AlertHotPrefix     = core.AlertHotPrefix
-	AlertSketchShare   = core.AlertSketchShare
 )
 
-// Reason codes (which threshold comparison decided an event).
-const (
-	ReasonNone             = core.ReasonNone
-	ReasonRoot             = core.ReasonRoot
-	ReasonPrevalentIngress = core.ReasonPrevalentIngress
-	ReasonShareBelowQ      = core.ReasonShareBelowQ
-	ReasonDecayedOut       = core.ReasonDecayedOut
-	ReasonMixedIngress     = core.ReasonMixedIngress
-	ReasonSiblingsAgree    = core.ReasonSiblingsAgree
-	ReasonEmptyIdle        = core.ReasonEmptyIdle
-	ReasonOverBudget       = core.ReasonOverBudget
-	ReasonBudgetRecovered  = core.ReasonBudgetRecovered
-	ReasonForcedCompaction = core.ReasonForcedCompaction
-	ReasonPanicRecovered   = core.ReasonPanicRecovered
-	ReasonFlapRate         = core.ReasonFlapRate
-	ReasonShareDrift       = core.ReasonShareDrift
-	ReasonDegradedCoverage = core.ReasonDegradedCoverage
-	ReasonExporterLoss     = core.ReasonExporterLoss
-	ReasonExporterStale    = core.ReasonExporterStale
-	ReasonClockSkew        = core.ReasonClockSkew
-	ReasonHotPrefix        = core.ReasonHotPrefix
-	ReasonSketched         = core.ReasonSketched
-)
+// ReasonDegradedCoverage annotates a decision made over a degraded exporter
+// feed (the Reason.Code of an Event).
+const ReasonDegradedCoverage = core.ReasonDegradedCoverage
 
 // Resource-governor types. A Governor tracks live resource budgets (active
 // ranges, per-IP counter population, ingest-queue depth, heap bytes) and
@@ -165,18 +107,14 @@ const (
 // attach it via Config.Governor and the engine evaluates it every stage-2
 // cycle, deferring splits while degraded and force-compacting low-traffic
 // subtrees plus shedding ingest while in emergency. Transitions are
-// journaled as EventGovernor events so replay reconstructs governed runs.
+// journaled as governor events so replay reconstructs governed runs.
 type (
 	// Governor is the budget-tracking degradation state machine.
 	Governor = governor.Governor
-	// GovernorConfig sets the budgets, thresholds, and hysteresis.
+	// GovernorConfig sets the budgets.
 	GovernorConfig = governor.Config
 	// GovernorState is the operating mode: normal, degraded, or emergency.
 	GovernorState = governor.State
-	// GovernorSnapshot is the JSON view served at /ipd/governor.
-	GovernorSnapshot = governor.Snapshot
-	// GovernorBudgetStatus is one budget axis inside a snapshot.
-	GovernorBudgetStatus = governor.BudgetStatus
 )
 
 // Governor states.
@@ -186,9 +124,9 @@ const (
 	GovernorEmergency = governor.StateEmergency
 )
 
-// NewGovernor validates cfg, applies threshold defaults (0.8 degraded,
-// 0.95 emergency, 0.6 recover, 3 hold cycles), and returns a governor in
-// the normal state. Wire it into an engine via Config.Governor and into the
+// NewGovernor validates cfg and returns a governor in the normal state; its
+// thresholds are fixed (0.8 degraded, 0.95 emergency, 0.6 recover, 3 hold
+// cycles). Wire it into an engine via Config.Governor and into the
 // ingest queue via IngestQueue.SetAdmission(g.AdmitIngest).
 func NewGovernor(cfg GovernorConfig) (*Governor, error) { return governor.New(cfg) }
 
@@ -211,20 +149,8 @@ type (
 type (
 	// TimelineCollector binds the store and analytics to an engine.
 	TimelineCollector = timeline.Collector
-	// TimelineOptions configures a TimelineCollector (ring window,
-	// downsample factor, series cap, analyzer thresholds).
+	// TimelineOptions configures a TimelineCollector (ring window).
 	TimelineOptions = timeline.Options
-	// TimelineAnalyzerConfig sets the flap/drift/convergence thresholds and
-	// hysteresis.
-	TimelineAnalyzerConfig = timeline.AnalyzerConfig
-	// TimelineStore is the bounded multi-tier time-series store.
-	TimelineStore = timeline.Store
-	// TimelinePoint is one aggregated observation of a series.
-	TimelinePoint = timeline.Point
-	// TimelineSeries is the windowed view of one series.
-	TimelineSeries = timeline.Series
-	// TimelineAlertsView is the /ipd/alerts response body.
-	TimelineAlertsView = timeline.AlertsView
 )
 
 // NewTimelineCollector returns a timeline collector with its own bounded
@@ -247,24 +173,13 @@ type (
 	// ExporterHealth is the per-exporter feed health tracker.
 	ExporterHealth = exphealth.Tracker
 	// ExporterHealthOptions parameterizes the tracker (stale-after, skew
-	// limit, coverage floor, EWMA alphas, sequence tolerances).
+	// limit, clock).
 	ExporterHealthOptions = exphealth.Options
-	// ExporterKey identifies one feed (protocol, router, IPFIX domain).
-	ExporterKey = exphealth.Key
-	// ExporterCycleStat is one feed's per-cycle fold (loss fraction, rate
-	// drift, skew, staleness, coverage).
-	ExporterCycleStat = exphealth.CycleStat
-	// ExporterSnapshot is the /ipd/exporters response body.
-	ExporterSnapshot = exphealth.Snapshot
-	// ExporterFeedSnapshot is one feed inside an ExporterSnapshot.
-	ExporterFeedSnapshot = exphealth.FeedSnapshot
-	// ExporterSummary holds the headline feed totals for /stats blocks.
-	ExporterSummary = exphealth.Summary
 )
 
 // NewExporterHealth returns an exporter-health tracker with opts' zero
-// values replaced by the documented defaults (3m stale-after, 5m skew limit,
-// 0.9 coverage floor).
+// values replaced by the documented defaults (3m stale-after, 5m skew
+// limit); its coverage floor is fixed at 0.9.
 func NewExporterHealth(opts ExporterHealthOptions) *ExporterHealth {
 	return exphealth.New(opts)
 }
@@ -286,9 +201,6 @@ type (
 	WorkloadOptions = workload.Options
 	// WorkloadSnapshot is the /ipd/workload response body.
 	WorkloadSnapshot = workload.Snapshot
-	// WorkloadCycleStats is the deterministic per-cycle view TickCycle
-	// returns (input of the hot-prefix alert machine).
-	WorkloadCycleStats = workload.CycleStats
 	// WorkloadShardPlan is the shard-depth recommendation inside snapshots
 	// and cycle stats.
 	WorkloadShardPlan = workload.ShardPlan
@@ -312,12 +224,6 @@ type (
 	// TracerOptions configures a Tracer (ring capacity, 1-in-N sample
 	// rate, seed, metrics registry).
 	TracerOptions = trace.Options
-	// TraceSpan is one recorded pipeline interval.
-	TraceSpan = trace.Span
-	// TracePhase identifies the pipeline stage a span measures.
-	TracePhase = trace.Phase
-	// TraceRecorder is the bounded lock-free flight recorder spans land in.
-	TraceRecorder = trace.Recorder
 )
 
 // NewTracer returns a pipeline tracer; wire it via Config.Tracer (cycle and
@@ -378,8 +284,7 @@ type (
 	// DeltaReceiver is the core-side listener and merge gate.
 	DeltaReceiver = delta.Receiver
 	// DeltaReceiverConfig parameterizes a DeltaReceiver (expected edges,
-	// heartbeat, buffer cap, merge-stall override, apply callback,
-	// durable-ack mode).
+	// heartbeat, merge-stall override, apply callback, durable-ack mode).
 	DeltaReceiverConfig = delta.ReceiverConfig
 	// DeltaReceiverStats is the receiver's JSON stats snapshot.
 	DeltaReceiverStats = delta.ReceiverStats
@@ -439,53 +344,19 @@ type (
 	StatTimeConfig = stattime.Config
 )
 
-// Topology types (LAG bundles, PoPs/countries, link classes, miss
-// taxonomy).
+// Topology types.
 type (
-	// Topology is the ISP inventory model; it implements IngressMapper.
-	Topology = topology.T
-	// MissKind classifies a misprediction (interface / router / PoP).
-	MissKind = topology.MissKind
 	// LinkClass categorizes a border link (PNI, peering, transit, ...).
 	LinkClass = topology.LinkClass
 	// ASN is an autonomous system number.
 	ASN = topology.ASN
 )
 
-// Output-trace types (Appendix B format).
-type (
-	// OutputRow is one raw IPD output trace row.
-	OutputRow = export.Row
-)
-
-// LookupTable is the longest-prefix-match table built from classified
-// ranges (Engine.LookupTable / Server.LookupTable).
-type LookupTable = trie.Trie[flow.Ingress]
-
-// Telemetry types. Every Engine (and Server) maintains a TelemetryRegistry
-// of atomic counters, gauges, and histograms covering stage-1 ingest,
-// stage-2 cycles, and the statistical-time binner; obtain it via the
-// Telemetry() accessor and expose it with Handler (Prometheus text format)
-// or JSONHandler (expvar-style dump). Scrapes never contend with ingest.
-type (
-	// TelemetryRegistry names metrics for exposition
-	// (Engine.Telemetry / Server.Telemetry).
-	TelemetryRegistry = telemetry.Registry
-	// TelemetryCounter is a monotonic atomic counter.
-	TelemetryCounter = telemetry.Counter
-	// TelemetryGauge is an atomic instantaneous value.
-	TelemetryGauge = telemetry.Gauge
-	// TelemetryHistogram is a fixed-bucket cumulative histogram.
-	TelemetryHistogram = telemetry.Histogram
-)
-
-// NewTelemetryRegistry returns an empty metric registry (engines create
-// their own; this is for auxiliary metric sets such as flow-codec counters).
-func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.NewRegistry() }
-
-// RegisterBuildInfo adds the constant ipd_build_info gauge (version, go
-// runtime, GOMAXPROCS labels).
-func RegisterBuildInfo(reg *TelemetryRegistry) { telemetry.RegisterBuildInfo(reg) }
+// TelemetryRegistry names metrics for exposition. Every Engine (and Server)
+// maintains one covering stage-1 ingest, stage-2 cycles, and the
+// statistical-time binner; obtain it via Engine.Telemetry /
+// Server.Telemetry. Scrapes never contend with ingest.
+type TelemetryRegistry = telemetry.Registry
 
 // NewFlowMetrics returns the flow-layer metric set (trace decode outcomes,
 // sampler decisions), registered under ipd_flow_* when reg is non-nil. Attach
@@ -502,8 +373,6 @@ type (
 	SimScenario = trafficgen.Scenario
 	// SimGenConfig parameterizes flow-stream generation.
 	SimGenConfig = trafficgen.GenConfig
-	// SimAS is one synthetic neighbor AS.
-	SimAS = trafficgen.AS
 	// SimFaultSpec describes deterministic per-router exporter faults
 	// (datagram loss, clock skew, silent windows) layered on a generated
 	// stream; pair with NewExporterHealth to exercise the detectors.
@@ -519,9 +388,6 @@ type (
 // cidr_max /28 and /48, n_cidr factors 64 and 24, q = 0.95, t = 60 s,
 // e = 120 s, and the default decay.
 func DefaultConfig() Config { return core.DefaultConfig() }
-
-// DefaultDecay is the Table-1 decay function: 1 - 0.9/((age/t)+1).
-func DefaultDecay(age, t time.Duration) float64 { return core.DefaultDecay(age, t) }
 
 // NewEngine validates cfg and returns a ready engine with the /0 roots
 // active.
@@ -570,7 +436,7 @@ func NewSimV5Packer(spec SimFaultSpec, start time.Time,
 }
 
 // WriteOutputSnapshot writes mapped ranges in the Appendix-B raw trace
-// format; label may be nil (plain "Rr.i" labels) or Topology.Label for
+// format; label may be nil (plain "Rr.i" labels) or a topology's Label for
 // country-qualified labels.
 func WriteOutputSnapshot(w io.Writer, at time.Time, infos []RangeInfo, label func(Ingress) string) error {
 	return export.WriteSnapshot(w, at, infos, label)
