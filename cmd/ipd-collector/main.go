@@ -9,7 +9,8 @@
 // The exporters file maps export source addresses to router IDs, one
 // "address,router_id" pair per line. With -trust, unknown exporters are
 // auto-registered with sequential router IDs (useful for lab setups; never
-// do this in production).
+// do this in production). Both collectors share one registry, so an address
+// is one router whether it sends NetFlow v5 or IPFIX.
 //
 // HTTP endpoints:
 //
@@ -85,6 +86,7 @@ import (
 
 	"ipd"
 	"ipd/internal/cliflags"
+	"ipd/internal/flow"
 	"ipd/internal/ipfix"
 	"ipd/internal/netflow"
 	"ipd/internal/node"
@@ -269,16 +271,19 @@ func run(o *options) error {
 			return err
 		}
 		ipfixColl.SetHealth(n.Health)
+		// One registry for both protocols: an exporter is one router
+		// whichever format it sends.
+		ipfixColl.Exporters = coll.Exporters
 	}
 	if o.exporters != "" {
-		count, err := loadExporters(coll, ipfixColl, o.exporters)
+		count, err := loadExporters(coll.Exporters, o.exporters)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "ipd-collector: %d exporters registered\n", count)
 	}
 	if o.trust {
-		enableTrust(coll)
+		enableTrust(coll.Exporters)
 	}
 
 	addrPort, err := coll.Listen(o.listen)
@@ -410,9 +415,9 @@ func registerCollectorMetrics(reg *ipd.TelemetryRegistry, coll *netflow.Collecto
 		"IPFIX messages abandoned after a contained decode/sink panic.", func() float64 { return float64(ix.Panics.Load()) })
 }
 
-// loadExporters reads "address,router_id" lines and registers them with
-// both collectors (the IPFIX one may be nil).
-func loadExporters(c *netflow.Collector, ic *ipfix.Collector, path string) (int, error) {
+// loadExporters reads "address,router_id" lines into the exporter registry
+// both collectors share.
+func loadExporters(reg *flow.Exporters, path string) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
@@ -437,21 +442,19 @@ func loadExporters(c *netflow.Collector, ic *ipfix.Collector, path string) (int,
 		if err != nil {
 			return n, fmt.Errorf("exporters: %v", err)
 		}
-		c.RegisterExporter(addr, ipd.RouterID(id))
-		if ic != nil {
-			ic.RegisterExporter(addr, ipd.RouterID(id))
-		}
+		reg.RegisterExporter(addr, ipd.RouterID(id))
 		n++
 	}
 	return n, sc.Err()
 }
 
-// enableTrust auto-registers unknown exporters with sequential router IDs
-// (lab setups only; production must pre-register its border routers).
-func enableTrust(c *netflow.Collector) {
+// enableTrust auto-registers unknown exporters of either protocol with
+// sequential router IDs (lab setups only; production must pre-register its
+// border routers).
+func enableTrust(reg *flow.Exporters) {
 	var mu sync.Mutex
 	next := ipd.RouterID(1)
-	c.SetUnknownPolicy(func(addr netip.Addr) (ipd.RouterID, bool) {
+	reg.SetUnknownPolicy(func(addr netip.Addr) (ipd.RouterID, bool) {
 		mu.Lock()
 		defer mu.Unlock()
 		id := next

@@ -10,12 +10,12 @@ package main
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/netip"
 	"os"
 	"time"
 
 	"ipd"
-	"ipd/internal/flow"
 	"ipd/internal/netflow"
 )
 
@@ -27,17 +27,18 @@ func main() {
 }
 
 func run() error {
-	// IPD server (statistical-time cleaning + two-stage engine).
+	// IPD server (statistical-time cleaning + two-stage engine) draining the
+	// bounded ingest queue the collector feeds.
 	cfg := ipd.DefaultConfig()
 	cfg.NCidrFactor4 = 0.001
-	records := make(chan ipd.Record, 1<<12)
+	queue := ipd.NewIngestQueue(1 << 12)
 	srv, err := ipd.NewServer(cfg, ipd.DefaultStatTimeConfig())
 	if err != nil {
 		return err
 	}
 
 	// Collector on an ephemeral loopback port.
-	coll, err := netflow.NewCollector(func(rec flow.Record) { records <- rec })
+	coll, err := netflow.NewCollector(queue.Offer)
 	if err != nil {
 		return err
 	}
@@ -52,9 +53,10 @@ func run() error {
 	collDone := make(chan error, 1)
 	srvDone := make(chan error, 1)
 	go func() { collDone <- coll.Serve(ctx) }()
-	go func() { srvDone <- srv.Run(context.Background(), records) }()
+	go func() { srvDone <- srv.RunQueue(context.Background(), queue) }()
 
-	// Three "border routers", each owning a /8 of client space.
+	// Three "border routers", each owning a /8 of client space and
+	// exporting from its own UDP socket.
 	routers := []struct {
 		id   ipd.RouterID
 		base string
@@ -63,24 +65,35 @@ func run() error {
 		{2, "130.0.0.0"},
 		{3, "210.0.0.0"},
 	}
-	var exporters []*netflow.Exporter
+	conns := make(map[ipd.RouterID]*net.UDPConn)
 	for _, r := range routers {
-		exp, err := netflow.NewExporter(addrPort.String(), r.id)
+		conn, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(addrPort))
 		if err != nil {
 			return err
 		}
+		defer conn.Close()
 		// All three lab exporters share 127.0.0.1 as a source address, so
 		// register them at (addr, port) granularity — production routers
 		// have distinct addresses and would use RegisterExporter.
-		coll.RegisterExporterPort(exp.LocalAddrPort(), r.id)
-		exporters = append(exporters, exp)
+		coll.RegisterExporterPort(conn.LocalAddr().(*net.UDPAddr).AddrPort(), r.id)
+		conns[r.id] = conn
+	}
+	// The fault-free packer builds each router's v5 datagrams with its own
+	// flow sequence; every full datagram goes out on that router's socket.
+	var sendErr error
+	packer, err := ipd.NewSimV5Packer(ipd.SimFaultSpec{}, time.Time{}, func(r ipd.RouterID, payload []byte, _ time.Time) {
+		if _, err := conns[r].Write(payload); err != nil && sendErr == nil {
+			sendErr = err
+		}
+	})
+	if err != nil {
+		return err
 	}
 	fmt.Println("exporting 5 virtual minutes of flows from 3 routers ...")
 
 	ts := time.Date(2024, 8, 4, 12, 0, 0, 0, time.UTC)
 	for minute := 0; minute < 5; minute++ {
 		for i, r := range routers {
-			exp := exporters[i]
 			base := netip.MustParseAddr(r.base).As4()
 			for j := 0; j < 120; j++ {
 				base[3] = byte(j)
@@ -91,17 +104,17 @@ func run() error {
 					Bytes:   1000,
 					Packets: 1,
 				}
-				if err := exp.Send(rec); err != nil {
+				if err := packer.Add(rec); err != nil {
 					return err
 				}
 			}
-			if err := exp.Flush(); err != nil {
+			if err := packer.Flush(); err != nil {
 				return err
 			}
 		}
 	}
-	for _, exp := range exporters {
-		exp.Close()
+	if sendErr != nil {
+		return sendErr
 	}
 
 	// Let the datagrams drain, then close the pipeline.
@@ -114,9 +127,12 @@ func run() error {
 	}
 	cancel()
 	<-collDone
-	close(records)
+	queue.Close()
 	if err := <-srvDone; err != nil {
 		return err
+	}
+	if shed := queue.Shed(); shed > 0 {
+		return fmt.Errorf("ingest queue shed %d records", shed)
 	}
 
 	st := coll.Stats()

@@ -41,12 +41,9 @@ type identityMapper struct{}
 
 func (identityMapper) Logical(in flow.Ingress) flow.Ingress { return in }
 
-// DecayFunc computes the multiplicative decay factor applied to the
-// counters of a classified range that received no traffic, given the age of
-// its last sample and the cycle length t. Factors must lie in [0, 1].
-type DecayFunc func(age, t time.Duration) float64
-
-// DefaultDecay is the deployment's decay from Table 1:
+// DefaultDecay is the multiplicative decay factor applied to the counters of
+// a classified range that received no traffic, given the age of its last
+// sample and the cycle length t — the deployment's decay from Table 1:
 // 1 - 0.9/((age/t)+1). Applied cumulatively across idle cycles it reduces a
 // freshly idle range hard (factor 0.1 on the first idle cycle) and ever more
 // gently afterwards, so state for silent ranges vanishes quickly.
@@ -90,9 +87,8 @@ type Config struct {
 	// Deployment: 120 s.
 	E time.Duration
 
-	// Decay reduces counters of idle classified ranges; nil selects
-	// DefaultDecay. Setting NoDecay disables decay entirely (ablation).
-	Decay   DecayFunc
+	// NoDecay turns off DefaultDecay, which shrinks the counters of idle
+	// classified ranges (ablation).
 	NoDecay bool
 
 	// CountBytes switches the classification counters from flow counts to
@@ -200,7 +196,7 @@ type Config struct {
 	// through a shared count-min + Bloom sketch instead, keeping vote
 	// tallies live at fixed memory. Ranges near the classification
 	// threshold keep exact state; sketched ranges hydrate back to exact
-	// after SketchHoldCycles eligible cycles (hysteretic, so the boundary
+	// after sketchHoldCycles eligible cycles (hysteretic, so the boundary
 	// cannot flap). When enabled, the sketch also preserves the coarse
 	// first-seen timestamp of sources refused by the MaxIPStates cap.
 	Sketch bool
@@ -217,16 +213,12 @@ type Config struct {
 	// within the margin of the classification threshold always keep exact
 	// per-IP state. Default 0.05.
 	SketchExactMargin float64
-
-	// SketchHoldCycles is how many consecutive hydration-eligible cycles
-	// (governor normal again, or the range back inside the exact margin) a
-	// sketched range must see before it re-mints exact state. Default 3.
-	SketchHoldCycles int
-
-	// SketchSeed keys the sketch hash family; 0 selects the package
-	// default. Runs with equal seeds (and equal input) are bit-identical.
-	SketchSeed uint64
 }
+
+// sketchHoldCycles is how many consecutive hydration-eligible cycles
+// (governor normal again, or the range back inside the exact margin) a
+// sketched range must see before it re-mints exact state.
+const sketchHoldCycles = 3
 
 // DefaultConfig returns the deployment parameterization from Table 1.
 func DefaultConfig() Config {
@@ -286,15 +278,13 @@ func (c *Config) Validate() error {
 		if c.SketchExactMargin < 0 || c.SketchExactMargin >= c.Q {
 			return fmt.Errorf("core: SketchExactMargin %v must be in [0, Q)", c.SketchExactMargin)
 		}
-		if c.SketchHoldCycles < 0 {
-			return fmt.Errorf("core: SketchHoldCycles %d must be >= 0", c.SketchHoldCycles)
-		}
 	}
 	return nil
 }
 
 // sketchConfig assembles the internal/sketch configuration: explicit sizes
-// with package defaults for unset fields, and a generation ring spanning the
+// with package defaults for unset fields and the default seed, and a
+// generation ring spanning the
 // per-IP expiry horizon (ceil(E/T)+1 cycles), so the sketch window ages
 // evidence out on the same clock exact expiry would.
 func (c *Config) sketchConfig() sketch.Config {
@@ -310,7 +300,6 @@ func (c *Config) sketchConfig() sketch.Config {
 		Width:       c.SketchWidth,
 		Depth:       c.SketchDepth,
 		Generations: gens,
-		Seed:        c.SketchSeed,
 	}.WithDefaults()
 }
 
@@ -320,14 +309,6 @@ func (c *Config) sketchExactMargin() float64 {
 		return 0.05
 	}
 	return c.SketchExactMargin
-}
-
-// sketchHoldCycles returns the configured hydration hold with its default.
-func (c *Config) sketchHoldCycles() int {
-	if c.SketchHoldCycles == 0 {
-		return 3
-	}
-	return c.SketchHoldCycles
 }
 
 // NCidr returns the minimum sample count for a range of the given prefix
@@ -362,18 +343,7 @@ func (c *Config) decay(age time.Duration) float64 {
 	if c.NoDecay {
 		return 1
 	}
-	f := c.Decay
-	if f == nil {
-		f = DefaultDecay
-	}
-	d := f(age, c.T)
-	if d < 0 {
-		return 0
-	}
-	if d > 1 {
-		return 1
-	}
-	return d
+	return min(max(DefaultDecay(age, c.T), 0), 1)
 }
 
 func (c *Config) mapper() IngressMapper {

@@ -67,7 +67,7 @@ type rangeState struct {
 	// hydration-eligible cycles toward the hysteresis hold.
 	sketched   bool
 	sketchCalm int
-	ring       *sketch.VoteRing
+	ring       *voteRing
 
 	// classifiedSketched records that the current classification was
 	// decided on sketched evidence; classify/join events and Explain carry
@@ -400,7 +400,7 @@ func (e *Engine) observe(rec *flow.Record, t *observed) {
 				e.tel.sketchObserves.Inc()
 			}
 			if rs.ring != nil {
-				rs.ring.Observe(logical, w)
+				rs.ring.observe(logical, w)
 			}
 		} else {
 			st := rs.ips[k]
@@ -834,16 +834,15 @@ func (e *Engine) cycleUnclassified(rs *rangeState, now time.Time) (pendingSplit,
 }
 
 // expireSketchedVotes rotates the range's vote ring and subtracts the
-// expired generation from the range counters — the sketched analogue of the
-// exact per-IP expiry walk. Each ingress is subtracted once, so the map's
-// iteration order cannot show in the result.
+// expired generation's tally from the range counters — the sketched analogue
+// of the exact per-IP expiry walk.
 func (e *Engine) expireSketchedVotes(rs *rangeState) {
 	if rs.ring == nil {
 		return
 	}
-	expired, total := rs.ring.Rotate()
-	for in, n := range expired {
-		rs.counters.sub(in, n)
+	expired, total := rs.ring.rotate()
+	for _, x := range expired {
+		rs.counters.sub(x.in, x.n)
 	}
 	rs.total -= total
 }
@@ -852,7 +851,7 @@ func (e *Engine) expireSketchedVotes(rs *rangeState) {
 // unclassified range. Exact ranges degrade immediately when the governor is
 // under pressure and the range sits more than the exact margin below the
 // classification threshold; sketched ranges hydrate back only after
-// SketchHoldCycles consecutive eligible cycles, so the boundary cannot
+// sketchHoldCycles consecutive eligible cycles, so the boundary cannot
 // flap. A range about to classify this cycle is left sketched so the
 // decision carries its ε/δ provenance.
 func (e *Engine) updateStateMode(rs *rangeState, now time.Time, share, ncidr float64) {
@@ -881,7 +880,7 @@ func (e *Engine) updateStateMode(rs *rangeState, now time.Time, share, ncidr flo
 		// cannot absorb stays sketched with its calm streak intact, so it
 		// hydrates as soon as headroom opens — gradually, instead of every
 		// sketched range re-minting at once and re-breaching the cap.
-		if rs.sketchCalm >= e.cfg.sketchHoldCycles() && !classifyImminent && rs.total <= e.hydroBudget {
+		if rs.sketchCalm >= sketchHoldCycles && !classifyImminent && rs.total <= e.hydroBudget {
 			e.hydroBudget -= rs.total
 			e.hydrate(rs, now, share)
 		}
@@ -895,7 +894,7 @@ func (e *Engine) updateStateMode(rs *rangeState, now time.Time, share, ncidr flo
 // folded votes age out on the ring clock), then switches the range to
 // sketched mode. Sorted iteration keeps the float sums deterministic.
 func (e *Engine) degrade(rs *rangeState, now time.Time, share float64) {
-	ring := sketch.NewVoteRing(e.sk.Config().Generations)
+	ring := newVoteRing(e.sk.Config().Generations)
 	keys := make([]netaddr.Key, 0, len(rs.ips))
 	for k := range rs.ips {
 		keys = append(keys, k)
@@ -905,7 +904,7 @@ func (e *Engine) degrade(rs *rangeState, now time.Time, share float64) {
 		st := rs.ips[k]
 		e.sk.Observe(k.Prefix(), st.total, st.lastSeen)
 		for _, x := range st.counters {
-			ring.Observe(x.in, x.n)
+			ring.observe(x.in, x.n)
 		}
 	}
 	e.ipCount -= len(rs.ips)

@@ -104,9 +104,9 @@ func TestServerSnapshotsDuringEmergencyCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	in := make(chan flow.Record, 1024)
+	q := NewIngestQueue(8 * 300)
 	runDone := make(chan error, 1)
-	go func() { runDone <- s.Run(context.Background(), in) }()
+	go func() { runDone <- s.RunQueue(context.Background(), q) }()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -146,12 +146,15 @@ func TestServerSnapshotsDuringEmergencyCompaction(t *testing.T) {
 		ts := base.Add(time.Duration(m) * time.Minute)
 		for i := 0; i < 300; i++ {
 			a4 := [4]byte{10, byte(m), byte(i / 16), byte(i % 16 * 16)}
-			in <- flow.Record{Ts: ts, Src: netip.AddrFrom4(a4), In: chaosIngress(rng.next()), Bytes: 64, Packets: 1}
+			q.Offer(flow.Record{Ts: ts, Src: netip.AddrFrom4(a4), In: chaosIngress(rng.next()), Bytes: 64, Packets: 1})
 		}
 	}
-	close(in)
+	q.Close()
 	if err := <-runDone; err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunQueue: %v", err)
+	}
+	if q.Shed() != 0 {
+		t.Fatalf("queue shed %d records", q.Shed())
 	}
 	close(stop)
 	wg.Wait()

@@ -238,7 +238,7 @@ func encodeRange(enc *persist.Encoder, rs *rangeState) {
 	enc.Bool(rs.classifiedSketched)
 	enc.Bool(rs.ring != nil)
 	if rs.ring != nil {
-		rs.ring.EncodeState(enc)
+		encodeVoteRing(enc, rs.ring)
 	}
 }
 
@@ -325,7 +325,7 @@ func decodeRange(dec *persist.Decoder) (*rangeState, error) {
 		return nil, err
 	}
 	if hasRing {
-		if rs.ring, err = sketch.DecodeVoteRing(dec); err != nil {
+		if rs.ring, err = decodeVoteRing(dec); err != nil {
 			return nil, err
 		}
 	}
@@ -388,6 +388,47 @@ func decodeCounters(dec *persist.Decoder, v *votes) error {
 		*v = append(*v, vote{in, c})
 	}
 	return nil
+}
+
+// encodeVoteRing writes the ring: its capacity, then each generation's tally
+// and total, oldest first.
+func encodeVoteRing(enc *persist.Encoder, r *voteRing) {
+	enc.Uvarint(uint64(r.max))
+	enc.Uvarint(uint64(len(r.gens)))
+	for _, g := range r.gens {
+		encodeCounters(enc, g.votes)
+		enc.Float64(g.total)
+	}
+}
+
+// decodeVoteRing reads a ring written by encodeVoteRing, rejecting a
+// capacity outside the sketch's generation range and a generation count the
+// capacity cannot hold.
+func decodeVoteRing(dec *persist.Decoder) (*voteRing, error) {
+	max, err := dec.Uvarint()
+	if err != nil {
+		return nil, fmt.Errorf("core: restore: vote ring max: %w", err)
+	}
+	if max < 2 || max > 64 {
+		return nil, fmt.Errorf("core: restore: vote ring max %d out of range [2, 64]", max)
+	}
+	n, err := dec.Len()
+	if err != nil {
+		return nil, fmt.Errorf("core: restore: vote ring length: %w", err)
+	}
+	if n < 1 || n > int(max) {
+		return nil, fmt.Errorf("core: restore: vote ring holds %d generations, want 1..%d", n, max)
+	}
+	r := &voteRing{max: int(max), gens: make([]voteGen, n)}
+	for i := range r.gens {
+		if err := decodeCounters(dec, &r.gens[i].votes); err != nil {
+			return nil, fmt.Errorf("core: restore: vote ring generation %d: %w", i, err)
+		}
+		if r.gens[i].total, err = dec.Float64(); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
 }
 
 // ApplyEvent folds one recorded lifecycle event into the engine's partition
@@ -499,7 +540,7 @@ func (e *Engine) ApplyEvent(ev Event) error {
 			rs.sketched = true
 			rs.sketchCalm = 0
 			if e.sk != nil {
-				rs.ring = sketch.NewVoteRing(e.sk.Config().Generations)
+				rs.ring = newVoteRing(e.sk.Config().Generations)
 			}
 		case StateModeExact:
 			rs.sketched = false
@@ -562,7 +603,7 @@ func parseChildren(ev Event) (keys [2]netaddr.Key, err error) {
 // EncodeCheckpoint serializes the full server state — the engine partition
 // plus the statistical-time binner's open buckets — as one CRC-guarded
 // payload, and returns it with the covered event sequence (the checkpoint
-// file's rotation key). Safe concurrently with Run: it takes the server
+// file's rotation key). Safe concurrently with RunQueue: it takes the server
 // lock for the in-memory encode only; writing the payload to disk is the
 // caller's (off-lock) business.
 func (s *Server) EncodeCheckpoint() ([]byte, uint64) {

@@ -64,7 +64,7 @@ func testServerJournaled(t *testing.T) *Server {
 }
 
 // feed pushes records through the server's batch-ingest path, the same code
-// Run uses, without the channel plumbing — so tests control exactly where a
+// RunQueue uses, without the queue plumbing — so tests control exactly where a
 // "crash" happens.
 func feed(s *Server, recs []flow.Record) {
 	for len(recs) > 0 {
@@ -450,11 +450,11 @@ func TestCheckpointWriteFailureKeepsServing(t *testing.T) {
 	recs := recordStream(8)
 	cut := len(recs) * 3 / 4 // six of eight rounds: several cycles before the cut
 
-	in := make(chan flow.Record, len(recs))
+	q := NewIngestQueue(len(recs))
 	done := make(chan error, 1)
-	go func() { done <- s.Run(context.Background(), in) }()
+	go func() { done <- s.RunQueue(context.Background(), q) }()
 	for _, r := range recs[:cut] {
-		in <- r
+		q.Offer(r)
 	}
 	// Wait until at least one checkpoint landed on disk.
 	deadline := time.Now().Add(5 * time.Second)
@@ -468,11 +468,14 @@ func TestCheckpointWriteFailureKeepsServing(t *testing.T) {
 	// The disk dies.
 	mgr.SetWriteFile(func(string, []byte) error { return errors.New("injected: disk gone") })
 	for _, r := range recs[cut:] {
-		in <- r
+		q.Offer(r)
 	}
-	close(in)
+	q.Close()
 	if err := <-done; err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunQueue: %v", err)
+	}
+	if q.Shed() != 0 {
+		t.Fatalf("queue shed %d records", q.Shed())
 	}
 
 	// Ingest survived the failing checkpoints...
@@ -505,15 +508,27 @@ func TestRunWritesPeriodicAndFinalCheckpoints(t *testing.T) {
 	s := testServerJournaled(t)
 	s.SetCheckpoint(mgr, 1)
 
-	in := make(chan flow.Record, 16)
+	const rounds = 5
+	recs := recordStream(rounds)
+	q := NewIngestQueue(len(recs))
 	done := make(chan error, 1)
-	go func() { done <- s.Run(context.Background(), in) }()
-	for _, r := range recordStream(5) {
-		in <- r
+	go func() { done <- s.RunQueue(context.Background(), q) }()
+	// Offer a minute at a time and let the drain catch up, so stage-2 cycles
+	// complete between batches, as behind a paced exporter.
+	for round := len(recs) / rounds; len(recs) > 0; recs = recs[round:] {
+		for _, r := range recs[:round] {
+			q.Offer(r)
+		}
+		for q.Len() > 0 {
+			time.Sleep(time.Millisecond)
+		}
 	}
-	close(in)
+	q.Close()
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+	if q.Shed() != 0 {
+		t.Fatalf("queue shed %d records", q.Shed())
 	}
 	if mgr.Writes() < 2 {
 		t.Errorf("only %d checkpoint writes; want periodic plus final", mgr.Writes())
@@ -539,9 +554,9 @@ func TestRunWritesPeriodicAndFinalCheckpoints(t *testing.T) {
 	}
 }
 
-// TestServerGracefulCancelDrains pins the shutdown bug fix: a cancelled Run
-// must ingest the records already buffered in the channel and flush the
-// binner's open buckets before returning — a SIGTERM loses nothing that
+// TestServerGracefulCancelDrains pins the shutdown bug fix: a cancelled
+// RunQueue must ingest the records already buffered in the queue and flush
+// the binner's open buckets before returning — a SIGTERM loses nothing that
 // reached the process.
 func TestServerGracefulCancelDrains(t *testing.T) {
 	st := stattime.DefaultConfig()
@@ -550,16 +565,16 @@ func TestServerGracefulCancelDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := recordStream(3)
-	in := make(chan flow.Record, len(recs))
+	q := NewIngestQueue(len(recs))
 	for _, r := range recs {
-		in <- r
+		q.Offer(r)
 	}
-	// Cancel before Run ever starts: everything it will see is "buffered at
-	// cancellation time".
+	// Cancel before RunQueue ever starts: everything it will see is
+	// "buffered at cancellation time".
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := s.Run(ctx, in); err != context.Canceled {
-		t.Fatalf("Run = %v, want context.Canceled", err)
+	if err := s.RunQueue(ctx, q); err != context.Canceled {
+		t.Fatalf("RunQueue = %v, want context.Canceled", err)
 	}
 	eng, bin := s.Stats()
 	if eng.Records != uint64(len(recs)) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 
@@ -10,7 +9,7 @@ import (
 )
 
 // IngestQueue is the bounded overload buffer between UDP collectors and
-// Server.Run. Unlike a plain channel — whose only non-blocking overflow
+// Server.RunQueue. Unlike a plain channel — whose only non-blocking overflow
 // policy is to drop the *newest* record — the queue sheds the *oldest*
 // buffered record when full. Under sustained overload that keeps the buffer
 // full of recent traffic, which is what a statistical-time pipeline wants:
@@ -147,27 +146,3 @@ func (q *IngestQueue) Len() int {
 
 // Shed returns how many records the queue has dropped under overload.
 func (q *IngestQueue) Shed() uint64 { return q.shed.Value() }
-
-// next is the drain loop's nextBatch over the queue.
-func (q *IngestQueue) next(ctx context.Context, dst []flow.Record) ([]flow.Record, bool) {
-	for {
-		batch, ended := q.Pop(dst, runBatch)
-		if len(batch) > 0 || ended {
-			return batch, ended
-		}
-		select {
-		case <-ctx.Done():
-			return batch, false
-		case <-q.wake:
-		}
-	}
-}
-
-// RunQueue is Server.Run over an IngestQueue instead of a channel: the same
-// loop (drain) with the same termination semantics — on queue close it
-// flushes and returns nil; on ctx cancellation it ingests whatever is
-// already buffered, flushes, and returns ctx.Err(). Checkpointing
-// (SetCheckpoint) runs at batch boundaries, off the ingest lock.
-func (s *Server) RunQueue(ctx context.Context, q *IngestQueue) error {
-	return s.drain(ctx, q.next)
-}

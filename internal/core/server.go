@@ -17,13 +17,14 @@ import (
 
 // Server wraps an Engine with the deployment's structure (§3.2: stage 1 and
 // stage 2 run in parallel threads; §3.1: a statistical-time pre-processing
-// step cleans router clock drift). Records stream in over a channel; the
-// statistical-time binner segments them into buckets; each completed bucket
-// is ingested and stage-2 cycles run as statistical time crosses T
-// boundaries. Snapshots may be taken concurrently from other goroutines.
+// step cleans router clock drift). RunQueue drains records from the bounded
+// IngestQueue the collectors feed; the statistical-time binner segments them
+// into buckets; each completed bucket is ingested and stage-2 cycles run as
+// statistical time crosses T boundaries. Snapshots may be taken concurrently
+// from other goroutines.
 //
 // Locking contract: mu guards all mutable engine and binner state (the
-// trie, range states, open buckets). Run is the only writer; it acquires mu
+// trie, range states, open buckets). RunQueue is the only writer; it acquires mu
 // once per drained batch of records, not once per record, so snapshot
 // readers get a chance to interleave at batch boundaries even under
 // saturating input. Snapshot, Mapped, LookupTable, and Range take mu to
@@ -34,7 +35,7 @@ type Server struct {
 	eng *Engine
 	bin *stattime.Binner
 
-	// ckpt, when non-nil, makes Run/RunQueue write a checkpoint every
+	// ckpt, when non-nil, makes RunQueue write a checkpoint every
 	// ckptEvery stage-2 cycles and a final one on shutdown. The encode runs
 	// under mu; the file write happens off-lock at a batch boundary, so
 	// checkpointing never touches the Observe hot path.
@@ -57,7 +58,7 @@ type Server struct {
 	lockAcquisitions atomic.Uint64
 }
 
-// runBatch bounds how many records Run drains per mu acquisition: large
+// runBatch bounds how many records RunQueue drains per mu acquisition: large
 // enough to amortize the lock, small enough to bound snapshot latency.
 const runBatch = 512
 
@@ -83,15 +84,15 @@ func NewServer(cfg Config, st stattime.Config) (*Server, error) {
 
 // SetTracer attaches a pipeline tracer to both the engine (observe and
 // cycle-phase spans) and the statistical-time binner (bin spans); nil
-// detaches. Call during setup, before Run.
+// detaches. Call during setup, before RunQueue.
 func (s *Server) SetTracer(t *trace.Tracer) {
 	s.eng.SetTracer(t)
 	s.bin.SetTracer(t)
 }
 
-// SetCheckpoint arranges for Run/RunQueue to write a checkpoint via mgr
+// SetCheckpoint arranges for RunQueue to write a checkpoint via mgr
 // every everyCycles stage-2 cycles (minimum 1) plus a final one at
-// shutdown. Call during setup, before Run. Write failures are counted by
+// shutdown. Call during setup, before RunQueue. Write failures are counted by
 // the manager (ipd_checkpoint_errors_total) and do not interrupt ingest —
 // the previous checkpoint stays valid.
 func (s *Server) SetCheckpoint(mgr *persist.Manager, everyCycles uint64) {
@@ -105,14 +106,14 @@ func (s *Server) SetCheckpoint(mgr *persist.Manager, everyCycles uint64) {
 
 // SetWorkload attaches a workload observer fed each drained record batch
 // (workload.Profiler.ObserveBatch). The batches are exactly the runBatch-
-// bounded drains of the Run loop, so batch-locality stats measure the real
+// bounded drains of RunQueue, so batch-locality stats measure the real
 // drain granularity. Runs outside the ingest lock. Call during setup,
-// before Run.
+// before RunQueue.
 func (s *Server) SetWorkload(fn func(batch []flow.Record)) { s.workload = fn }
 
 // maybeCheckpoint writes a checkpoint when the configured cycle interval
 // has elapsed (or unconditionally when force is set, for shutdown). Called
-// from the Run loops only, between batches and off the ingest lock.
+// from RunQueue only, between batches and off the ingest lock.
 func (s *Server) maybeCheckpoint(force bool) {
 	if s.ckpt == nil {
 		return
@@ -128,7 +129,7 @@ func (s *Server) maybeCheckpoint(force bool) {
 	_ = s.ckpt.Save(seq, data)
 }
 
-// ingestBucket runs under s.mu (drain holds the lock around OfferBatch and
+// ingestBucket runs under s.mu (RunQueue holds the lock around OfferBatch and
 // Flush). The engine keeps no reference to the records, so the bucket's
 // backing array goes straight back to the binner.
 func (s *Server) ingestBucket(b stattime.Bucket) {
@@ -161,72 +162,41 @@ func (s *Server) LockContention() (wait time.Duration, acquisitions uint64) {
 	return time.Duration(s.lockWaitNanos.Load()), s.lockAcquisitions.Load()
 }
 
-// nextBatch appends up to runBatch already-buffered records to dst. With
-// nothing buffered it blocks until a record arrives, the stream ends (ended,
-// with its last records) or ctx is done (an empty batch).
-type nextBatch func(ctx context.Context, dst []flow.Record) (batch []flow.Record, ended bool)
-
-type chanSource <-chan flow.Record
-
-func (c chanSource) next(ctx context.Context, dst []flow.Record) ([]flow.Record, bool) {
-	for len(dst) < runBatch {
-		select {
-		case rec, ok := <-c:
-			if !ok {
-				return dst, true
-			}
-			dst = append(dst, rec)
-			continue
-		default:
-		}
-		if len(dst) > 0 {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			return dst, false
-		case rec, ok := <-c:
-			if !ok {
-				return dst, true
-			}
-			dst = append(dst, rec)
-		}
-	}
-	return dst, false
-}
-
-// Run consumes records until in is closed or ctx is cancelled, then flushes
-// remaining buckets and runs a final cycle. It returns ctx.Err() on
-// cancellation and nil on clean end of stream. Cancellation is a graceful
-// drain, not an abort: records already buffered in the channel are ingested
-// before the flush, so a SIGTERM loses nothing that reached the process
-// (the cmd/ipd-collector shutdown path).
-func (s *Server) Run(ctx context.Context, in <-chan flow.Record) error {
-	return s.drain(ctx, chanSource(in).next)
-}
-
-// drain is the one ingest loop behind Run and RunQueue. It blocks for the
-// first record of a batch, takes up to runBatch-1 more that are already
-// buffered and ingests them under one mu acquisition (the locking contract
-// on Server). With a checkpoint manager attached it writes a checkpoint
+// RunQueue consumes records from q until q is closed and drained or ctx is
+// cancelled, then flushes remaining buckets and runs a final cycle. It
+// returns nil on queue close and ctx.Err() on cancellation. Cancellation is
+// a graceful drain, not an abort: records already buffered in the queue are
+// ingested before the flush, so a SIGTERM loses nothing that reached the
+// process (the cmd/ipd-collector shutdown path); producers still racing
+// their final offers extend that by at most drainLimit records.
+//
+// Each pass pops up to runBatch buffered records and ingests them under one
+// mu acquisition (the locking contract on Server), blocking only while the
+// queue is empty. With a checkpoint manager attached it writes a checkpoint
 // every N stage-2 cycles at a batch boundary and a final one after the
-// shutdown flush, never inside the ingest lock. After cancellation next no
-// longer blocks, so the loop ingests what is already buffered; producers
-// still racing their final sends extend that by at most drainLimit records.
-func (s *Server) drain(ctx context.Context, next nextBatch) error {
+// shutdown flush, never inside the ingest lock.
+func (s *Server) RunQueue(ctx context.Context, q *IngestQueue) error {
 	const drainLimit = 1 << 20
 	batch := make([]flow.Record, 0, runBatch)
-	for drained, ended := 0, false; drained < drainLimit; {
-		batch, ended = next(ctx, batch[:0])
+drain:
+	for drained := 0; drained < drainLimit; {
+		var ended bool
+		batch, ended = q.Pop(batch[:0], runBatch)
 		if len(batch) > 0 {
 			s.ingestBatch(batch)
 		}
-		if ended || len(batch) == 0 {
-			break
-		}
-		if ctx.Err() != nil {
+		switch {
+		case ended:
+			break drain
+		case len(batch) == 0:
+			select {
+			case <-ctx.Done():
+				break drain
+			case <-q.wake:
+			}
+		case ctx.Err() != nil:
 			drained += len(batch)
-		} else {
+		default:
 			s.maybeCheckpoint(false)
 		}
 	}
@@ -242,14 +212,14 @@ func (s *Server) finish() {
 	s.maybeCheckpoint(true)
 }
 
-// Snapshot returns all active ranges (safe concurrently with Run).
+// Snapshot returns all active ranges (safe concurrently with RunQueue).
 func (s *Server) Snapshot() []RangeInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.eng.Snapshot()
 }
 
-// Mapped returns the classified ranges (safe concurrently with Run).
+// Mapped returns the classified ranges (safe concurrently with RunQueue).
 func (s *Server) Mapped() []RangeInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -257,7 +227,7 @@ func (s *Server) Mapped() []RangeInfo {
 }
 
 // LookupTable builds an LPM table from the current classified ranges (safe
-// concurrently with Run).
+// concurrently with RunQueue).
 func (s *Server) LookupTable() *trie.Trie[flow.Ingress] {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -265,7 +235,7 @@ func (s *Server) LookupTable() *trie.Trie[flow.Ingress] {
 }
 
 // Range returns the active range covering addr (safe concurrently with
-// Run).
+// RunQueue).
 func (s *Server) Range(addr netip.Addr) (RangeInfo, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -273,7 +243,7 @@ func (s *Server) Range(addr netip.Addr) (RangeInfo, bool) {
 }
 
 // Explain reports the LPM walk, matched range, per-ingress vote shares, and
-// current threshold verdict for addr (safe concurrently with Run).
+// current threshold verdict for addr (safe concurrently with RunQueue).
 func (s *Server) Explain(addr netip.Addr) (Explanation, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -281,7 +251,7 @@ func (s *Server) Explain(addr netip.Addr) (Explanation, bool) {
 }
 
 // SketchStatus returns the fixed-memory sketch tier's status (safe
-// concurrently with Run); the zero status when Config.Sketch is off.
+// concurrently with RunQueue); the zero status when Config.Sketch is off.
 func (s *Server) SketchStatus() SketchStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,12 +2,12 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"ipd/internal/flow"
 	"ipd/internal/persist"
 )
 
@@ -20,18 +20,19 @@ func newTestCheckpointManager(t *testing.T, dir string) *persist.Manager {
 	return mgr
 }
 
-// TestServerCancelUnderSaturation cancels Run while a fast producer keeps the
-// channel saturated and snapshot readers hammer the lock from other
+// TestServerCancelUnderSaturation cancels RunQueue while a fast producer
+// keeps the queue full and snapshot readers hammer the lock from other
 // goroutines. With -race this validates the locking across the cancellation
-// path (drainPending + finish); the accounting check validates that the
-// graceful drain ingested everything the producer managed to send before the
-// channel was abandoned.
+// path (the post-cancel drain + finish); the accounting check validates that
+// the graceful drain ingested everything the producer managed to offer
+// before the queue was abandoned.
 func TestServerCancelUnderSaturation(t *testing.T) {
 	s := testServerJournaled(t)
-	in := make(chan flow.Record, 1<<10)
+	const capacity = 1 << 10
+	q := NewIngestQueue(capacity)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- s.Run(ctx, in) }()
+	go func() { done <- s.RunQueue(ctx, q) }()
 
 	// Snapshot readers interleave at batch boundaries.
 	var wg sync.WaitGroup
@@ -53,23 +54,29 @@ func TestServerCancelUnderSaturation(t *testing.T) {
 		}()
 	}
 
-	// A producer that saturates the channel until told to stop, then closes.
-	// It cycles the stream so the channel can never empty-and-close before the
-	// cancellation lands (which would make Run return nil instead).
+	// A producer that keeps the queue full until told to stop. It cycles the
+	// stream and never closes the queue, so RunQueue can only end by the
+	// cancellation. It offers only while there is room: the queue would shed
+	// where a channel blocked.
 	recs := recordStream(20)
 	var sent atomic.Uint64
 	stopProducer := make(chan struct{})
 	producerDone := make(chan struct{})
 	go func() {
 		defer close(producerDone)
-		defer close(in)
-		for i := 0; ; i++ {
+		for i := 0; ; {
 			select {
 			case <-stopProducer:
 				return
-			case in <- recs[i%len(recs)]:
-				sent.Add(1)
+			default:
 			}
+			if q.Len() == capacity {
+				runtime.Gosched()
+				continue
+			}
+			q.Offer(recs[i%len(recs)])
+			sent.Add(1)
+			i++
 		}
 	}()
 
@@ -82,13 +89,16 @@ func TestServerCancelUnderSaturation(t *testing.T) {
 	wg.Wait()
 
 	if err != context.Canceled {
-		t.Fatalf("Run = %v, want context.Canceled", err)
+		t.Fatalf("RunQueue = %v, want context.Canceled", err)
 	}
-	// Everything sent before the producer stopped is accounted for: ingested
-	// by the drain, deliberately dropped by the statistical-time binner (the
-	// cycling producer replays stale timestamps), or still sitting in the
-	// abandoned channel. Nothing vanished silently.
-	left := uint64(len(in))
+	if q.Shed() != 0 {
+		t.Fatalf("queue shed %d records", q.Shed())
+	}
+	// Everything offered before the producer stopped is accounted for:
+	// ingested by the drain, deliberately dropped by the statistical-time
+	// binner (the cycling producer replays stale timestamps), or still
+	// sitting in the abandoned queue. Nothing vanished silently.
+	left := uint64(q.Len())
 	_, bin := s.Stats()
 	accounted := bin.Accepted + bin.DroppedStale + bin.DroppedFuture + left
 	if accounted != sent.Load() {
@@ -111,9 +121,10 @@ func TestServerCheckpointDuringSnapshots(t *testing.T) {
 	s := testServerJournaled(t)
 	s.SetCheckpoint(mgr, 1)
 
-	in := make(chan flow.Record, 256)
+	recs := recordStream(10)
+	q := NewIngestQueue(len(recs))
 	done := make(chan error, 1)
-	go func() { done <- s.Run(context.Background(), in) }()
+	go func() { done <- s.RunQueue(context.Background(), q) }()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -137,12 +148,15 @@ func TestServerCheckpointDuringSnapshots(t *testing.T) {
 		}()
 	}
 
-	for _, r := range recordStream(10) {
-		in <- r
+	for _, r := range recs {
+		q.Offer(r)
 	}
-	close(in)
+	q.Close()
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+	if q.Shed() != 0 {
+		t.Fatalf("queue shed %d records", q.Shed())
 	}
 	close(stop)
 	wg.Wait()

@@ -25,22 +25,25 @@ func testServer(t *testing.T) *Server {
 
 func TestServerEndToEnd(t *testing.T) {
 	s := testServer(t)
-	in := make(chan flow.Record, 1024)
+	q := NewIngestQueue(400)
 	done := make(chan error, 1)
-	go func() { done <- s.Run(context.Background(), in) }()
+	go func() { done <- s.RunQueue(context.Background(), q) }()
 
 	a := netip.MustParseAddr("10.0.0.0").As4()
 	ts := base
 	for cycle := 0; cycle < 4; cycle++ {
 		for i := 0; i < 100; i++ {
 			a[3] = byte(i)
-			in <- flow.Record{Ts: ts, Src: netip.AddrFrom4(a), In: inA, Bytes: 100}
+			q.Offer(flow.Record{Ts: ts, Src: netip.AddrFrom4(a), In: inA, Bytes: 100})
 		}
 		ts = ts.Add(time.Minute)
 	}
-	close(in)
+	q.Close()
 	if err := <-done; err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunQueue: %v", err)
+	}
+	if q.Shed() != 0 {
+		t.Fatalf("queue shed %d records", q.Shed())
 	}
 	mapped := s.Mapped()
 	if len(mapped) != 1 || mapped[0].Ingress != inA {
@@ -61,18 +64,17 @@ func TestServerEndToEnd(t *testing.T) {
 
 func TestServerContextCancel(t *testing.T) {
 	s := testServer(t)
-	in := make(chan flow.Record)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- s.Run(ctx, in) }()
+	go func() { done <- s.RunQueue(ctx, NewIngestQueue(1)) }()
 	cancel()
 	select {
 	case err := <-done:
 		if err != context.Canceled {
-			t.Fatalf("Run = %v, want context.Canceled", err)
+			t.Fatalf("RunQueue = %v, want context.Canceled", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Run did not return after cancel")
+		t.Fatal("RunQueue did not return after cancel")
 	}
 }
 
@@ -80,9 +82,9 @@ func TestServerContextCancel(t *testing.T) {
 // run with -race this validates the locking.
 func TestServerConcurrentSnapshots(t *testing.T) {
 	s := testServer(t)
-	in := make(chan flow.Record, 256)
+	q := NewIngestQueue(2000)
 	done := make(chan error, 1)
-	go func() { done <- s.Run(context.Background(), in) }()
+	go func() { done <- s.RunQueue(context.Background(), q) }()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -110,19 +112,19 @@ func TestServerConcurrentSnapshots(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			a[3] = byte(i)
 			a[2] = byte(cycle)
-			in <- flow.Record{Ts: ts, Src: netip.AddrFrom4(a), In: inB, Bytes: 64}
+			q.Offer(flow.Record{Ts: ts, Src: netip.AddrFrom4(a), In: inB, Bytes: 64})
 		}
 		ts = ts.Add(30 * time.Second)
 	}
-	close(in)
+	q.Close()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	close(stop)
 	wg.Wait()
 	eng, _ := s.Stats()
-	if eng.Records != 2000 {
-		t.Errorf("Records = %d", eng.Records)
+	if eng.Records != 2000 || q.Shed() != 0 {
+		t.Errorf("Records = %d, shed = %d", eng.Records, q.Shed())
 	}
 }
 
@@ -135,9 +137,9 @@ func TestServerConcurrentTelemetryScrapes(t *testing.T) {
 	s := testServer(t)
 	metrics := s.Telemetry().Handler()
 	vars := s.Telemetry().JSONHandler()
-	in := make(chan flow.Record, 256)
+	q := NewIngestQueue(1200)
 	done := make(chan error, 1)
-	go func() { done <- s.Run(context.Background(), in) }()
+	go func() { done <- s.RunQueue(context.Background(), q) }()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -185,16 +187,19 @@ func TestServerConcurrentTelemetryScrapes(t *testing.T) {
 	for cycle := 0; cycle < 8; cycle++ {
 		for i := 0; i < 150; i++ {
 			a[3] = byte(i)
-			in <- flow.Record{Ts: ts, Src: netip.AddrFrom4(a), In: inA, Bytes: 64}
+			q.Offer(flow.Record{Ts: ts, Src: netip.AddrFrom4(a), In: inA, Bytes: 64})
 		}
 		ts = ts.Add(time.Minute)
 	}
-	close(in)
+	q.Close()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	close(stop)
 	wg.Wait()
+	if q.Shed() != 0 {
+		t.Fatalf("queue shed %d records", q.Shed())
+	}
 
 	rec := httptest.NewRecorder()
 	metrics.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))

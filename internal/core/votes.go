@@ -88,3 +88,45 @@ func (v votes) top() (best flow.Ingress, bestN float64) {
 	}
 	return best, bestN
 }
+
+// voteRing is the per-range companion to the shared sketch: the exact
+// per-ingress vote mass of the last max generations, a few dozen bytes per
+// sketched range. Rotation returns the expired oldest generation so the
+// engine can subtract it from the range counters — the sketched analogue of
+// exact per-IP expiry (votes age out by contribution time instead of source
+// idleness; DESIGN §13 quantifies the difference).
+type voteRing struct {
+	max  int
+	gens []voteGen // oldest first
+}
+
+type voteGen struct {
+	votes votes
+	total float64
+}
+
+// newVoteRing returns a ring holding up to max generations, with one empty
+// generation open for observes.
+func newVoteRing(max int) *voteRing {
+	return &voteRing{max: max, gens: make([]voteGen, 1)}
+}
+
+// observe adds w votes for ingress in to the newest generation.
+func (r *voteRing) observe(in flow.Ingress, w float64) {
+	g := &r.gens[len(r.gens)-1]
+	g.votes.add(in, w)
+	g.total += w
+}
+
+// rotate opens a new generation and, once the ring is full, pops the oldest
+// and returns its tally and total for the caller to expire. Returns (nil, 0)
+// while the ring is still filling.
+func (r *voteRing) rotate() (votes, float64) {
+	r.gens = append(r.gens, voteGen{})
+	if len(r.gens) <= r.max {
+		return nil, 0
+	}
+	old := r.gens[0]
+	r.gens = r.gens[1:]
+	return old.votes, old.total
+}

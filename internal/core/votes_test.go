@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"ipd/internal/flow"
+	"ipd/internal/persist"
 )
 
 // modelTop is top() as the map-based tallies computed it: highest count,
@@ -155,4 +158,140 @@ func TestVotesAgainstMapModel(t *testing.T) {
 			t.Fatalf("size %d: %v", size, err)
 		}
 	}
+}
+
+// ringMass is the vote weight a ring retains across its generations.
+func ringMass(r *voteRing) float64 {
+	var m float64
+	for _, g := range r.gens {
+		m += g.total
+	}
+	return m
+}
+
+func TestVoteRing(t *testing.T) {
+	inA := flow.Ingress{Router: 1, Iface: 1}
+	inB := flow.Ingress{Router: 2, Iface: 1}
+	r := newVoteRing(3)
+	r.observe(inA, 10)
+	r.observe(inB, 4)
+	if m := ringMass(r); m != 14 {
+		t.Fatalf("mass = %v, want 14", m)
+	}
+	// Ring filling: nothing expires for the first max-1 rotations.
+	if exp, tot := r.rotate(); exp != nil || tot != 0 {
+		t.Fatalf("rotation 1 expired %v/%v, want nothing", exp, tot)
+	}
+	r.observe(inA, 2)
+	if exp, tot := r.rotate(); exp != nil || tot != 0 {
+		t.Fatalf("rotation 2 expired %v/%v, want nothing", exp, tot)
+	}
+	// Third rotation pops the oldest generation: the original 14 votes.
+	exp, tot := r.rotate()
+	if tot != 14 || len(exp) != 2 || exp.get(inA) != 10 || exp.get(inB) != 4 {
+		t.Fatalf("rotation 3 expired %v total %v, want {A:10 B:4} total 14", exp, tot)
+	}
+	if m := ringMass(r); m != 2 {
+		t.Errorf("mass after expiry = %v, want 2", m)
+	}
+}
+
+const ringMagic, ringVersion = 0x52494e47, 1 // "RING"
+
+func encodeRingPayload(r *voteRing) []byte {
+	enc := persist.NewEncoder(ringMagic, ringVersion)
+	encodeVoteRing(enc, r)
+	return enc.Finish()
+}
+
+func decodeRingPayload(b []byte) (*voteRing, error) {
+	dec, err := persist.NewDecoder(b, ringMagic, ringVersion)
+	if err != nil {
+		return nil, err
+	}
+	r, err := decodeVoteRing(dec)
+	if err != nil {
+		return nil, err
+	}
+	return r, dec.Finish()
+}
+
+func TestVoteRingRoundTrip(t *testing.T) {
+	r := newVoteRing(4)
+	r.observe(flow.Ingress{Router: 3, Iface: 2}, 7)
+	r.rotate()
+	r.observe(flow.Ingress{Router: 1, Iface: 9}, 1)
+
+	b1 := encodeRingPayload(r)
+	back, err := decodeRingPayload(b1)
+	if err != nil {
+		t.Fatalf("decodeVoteRing: %v", err)
+	}
+	if !bytes.Equal(b1, encodeRingPayload(back)) {
+		t.Error("vote ring round-trip drifted")
+	}
+	if ringMass(back) != 8 {
+		t.Errorf("restored mass = %v, want 8", ringMass(back))
+	}
+}
+
+// TestDecodeVoteRingRejects pins the range checks a restore applies before
+// trusting a ring: capacity, generation count, ingress ids and tally order.
+func TestDecodeVoteRingRejects(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		body func(enc *persist.Encoder)
+		want string
+	}{
+		{"capacity below two", func(enc *persist.Encoder) { enc.Uvarint(1) }, "max 1 out of range"},
+		{"capacity above 64", func(enc *persist.Encoder) { enc.Uvarint(65) }, "max 65 out of range"},
+		{"no generation", func(enc *persist.Encoder) { enc.Uvarint(3); enc.Uvarint(0) }, "holds 0 generations"},
+		{"more generations than capacity", func(enc *persist.Encoder) { enc.Uvarint(3); enc.Uvarint(4) }, "holds 4 generations"},
+		{"ingress id out of range", func(enc *persist.Encoder) {
+			enc.Uvarint(3)
+			enc.Uvarint(1)
+			enc.Uvarint(1)
+			enc.Uvarint(1 << 16)
+			enc.Uvarint(1)
+		}, "ingress id out of range"},
+		{"tally out of order", func(enc *persist.Encoder) {
+			enc.Uvarint(3)
+			enc.Uvarint(1)
+			encodeCounters(enc, votes{{flow.Ingress{Router: 2}, 1}, {flow.Ingress{Router: 1}, 1}})
+		}, "not above its predecessor"},
+	} {
+		enc := persist.NewEncoder(ringMagic, ringVersion)
+		c.body(enc)
+		if _, err := decodeRingPayload(enc.Finish()); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// FuzzVoteRingRoundTrip drives arbitrary bytes through the vote-ring
+// decoder: anything that decodes cleanly must re-encode byte-identically
+// (the kill-and-restore determinism contract) and stay usable, and nothing
+// may panic or over-allocate regardless of input.
+func FuzzVoteRingRoundTrip(f *testing.F) {
+	for _, c := range []struct{ gens, observes int }{{2, 0}, {3, 10}, {3, 40}, {4, 25}} {
+		r := newVoteRing(c.gens)
+		for i := 0; i < c.observes; i++ {
+			r.observe(flow.Ingress{Router: flow.RouterID(i%4 + 1), Iface: 1}, 1)
+			if i%5 == 4 {
+				r.rotate()
+			}
+		}
+		f.Add(encodeRingPayload(r))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := decodeRingPayload(data)
+		if err != nil {
+			return
+		}
+		if out := encodeRingPayload(r); !bytes.Equal(out, data) {
+			t.Fatalf("vote ring round-trip drifted: %d bytes in, %d out", len(data), len(out))
+		}
+		r.observe(flow.Ingress{Router: 1, Iface: 1}, 1)
+		r.rotate()
+	})
 }

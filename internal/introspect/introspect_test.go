@@ -364,9 +364,9 @@ func TestConcurrentTailDuringIngest(t *testing.T) {
 	ts := httptest.NewServer(New(srv, Attached{Journal: j}))
 	defer ts.Close()
 
-	in := make(chan flow.Record, 256)
+	queue := core.NewIngestQueue(1 << 12)
 	runErr := make(chan error, 1)
-	go func() { runErr <- srv.Run(context.Background(), in) }()
+	go func() { runErr <- srv.RunQueue(context.Background(), queue) }()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -419,14 +419,17 @@ func TestConcurrentTailDuringIngest(t *testing.T) {
 			a := netip.MustParseAddr(q.base).As4()
 			for i := 0; i < 20; i++ {
 				a[3] = byte(i)
-				in <- flow.Record{Ts: start.Add(time.Duration(cycle) * time.Minute),
-					Src: netip.AddrFrom4(a), In: q.in, Bytes: 1200, Packets: 1}
+				queue.Offer(flow.Record{Ts: start.Add(time.Duration(cycle) * time.Minute),
+					Src: netip.AddrFrom4(a), In: q.in, Bytes: 1200, Packets: 1})
 			}
 		}
 	}
-	close(in)
+	queue.Close()
 	if err := <-runErr; err != nil {
 		t.Fatal(err)
+	}
+	if queue.Shed() != 0 {
+		t.Fatalf("queue shed %d records", queue.Shed())
 	}
 	close(stop)
 	wg.Wait()

@@ -2,9 +2,7 @@ package ipfix
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -40,18 +38,25 @@ type CollectorStats struct {
 	Panics atomic.Uint64
 }
 
-// Collector receives IPFIX messages over UDP, resolves templates per
-// exporter, and delivers flow records to a sink. It is the IPv6-capable
-// sibling of the NetFlow v5 collector.
+// Collector receives IPFIX messages over UDP, attributes them to border
+// routers via the exporter registry, resolves templates per exporter, and
+// delivers flow records to a sink. It is the IPv6-capable sibling of the
+// NetFlow v5 collector.
 type Collector struct {
-	mu        sync.RWMutex
-	exporters map[netip.Addr]flow.RouterID
-	caches    map[netip.Addr]*Cache
+	// Exporters attributes messages to routers. Assign another collector's
+	// registry before serving to share one attribution across protocols.
+	*flow.Exporters
+
+	// caches holds one template cache per matched registration: per address
+	// for address-level exporters, per (address, port) for port-level ones,
+	// so exporters sharing an address keep their templates apart.
+	mu     sync.RWMutex
+	caches map[netip.AddrPort]*Cache
 
 	sink   func(flow.Record)
 	health HealthObserver
 	stats  CollectorStats
-	conn   *net.UDPConn
+	sock   flow.Socket
 }
 
 // NewCollector returns a collector delivering records to sink.
@@ -60,17 +65,10 @@ func NewCollector(sink func(flow.Record)) (*Collector, error) {
 		return nil, fmt.Errorf("ipfix: sink must not be nil")
 	}
 	return &Collector{
-		exporters: make(map[netip.Addr]flow.RouterID),
-		caches:    make(map[netip.Addr]*Cache),
+		Exporters: flow.NewExporters(),
+		caches:    make(map[netip.AddrPort]*Cache),
 		sink:      sink,
 	}, nil
-}
-
-// RegisterExporter maps an export source address to a router.
-func (c *Collector) RegisterExporter(addr netip.Addr, router flow.RouterID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.exporters[addr.Unmap()] = router
 }
 
 // SetHealth attaches a health observer fed once per accepted message.
@@ -81,51 +79,25 @@ func (c *Collector) SetHealth(h HealthObserver) { c.health = h }
 func (c *Collector) Stats() *CollectorStats { return &c.stats }
 
 // Listen binds the UDP socket (the IPFIX registered port is 4739).
-func (c *Collector) Listen(addr string) (netip.AddrPort, error) {
-	udpAddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return netip.AddrPort{}, err
-	}
-	conn, err := net.ListenUDP("udp", udpAddr)
-	if err != nil {
-		return netip.AddrPort{}, err
-	}
-	c.conn = conn
-	return conn.LocalAddr().(*net.UDPAddr).AddrPort(), nil
-}
+func (c *Collector) Listen(addr string) (netip.AddrPort, error) { return c.sock.Listen(addr) }
 
-// Serve reads messages until ctx is cancelled.
-func (c *Collector) Serve(ctx context.Context) error {
-	if c.conn == nil {
-		return fmt.Errorf("ipfix: Serve before Listen")
-	}
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			c.conn.Close()
-		case <-done:
-		}
-	}()
-	buf := make([]byte, 1<<16)
-	for {
-		n, remote, err := c.conn.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		c.HandleMessage(buf[:n], remote.Addr())
-	}
-}
+// Serve reads messages until ctx is cancelled, attributing each by its full
+// source address and port.
+func (c *Collector) Serve(ctx context.Context) error { return c.sock.Serve(ctx, c.HandleMessageFrom) }
 
 // HandleMessage processes one raw IPFIX message from the given exporter
-// address (exposed for socketless pipelines and tests). A panic while
+// address; it is HandleMessageFrom with port 0, so only address-level
+// registrations match.
+func (c *Collector) HandleMessage(b []byte, from netip.Addr) {
+	c.HandleMessageFrom(b, netip.AddrPortFrom(from, 0))
+}
+
+// HandleMessageFrom processes one raw IPFIX message from the given source
+// (exposed for socketless pipelines and tests). Attribution prefers an exact
+// (addr, port) registration, then the source address. A panic while
 // decoding or sinking is contained: the message is abandoned,
 // Stats().Panics counts it, and the receive loop keeps serving.
-func (c *Collector) HandleMessage(b []byte, from netip.Addr) {
+func (c *Collector) HandleMessageFrom(b []byte, from netip.AddrPort) {
 	sunk := 0 // records the sink returned from, booked once per message
 	defer func() {
 		if recover() != nil {
@@ -133,10 +105,7 @@ func (c *Collector) HandleMessage(b []byte, from netip.Addr) {
 		}
 		c.stats.Records.Add(uint64(sunk))
 	}()
-	from = from.Unmap()
-	c.mu.RLock()
-	router, ok := c.exporters[from]
-	c.mu.RUnlock()
+	router, key, ok := c.Attribute(from)
 	if !ok {
 		c.stats.UnknownExporter.Add(1)
 		return
@@ -151,10 +120,10 @@ func (c *Collector) HandleMessage(b []byte, from netip.Addr) {
 		return
 	}
 	c.mu.Lock()
-	cache := c.caches[from]
+	cache := c.caches[key]
 	if cache == nil {
 		cache = NewCache()
-		c.caches[from] = cache
+		c.caches[key] = cache
 	}
 	cache.Add(msg.DomainID, msg.Templates)
 	c.mu.Unlock()

@@ -180,3 +180,50 @@ func TestCollectorContainsSinkPanic(t *testing.T) {
 		t.Errorf("Records = %d, want 1 (nothing from the poisoned message)", got)
 	}
 }
+
+// TestCollectorPortExportersKeepOwnTemplates pins attribution by full
+// source: two exporters behind one address, registered per port, announce
+// different layouts under the same domain and template id, and each one's
+// data decodes with its own template.
+func TestCollectorPortExportersKeepOwnTemplates(t *testing.T) {
+	var got []flow.Record
+	c, _ := NewCollector(func(r flow.Record) { got = append(got, r) })
+	addr := netip.MustParseAddr("192.0.2.9")
+	// Same id 256 with source and destination swapped: decoding one
+	// exporter's data with the other's template swaps the addresses.
+	swapped := DefaultTemplateV4
+	swapped.Fields = append([]FieldSpec{swapped.Fields[1], swapped.Fields[0]}, swapped.Fields[2:]...)
+	exporters := []struct {
+		src    netip.AddrPort
+		router flow.RouterID
+		tmpl   Template
+		rec    flow.Record
+	}{
+		{netip.AddrPortFrom(addr, 4001), 1, DefaultTemplateV4, v4Record(1)},
+		{netip.AddrPortFrom(addr, 4002), 2, swapped, v4Record(2)},
+	}
+	for _, x := range exporters {
+		c.RegisterExporterPort(x.src, x.router)
+		msg, err := NewMessageBuilder(5).TemplateMessage(exportTime, x.tmpl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.HandleMessageFrom(msg, x.src)
+	}
+	for _, x := range exporters {
+		msg, err := NewMessageBuilder(5).DataMessage(exportTime, x.tmpl, []flow.Record{x.rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.HandleMessageFrom(msg, x.src)
+	}
+	if len(got) != len(exporters) {
+		t.Fatalf("decoded %d records, want %d", len(got), len(exporters))
+	}
+	for i, x := range exporters {
+		if got[i].In.Router != x.router || got[i].Src != x.rec.Src || got[i].Dst != x.rec.Dst {
+			t.Errorf("record %d = router %d, %v -> %v; want router %d, %v -> %v",
+				i, got[i].In.Router, got[i].Src, got[i].Dst, x.router, x.rec.Src, x.rec.Dst)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package netflow
 import (
 	"context"
 	"encoding/binary"
+	"net"
 	"net/netip"
 	"sync"
 	"testing"
@@ -222,26 +223,41 @@ func TestCollectorEndToEnd(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- c.Serve(ctx) }()
 
-	exp, err := NewExporter(addrPort.String(), 9)
+	conn, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(addrPort))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.RegisterExporter(exp.LocalAddr(), 9)
-	if c.Exporters() != 1 {
+	defer conn.Close()
+	c.RegisterExporter(conn.LocalAddr().(*net.UDPAddr).AddrPort().Addr(), 9)
+	if c.Exporters.Len() != 1 {
 		t.Fatal("exporter not registered")
 	}
 
 	ts := time.Unix(1605571200, 0).UTC()
+	var pending []Record
+	send := func() {
+		d := Datagram{Header: Header{UnixSecs: uint32(ts.Unix())}, Records: pending}
+		b, err := d.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		pending = pending[:0]
+	}
 	for i := 0; i < 65; i++ { // crosses two 30-record datagram boundaries
 		a := netip.MustParseAddr("198.51.100.0").As4()
 		a[3] = byte(i)
-		if err := exp.Send(flow.Record{Ts: ts, Src: netip.AddrFrom4(a), In: flow.Ingress{Router: 9, Iface: 4}, Bytes: 100, Packets: 1}); err != nil {
+		r, err := FromFlow(flow.Record{Ts: ts, Src: netip.AddrFrom4(a), In: flow.Ingress{Router: 9, Iface: 4}, Bytes: 100, Packets: 1})
+		if err != nil {
 			t.Fatal(err)
 		}
+		if pending = append(pending, r); len(pending) == MaxRecords {
+			send()
+		}
 	}
-	if err := exp.Close(); err != nil {
-		t.Fatal(err)
-	}
+	send()
 
 	deadline := time.After(5 * time.Second)
 	for {
@@ -376,8 +392,8 @@ func TestCollectorUnknownPolicy(t *testing.T) {
 	if c.Stats().UnknownExporter.Load() != 1 {
 		t.Errorf("unknown counter = %d", c.Stats().UnknownExporter.Load())
 	}
-	if c.Exporters() != 1 {
-		t.Errorf("exporters = %d", c.Exporters())
+	if c.Exporters.Len() != 1 {
+		t.Errorf("exporters = %d", c.Exporters.Len())
 	}
 }
 

@@ -6,13 +6,12 @@ import (
 	"testing"
 	"time"
 
-	"ipd/internal/flow"
 	"ipd/internal/persist"
 )
 
 const fuzzMagic, fuzzVersion = 0x534b4348, 1 // "SKCH"
 
-// seedPayload builds a valid encoded sketch+ring payload for the corpus.
+// seedPayload builds a valid encoded sketch section for the corpus.
 func seedPayload(width, depth, gens int, observes int) []byte {
 	s, err := New(Config{Width: width, Depth: depth, Generations: gens, Seed: 99})
 	if err != nil {
@@ -28,16 +27,8 @@ func seedPayload(width, depth, gens int, observes int) []byte {
 			s.Rotate(ts)
 		}
 	}
-	r := NewVoteRing(gens)
-	for i := 0; i < observes; i++ {
-		r.Observe(flow.Ingress{Router: flow.RouterID(i%4 + 1), Iface: 1}, 1)
-		if i%5 == 4 {
-			r.Rotate()
-		}
-	}
 	enc := persist.NewEncoder(fuzzMagic, fuzzVersion)
 	s.EncodeState(enc)
-	r.EncodeState(enc)
 	return enc.Finish()
 }
 
@@ -59,16 +50,11 @@ func FuzzSketchCheckpointRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		r, err := DecodeVoteRing(dec)
-		if err != nil {
-			return
-		}
 		if err := dec.Finish(); err != nil {
 			return
 		}
 		enc := persist.NewEncoder(fuzzMagic, fuzzVersion)
 		s.EncodeState(enc)
-		r.EncodeState(enc)
 		out := enc.Finish()
 		if !bytes.Equal(out, data) {
 			t.Fatalf("sketch section round-trip drifted: %d bytes in, %d out", len(data), len(out))
@@ -79,6 +65,5 @@ func FuzzSketchCheckpointRoundTrip(f *testing.F) {
 			t.Fatalf("negative estimate %v from decoded sketch", est)
 		}
 		s.Rotate(time.Date(2024, 8, 4, 13, 0, 0, 0, time.UTC))
-		r.Rotate()
 	})
 }

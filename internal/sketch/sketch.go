@@ -1,8 +1,7 @@
 // Package sketch is the fixed-memory degradation tier behind the engine's
 // per-IP state: a seeded, deterministic count-min sketch plus Bloom filter,
 // organised as a ring of time generations so per-source evidence ages out
-// the way exact per-IP expiry would, and a per-range vote ring that keeps
-// per-ingress tallies at a few dozen bytes per range.
+// the way exact per-IP expiry would.
 //
 // The exact engine holds one ipState per masked source address inside every
 // unclassified range — memory linear in distinct sources, which a spoofed
@@ -10,8 +9,8 @@
 // far-from-threshold ranges to this sketch: the shared count-min answers
 // per-source weight estimates within εN with probability 1−δ (ε = e/width,
 // δ = e^−depth, Cormode & Muthukrishnan), the Bloom side answers coarse
-// membership and first-seen, and the per-range VoteRing keeps the exact
-// per-ingress vote mass of the last G generations so expiry becomes a
+// membership and first-seen, and the engine's per-range vote ring keeps the
+// exact per-ingress vote mass of the last G generations so expiry becomes a
 // subtraction of the oldest generation instead of a per-source walk.
 //
 // Everything is deterministic: hashing is seeded splitmix64, generations
@@ -25,10 +24,8 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"sort"
 	"time"
 
-	"ipd/internal/flow"
 	"ipd/internal/persist"
 )
 
@@ -371,143 +368,4 @@ func decodeInt(dec *persist.Decoder) (int, error) {
 		return 0, fmt.Errorf("value %d out of range", v)
 	}
 	return int(v), nil
-}
-
-// VoteRing is the per-range companion to the shared sketch: the exact
-// per-ingress vote mass of the last G generations, a few dozen bytes per
-// sketched range. Rotation returns the expired oldest generation so the
-// engine can subtract it from the range counters — the sketched analogue
-// of exact per-IP expiry (votes age out by contribution time instead of
-// source idleness; DESIGN §13 quantifies the difference).
-type VoteRing struct {
-	max  int
-	gens []voteGen // oldest first
-}
-
-type voteGen struct {
-	totals map[flow.Ingress]float64
-	total  float64
-}
-
-// NewVoteRing returns a ring holding up to max generations, with one
-// empty generation open for observes.
-func NewVoteRing(max int) *VoteRing {
-	if max < 2 {
-		max = 2
-	}
-	return &VoteRing{max: max, gens: []voteGen{{totals: make(map[flow.Ingress]float64)}}}
-}
-
-// Observe adds w votes for ingress in to the newest generation.
-func (r *VoteRing) Observe(in flow.Ingress, w float64) {
-	g := &r.gens[len(r.gens)-1]
-	g.totals[in] += w
-	g.total += w
-}
-
-// Rotate opens a new generation and, once the ring is full, pops the
-// oldest and returns its per-ingress totals for the caller to expire.
-// Returns (nil, 0) while the ring is still filling.
-func (r *VoteRing) Rotate() (map[flow.Ingress]float64, float64) {
-	r.gens = append(r.gens, voteGen{totals: make(map[flow.Ingress]float64)})
-	if len(r.gens) <= r.max {
-		return nil, 0
-	}
-	old := r.gens[0]
-	r.gens = r.gens[1:]
-	return old.totals, old.total
-}
-
-// Mass returns the total vote weight currently retained in the ring.
-func (r *VoteRing) Mass() float64 {
-	var t float64
-	for _, g := range r.gens {
-		t += g.total
-	}
-	return t
-}
-
-// Bytes approximates the ring's heap footprint.
-func (r *VoteRing) Bytes() int {
-	n := 48
-	for _, g := range r.gens {
-		n += 48 + len(g.totals)*24
-	}
-	return n
-}
-
-// EncodeState appends the ring to enc, ingress keys in sorted order.
-func (r *VoteRing) EncodeState(enc *persist.Encoder) {
-	enc.Uvarint(uint64(r.max))
-	enc.Uvarint(uint64(len(r.gens)))
-	for _, g := range r.gens {
-		keys := make([]flow.Ingress, 0, len(g.totals))
-		for in := range g.totals {
-			keys = append(keys, in)
-		}
-		sort.Slice(keys, func(i, j int) bool { return lessIngress(keys[i], keys[j]) })
-		enc.Uvarint(uint64(len(keys)))
-		for _, in := range keys {
-			enc.Uvarint(uint64(in.Router))
-			enc.Uvarint(uint64(in.Iface))
-			enc.Float64(g.totals[in])
-		}
-		enc.Float64(g.total)
-	}
-}
-
-// DecodeVoteRing reads a ring written by EncodeState.
-func DecodeVoteRing(dec *persist.Decoder) (*VoteRing, error) {
-	max, err := decodeInt(dec)
-	if err != nil {
-		return nil, fmt.Errorf("sketch: ring max: %w", err)
-	}
-	if max < 2 || max > 64 {
-		return nil, fmt.Errorf("sketch: ring max %d out of range [2, 64]", max)
-	}
-	n, err := dec.Len()
-	if err != nil {
-		return nil, fmt.Errorf("sketch: ring length: %w", err)
-	}
-	if n < 1 || n > max {
-		return nil, fmt.Errorf("sketch: ring holds %d generations, want 1..%d", n, max)
-	}
-	r := &VoteRing{max: max}
-	for i := 0; i < n; i++ {
-		k, err := dec.Len()
-		if err != nil {
-			return nil, fmt.Errorf("sketch: ring generation %d: %w", i, err)
-		}
-		g := voteGen{totals: make(map[flow.Ingress]float64, k)}
-		for j := 0; j < k; j++ {
-			router, err := dec.Uvarint()
-			if err != nil {
-				return nil, err
-			}
-			iface, err := dec.Uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if router > 0xffff || iface > 0xffff {
-				return nil, fmt.Errorf("sketch: ring ingress id out of range (%d, %d)", router, iface)
-			}
-			v, err := dec.Float64()
-			if err != nil {
-				return nil, err
-			}
-			g.totals[flow.Ingress{Router: flow.RouterID(router), Iface: flow.IfaceID(iface)}] = v
-		}
-		if g.total, err = dec.Float64(); err != nil {
-			return nil, err
-		}
-		r.gens = append(r.gens, g)
-	}
-	return r, nil
-}
-
-func lessIngress(a, b flow.Ingress) bool {
-	if a.Router != b.Router {
-		return a.Router < b.Router
-	}
-	return a.Iface < b.Iface
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"ipd/internal/flow"
 	"ipd/internal/persist"
 )
 
@@ -173,64 +172,6 @@ func TestDeterministicEncode(t *testing.T) {
 	}
 	if est := back.Estimate(pfx("172.16.0.0/28")); est < 3 {
 		t.Errorf("restored estimate %v undercounts", est)
-	}
-}
-
-func TestVoteRing(t *testing.T) {
-	inA := flow.Ingress{Router: 1, Iface: 1}
-	inB := flow.Ingress{Router: 2, Iface: 1}
-	r := NewVoteRing(3)
-	r.Observe(inA, 10)
-	r.Observe(inB, 4)
-	if m := r.Mass(); m != 14 {
-		t.Fatalf("mass = %v, want 14", m)
-	}
-	// Ring filling: nothing expires for the first max-1 rotations.
-	if exp, tot := r.Rotate(); exp != nil || tot != 0 {
-		t.Fatalf("rotation 1 expired %v/%v, want nothing", exp, tot)
-	}
-	r.Observe(inA, 2)
-	if exp, tot := r.Rotate(); exp != nil || tot != 0 {
-		t.Fatalf("rotation 2 expired %v/%v, want nothing", exp, tot)
-	}
-	// Third rotation pops the oldest generation: the original 14 votes.
-	exp, tot := r.Rotate()
-	if tot != 14 || exp[inA] != 10 || exp[inB] != 4 {
-		t.Fatalf("rotation 3 expired %v total %v, want {A:10 B:4} total 14", exp, tot)
-	}
-	if m := r.Mass(); m != 2 {
-		t.Errorf("mass after expiry = %v, want 2", m)
-	}
-}
-
-func TestVoteRingRoundTrip(t *testing.T) {
-	inA := flow.Ingress{Router: 3, Iface: 2}
-	r := NewVoteRing(4)
-	r.Observe(inA, 7)
-	r.Rotate()
-	r.Observe(flow.Ingress{Router: 1, Iface: 9}, 1)
-
-	enc := persist.NewEncoder(0xBEEF, 1)
-	r.EncodeState(enc)
-	b1 := enc.Finish()
-	dec, err := persist.NewDecoder(b1, 0xBEEF, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeVoteRing(dec)
-	if err != nil {
-		t.Fatalf("DecodeVoteRing: %v", err)
-	}
-	if err := dec.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	enc2 := persist.NewEncoder(0xBEEF, 1)
-	back.EncodeState(enc2)
-	if !bytes.Equal(b1, enc2.Finish()) {
-		t.Error("vote ring round-trip drifted")
-	}
-	if back.Mass() != 8 {
-		t.Errorf("restored mass = %v, want 8", back.Mass())
 	}
 }
 

@@ -16,7 +16,7 @@
 //
 // For an online deployment shape (streaming records, concurrent snapshot
 // readers, statistical-time cleaning of router clock drift) use NewServer
-// and Server.Run.
+// and Server.RunQueue over an IngestQueue.
 //
 // The package re-exports what the repository's commands, examples and
 // benchmark build on:

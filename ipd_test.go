@@ -71,20 +71,23 @@ func TestServerFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := make(chan ipd.Record, 128)
+	q := ipd.NewIngestQueue(300)
 	done := make(chan error, 1)
-	go func() { done <- srv.Run(context.Background(), ch) }()
+	go func() { done <- srv.RunQueue(context.Background(), q) }()
 	in := ipd.Ingress{Router: 1, Iface: 1}
 	a := netip.MustParseAddr("10.0.0.0").As4()
 	for m := 0; m < 3; m++ {
 		for i := 0; i < 100; i++ {
 			a[3] = byte(i)
-			ch <- ipd.Record{Ts: t0.Add(time.Duration(m) * time.Minute), Src: netip.AddrFrom4(a), In: in, Bytes: 64}
+			q.Offer(ipd.Record{Ts: t0.Add(time.Duration(m) * time.Minute), Src: netip.AddrFrom4(a), In: in, Bytes: 64})
 		}
 	}
-	close(ch)
+	q.Close()
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+	if q.Shed() != 0 {
+		t.Fatalf("queue shed %d records", q.Shed())
 	}
 	if got := srv.Mapped(); len(got) != 1 {
 		t.Fatalf("mapped = %+v", got)
