@@ -26,7 +26,6 @@ import (
 	"ipd/internal/flow"
 	"ipd/internal/netaddr"
 	"ipd/internal/topology"
-	"ipd/internal/trie"
 )
 
 // BGPPredictor predicts ingress points from a BGP table under the path
@@ -83,11 +82,12 @@ func (p *BGPPredictor) Classify(rec flow.Record) (topology.MissKind, bool) {
 	return p.topo.ClassifyMiss(pred, rec.In), true
 }
 
-// StaticPredictor is a frozen fixed-granularity ingress map.
+// StaticPredictor is a frozen fixed-granularity ingress map. Every key has
+// the same length, so a lookup is one probe with the masked source.
 type StaticPredictor struct {
 	bits  int
 	topo  *topology.T
-	table *trie.Trie[flow.Ingress]
+	table map[netaddr.Key]flow.Ingress
 }
 
 // StaticTrainer accumulates a training window and freezes it into a
@@ -137,7 +137,7 @@ func (t *StaticTrainer) Observe(rec flow.Record) {
 // Freeze builds the static predictor: each trained prefix maps to its
 // dominant training-window ingress.
 func (t *StaticTrainer) Freeze() *StaticPredictor {
-	table := trie.New[flow.Ingress]()
+	table := make(map[netaddr.Key]flow.Ingress, len(t.counts))
 	for k, m := range t.counts {
 		var best flow.Ingress
 		bestC := -1.0
@@ -146,7 +146,7 @@ func (t *StaticTrainer) Freeze() *StaticPredictor {
 				best, bestC = in, c
 			}
 		}
-		table.Insert(k.Prefix(), best)
+		table[k] = best
 	}
 	return &StaticPredictor{bits: t.bits, topo: t.topo, table: table}
 }
@@ -156,7 +156,11 @@ func (t *StaticTrainer) Prefixes() int { return len(t.counts) }
 
 // Predict returns the frozen mapping for src.
 func (p *StaticPredictor) Predict(src netip.Addr) (flow.Ingress, bool) {
-	_, in, ok := p.table.Lookup(src.Unmap())
+	k, ok := netaddr.KeyFromAddr(src, p.bits)
+	if !ok {
+		return flow.Ingress{}, false
+	}
+	in, ok := p.table[k]
 	return in, ok
 }
 
@@ -170,7 +174,7 @@ func (p *StaticPredictor) Classify(rec flow.Record) (topology.MissKind, bool) {
 }
 
 // Len returns the number of frozen prefixes.
-func (p *StaticPredictor) Len() int { return p.table.Len() }
+func (p *StaticPredictor) Len() int { return len(p.table) }
 
 func lessIngress(a, b flow.Ingress) bool {
 	if a.Router != b.Router {

@@ -49,17 +49,15 @@ func testTopo(t *testing.T) *topology.T {
 
 func TestBGPPredictor(t *testing.T) {
 	tp := testTopo(t)
-	tb := bgp.NewTable(t0)
 	// 10/8 (origin 64500) egresses via router 1; 20/8 (origin 64501) via
 	// router 1 too; 30/8 via router 3 (no inventory).
-	for _, r := range []bgp.Route{
+	tb, err := bgp.NewTable(t0, []bgp.Route{
 		{Prefix: mustPrefix(t, "10.0.0.0/8"), Origin: 64500, NextHops: []flow.RouterID{1, 2}, Best: 1},
 		{Prefix: mustPrefix(t, "20.0.0.0/8"), Origin: 64501, NextHops: []flow.RouterID{1}, Best: 1},
 		{Prefix: mustPrefix(t, "30.0.0.0/8"), Origin: 64502, NextHops: []flow.RouterID{3}, Best: 3},
-	} {
-		if err := tb.Insert(r); err != nil {
-			t.Fatal(err)
-		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	p := NewBGPPredictor(tb, tp)
 

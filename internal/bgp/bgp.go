@@ -13,12 +13,13 @@ package bgp
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
 	"ipd/internal/flow"
+	"ipd/internal/netaddr"
 	"ipd/internal/topology"
-	"ipd/internal/trie"
 )
 
 // Route is one RIB entry.
@@ -37,7 +38,8 @@ type Route struct {
 }
 
 func (r Route) validate() error {
-	if !r.Prefix.IsValid() {
+	// A 4-in-6 prefix is looked up unmapped, so it must fit IPv4.
+	if p := r.Prefix; !p.IsValid() || p.Bits() > p.Addr().Unmap().BitLen() {
 		return fmt.Errorf("bgp: invalid prefix in route %+v", r)
 	}
 	if len(r.NextHops) == 0 {
@@ -55,36 +57,25 @@ func (r Route) validate() error {
 type Table struct {
 	// At is the dump timestamp.
 	At  time.Time
-	rib *trie.Trie[*Route]
+	rib *netaddr.Table[Route]
 }
 
-// NewTable returns an empty table stamped at.
-func NewTable(at time.Time) *Table {
-	return &Table{At: at, rib: trie.New[*Route]()}
-}
-
-// Insert adds or replaces a route. Next hops are sorted and de-duplicated.
-func (t *Table) Insert(r Route) error {
-	nh := append([]flow.RouterID(nil), r.NextHops...)
-	sort.Slice(nh, func(i, j int) bool { return nh[i] < nh[j] })
-	nh = dedupRouters(nh)
-	r.NextHops = nh
-	if err := r.validate(); err != nil {
-		return err
-	}
-	r.Prefix = r.Prefix.Masked()
-	t.rib.Insert(r.Prefix, &r)
-	return nil
-}
-
-func dedupRouters(in []flow.RouterID) []flow.RouterID {
-	out := in[:0]
-	for i, r := range in {
-		if i == 0 || r != in[i-1] {
-			out = append(out, r)
+// NewTable builds the table stamped at from routes. Each route's next hops
+// are sorted and de-duplicated; a later route for a prefix replaces an
+// earlier one. It fails on the first invalid route.
+func NewTable(at time.Time, routes []Route) (*Table, error) {
+	ents := make([]netaddr.Entry[Route], len(routes))
+	for i, r := range routes {
+		nh := slices.Clone(r.NextHops)
+		slices.Sort(nh)
+		r.NextHops = slices.Compact(nh)
+		if err := r.validate(); err != nil {
+			return nil, err
 		}
+		r.Prefix = r.Prefix.Masked()
+		ents[i] = netaddr.Entry[Route]{Prefix: r.Prefix, Val: r}
 	}
-	return out
+	return &Table{At: at, rib: netaddr.NewTable(ents)}, nil
 }
 
 // NumRoutes returns the number of RIB entries.
@@ -93,28 +84,18 @@ func (t *Table) NumRoutes() int { return t.rib.Len() }
 // LookupAddr returns the best-matching route for addr.
 func (t *Table) LookupAddr(addr netip.Addr) (Route, bool) {
 	_, r, ok := t.rib.Lookup(addr)
-	if !ok {
-		return Route{}, false
-	}
-	return *r, true
+	return r, ok
 }
 
 // LookupPrefix returns the most specific route covering all of p.
 func (t *Table) LookupPrefix(p netip.Prefix) (Route, bool) {
 	_, r, ok := t.rib.LookupPrefix(p)
-	if !ok {
-		return Route{}, false
-	}
-	return *r, true
+	return r, ok
 }
 
 // Get returns the route stored exactly at p.
 func (t *Table) Get(p netip.Prefix) (Route, bool) {
-	r, ok := t.rib.Get(p)
-	if !ok {
-		return Route{}, false
-	}
-	return *r, true
+	return t.rib.Get(p)
 }
 
 // EgressRouter returns the router the ISP egresses through toward addr.
@@ -128,7 +109,7 @@ func (t *Table) EgressRouter(addr netip.Addr) (flow.RouterID, bool) {
 
 // Walk visits routes in address order.
 func (t *Table) Walk(fn func(Route) bool) {
-	t.rib.Walk(func(_ netip.Prefix, r *Route) bool { return fn(*r) })
+	t.rib.Walk(func(_ netip.Prefix, r Route) bool { return fn(r) })
 }
 
 // Routes returns all routes sorted by prefix.

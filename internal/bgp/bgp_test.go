@@ -20,32 +20,40 @@ func mustPrefix(t testing.TB, s string) netip.Prefix {
 
 func ts(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
 
+// mustTable builds a table from routes that must all be valid.
+func mustTable(t *testing.T, at time.Time, routes ...Route) *Table {
+	t.Helper()
+	tb, err := NewTable(at, routes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
 func TestInsertValidation(t *testing.T) {
-	tb := NewTable(ts(0))
-	if err := tb.Insert(Route{Prefix: mustPrefix(t, "10.0.0.0/8")}); err == nil {
+	if _, err := NewTable(ts(0), []Route{{Prefix: mustPrefix(t, "10.0.0.0/8")}}); err == nil {
 		t.Error("route without next hops should fail")
 	}
-	if err := tb.Insert(Route{
+	if _, err := NewTable(ts(0), []Route{{
 		Prefix: mustPrefix(t, "10.0.0.0/8"), NextHops: []flow.RouterID{1, 2}, Best: 3,
-	}); err == nil {
+	}}); err == nil {
 		t.Error("best not among candidates should fail")
 	}
-	if err := tb.Insert(Route{NextHops: []flow.RouterID{1}, Best: 1}); err == nil {
+	if _, err := NewTable(ts(0), []Route{{NextHops: []flow.RouterID{1}, Best: 1}}); err == nil {
 		t.Error("invalid prefix should fail")
+	}
+	if _, err := NewTable(ts(0), []Route{{Prefix: mustPrefix(t, "::ffff:10.0.0.0/104"), NextHops: []flow.RouterID{1}, Best: 1}}); err == nil {
+		t.Error("4-in-6 prefix longer than IPv4 should fail")
 	}
 }
 
 func TestInsertDedupAndSort(t *testing.T) {
-	tb := NewTable(ts(0))
-	err := tb.Insert(Route{
+	tb := mustTable(t, ts(0), Route{
 		Prefix:   mustPrefix(t, "10.0.0.0/8"),
 		Origin:   64500,
 		NextHops: []flow.RouterID{5, 1, 5, 3},
 		Best:     3,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	r, ok := tb.Get(mustPrefix(t, "10.0.0.0/8"))
 	if !ok {
 		t.Fatal("Get missed")
@@ -58,18 +66,11 @@ func TestInsertDedupAndSort(t *testing.T) {
 
 func buildTable(t *testing.T) *Table {
 	t.Helper()
-	tb := NewTable(ts(100))
-	routes := []Route{
-		{Prefix: mustPrefix(t, "10.0.0.0/8"), Origin: 64500, NextHops: []flow.RouterID{1, 2}, Best: 1},
-		{Prefix: mustPrefix(t, "10.1.0.0/16"), Origin: 64500, NextHops: []flow.RouterID{3}, Best: 3},
-		{Prefix: mustPrefix(t, "192.0.2.0/24"), Origin: 64501, NextHops: []flow.RouterID{4, 5, 6}, Best: 5},
-	}
-	for _, r := range routes {
-		if err := tb.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return tb
+	return mustTable(t, ts(100),
+		Route{Prefix: mustPrefix(t, "10.0.0.0/8"), Origin: 64500, NextHops: []flow.RouterID{1, 2}, Best: 1},
+		Route{Prefix: mustPrefix(t, "10.1.0.0/16"), Origin: 64500, NextHops: []flow.RouterID{3}, Best: 3},
+		Route{Prefix: mustPrefix(t, "192.0.2.0/24"), Origin: 64501, NextHops: []flow.RouterID{4, 5, 6}, Best: 5},
+	)
 }
 
 func TestLookups(t *testing.T) {
@@ -141,17 +142,17 @@ func TestRoutesSorted(t *testing.T) {
 func TestDumpSeries(t *testing.T) {
 	var s DumpSeries
 	for _, sec := range []int64{100, 200, 300} {
-		if err := s.Add(NewTable(ts(sec))); err != nil {
+		if err := s.Add(mustTable(t, ts(sec))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if err := s.Add(NewTable(ts(250))); err == nil {
+	if err := s.Add(mustTable(t, ts(250))); err == nil {
 		t.Error("out-of-order Add should fail")
 	}
-	if err := s.Add(NewTable(ts(300))); err == nil {
+	if err := s.Add(mustTable(t, ts(300))); err == nil {
 		t.Error("duplicate-time Add should fail")
 	}
 	if _, ok := s.At(ts(50)); ok {

@@ -120,7 +120,9 @@ func checkEngineInvariants(t *testing.T, e *Engine, replayed bool, probes []neti
 	if ipCount != e.ipCount {
 		t.Fatalf("ipCount = %d, ranges hold %d per-IP entries", e.ipCount, ipCount)
 	}
-	// The predecessor search agrees with a linear scan.
+	// The predecessor search agrees with a linear scan, and the verdict
+	// table answers for exactly the classified ranges.
+	table := e.LookupTable()
 	for _, a := range probes {
 		var hit *rangeState
 		for _, rs := range ix.all {
@@ -133,6 +135,11 @@ func checkEngineInvariants(t *testing.T, e *Engine, replayed bool, probes []neti
 		}
 		if got := rangeAt(e, a); got != hit {
 			t.Fatalf("lookup(%v) = %v, linear scan found %v", a, got.prefix, hit.prefix)
+		}
+		p, in, ok := table.Lookup(a)
+		if ok != hit.classified || ok && (p != hit.prefix || in != hit.ingress) {
+			t.Fatalf("LookupTable().Lookup(%v) = %v %v %t, covering range %v classified=%t %v",
+				a, p, in, ok, hit.prefix, hit.classified, hit.ingress)
 		}
 	}
 }

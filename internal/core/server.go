@@ -8,11 +8,11 @@ import (
 	"time"
 
 	"ipd/internal/flow"
+	"ipd/internal/netaddr"
 	"ipd/internal/persist"
 	"ipd/internal/stattime"
 	"ipd/internal/telemetry"
 	"ipd/internal/trace"
-	"ipd/internal/trie"
 )
 
 // Server wraps an Engine with the deployment's structure (§3.2: stage 1 and
@@ -228,7 +228,7 @@ func (s *Server) Mapped() []RangeInfo {
 
 // LookupTable builds an LPM table from the current classified ranges (safe
 // concurrently with RunQueue).
-func (s *Server) LookupTable() *trie.Trie[flow.Ingress] {
+func (s *Server) LookupTable() *netaddr.Table[flow.Ingress] {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.eng.LookupTable()

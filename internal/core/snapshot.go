@@ -7,7 +7,6 @@ import (
 
 	"ipd/internal/flow"
 	"ipd/internal/netaddr"
-	"ipd/internal/trie"
 )
 
 // RangeInfo is the externally visible state of one IPD range — one row of
@@ -102,11 +101,10 @@ func DiffPartitions(want, got []RangeInfo) error {
 // Mapped returns only the classified ranges — the stage-2 output that is
 // "further filtered to include only prevalent ingress points" in deployment.
 func (e *Engine) Mapped() []RangeInfo {
-	all := e.Snapshot()
-	out := all[:0]
-	for _, ri := range all {
-		if ri.Classified {
-			out = append(out, ri)
+	out := []RangeInfo{}
+	for _, rs := range e.idx.all {
+		if rs.classified {
+			out = append(out, e.info(rs))
 		}
 	}
 	return out
@@ -124,12 +122,12 @@ func (e *Engine) Range(addr netip.Addr) (RangeInfo, bool) {
 // LookupTable builds the longest-prefix-match table from the currently
 // classified ranges. This is exactly the validation device of §5.1: "we
 // create a Longest Prefix Match (LPM) lookup table from the IPD output".
-func (e *Engine) LookupTable() *trie.Trie[flow.Ingress] {
-	t := trie.New[flow.Ingress]()
+func (e *Engine) LookupTable() *netaddr.Table[flow.Ingress] {
+	var ents []netaddr.Entry[flow.Ingress]
 	for _, rs := range e.idx.all {
 		if rs.classified {
-			t.Insert(rs.prefix, rs.ingress)
+			ents = append(ents, netaddr.Entry[flow.Ingress]{Prefix: rs.prefix, Val: rs.ingress})
 		}
 	}
-	return t
+	return netaddr.NewTable(ents)
 }

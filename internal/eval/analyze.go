@@ -9,7 +9,6 @@ import (
 	"ipd/internal/flow"
 	"ipd/internal/netaddr"
 	"ipd/internal/topology"
-	"ipd/internal/trie"
 )
 
 // StabilityTracker measures how long each prefix stays mapped to the same
@@ -128,15 +127,16 @@ type MatchStableResult struct {
 	Stable   float64
 }
 
-// MatchStable implements the §5.3.1 methodology: build an LPM trie from the
+// MatchStable implements the §5.3.1 methodology: build an LPM table from the
 // t2 prefixes and look up the addresses of each t1 prefix. Each t1 range is
 // probed at up to 16 evenly spaced sub-addresses and weighted by its
 // address count, which handles arbitrary re-partitioning between t1 and t2.
 func MatchStable(t1, t2 []core.RangeInfo) MatchStableResult {
-	lpm := trie.New[flow.Ingress]()
-	for _, ri := range t2 {
-		lpm.Insert(ri.Prefix, ri.Ingress)
+	ents := make([]netaddr.Entry[flow.Ingress], len(t2))
+	for i, ri := range t2 {
+		ents[i] = netaddr.Entry[flow.Ingress]{Prefix: ri.Prefix, Val: ri.Ingress}
 	}
+	lpm := netaddr.NewTable(ents)
 	var total, matching, stable float64
 	for _, ri := range t1 {
 		if !ri.Prefix.Addr().Is4() {
@@ -197,7 +197,6 @@ func (r SpecificityResult) Total() int {
 
 // Specificity categorizes each mapped IPv4 range against the BGP table.
 func Specificity(mapped []core.RangeInfo, tb *bgp.Table) SpecificityResult {
-	// Index BGP prefixes in a trie of their own for containment checks.
 	var res SpecificityResult
 	for _, ri := range mapped {
 		if !ri.Prefix.Addr().Is4() {

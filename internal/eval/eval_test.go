@@ -8,8 +8,8 @@ import (
 	"ipd/internal/bgp"
 	"ipd/internal/core"
 	"ipd/internal/flow"
+	"ipd/internal/netaddr"
 	"ipd/internal/topology"
-	"ipd/internal/trie"
 )
 
 var (
@@ -56,8 +56,7 @@ func evalTopo(t *testing.T) *topology.T {
 
 func TestPredictorClassify(t *testing.T) {
 	tp := evalTopo(t)
-	table := trie.New[flow.Ingress]()
-	table.Insert(mustPrefix(t, "10.0.0.0/8"), inA)
+	table := netaddr.NewTable([]netaddr.Entry[flow.Ingress]{{Prefix: mustPrefix(t, "10.0.0.0/8"), Val: inA}})
 	p := NewPredictor(table, tp)
 
 	if in, ok := p.Predict(netip.MustParseAddr("10.1.2.3")); !ok || in != inA {
@@ -222,11 +221,13 @@ func TestMatchStable(t *testing.T) {
 }
 
 func TestSpecificity(t *testing.T) {
-	tb := bgp.NewTable(t0)
+	var routes []bgp.Route
 	for _, p := range []string{"10.0.0.0/8", "20.0.0.0/16", "20.1.0.0/16"} {
-		if err := tb.Insert(bgp.Route{Prefix: mustPrefix(t, p), Origin: 64500, NextHops: []flow.RouterID{1}, Best: 1}); err != nil {
-			t.Fatal(err)
-		}
+		routes = append(routes, bgp.Route{Prefix: mustPrefix(t, p), Origin: 64500, NextHops: []flow.RouterID{1}, Best: 1})
+	}
+	tb, err := bgp.NewTable(t0, routes)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ranges := mapped(t,
 		[3]string{"10.0.0.0/8", "A"},  // exact
@@ -244,12 +245,12 @@ func TestSpecificity(t *testing.T) {
 }
 
 func TestSymmetry(t *testing.T) {
-	tb := bgp.NewTable(t0)
 	// Egress for 10/8 is router 1 (same as ingress A); for 20/8 router 9.
-	if err := tb.Insert(bgp.Route{Prefix: mustPrefix(t, "10.0.0.0/8"), Origin: 64500, NextHops: []flow.RouterID{1}, Best: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Insert(bgp.Route{Prefix: mustPrefix(t, "20.0.0.0/8"), Origin: 64501, NextHops: []flow.RouterID{9}, Best: 9}); err != nil {
+	tb, err := bgp.NewTable(t0, []bgp.Route{
+		{Prefix: mustPrefix(t, "10.0.0.0/8"), Origin: 64500, NextHops: []flow.RouterID{1}, Best: 1},
+		{Prefix: mustPrefix(t, "20.0.0.0/8"), Origin: 64501, NextHops: []flow.RouterID{9}, Best: 9},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	ranges := mapped(t, [3]string{"10.1.0.0/16", "A"}, [3]string{"20.1.0.0/16", "B"})

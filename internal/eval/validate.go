@@ -16,8 +16,8 @@ import (
 
 	"ipd/internal/core"
 	"ipd/internal/flow"
+	"ipd/internal/netaddr"
 	"ipd/internal/topology"
-	"ipd/internal/trie"
 )
 
 // Predictor answers "where would IPD say this flow enters?" from a frozen
@@ -25,13 +25,13 @@ import (
 // Prefix Match lookup table from the IPD output ... and compare the actual
 // ingress router and interface with the IPD output".
 type Predictor struct {
-	table *trie.Trie[flow.Ingress]
+	table *netaddr.Table[flow.Ingress]
 	topo  *topology.T
 }
 
 // NewPredictor freezes the given lookup table. topo supplies bundle folding
 // and the miss taxonomy; it must be the same topology the engine used.
-func NewPredictor(table *trie.Trie[flow.Ingress], topo *topology.T) *Predictor {
+func NewPredictor(table *netaddr.Table[flow.Ingress], topo *topology.T) *Predictor {
 	return &Predictor{table: table, topo: topo}
 }
 
@@ -120,12 +120,6 @@ type MissRecord struct {
 	Ts   time.Time
 	Src  netip.Addr
 	Kind topology.MissKind
-}
-
-// TableBuilder abstracts "give me the current LPM table" (both Engine and
-// Server satisfy it).
-type TableBuilder interface {
-	LookupTable() *trie.Trie[flow.Ingress]
 }
 
 // RangesByLength buckets mapped ranges by prefix length, weighted by count

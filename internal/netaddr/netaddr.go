@@ -94,10 +94,16 @@ func keyFrom(addr netip.Addr, length int) (Key, bool) {
 		b := addr.As4()
 		k.hi = uint64(binary.BigEndian.Uint32(b[:])) << 32
 	}
-	// Shifts of 64 or more yield 0 in Go, which is what /0 and /64 need.
-	k.hi &= ^uint64(0) << max(64-length, 0)
-	k.lo &= ^uint64(0) << min(128-length, 64)
+	mh, ml := mask128(length)
+	k.hi &= mh
+	k.lo &= ml
 	return k, true
+}
+
+// mask128 returns the left-aligned 128-bit netmask of a /length.
+func mask128(length int) (hi, lo uint64) {
+	// Shifts of 64 or more yield 0 in Go, which is what /0 and /64 need.
+	return ^uint64(0) << max(64-length, 0), ^uint64(0) << min(128-length, 64)
 }
 
 // bit128 returns the left-aligned 128-bit mask with only bit i set.
@@ -198,6 +204,23 @@ func (k Key) Less(o Key) bool {
 		return k.lo < o.lo
 	}
 	return k.bits < o.bits
+}
+
+// compare returns -1, 0 or +1 as k sorts before, equal to or after o.
+func (k Key) compare(o Key) int {
+	switch {
+	case k == o:
+		return 0
+	case k.Less(o):
+		return -1
+	}
+	return 1
+}
+
+// covers reports whether k's range contains all of o's.
+func (k Key) covers(o Key) bool {
+	mh, ml := mask128(int(k.bits))
+	return k.v6 == o.v6 && k.bits <= o.bits && (k.hi^o.hi)&mh|(k.lo^o.lo)&ml == 0
 }
 
 func (k Key) String() string { return k.Prefix().String() }

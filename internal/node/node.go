@@ -24,8 +24,10 @@ package node
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/netip"
 	"os"
@@ -139,15 +141,27 @@ func New(name string, f *Flags, cfg core.Config, gi GovernorInputs) (*Node, erro
 	// The journal sink is written per decision, unbuffered, so a crash leaves
 	// every recorded event in the file. With -checkpoint-dir the file's
 	// existing tail is the replay source of the next restore: append to it
-	// instead of truncating it.
+	// instead of truncating it, after cutting off the partial line a crash
+	// in the middle of a write leaves, so the engine's first event starts a
+	// line of its own.
 	jopts := journal.Options{Capacity: f.JournalCap}
 	if f.Journal != "" {
 		mode := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
 		if f.CheckpointDir != "" {
-			mode = os.O_WRONLY | os.O_CREATE | os.O_APPEND
+			mode = os.O_RDWR | os.O_CREATE | os.O_APPEND
 		}
 		if n.sink, err = os.OpenFile(f.Journal, mode, 0o644); err != nil {
 			return nil, err
+		}
+		if f.CheckpointDir != "" {
+			cut, err := trimTornTail(n.sink)
+			if err != nil {
+				n.sink.Close()
+				return nil, fmt.Errorf("journal %s: %w", f.Journal, err)
+			}
+			if cut >= 0 {
+				n.Logger.Warn("journal: truncated a torn final line", "path", f.Journal, "offset", cut)
+			}
 		}
 		jopts.Sink = n.sink
 	}
@@ -178,6 +192,32 @@ func New(name string, f *Flags, cfg core.Config, gi GovernorInputs) (*Node, erro
 	}
 	n.Config = cfg
 	return n, nil
+}
+
+// trimTornTail truncates f after its last newline and returns the offset it
+// cut at, or -1 when f is empty or already ends in a whole line.
+func trimTornTail(f *os.File) (int64, error) {
+	end, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return -1, err
+	}
+	buf := make([]byte, 4096)
+	cut := int64(0)
+	for off := end; off > 0; {
+		n := min(off, int64(len(buf)))
+		off -= n
+		if _, err := f.ReadAt(buf[:n], off); err != nil {
+			return -1, err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			cut = off + int64(i) + 1
+			break
+		}
+	}
+	if cut == end {
+		return -1, nil
+	}
+	return cut, f.Truncate(cut)
 }
 
 // Target is the engine a Node serves: a *core.Server, or a *Locked engine.

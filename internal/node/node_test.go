@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"net/http"
@@ -8,6 +9,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -229,6 +231,53 @@ func TestRestore(t *testing.T) {
 			t.Fatalf("restored server diverged from the live engine: %v", err)
 		}
 	})
+	// A crash in the middle of an event write leaves a partial final line.
+	// The next start cuts it off and replays every whole line before it; a
+	// malformed line with whole lines after it is still a startup error.
+	whole, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstLine := whole[:bytes.IndexByte(whole, '\n')+1]
+	for _, c := range []struct {
+		name, tail string
+		restores   bool
+	}{
+		{"torn-final-line", `{"seq":99,"kind":`, true},
+		{"torn-line-then-whole-lines", "{\"seq\":99,\"kind\":\n" + string(firstLine), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			torn := filepath.Join(t.TempDir(), "j.jsonl")
+			if err := os.WriteFile(torn, append(slices.Clip(whole), c.tail...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			n := newNode(t, "-checkpoint-dir", filepath.Join(dir, "ckpt"), "-journal", torn, "-factor4", "0.0005")
+			fi, err := os.Stat(torn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.restores && fi.Size() != int64(len(whole)) {
+				t.Fatalf("journal after New is %d bytes, want it cut to %d", fi.Size(), len(whole))
+			}
+			got := attachEngine(t, n, false)
+			err = n.Restore()
+			if !c.restores {
+				if err == nil {
+					t.Fatal("restore over a malformed journal line succeeded")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := eng.Seq() - ckptSeq; n.Checkpoints.Replayed() != want {
+				t.Errorf("replayed %d journal events, want the %d whole lines after the checkpoint", n.Checkpoints.Replayed(), want)
+			}
+			if err := core.DiffPartitions(eng.Snapshot(), got.Snapshot()); err != nil {
+				t.Fatalf("restored engine diverged from the live one: %v", err)
+			}
+		})
+	}
 	t.Run("journal-missing", func(t *testing.T) {
 		// The checkpoint alone is restored; no journal tail is not an error.
 		n := newNode(t, args...)

@@ -24,7 +24,6 @@ import (
 	"ipd/internal/flow"
 	"ipd/internal/netaddr"
 	"ipd/internal/topology"
-	"ipd/internal/trie"
 )
 
 // Profile describes an AS's traffic/mapping behaviour.
@@ -121,7 +120,7 @@ type Scenario struct {
 	// Maintenance windows (interface traffic temporarily moved).
 	Maintenance []Maintenance
 
-	byAddr *trie.Trie[*AS]
+	byAddr *netaddr.Table[*AS]
 	byASN  map[topology.ASN]*AS
 	seed   uint64
 
@@ -196,7 +195,6 @@ func NewScenario(spec Spec) (*Scenario, error) {
 	s := &Scenario{
 		Topo:          topo,
 		Start:         spec.Start,
-		byAddr:        trie.New[*AS](),
 		byASN:         make(map[topology.ASN]*AS),
 		seed:          uint64(spec.Seed),
 		violationBase: 0.09, // ~9% of tier-1 prefixes enter indirectly (§5.6)
@@ -318,6 +316,7 @@ func (s *Scenario) populate(spec Spec) error {
 		return out
 	}
 
+	var byAddr []netaddr.Entry[*AS]
 	for i := 0; i < nAS; i++ {
 		asn := topology.ASN(64500 + i)
 		a := &AS{
@@ -418,12 +417,13 @@ func (s *Scenario) populate(spec Spec) error {
 		s.ASes = append(s.ASes, a)
 		s.byASN[asn] = a
 		for _, p := range a.Prefixes {
-			s.byAddr.Insert(p, a)
+			byAddr = append(byAddr, netaddr.Entry[*AS]{Prefix: p, Val: a})
 		}
 		for _, p := range a.Prefixes6 {
-			s.byAddr.Insert(p, a)
+			byAddr = append(byAddr, netaddr.Entry[*AS]{Prefix: p, Val: a})
 		}
 	}
+	s.byAddr = netaddr.NewTable(byAddr)
 
 	// Violation paths: each tier-1 peer's violating traffic enters via a
 	// transit interface belonging to some *other* AS.

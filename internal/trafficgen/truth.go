@@ -281,12 +281,12 @@ func (s *Scenario) ViolationRateAt(ts time.Time) float64 {
 // with the dominant ingress router with the AS's SymmetryProb — the §5.5
 // symmetry targets are inputs here and measured outputs in the evaluation.
 func (s *Scenario) BGPTable(ts time.Time) *bgp.Table {
-	tb := bgp.NewTable(ts)
+	var routes []bgp.Route
 	routers := s.Topo.Routers()
 	day := uint64(ts.Unix() / 86400)
 	for _, a := range s.ASes {
 		prefixes := append(append([]netip.Prefix(nil), a.Prefixes...), a.Prefixes6...)
-		for pi, p := range prefixes {
+		for _, p := range prefixes {
 			pk := unitKey(p)
 			// Candidate count: 20% -> 1, 20% -> 2..5, 60% -> 6..10.
 			f := hashFrac(s.seed, pk, 0xc0)
@@ -343,13 +343,14 @@ func (s *Scenario) BGPTable(ts time.Time) *bgp.Table {
 					}
 				}
 			}
-			_ = pi
-			if err := tb.Insert(bgp.Route{Prefix: p, Origin: a.ASN, NextHops: hops, Best: best}); err != nil {
-				// Construction is internally consistent; a failure here is
-				// a programming error.
-				panic(err)
-			}
+			routes = append(routes, bgp.Route{Prefix: p, Origin: a.ASN, NextHops: hops, Best: best})
 		}
+	}
+	tb, err := bgp.NewTable(ts, routes)
+	if err != nil {
+		// Construction is internally consistent; a failure here is a
+		// programming error.
+		panic(err)
 	}
 	return tb
 }
