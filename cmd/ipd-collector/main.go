@@ -179,8 +179,8 @@ func run(o *options) error {
 	if err != nil {
 		return err
 	}
-	// The workload profiler sees the drained record batches, so its
-	// batch-locality stats measure the real drain granularity.
+	// The workload profiler sees the drained record batches and profiles
+	// the same 1-in-N subset the per-record path would.
 	srv.SetWorkload(n.Workload.ObserveBatch)
 	if err := n.Attach(srv, o.http != ""); err != nil {
 		return err

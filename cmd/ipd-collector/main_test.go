@@ -49,7 +49,6 @@ func TestFlagSurface(t *testing.T) {
 		"trace-cap=8192",
 		"trace-sample=1024",
 		"trust=false",
-		"workload-maxdepth=10",
 		"workload-topk=32",
 	}
 	if !slices.Equal(got, want) {

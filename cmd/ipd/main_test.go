@@ -56,7 +56,6 @@ func TestFlagSurface(t *testing.T) {
 		"trace-cap=8192",
 		"trace-out=",
 		"trace-sample=1024",
-		"workload-maxdepth=10",
 		"workload-topk=32",
 	}
 	if !slices.Equal(got, want) {

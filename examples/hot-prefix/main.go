@@ -6,15 +6,15 @@
 //   - the hot-prefix alert raises once on exactly the elephant /24 while
 //     the burst lasts and clears exactly once after the decayed share
 //     falls back below the clear threshold — no other subject alerts;
-//   - during the burst the simulated shard plan flags the imbalance (no
-//     candidate depth balances a 45% single-/24 skew) and attributes the
-//     hot shard's load share to the elephant;
-//   - after the burst the plan settles back to a satisfied depth;
+//   - at the burst peak the elephant /24 is the top aggregate, and its
+//     share climbs clearly above the calm baseline's top share;
+//   - after the burst the epoch decay hands most of that back: the final
+//     top share is nearer the calm baseline than the burst peak;
 //   - the alert lifecycle events survive a byte-equal JSON round-trip, so
 //     a replayed journal reproduces the exact same alert history.
 //
-// The -snapshot flag writes the burst-peak /ipd/workload snapshot plus the
-// final shard plan as JSON, for CI artifact upload.
+// The -snapshot flag writes the burst-peak and final /ipd/workload
+// snapshots as JSON, for CI artifact upload.
 //
 //	go run ./examples/hot-prefix
 //	go run ./examples/hot-prefix -snapshot workload.json
@@ -41,7 +41,7 @@ const (
 )
 
 func main() {
-	snapOut := flag.String("snapshot", "", "write the burst-peak workload snapshot as JSON to this file ('' disables)")
+	snapOut := flag.String("snapshot", "", "write the burst-peak and final workload snapshots as JSON to this file ('' disables)")
 	flag.Parse()
 	if err := run(*snapOut); err != nil {
 		fmt.Fprintln(os.Stderr, "FAILED:", err)
@@ -157,9 +157,7 @@ func run(snapOut string) error {
 	}
 
 	// The burst-peak profile must pin the elephant: top aggregate is the
-	// hot /24 at roughly the injected share, and no candidate shard depth
-	// can balance it (a single /24 owning ~45% of the load beats the 1.5x
-	// imbalance target at every depth >= 2).
+	// hot /24 at roughly the injected share.
 	if len(peak.TopAggregates) == 0 {
 		return fmt.Errorf("burst-peak snapshot has no top aggregates")
 	}
@@ -170,26 +168,18 @@ func run(snapOut string) error {
 	if top.Share < 0.3 {
 		return fmt.Errorf("burst-peak top share %.3f, want >= 0.3", top.Share)
 	}
-	if peak.ShardPlan.Satisfied {
-		return fmt.Errorf("burst-peak shard plan claims depth %d is balanced (imbalance %.2f <= %.2f) despite the elephant",
-			peak.ShardPlan.Depth, peak.ShardPlan.Imbalance, peak.ShardPlan.Target)
+	// Relative share story: the calm baseline's top aggregate is just the
+	// head of the Zipf background, the burst must visibly concentrate the
+	// mass on one /24, and the decay must hand most of that back by the end
+	// of the run.
+	calmTop, peakTop, finalTop := topShare(calm), topShare(peak), topShare(final)
+	fmt.Printf("\ntop-aggregate share: calm %.3f -> burst %.3f -> final %.3f\n", calmTop, peakTop, finalTop)
+	if peakTop < calmTop+0.15 {
+		return fmt.Errorf("burst-peak top share %.3f is not clearly above the calm baseline %.3f", peakTop, calmTop)
 	}
-	if peak.ShardPlan.HotShardShare < 0.3 {
-		return fmt.Errorf("burst-peak hot shard share %.3f, want >= 0.3", peak.ShardPlan.HotShardShare)
-	}
-	// Relative shard-skew story: real address plans are never uniform (the
-	// calm baseline is allowed its own structural imbalance), but the burst
-	// must visibly concentrate load — the hottest shard's share at the
-	// deepest candidate depth grows past the calm baseline — and the decay
-	// must hand most of that back by the end of the run.
-	calmHot, peakHot, finalHot := deepHotShare(calm), deepHotShare(peak), deepHotShare(final)
-	fmt.Printf("\nhottest deep-shard share: calm %.3f -> burst %.3f -> final %.3f\n", calmHot, peakHot, finalHot)
-	if peakHot < calmHot+0.15 {
-		return fmt.Errorf("burst-peak hottest shard share %.3f is not clearly above the calm baseline %.3f", peakHot, calmHot)
-	}
-	if finalHot > (calmHot+peakHot)/2 {
-		return fmt.Errorf("final hottest shard share %.3f did not decay back toward the calm baseline %.3f (burst peak %.3f)",
-			finalHot, calmHot, peakHot)
+	if finalTop > (calmTop+peakTop)/2 {
+		return fmt.Errorf("final top share %.3f did not decay back toward the calm baseline %.3f (burst peak %.3f)",
+			finalTop, calmTop, peakTop)
 	}
 
 	// Byte-equal journal replay: every alert event must survive
@@ -216,19 +206,16 @@ func run(snapOut string) error {
 		}
 	}
 
-	fmt.Printf("\nburst-peak profile: top %s share %.2f (ingress %s), shard plan depth %d imbalance %.1fx (satisfied=%v, hot shard share %.2f)\n",
-		top.Prefix, top.Share, top.Ingress, peak.ShardPlan.Depth, peak.ShardPlan.Imbalance, peak.ShardPlan.Satisfied, peak.ShardPlan.HotShardShare)
-	fmt.Printf("final profile:      top share %.2f, shard plan depth %d imbalance %.2fx (satisfied=%v)\n",
-		topShare(final), final.ShardPlan.Depth, final.ShardPlan.Imbalance, final.ShardPlan.Satisfied)
+	fmt.Printf("\nburst-peak profile: top %s share %.2f (ingress %s)\n", top.Prefix, top.Share, top.Ingress)
 	fmt.Println("\nOK: the elephant raised exactly one hot-prefix alert on its /24 and it cleared after the burst.")
-	fmt.Println("OK: the shard plan flagged the burst as unshardable and recovered afterwards.")
+	fmt.Println("OK: the top-aggregate share rose with the burst and decayed back afterwards.")
 	fmt.Println("OK: alert lifecycle events are byte-identical across a JSON journal round-trip.")
 
 	if snapOut != "" {
 		out := struct {
-			Peak      ipd.WorkloadSnapshot  `json:"burst_peak"`
-			FinalPlan ipd.WorkloadShardPlan `json:"final_shard_plan"`
-		}{peak, final.ShardPlan}
+			Peak  ipd.WorkloadSnapshot `json:"burst_peak"`
+			Final ipd.WorkloadSnapshot `json:"final"`
+		}{peak, final}
 		b, err := json.MarshalIndent(out, "", "  ")
 		if err != nil {
 			return err
@@ -239,15 +226,6 @@ func run(snapOut string) error {
 		fmt.Printf("wrote workload snapshot to %s\n", snapOut)
 	}
 	return nil
-}
-
-// deepHotShare is the hottest shard's load share at the deepest simulated
-// candidate depth.
-func deepHotShare(s ipd.WorkloadSnapshot) float64 {
-	if len(s.ShardDepths) == 0 {
-		return 0
-	}
-	return s.ShardDepths[len(s.ShardDepths)-1].HotShardShare
 }
 
 func topShare(s ipd.WorkloadSnapshot) float64 {

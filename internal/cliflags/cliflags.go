@@ -123,12 +123,11 @@ func ExporterHealth(staleAfter, skewMax time.Duration) error {
 	return v.Err()
 }
 
-// Workload validates the workload-profiler parameters against the
-// fixed-memory envelope the profiler is designed for.
-func Workload(topK, maxDepth int) error {
+// Workload validates the workload-profiler heavy-hitter capacity: the
+// space-saving summary needs at least two slots.
+func Workload(topK int) error {
 	var v Validator
-	v.AtLeast("-workload-topk", topK, 2).
-		InRange("-workload-maxdepth", maxDepth, 2, 10)
+	v.AtLeast("-workload-topk", topK, 2)
 	return v.Err()
 }
 

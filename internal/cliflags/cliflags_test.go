@@ -70,16 +70,11 @@ func TestExporterHealth(t *testing.T) {
 }
 
 func TestWorkload(t *testing.T) {
-	if err := Workload(32, 10); err != nil {
+	if err := Workload(32); err != nil {
 		t.Fatalf("defaults rejected: %v", err)
 	}
-	if err := Workload(1, 10); err == nil || !strings.Contains(err.Error(), "-workload-topk") {
+	if err := Workload(1); err == nil || !strings.Contains(err.Error(), "-workload-topk") {
 		t.Fatalf("topk 1: %v", err)
-	}
-	for _, depth := range []int{1, 11} {
-		if err := Workload(32, depth); err == nil || !strings.Contains(err.Error(), "-workload-maxdepth") {
-			t.Fatalf("depth %d: %v", depth, err)
-		}
 	}
 }
 

@@ -106,9 +106,9 @@ func (s *Server) SetCheckpoint(mgr *persist.Manager, everyCycles uint64) {
 
 // SetWorkload attaches a workload observer fed each drained record batch
 // (workload.Profiler.ObserveBatch). The batches are exactly the runBatch-
-// bounded drains of RunQueue, so batch-locality stats measure the real
-// drain granularity. Runs outside the ingest lock. Call during setup,
-// before RunQueue.
+// bounded drains of RunQueue; the observer applies its own thinning, so
+// every drained record is handed over. Runs outside the ingest lock. Call
+// during setup, before RunQueue.
 func (s *Server) SetWorkload(fn func(batch []flow.Record)) { s.workload = fn }
 
 // maybeCheckpoint writes a checkpoint when the configured cycle interval

@@ -11,7 +11,7 @@
 //	GET /ipd/timeline?series=&from=&to=&format=           windowed time series (JSON or CSV)
 //	GET /ipd/alerts                                       active + recent flap/drift/exporter alerts
 //	GET /ipd/exporters                                    per-exporter feed health + coverage
-//	GET /ipd/workload                                     workload profile + shard plan
+//	GET /ipd/workload                                     workload heavy hitters + latency
 //	GET /ipd/sketch                                       fixed-memory sketch tier status + ε/δ bound
 //
 // The handlers read through a Source (core.Server implements it; node.Locked
@@ -104,7 +104,7 @@ func New(src Source, a Attached) *Handler {
 	h.handle("/ipd/timeline", "windowed per-cycle time series (series=, from=, to=, format=json|csv)", h.timeline)
 	h.handle("/ipd/alerts", "active and recent analytics alerts", h.alerts)
 	h.handle("/ipd/exporters", "per-exporter feed health and coverage", h.exporters)
-	h.handle("/ipd/workload", "workload profile: heavy hitters, shard plan, batch locality, latency", h.workloadSnapshot)
+	h.handle("/ipd/workload", "workload profile: heavy hitters, latency", h.workloadSnapshot)
 	h.handle("/ipd/cluster", "delta-shipping transport state (edge sender or core receiver)", h.clusterStatus)
 	h.handle("/ipd/sketch", "fixed-memory sketch tier: sizing, accuracy bound, and mode-flip counters", h.sketchStatus)
 	// The subtree pattern catches "/ipd/" itself (the index) and every
@@ -567,10 +567,8 @@ func (h *Handler) exporters(w http.ResponseWriter, _ *http.Request) {
 }
 
 // workloadSnapshot serves GET /ipd/workload: the profiler's heavy-hitter
-// table with per-ingress attribution, the simulated shard-balance factors
-// with the shard-plan recommendation, the drain-batch locality stats, and
-// the end-to-end latency distributions — the numbers the scale-arc designs
-// (sharding, LPM caching) are sized from.
+// table with per-ingress attribution and the end-to-end latency
+// distributions.
 func (h *Handler) workloadSnapshot(w http.ResponseWriter, _ *http.Request) {
 	if h.a.Workload == nil {
 		writeErr(w, http.StatusNotFound, "no workload profiler attached")

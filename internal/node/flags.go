@@ -38,8 +38,7 @@ type Flags struct {
 
 	MutexProfile int
 
-	WorkloadTopK  int
-	WorkloadDepth int
+	WorkloadTopK int
 
 	Sketch       bool
 	SketchWidth  int
@@ -69,7 +68,6 @@ func RegisterFlags(fs *flag.FlagSet, cfg *core.Config) *Flags {
 	fs.DurationVar(&f.SkewMax, "skew-max", 5*time.Minute, "export-clock skew limit for the exporter-health coverage score (AlertClockSkew beyond it)")
 	fs.IntVar(&f.MutexProfile, "mutexprofile", 0, "runtime mutex/block profiling fraction for /debug/pprof/{mutex,block} (0 disables)")
 	fs.IntVar(&f.WorkloadTopK, "workload-topk", 32, "workload profiler heavy-hitter capacity (top-K /24 or /48 aggregates)")
-	fs.IntVar(&f.WorkloadDepth, "workload-maxdepth", 10, "deepest candidate shard depth simulated by the workload profiler (2..10)")
 	fs.BoolVar(&f.Sketch, "sketch", false, "enable the fixed-memory sketch tier: under governor pressure, unclassified ranges far from the classification threshold degrade per-IP state to a count-min sketch and hydrate back when calm")
 	fs.IntVar(&f.SketchWidth, "sketch-width", 1024, "count-min sketch width in counters per row (16..1048576; error bound ε = e/width of window mass)")
 	fs.IntVar(&f.SketchDepth, "sketch-depth", 4, "count-min sketch depth in rows (1..16; bound failure probability δ = e^-depth)")
@@ -94,7 +92,7 @@ func (f *Flags) Validate() error {
 	if err := cliflags.ExporterHealth(f.StaleAfter, f.SkewMax); err != nil {
 		return err
 	}
-	if err := cliflags.Workload(f.WorkloadTopK, f.WorkloadDepth); err != nil {
+	if err := cliflags.Workload(f.WorkloadTopK); err != nil {
 		return err
 	}
 	return cliflags.Sketch(f.Sketch, f.SketchWidth, f.SketchDepth, f.SketchMargin)

@@ -133,9 +133,8 @@ func New(name string, f *Flags, cfg core.Config, gi GovernorInputs) (*Node, erro
 	n.Health = exphealth.New(exphealth.Options{StaleAfter: f.StaleAfter, SkewMax: f.SkewMax})
 	cfg.Coverage = n.Health.IngressCoverage
 	n.Workload = workload.New(workload.Options{
-		TopK:     f.WorkloadTopK,
-		MaxDepth: f.WorkloadDepth,
-		Skew:     n.Health.RouterSkew,
+		TopK: f.WorkloadTopK,
+		Skew: n.Health.RouterSkew,
 	})
 
 	// The journal sink is written per decision, unbuffered, so a crash leaves
@@ -186,7 +185,7 @@ func New(name string, f *Flags, cfg core.Config, gi GovernorInputs) (*Node, erro
 	} else {
 		cfg.OnCycle = func(s core.CycleSample) []core.Alert {
 			n.Health.Tick(s.At)
-			n.Workload.TickCycle(s.Cycle, s.At)
+			n.Workload.TickCycle(s.Cycle)
 			return nil
 		}
 	}

@@ -84,8 +84,6 @@ func TestValidate(t *testing.T) {
 		{"stale-after-zero", []string{"-exporter-stale-after", "0s"}, "-exporter-stale-after"},
 		{"skew-max-neg", []string{"-exporter-stale-after", "1m", "-skew-max", "-1s"}, "-skew-max"},
 		{"workload-topk", []string{"-workload-topk", "1"}, "-workload-topk"},
-		{"workload-depth-1", []string{"-workload-maxdepth", "1"}, "-workload-maxdepth"},
-		{"workload-depth-11", []string{"-workload-maxdepth", "11"}, "-workload-maxdepth"},
 		// With the sketch tier off its sizing is not checked at all.
 		{"sketch-off-nonsense", []string{"-sketch-width", "0", "-sketch-depth", "0", "-sketch-exact-margin", "-1"}, ""},
 		{"sketch-on", []string{"-sketch"}, ""},

@@ -1,7 +1,6 @@
 package timeline
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -181,7 +180,7 @@ func (c *Collector) SetExporterHealth(t *exphealth.Tracker) {
 }
 
 // SetWorkload attaches the workload profiler. The collector becomes the
-// profiler's cycle driver: each OnCycle calls TickCycle(s.Cycle, s.At),
+// profiler's cycle driver: each OnCycle calls TickCycle(s.Cycle),
 // records the workload series, and runs the hot-prefix alert hysteresis.
 // Call during setup, before the engine starts cycling.
 func (c *Collector) SetWorkload(p *workload.Profiler) {
@@ -298,24 +297,13 @@ func (c *Collector) OnCycle(s core.CycleSample) []core.Alert {
 	// pushes the series population past the cap.
 	var wstats workload.CycleStats
 	if c.workload != nil {
-		wstats = c.workload.TickCycle(s.Cycle, s.At)
+		wstats = c.workload.TickCycle(s.Cycle)
 		put("workload.records", float64(wstats.WindowRecords))
 		put("workload.mass", float64(wstats.Mass))
 		if len(wstats.Top) > 0 {
 			put("workload.top_share", wstats.Top[0].Share)
 		} else {
 			put("workload.top_share", 0)
-		}
-		put("workload.plan_shards", float64(wstats.Plan.Shards))
-		put("workload.plan_imbalance", wstats.Plan.Imbalance)
-		for d := 2; d < len(wstats.ImbalanceByDepth); d++ {
-			if wstats.ImbalanceByDepth[d] > 0 {
-				put(fmt.Sprintf("workload.imbalance_d%d", d), wstats.ImbalanceByDepth[d])
-			}
-		}
-		if wstats.BatchRecords > 0 {
-			put("workload.lpm_hit_rate", wstats.PredictedHitRate)
-			put("workload.mean_run_len", wstats.MeanRunLen)
 		}
 		// Wall-clock latency quantiles: timeline-only, never analytics input.
 		put("workload.ingest_p50_seconds", wstats.IngestP50)

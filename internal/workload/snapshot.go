@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"fmt"
-
-	"ipd/internal/telemetry"
-)
+import "ipd/internal/telemetry"
 
 // IngressShare is one ingress slice of a heavy hitter's attribution.
 type IngressShare struct {
@@ -26,33 +22,6 @@ type AggregateInfo struct {
 	// Ingress is the dominant ingress; IngressShares the tracked breakdown.
 	Ingress       string         `json:"ingress"`
 	IngressShares []IngressShare `json:"ingress_shares"`
-}
-
-// DepthImbalance is one candidate shard depth's balance row.
-type DepthImbalance struct {
-	Depth  int `json:"depth"`
-	Shards int `json:"shards"`
-	// Imbalance is the EWMA max/mean load factor; LastCycle the raw factor
-	// of the most recent cycle; HotShardShare the hottest shard's share of
-	// the last cycle's records.
-	Imbalance     float64 `json:"imbalance"`
-	LastCycle     float64 `json:"last_cycle"`
-	HotShardShare float64 `json:"hot_shard_share"`
-}
-
-// LocalityStats summarizes the drain-batch locality measurement — the
-// premise behind a per-batch LPM cache (ROADMAP item 2): flow records
-// cluster by /24, so consecutive records repeat aggregates.
-type LocalityStats struct {
-	Batches uint64 `json:"batches"`
-	Records uint64 `json:"records"`
-	// DistinctPerBatch is the mean distinct aggregates per batch;
-	// MeanRunLen the mean length of consecutive same-aggregate runs;
-	// PredictedHitRate what a per-batch aggregate-keyed LPM cache would
-	// hit (1 - distinct/records).
-	DistinctPerBatch float64 `json:"distinct_per_batch"`
-	MeanRunLen       float64 `json:"mean_run_len"`
-	PredictedHitRate float64 `json:"predicted_hit_rate"`
 }
 
 // LatencyDist is a latency distribution summary, in seconds.
@@ -78,10 +47,7 @@ type Snapshot struct {
 	Cycles   uint64 `json:"cycles"`
 	TopK     int    `json:"top_k"`
 
-	TopAggregates []AggregateInfo  `json:"top_aggregates"`
-	ShardPlan     ShardPlan        `json:"shard_plan"`
-	ShardDepths   []DepthImbalance `json:"shard_depths"`
-	Locality      LocalityStats    `json:"batch_locality"`
+	TopAggregates []AggregateInfo `json:"top_aggregates"`
 
 	// IngestLatency measures export (skew-corrected) to ingest dequeue;
 	// CommitLatency export to the next stage-2 cycle's vote fold. Both are
@@ -118,28 +84,6 @@ func (p *Profiler) Snapshot() Snapshot {
 		s.TopAggregates = append(s.TopAggregates, ai)
 	}
 
-	s.ShardPlan = p.planLocked()
-	for d := 2; d <= p.opts.MaxDepth; d++ {
-		s.ShardDepths = append(s.ShardDepths, DepthImbalance{
-			Depth:         d,
-			Shards:        1 << d,
-			Imbalance:     p.imbalance[d],
-			LastCycle:     p.imbalanceLast[d],
-			HotShardShare: p.hotShardShare[d],
-		})
-	}
-
-	s.Locality = LocalityStats{Batches: p.batches, Records: p.batchRecords}
-	if p.batches > 0 {
-		s.Locality.DistinctPerBatch = float64(p.batchDistinct) / float64(p.batches)
-	}
-	if p.batchRecords > 0 {
-		s.Locality.PredictedHitRate = 1 - float64(p.batchDistinct)/float64(p.batchRecords)
-	}
-	if p.batchRuns > 0 {
-		s.Locality.MeanRunLen = float64(p.batchRecords) / float64(p.batchRuns)
-	}
-
 	s.IngestLatency = p.latIngest.stats()
 	s.CommitLatency = p.latCommit.stats()
 	return s
@@ -169,57 +113,6 @@ func (p *Profiler) RegisterMetrics(reg *telemetry.Registry) {
 				return 0
 			}
 			return top[0].Share
-		})
-	reg.GaugeFunc("ipd_workload_plan_shards",
-		"Recommended shard count from the shard-balance simulation.",
-		func() float64 {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			return float64(p.planLocked().Shards)
-		})
-	reg.GaugeFunc("ipd_workload_plan_imbalance",
-		"Smoothed max/mean load factor at the recommended shard depth.",
-		func() float64 {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			return p.planLocked().Imbalance
-		})
-	for d := 2; d <= p.opts.MaxDepth; d++ {
-		depth := d
-		reg.GaugeFunc(fmt.Sprintf("ipd_workload_shard_imbalance_d%d", depth),
-			fmt.Sprintf("Smoothed max/mean shard load factor at depth %d (%d shards).", depth, 1<<depth),
-			func() float64 {
-				p.mu.Lock()
-				defer p.mu.Unlock()
-				return p.imbalance[depth]
-			})
-	}
-	reg.CounterFunc("ipd_workload_batches_total",
-		"Drain batches observed by the locality pass.",
-		func() float64 {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			return float64(p.batches)
-		})
-	reg.GaugeFunc("ipd_workload_lpm_hit_rate",
-		"Predicted per-batch LPM cache hit rate (1 - distinct/records).",
-		func() float64 {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			if p.batchRecords == 0 {
-				return 0
-			}
-			return 1 - float64(p.batchDistinct)/float64(p.batchRecords)
-		})
-	reg.GaugeFunc("ipd_workload_mean_run_len",
-		"Mean consecutive same-aggregate run length within drain batches.",
-		func() float64 {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			if p.batchRuns == 0 {
-				return 0
-			}
-			return float64(p.batchRecords) / float64(p.batchRuns)
 		})
 
 	p.mu.Lock()

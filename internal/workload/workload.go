@@ -1,32 +1,20 @@
-// Package workload is the always-on, fixed-memory workload profiler that
-// de-risks the scale arc: before the engine is sharded (ROADMAP item 1) or
-// the hot path batched behind an LPM cache (item 2), this package measures
-// whether the assumptions those designs rest on actually hold for the
-// traffic at hand.
-//
-// It tracks four things, all in memory bounded by the options and none on
-// the stage-2 decision path:
+// Package workload is the always-on, fixed-memory workload profiler: it
+// measures the traffic the engine sees, off the stage-2 decision path and in
+// memory bounded by the options. It tracks two things:
 //
 //   - the top-K heavy-hitter /24 (IPv6 /48) aggregates, via a space-saving
-//     summary with per-ingress attribution and epoch decay — "is traffic
-//     /24-local and elephant-dominated, and which prefixes are the
-//     elephants";
-//   - a simulated shard balance: per-cycle record counts bucketed by the
-//     top 2..MaxDepth prefix bits of the source address, folded into a
-//     max/mean imbalance factor per candidate shard depth — "what shard
-//     count and depth keeps load even";
-//   - batch-locality stats over the collector's drain batches (distinct
-//     aggregates per batch, same-aggregate run lengths) — "what hit rate
-//     would a per-batch LPM cache see";
+//     summary with per-ingress attribution and epoch decay — which prefixes
+//     are the elephants, through which ingress they enter, and what share of
+//     the traffic they carry (the signal behind the hot-prefix alert);
 //   - end-to-end record latency (export timestamp, corrected by the
 //     exporter-health skew estimate, to ingest dequeue and to the next
 //     classification commit).
 //
 // Feed the per-record path with ObserveRecord (cmd/ipd's trace loop) or the
-// batch path with ObserveBatch (core.Server.SetWorkload); drive cycles by
-// attaching the profiler to a timeline.Collector, which calls TickCycle once
-// per stage-2 cycle on statistical time so the hot-prefix alert stream stays
-// journal-replayable.
+// batch path with ObserveBatch (core.Server.SetWorkload); both apply the same
+// deterministic 1-in-SampleN thinning. Drive cycles by attaching the profiler
+// to a timeline.Collector, which calls TickCycle once per stage-2 cycle so
+// the hot-prefix alert stream stays journal-replayable.
 package workload
 
 import (
@@ -45,17 +33,12 @@ type Options struct {
 	// worst-case overcount.
 	TopK int
 
-	// MaxDepth is the deepest candidate shard depth simulated; per-cycle
-	// imbalance factors cover depths 2..MaxDepth (default 10, clamped to
-	// [2, 10] — 2^10 buckets is the fixed table).
-	MaxDepth int
-
 	// SampleN thins the per-record path: only every Nth record reaches the
 	// summary (default 16; 1 profiles every record). The thinning is
 	// deterministic (a shared counter), so two identical runs profile
-	// identical subsets. Shares and imbalance factors are ratios and
-	// unbiased under thinning; absolute counts in snapshots are the
-	// profiled counts with SampleN reported alongside.
+	// identical subsets. Shares are ratios and unbiased under thinning;
+	// absolute counts in snapshots are the profiled counts with SampleN
+	// reported alongside.
 	SampleN int
 
 	// DecayEvery halves the heavy-hitter counters every N cycles (default
@@ -82,15 +65,6 @@ func (o Options) withDefaults() Options {
 		} else {
 			o.TopK = 2
 		}
-	}
-	if o.MaxDepth <= 0 {
-		o.MaxDepth = 10
-	}
-	if o.MaxDepth < 2 {
-		o.MaxDepth = 2
-	}
-	if o.MaxDepth > 10 {
-		o.MaxDepth = 10
 	}
 	if o.SampleN <= 0 {
 		o.SampleN = 16
@@ -125,26 +99,9 @@ type Profiler struct {
 	hh   summary // heavy-hitter space-saving summary
 	mass uint64  // profiled records in the current decay horizon
 
-	profiled uint64 // records past the thinning gate, cumulative
-	cycles   uint64
-
-	// shard simulation: per-cycle record counts at the deepest candidate
-	// depth; shallower depths fold at cycle time.
-	buckets       []uint64  // len 1<<MaxDepth
-	windowRecords uint64    // profiled records this cycle
-	imbalance     []float64 // EWMA imbalance per depth (index = depth)
-	imbalanceLast []float64 // last cycle's raw imbalance per depth
-	hotShardShare []float64 // last cycle's max shard share per depth
-
-	// batch locality (cumulative; reported as averages).
-	batches       uint64
-	batchRecords  uint64
-	batchDistinct uint64
-	batchRuns     uint64
-	scratch       map[uint64]struct{} // per-batch distinct set, reused
-
-	// per-cycle locality deltas for the timeline series.
-	lastBatches, lastBatchRecords, lastBatchDistinct, lastBatchRuns uint64
+	profiled      uint64 // records past the thinning gate, cumulative
+	windowRecords uint64 // profiled records this cycle
+	cycles        uint64
 
 	// latency.
 	latIngest latHist
@@ -170,20 +127,12 @@ func New(opts Options) *Profiler {
 		mask = n - 1
 	}
 	return &Profiler{
-		opts:          o,
-		sampleN:       n,
-		sampleMask:    mask,
-		hh:            newSummary(o.TopK),
-		buckets:       make([]uint64, 1<<o.MaxDepth),
-		imbalance:     make([]float64, o.MaxDepth+1),
-		imbalanceLast: make([]float64, o.MaxDepth+1),
-		hotShardShare: make([]float64, o.MaxDepth+1),
-		scratch:       make(map[uint64]struct{}, 512),
+		opts:       o,
+		sampleN:    n,
+		sampleMask: mask,
+		hh:         newSummary(o.TopK),
 	}
 }
-
-// Options returns the effective (defaulted) options.
-func (p *Profiler) Options() Options { return p.opts }
 
 // ObserveRecord feeds one record from the per-record ingest path (cmd/ipd's
 // trace loop). The fast path for a thinned-out record is one atomic add.
@@ -201,44 +150,24 @@ func (p *Profiler) ObserveRecord(rec flow.Record) {
 	p.mu.Unlock()
 }
 
-// ObserveBatch feeds one drained collector batch (core.Server.SetWorkload).
-// Heavy-hitter and shard counts use the same deterministic thinning as
-// ObserveRecord; the locality pass always sees the full batch — run lengths
-// and distinct-per-batch are properties of the batch, not of a sample.
+// ObserveBatch feeds one drained collector batch (core.Server.SetWorkload)
+// through the same deterministic thinning as ObserveRecord: the record at
+// stream position k (1-based) is profiled when k%SampleN == 0. Only those
+// records are visited, and a batch holding none takes no lock.
 func (p *Profiler) ObserveBatch(batch []flow.Record) {
-	if len(batch) == 0 {
+	n := uint64(len(batch))
+	base := p.seen.Add(n) - n
+	// Batch index i sits at stream position base+i+1, so the first admitted
+	// index is the one that brings that position to a multiple of SampleN.
+	i := p.sampleN - 1 - base%p.sampleN
+	if i >= n {
 		return
 	}
-	base := p.seen.Add(uint64(len(batch))) - uint64(len(batch))
 	p.mu.Lock()
-	defer p.mu.Unlock()
-
-	sampleN := p.sampleN
-	clear(p.scratch)
-	var (
-		runs    uint64
-		lastKey uint64
-		haveKey bool
-	)
-	for i, rec := range batch {
-		key, ok := aggKey(rec.Src)
-		if ok {
-			if _, dup := p.scratch[key]; !dup {
-				p.scratch[key] = struct{}{}
-			}
-			if !haveKey || key != lastKey {
-				runs++
-			}
-			lastKey, haveKey = key, true
-		}
-		if (base+uint64(i)+1)%sampleN == 0 {
-			p.observeLocked(rec)
-		}
+	for ; i < n; i += p.sampleN {
+		p.observeLocked(batch[i])
 	}
-	p.batches++
-	p.batchRecords += uint64(len(batch))
-	p.batchDistinct += uint64(len(p.scratch))
-	p.batchRuns += runs
+	p.mu.Unlock()
 }
 
 // observeLocked profiles one record past the thinning gate. Callers hold
@@ -252,7 +181,6 @@ func (p *Profiler) observeLocked(rec flow.Record) {
 	p.mass++
 	p.windowRecords++
 	p.hh.observe(key, rec.In)
-	p.buckets[shardBucket(rec.Src, p.opts.MaxDepth)]++
 
 	if p.profiled%latencyEvery == 0 && !rec.Ts.IsZero() {
 		now := p.opts.Now()
@@ -295,17 +223,6 @@ type CycleStats struct {
 	// Top holds the hottest aggregates (at most 8), sorted by count
 	// descending then prefix.
 	Top []HotAggregate
-	// ImbalanceByDepth[d] is this cycle's EWMA-smoothed max/mean shard load
-	// factor at depth d (indices below 2 are zero); 0 means no data yet.
-	ImbalanceByDepth []float64
-	// Plan is the current shard-plan recommendation.
-	Plan ShardPlan
-	// Per-cycle batch-locality deltas (zero when the batch path is unused).
-	Batches          uint64
-	BatchRecords     uint64
-	BatchDistinct    uint64
-	PredictedHitRate float64
-	MeanRunLen       float64
 	// Wall-clock latency quantiles in seconds (timeline-only).
 	IngestP50, IngestP99 float64
 	CommitP50, CommitP99 float64
@@ -314,31 +231,14 @@ type CycleStats struct {
 // topInCycleStats bounds CycleStats.Top.
 const topInCycleStats = 8
 
-// TickCycle folds the cycle window at a stage-2 boundary: computes the
-// per-depth imbalance factors, advances the epoch decay, folds the pending
-// commit latencies, and returns the deterministic cycle stats. The timeline
-// collector calls it once per cycle sample with the cycle id and statistical
-// time.
-func (p *Profiler) TickCycle(cycle uint64, at time.Time) CycleStats {
+// TickCycle folds the cycle window at a stage-2 boundary: advances the
+// epoch decay, folds the pending commit latencies, and returns the
+// deterministic cycle stats. The timeline collector calls it once per cycle
+// sample with the cycle id.
+func (p *Profiler) TickCycle(cycle uint64) CycleStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.cycles++
-
-	// Shard imbalance from this cycle's bucket counts, then reset the
-	// window.
-	for d := 2; d <= p.opts.MaxDepth; d++ {
-		imb, hot := foldImbalance(p.buckets, p.opts.MaxDepth, d)
-		p.imbalanceLast[d] = imb
-		p.hotShardShare[d] = hot
-		if imb > 0 {
-			if p.imbalance[d] == 0 {
-				p.imbalance[d] = imb
-			} else {
-				p.imbalance[d] += imbalanceAlpha * (imb - p.imbalance[d])
-			}
-		}
-	}
-	clear(p.buckets)
 
 	// Commit latency: the records profiled since the last cycle have their
 	// votes folded by the stage-2 cycle that just ran — the commit point.
@@ -354,28 +254,15 @@ func (p *Profiler) TickCycle(cycle uint64, at time.Time) CycleStats {
 	}
 
 	st := CycleStats{
-		Cycle:            cycle,
-		WindowRecords:    p.windowRecords,
-		Mass:             p.mass,
-		Top:              p.topLocked(topInCycleStats),
-		ImbalanceByDepth: append([]float64(nil), p.imbalance...),
-		Plan:             p.planLocked(),
-		Batches:          p.batches - p.lastBatches,
-		BatchRecords:     p.batchRecords - p.lastBatchRecords,
-		BatchDistinct:    p.batchDistinct - p.lastBatchDistinct,
-		IngestP50:        p.latIngest.quantile(0.50),
-		IngestP99:        p.latIngest.quantile(0.99),
-		CommitP50:        p.latCommit.quantile(0.50),
-		CommitP99:        p.latCommit.quantile(0.99),
+		Cycle:         cycle,
+		WindowRecords: p.windowRecords,
+		Mass:          p.mass,
+		Top:           p.topLocked(topInCycleStats),
+		IngestP50:     p.latIngest.quantile(0.50),
+		IngestP99:     p.latIngest.quantile(0.99),
+		CommitP50:     p.latCommit.quantile(0.50),
+		CommitP99:     p.latCommit.quantile(0.99),
 	}
-	if st.BatchRecords > 0 {
-		st.PredictedHitRate = 1 - float64(st.BatchDistinct)/float64(st.BatchRecords)
-	}
-	if runs := p.batchRuns - p.lastBatchRuns; runs > 0 {
-		st.MeanRunLen = float64(st.BatchRecords) / float64(runs)
-	}
-	p.lastBatches, p.lastBatchRecords = p.batches, p.batchRecords
-	p.lastBatchDistinct, p.lastBatchRuns = p.batchDistinct, p.batchRuns
 	p.windowRecords = 0
 
 	// Epoch decay: halve the summary and the mass it is measured against.
@@ -384,7 +271,6 @@ func (p *Profiler) TickCycle(cycle uint64, at time.Time) CycleStats {
 		p.hh.halve()
 		p.mass /= 2
 	}
-	_ = at // the statistical time is the caller's timestamp; nothing here needs it
 	return st
 }
 

@@ -1,8 +1,8 @@
 package workload
 
 import (
-	"math"
 	"net/netip"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -16,70 +16,68 @@ func rec(addr netip.Addr, in flow.Ingress, ts time.Time) flow.Record {
 
 var testIngress = flow.Ingress{Router: 1, Iface: 1}
 
-// TestShardImbalanceUniform feeds a stream spread evenly over the top
-// address bits: every candidate depth should come out balanced and the plan
-// should recommend the deepest depth.
+// TestShardImbalanceUniform feeds a stream spread evenly over 64 /24s: no
+// aggregate stands out, so none carries more than twice its fair 1/64 share.
 func TestShardImbalanceUniform(t *testing.T) {
-	p := New(Options{SampleN: 1, MaxDepth: 6})
+	p := New(Options{SampleN: 1, TopK: 64})
 	ts := time.Unix(1000, 0)
-	// 4096 records over all 64 depth-6 shards, evenly: top 6 bits of the
-	// first byte cycle over all values.
 	for i := 0; i < 4096; i++ {
-		addr := netip.AddrFrom4([4]byte{byte((i % 64) << 2), byte(i >> 8), byte(i), 1})
-		p.ObserveRecord(rec(addr, testIngress, ts))
+		p.ObserveRecord(rec(v4From24(i%64, byte(i)), testIngress, ts))
 	}
-	st := p.TickCycle(1, ts)
-	for d := 2; d <= 6; d++ {
-		if imb := st.ImbalanceByDepth[d]; math.Abs(imb-1) > 0.01 {
-			t.Errorf("uniform stream: depth %d imbalance = %v, want 1", d, imb)
+	st := p.TickCycle(1)
+	if len(st.Top) == 0 {
+		t.Fatal("uniform stream: no top aggregates")
+	}
+	for _, a := range st.Top {
+		if a.Share > 2.0/64 {
+			t.Errorf("uniform stream: %v share = %v, want <= 2/64", a.Prefix, a.Share)
 		}
-	}
-	if !st.Plan.Satisfied || st.Plan.Depth != 6 || st.Plan.Shards != 64 {
-		t.Errorf("uniform plan = %+v, want satisfied depth 6", st.Plan)
 	}
 }
 
-// TestShardImbalanceSkewed feeds everything into one /16: the hot shard
-// carries all the load, so the imbalance factor at depth d is exactly 2^d
-// (max = total, mean = total/2^d) and no plan is satisfiable.
+// TestShardImbalanceSkewed feeds everything into one /24: it is the top
+// aggregate at share 1, attributed entirely to the one ingress it entered
+// through.
 func TestShardImbalanceSkewed(t *testing.T) {
-	p := New(Options{SampleN: 1, MaxDepth: 6})
+	p := New(Options{SampleN: 1})
 	ts := time.Unix(1000, 0)
 	for i := 0; i < 1000; i++ {
-		p.ObserveRecord(rec(netip.AddrFrom4([4]byte{10, 1, byte(i), 1}), testIngress, ts))
+		p.ObserveRecord(rec(netip.AddrFrom4([4]byte{10, 1, 2, byte(i)}), testIngress, ts))
 	}
-	st := p.TickCycle(1, ts)
-	for d := 2; d <= 6; d++ {
-		want := float64(int(1) << d)
-		if imb := st.ImbalanceByDepth[d]; math.Abs(imb-want) > 0.01 {
-			t.Errorf("skewed stream: depth %d imbalance = %v, want %v", d, imb, want)
-		}
+	st := p.TickCycle(1)
+	if len(st.Top) != 1 || st.Top[0].Prefix.String() != "10.1.2.0/24" {
+		t.Fatalf("skewed stream top = %+v, want only 10.1.2.0/24", st.Top)
 	}
-	if st.Plan.Satisfied {
-		t.Errorf("skewed plan = %+v, want unsatisfied", st.Plan)
+	if st.Top[0].Share != 1 || st.Top[0].Ingress != testIngress {
+		t.Errorf("skewed top = %+v, want share 1 through %v", st.Top[0], testIngress)
 	}
-	if st.Plan.HotShardShare < 0.99 {
-		t.Errorf("hot shard share = %v, want ~1", st.Plan.HotShardShare)
+	in := p.Snapshot().TopAggregates[0].IngressShares
+	if len(in) != 1 || in[0].Ingress != testIngress.String() || in[0].Share != 1 {
+		t.Errorf("ingress attribution = %+v, want all of it on %v", in, testIngress)
 	}
 }
 
-// TestShardImbalanceEWMA checks that the per-depth factors smooth across
-// cycles rather than tracking the last cycle alone.
+// TestShardImbalanceEWMA checks that the top share moves with the decayed
+// mass rather than the last cycle alone: one skewed cycle after a uniform
+// one lifts the top share strictly between the uniform share and 1.
 func TestShardImbalanceEWMA(t *testing.T) {
-	p := New(Options{SampleN: 1, MaxDepth: 4})
+	p := New(Options{SampleN: 1, TopK: 64})
 	ts := time.Unix(1000, 0)
-	// Cycle 1: uniform over the 16 depth-4 shards.
+	// Cycle 1: uniform over 16 /24s.
 	for i := 0; i < 1600; i++ {
-		p.ObserveRecord(rec(netip.AddrFrom4([4]byte{byte((i % 16) << 4), 0, byte(i), 1}), testIngress, ts))
+		p.ObserveRecord(rec(v4From24(i%16, byte(i)), testIngress, ts))
 	}
-	st1 := p.TickCycle(1, ts)
-	// Cycle 2: fully skewed.
+	uniform := p.TickCycle(1).Top[0].Share
+	// Cycle 2: fully skewed onto a /24 outside the uniform set.
 	for i := 0; i < 1600; i++ {
-		p.ObserveRecord(rec(netip.AddrFrom4([4]byte{10, 1, byte(i), 1}), testIngress, ts))
+		p.ObserveRecord(rec(netip.AddrFrom4([4]byte{10, 200, 1, byte(i)}), testIngress, ts))
 	}
-	st2 := p.TickCycle(2, ts)
-	if imb := st2.ImbalanceByDepth[4]; imb <= st1.ImbalanceByDepth[4] || imb >= 16 {
-		t.Errorf("EWMA imbalance after one skewed cycle = %v, want strictly between 1 and 16", imb)
+	st := p.TickCycle(2)
+	if st.Top[0].Prefix.String() != "10.200.1.0/24" {
+		t.Fatalf("top after skewed cycle = %v, want 10.200.1.0/24", st.Top[0].Prefix)
+	}
+	if share := st.Top[0].Share; share <= uniform || share >= 1 {
+		t.Errorf("top share after one skewed cycle = %v, want strictly between %v and 1", share, uniform)
 	}
 }
 
@@ -100,7 +98,7 @@ func TestHotShareAndDecay(t *testing.T) {
 				p.ObserveRecord(rec(v4From24(i%512, byte(i)), testIngress, ts))
 			}
 		}
-		return p.TickCycle(cycle, ts)
+		return p.TickCycle(cycle)
 	}
 
 	st := feed(0.5, 2000)
@@ -135,31 +133,86 @@ func TestHotShareAndDecay(t *testing.T) {
 	}
 }
 
-// TestBatchLocality checks distinct/run accounting on hand-built batches.
+// TestBatchLocality checks that ObserveBatch, which visits only the
+// records its thinning gate admits, profiles exactly the records
+// ObserveRecord would: one stream fed both ways, with the same cycle ticks,
+// gives equal cycle stats and snapshots for every thinning rate and batch
+// size, including batches that hold no admitted record.
 func TestBatchLocality(t *testing.T) {
-	p := New(Options{SampleN: 1})
-	ts := time.Unix(1000, 0)
-	a, b := netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.1.1")
-	// Batch of 8: runs a a a b b a a b -> 4 runs, 2 distinct aggregates.
-	batch := []flow.Record{
-		rec(a, testIngress, ts), rec(a, testIngress, ts), rec(a, testIngress, ts),
-		rec(b, testIngress, ts), rec(b, testIngress, ts),
-		rec(a, testIngress, ts), rec(a, testIngress, ts),
-		rec(b, testIngress, ts),
+	now := time.Unix(50_000, 0)
+	clock := func() time.Time { return now }
+	stream := batchTestStream(3000)
+	for _, n := range []int{1, 4, 5, 16} {
+		for _, size := range []int{1, 3, n - 1, n, 2*n + 1, 512} {
+			if size == 0 {
+				continue
+			}
+			byRec := New(Options{SampleN: n, DecayEvery: 2, Now: clock})
+			byBatch := New(Options{SampleN: n, DecayEvery: 2, Now: clock})
+			cycle := uint64(0)
+			for off, chunk := 0, 0; off < len(stream); off, chunk = off+size, chunk+1 {
+				batch := stream[off:min(off+size, len(stream))]
+				for _, r := range batch {
+					byRec.ObserveRecord(r)
+				}
+				byBatch.ObserveBatch(batch)
+				if chunk%7 == 6 {
+					cycle++
+					if a, b := byRec.TickCycle(cycle), byBatch.TickCycle(cycle); !reflect.DeepEqual(a, b) {
+						t.Fatalf("SampleN %d, batch %d, cycle %d: stats differ\nrecord: %+v\nbatch:  %+v", n, size, cycle, a, b)
+					}
+				}
+			}
+			a, b := byRec.Snapshot(), byBatch.Snapshot()
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("SampleN %d, batch %d: snapshots differ\nrecord: %+v\nbatch:  %+v", n, size, a, b)
+			}
+			if want := uint64(len(stream) / n); a.Profiled > want || a.Profiled < want*9/10 {
+				t.Errorf("SampleN %d, batch %d: profiled %d, want about %d", n, size, a.Profiled, want)
+			}
+		}
 	}
-	p.ObserveBatch(batch)
-	s := p.Snapshot()
-	if s.Locality.Batches != 1 || s.Locality.Records != 8 {
-		t.Fatalf("locality = %+v", s.Locality)
+}
+
+// batchTestStream is a deterministic mixed stream: Zipf-skewed IPv4 /24s
+// over several ingresses, some IPv6 sources, and a few records without a
+// source address (which the gate admits but the summary skips).
+func batchTestStream(n int) []flow.Record {
+	rng := splitmix(42)
+	cum := zipfCum(200, 1.1)
+	base := time.Unix(49_000, 0)
+	out := make([]flow.Record, n)
+	for i := range out {
+		r := flow.Record{
+			Ts: base.Add(time.Duration(i) * time.Millisecond),
+			In: flow.Ingress{Router: flow.RouterID(1 + rng.next()%3), Iface: 1},
+		}
+		switch {
+		case i%97 == 0:
+			// no source address
+		case i%11 == 0:
+			r.Src = netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, byte(i % 5), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, byte(i)})
+		default:
+			r.Src = v4From24(zipfPick(&rng, cum), byte(i))
+		}
+		out[i] = r
 	}
-	if s.Locality.DistinctPerBatch != 2 {
-		t.Errorf("distinct per batch = %v, want 2", s.Locality.DistinctPerBatch)
-	}
-	if s.Locality.MeanRunLen != 2 {
-		t.Errorf("mean run len = %v, want 2 (8 records / 4 runs)", s.Locality.MeanRunLen)
-	}
-	if want := 1 - 2.0/8.0; s.Locality.PredictedHitRate != want {
-		t.Errorf("predicted hit rate = %v, want %v", s.Locality.PredictedHitRate, want)
+	return out
+}
+
+// TestObserveBatchAllocs guards the batch path's zero-allocation promise: a
+// warmed profiler allocates nothing per drained batch, at the default
+// thinning rate and at full profiling.
+func TestObserveBatchAllocs(t *testing.T) {
+	stream := batchTestStream(512)
+	for _, n := range []int{16, 1} {
+		p := New(Options{SampleN: n})
+		for i := 0; i < 4*pendingCap; i++ {
+			p.ObserveBatch(stream)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { p.ObserveBatch(stream) }); allocs != 0 {
+			t.Errorf("SampleN %d: %v allocs per 512-record ObserveBatch, want 0", n, allocs)
+		}
 	}
 }
 
@@ -203,7 +256,7 @@ func TestLatency(t *testing.T) {
 		p.ObserveRecord(rec(netip.MustParseAddr("10.0.0.1"), testIngress, base.Add(-3*time.Second)))
 	}
 	now = base.Add(10 * time.Second) // cycle fires 10s later: commit latency 15s
-	st := p.TickCycle(1, now)
+	st := p.TickCycle(1)
 	s := p.Snapshot()
 	if s.IngestLatency.Count != 1 || s.CommitLatency.Count != 1 {
 		t.Fatalf("latency counts = %d/%d, want 1/1", s.IngestLatency.Count, s.CommitLatency.Count)
@@ -259,7 +312,7 @@ func TestPendingBounded(t *testing.T) {
 // detector can audit the locking: per-record feeds, batch feeds, cycle
 // ticks, and snapshots all at once.
 func TestConcurrent(t *testing.T) {
-	p := New(Options{SampleN: 2, MaxDepth: 4})
+	p := New(Options{SampleN: 2})
 	ts := time.Unix(1000, 0)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -286,7 +339,7 @@ func TestConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			p.TickCycle(uint64(i+1), ts)
+			p.TickCycle(uint64(i + 1))
 			_ = p.Snapshot()
 		}
 	}()
@@ -299,14 +352,8 @@ func TestConcurrent(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.TopK != 32 || o.MaxDepth != 10 || o.SampleN != 16 || o.DecayEvery != 16 {
+	if o.TopK != 32 || o.SampleN != 16 || o.DecayEvery != 16 {
 		t.Errorf("defaults = %+v", o)
-	}
-	if o := (Options{MaxDepth: 99}).withDefaults(); o.MaxDepth != 10 {
-		t.Errorf("MaxDepth clamp high = %d, want 10", o.MaxDepth)
-	}
-	if o := (Options{MaxDepth: 1}).withDefaults(); o.MaxDepth != 2 {
-		t.Errorf("MaxDepth clamp low = %d, want 2", o.MaxDepth)
 	}
 	if o := (Options{TopK: 1}).withDefaults(); o.TopK != 2 {
 		t.Errorf("TopK clamp = %d, want 2", o.TopK)

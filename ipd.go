@@ -184,31 +184,25 @@ func NewExporterHealth(opts ExporterHealthOptions) *ExporterHealth {
 	return exphealth.New(opts)
 }
 
-// Workload-profiling types. A WorkloadProfiler is the always-on, fixed-
-// memory workload observatory: top-K heavy-hitter /24 (IPv6 /48) aggregates
-// with per-ingress attribution and epoch decay, a simulated shard-balance
-// histogram per candidate shard depth with a shard-plan recommendation,
-// drain-batch locality stats (the LPM-cache premise), and skew-corrected
-// export-to-ingest/-commit latency. Feed it from Server.SetWorkload (batch
-// drain path) or per record via ObserveRecord; drive cycles via
-// TimelineCollector.SetWorkload (which also runs the AlertHotPrefix
-// hysteresis); expose ipd_workload_* metrics via RegisterMetrics.
+// Workload-profiling types. A WorkloadProfiler measures the traffic: top-K
+// heavy-hitter /24 (IPv6 /48) aggregates with per-ingress attribution and
+// epoch decay, and skew-corrected export-to-ingest/-commit latency. Feed it
+// from Server.SetWorkload or ObserveRecord; drive cycles via
+// TimelineCollector.SetWorkload, which also runs the AlertHotPrefix
+// hysteresis.
 type (
 	// WorkloadProfiler is the workload profiler.
 	WorkloadProfiler = workload.Profiler
-	// WorkloadOptions parameterizes the profiler (top-K, max shard depth,
-	// sample thinning, decay cadence, clock and skew sources).
+	// WorkloadOptions parameterizes the profiler (top-K, sample thinning,
+	// decay cadence, clock and skew sources).
 	WorkloadOptions = workload.Options
 	// WorkloadSnapshot is the /ipd/workload response body.
 	WorkloadSnapshot = workload.Snapshot
-	// WorkloadShardPlan is the shard-depth recommendation inside snapshots
-	// and cycle stats.
-	WorkloadShardPlan = workload.ShardPlan
 )
 
 // NewWorkloadProfiler returns a workload profiler with opts' zero values
-// replaced by the documented defaults (top-K 32, max depth 10, 1-in-8
-// thinning, decay every 16 cycles).
+// replaced by the documented defaults (top-K 32, 1-in-16 thinning, decay
+// every 16 cycles).
 func NewWorkloadProfiler(opts WorkloadOptions) *WorkloadProfiler {
 	return workload.New(opts)
 }

@@ -160,7 +160,7 @@ func TestFacadeSurface(t *testing.T) {
 		"SimScenario", "SimSpec", "SimV5Packer", "SketchStatus", "StatTimeConfig",
 		"TelemetryRegistry", "TimelineCollector", "TimelineOptions", "TraceReader",
 		"TraceWriter", "Tracer", "TracerOptions", "WorkloadOptions", "WorkloadProfiler",
-		"WorkloadShardPlan", "WorkloadSnapshot", "WriteOutputSnapshot",
+		"WorkloadSnapshot", "WriteOutputSnapshot",
 	}
 	f, err := parser.ParseFile(token.NewFileSet(), "ipd.go", nil, parser.SkipObjectResolution)
 	if err != nil {
