@@ -317,12 +317,6 @@ func attachTimeline(b *testing.B, cfg *ipd.Config) func(ipd.Record) {
 	return nil
 }
 
-// The default 1-in-1024 span sampling; without it Observe pays one nil check.
-func attachTracer(_ *testing.B, cfg *ipd.Config) func(ipd.Record) {
-	cfg.Tracer = ipd.NewTracer(ipd.TracerOptions{})
-	return nil
-}
-
 // Budgets generous enough that the governor stays in the normal state: what
 // every governed deployment pays when nothing is wrong.
 func attachGovernor(b *testing.B, cfg *ipd.Config) func(ipd.Record) {
@@ -361,20 +355,23 @@ func attachSketch(_ *testing.B, cfg *ipd.Config) func(ipd.Record) {
 // two-root engine; the converged regime is what `go run ./benchmark`
 // measures.
 func BenchmarkObserve(b *testing.B) {
+	// traced rows set the default 1-in-1024 span sampling; without a tracer
+	// Observe pays one nil check.
 	rows := []struct {
 		name   string
 		attach []observeAttachment
+		traced bool
 	}{
-		{"bare", nil},
-		{"journaled", []observeAttachment{attachJournal}},
-		{"timeline", []observeAttachment{attachTimeline}},
-		{"traced", []observeAttachment{attachTracer}},
-		{"governed", []observeAttachment{attachGovernor}},
-		{"exphealth", []observeAttachment{attachExporterHealth}},
-		{"workload", []observeAttachment{attachWorkload}},
-		{"sketched", []observeAttachment{attachSketch}},
-		{"all-attached", []observeAttachment{attachTimeline, attachTracer, attachGovernor,
-			attachExporterHealth, attachWorkload, attachSketch}},
+		{"bare", nil, false},
+		{"journaled", []observeAttachment{attachJournal}, false},
+		{"timeline", []observeAttachment{attachTimeline}, false},
+		{"traced", nil, true},
+		{"governed", []observeAttachment{attachGovernor}, false},
+		{"exphealth", []observeAttachment{attachExporterHealth}, false},
+		{"workload", []observeAttachment{attachWorkload}, false},
+		{"sketched", []observeAttachment{attachSketch}, false},
+		{"all-attached", []observeAttachment{attachTimeline, attachGovernor,
+			attachExporterHealth, attachWorkload, attachSketch}, true},
 	}
 	records := benchRecords(b, 500_000)
 	for _, row := range rows {
@@ -389,6 +386,9 @@ func BenchmarkObserve(b *testing.B) {
 			eng, err := ipd.NewEngine(cfg)
 			if err != nil {
 				b.Fatal(err)
+			}
+			if row.traced {
+				eng.SetTracer(ipd.NewTracer(ipd.TracerOptions{}))
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

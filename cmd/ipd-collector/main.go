@@ -8,8 +8,9 @@
 //
 // The exporters file maps export source addresses to router IDs, one
 // "address,router_id" pair per line. With -trust, unknown exporters are
-// auto-registered with sequential router IDs (useful for lab setups; never
-// do this in production). Both collectors share one registry, so an address
+// auto-registered with sequential router IDs after the highest one the
+// exporters file assigns (useful for lab setups; never do this in
+// production). Both collectors share one registry, so an address
 // is one router whether it sends NetFlow v5 or IPFIX.
 //
 // HTTP endpoints:
@@ -43,7 +44,8 @@
 // graceful shutdown), and restore the newest valid one on startup; with
 // -journal pointing at the previous run's journal, events recorded after the
 // restored checkpoint are replayed on top (the journal is then appended to,
-// not truncated). Ingest is buffered through a bounded queue that sheds the
+// not truncated; a cold start moves an existing journal to <journal>.N
+// first). Ingest is buffered through a bounded queue that sheds the
 // oldest records under overload (ipd_records_shed_total) instead of silently
 // dropping the newest, and SIGTERM drains the queue, flushes open statistical
 // time buckets, and writes a final checkpoint before exiting.
@@ -63,9 +65,9 @@
 // bounded shed-oldest spool, exactly-once resume across reconnects). The
 // local engine keeps running — an edge answers its own /ipd/* queries while
 // the core builds the merged, byte-deterministic central partition.
-// -edge-id names this edge (must be stable and unique), -spool-cap bounds
-// the records buffered while the core is unreachable, and -heartbeat tunes
-// dead-connection detection.
+// -edge-id names this edge (must be stable and unique) and -heartbeat tunes
+// dead-connection detection; the spool holds up to 65 536 records (waiting
+// plus unacked) while the core is unreachable and sheds the oldest beyond.
 package main
 
 import (
@@ -102,7 +104,6 @@ type options struct {
 	queue, sample, boost           int
 
 	shipTo, edgeID string
-	spoolCap       int
 }
 
 func newOptions(fs *flag.FlagSet) *options {
@@ -118,7 +119,6 @@ func newOptions(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.boost, "sample-boost", 8, "multiply the -sample denominator by this factor while the governor is degraded or worse")
 	fs.StringVar(&o.shipTo, "ship-to", "", "ship every ingested record to this core address (host:port) over the resilient delta transport ('' disables cluster mode)")
 	fs.StringVar(&o.edgeID, "edge-id", "", "stable unique name for this edge in the cluster handshake (required with -ship-to)")
-	fs.IntVar(&o.spoolCap, "spool-cap", 1<<16, "delta spool capacity in records (waiting + unacked); oldest are shed under overflow")
 	return o
 }
 
@@ -130,7 +130,7 @@ func main() {
 		err = cliflags.Ingest(o.queue, o.sample, o.boost)
 	}
 	if err == nil {
-		err = cliflags.DeltaShip(o.shipTo, o.edgeID, o.spoolCap, o.node.Heartbeat)
+		err = cliflags.DeltaShip(o.shipTo, o.edgeID, o.node.Heartbeat)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ipd-collector:", err)
@@ -224,7 +224,6 @@ func run(o *options) error {
 		scfg := ipd.DeltaSenderConfig{
 			Target:    o.shipTo,
 			EdgeID:    o.edgeID,
-			SpoolCap:  o.spoolCap,
 			Heartbeat: o.node.Heartbeat,
 			Logf: func(format string, args ...any) {
 				n.Logger.Info("delta: "+fmt.Sprintf(format, args...), "edge", o.edgeID)
@@ -275,15 +274,17 @@ func run(o *options) error {
 		// whichever format it sends.
 		ipfixColl.Exporters = coll.Exporters
 	}
+	var lastID ipd.RouterID
 	if o.exporters != "" {
-		count, err := loadExporters(coll.Exporters, o.exporters)
+		count, last, err := loadExporters(coll.Exporters, o.exporters)
 		if err != nil {
 			return err
 		}
+		lastID = last
 		fmt.Fprintf(os.Stderr, "ipd-collector: %d exporters registered\n", count)
 	}
 	if o.trust {
-		enableTrust(coll.Exporters)
+		enableTrust(coll.Exporters, lastID+1)
 	}
 
 	addrPort, err := coll.Listen(o.listen)
@@ -416,14 +417,13 @@ func registerCollectorMetrics(reg *ipd.TelemetryRegistry, coll *netflow.Collecto
 }
 
 // loadExporters reads "address,router_id" lines into the exporter registry
-// both collectors share.
-func loadExporters(reg *flow.Exporters, path string) (int, error) {
+// both collectors share, and returns how many it read and the highest id.
+func loadExporters(reg *flow.Exporters, path string) (n int, last ipd.RouterID, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	defer f.Close()
-	n := 0
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -432,28 +432,29 @@ func loadExporters(reg *flow.Exporters, path string) (int, error) {
 		}
 		parts := strings.Split(line, ",")
 		if len(parts) != 2 {
-			return n, fmt.Errorf("exporters: bad line %q", line)
+			return n, last, fmt.Errorf("exporters: bad line %q", line)
 		}
 		addr, err := netip.ParseAddr(strings.TrimSpace(parts[0]))
 		if err != nil {
-			return n, fmt.Errorf("exporters: %v", err)
+			return n, last, fmt.Errorf("exporters: %v", err)
 		}
 		id, err := strconv.ParseUint(strings.TrimSpace(parts[1]), 10, 16)
 		if err != nil {
-			return n, fmt.Errorf("exporters: %v", err)
+			return n, last, fmt.Errorf("exporters: %v", err)
 		}
 		reg.RegisterExporter(addr, ipd.RouterID(id))
+		last = max(last, ipd.RouterID(id))
 		n++
 	}
-	return n, sc.Err()
+	return n, last, sc.Err()
 }
 
 // enableTrust auto-registers unknown exporters of either protocol with
-// sequential router IDs (lab setups only; production must pre-register its
-// border routers).
-func enableTrust(reg *flow.Exporters) {
+// sequential router IDs from next on (lab setups only; production must
+// pre-register its border routers). next must lie above every registered
+// id, or two routers' traffic would merge into one ingress.
+func enableTrust(reg *flow.Exporters, next ipd.RouterID) {
 	var mu sync.Mutex
-	next := ipd.RouterID(1)
 	reg.SetUnknownPolicy(func(addr netip.Addr) (ipd.RouterID, bool) {
 		mu.Lock()
 		defer mu.Unlock()

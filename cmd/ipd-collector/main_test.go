@@ -2,8 +2,14 @@ package main
 
 import (
 	"flag"
+	"net/netip"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
+
+	"ipd"
+	"ipd/internal/flow"
 )
 
 // TestFlagSurface pins every flag name and default of ipd-collector: operators'
@@ -18,7 +24,6 @@ func TestFlagSurface(t *testing.T) {
 		"checkpoint-dir=",
 		"checkpoint-every=10",
 		"edge-id=",
-		"exporter-stale-after=3m0s",
 		"exporters=",
 		"factor4=0.01",
 		"floor=4",
@@ -27,7 +32,6 @@ func TestFlagSurface(t *testing.T) {
 		"http=:8080",
 		"ipfix=",
 		"journal=",
-		"journal-cap=4096",
 		"listen=:2055",
 		"log-level=warn",
 		"max-ranges=0",
@@ -39,19 +43,31 @@ func TestFlagSurface(t *testing.T) {
 		"sample-boost=8",
 		"ship-to=",
 		"sketch=false",
-		"sketch-depth=4",
-		"sketch-exact-margin=0.05",
-		"sketch-width=1024",
-		"skew-max=5m0s",
-		"spool-cap=65536",
-		"timeline-every=1",
 		"timeline-window=512",
-		"trace-cap=8192",
-		"trace-sample=1024",
 		"trust=false",
-		"workload-topk=32",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("flag surface changed:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestTrustAfterLoadedExporters pins -trust next to -exporters: an unknown
+// exporter gets the id after the highest loaded one, never an id a loaded
+// router already holds (their votes would merge into one ingress).
+func TestTrustAfterLoadedExporters(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "exporters.csv")
+	if err := os.WriteFile(path, []byte("192.0.2.1,1\n# lab edge\n192.0.2.7,7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := flow.NewExporters()
+	n, last, err := loadExporters(reg, path)
+	if err != nil || n != 2 || last != 7 {
+		t.Fatalf("loadExporters = %d, %d, %v; want 2 exporters up to id 7", n, last, err)
+	}
+	enableTrust(reg, last+1)
+	for src, want := range map[string]ipd.RouterID{"192.0.2.1:2055": 1, "192.0.2.7:2055": 7, "198.51.100.9:2055": 8} {
+		if got, _, ok := reg.Attribute(netip.MustParseAddrPort(src)); !ok || got != want {
+			t.Errorf("%s attributed to router %d (ok=%v), want %d", src, got, ok, want)
+		}
 	}
 }

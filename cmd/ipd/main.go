@@ -21,9 +21,8 @@
 // reconstructs the final partition from such a file without rerunning the
 // trace. -explain prints the decision provenance for one or more IPs after
 // the run. -trace-out writes the span flight recorder as a Chrome
-// trace-event JSON file (Perfetto / chrome://tracing) after the run;
-// -trace-cap and -trace-sample size the recorder and the 1-in-N per-record
-// span sampling.
+// trace-event JSON file (Perfetto / chrome://tracing) after the run; the
+// recorder keeps the last 8192 spans and samples per-record spans 1 in 1024.
 //
 // Crash safety: -checkpoint-dir makes the run periodically write the full
 // engine state as a CRC-guarded checkpoint file (every -checkpoint-every
@@ -31,7 +30,10 @@
 // checkpoint from that directory; when -journal points at the journal of the
 // interrupted run, the events recorded after the restored checkpoint are
 // replayed on top, so the partition resumes exactly where the previous
-// process died (the journal file is then appended to, not truncated).
+// process died (the journal file is then appended to, not truncated). A
+// cold start (no checkpoint in the directory) moves an existing journal to
+// the first free <journal>.N instead, and a journal whose seqs do not
+// increase line by line is refused rather than replayed.
 // -resync switches the binary trace reader into degraded-mode ingest:
 // corrupt byte stretches are scanned past (counted in
 // ipd_records_resync_total) instead of aborting the run.
@@ -45,8 +47,8 @@
 // lands in the journal as governor events.
 //
 // Longitudinal observability: a bounded in-process timeline samples the
-// engine at the end of every stage-2 cycle (-timeline-every thins the
-// cadence, -timeline-window sizes the per-series ring, 0 disables) and runs
+// engine at the end of every stage-2 cycle (-timeline-window sizes the
+// per-series ring, 0 disables) and runs
 // flap/drift/convergence analytics on top; alerts land in the journal as
 // alert events and the series are served at /ipd/timeline (JSON or
 // format=csv) next to /ipd/alerts on the debug server. -mutexprofile
@@ -56,9 +58,10 @@
 // router contributes and folds them into a per-router coverage score every
 // cycle; classifications made while a router's feed is stale carry a
 // degraded-coverage annotation in the journal, -explain, and /ipd/explain.
-// -exporter-stale-after sets the silence threshold; -skew-max bounds
-// export-clock skew (it only matters for the UDP collectors — trace files
-// carry no export clock). The per-feed state is served at /ipd/exporters.
+// A feed silent for 3 minutes of statistical time is stale; export-clock
+// skew beyond 5 minutes degrades it (only the UDP collectors see an export
+// clock; trace files carry none). The per-feed state is served at
+// /ipd/exporters.
 //
 // Cluster core: -listen-delta turns this binary into the central node of an
 // edge→core deployment. Instead of reading a trace it accepts delta

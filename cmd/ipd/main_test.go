@@ -25,7 +25,6 @@ func TestFlagSurface(t *testing.T) {
 		"e=2m0s",
 		"edges=",
 		"explain=",
-		"exporter-stale-after=3m0s",
 		"factor4=0.01",
 		"factor6=1e-08",
 		"floor=4",
@@ -34,7 +33,6 @@ func TestFlagSurface(t *testing.T) {
 		"heartbeat=2s",
 		"in=-",
 		"journal=",
-		"journal-cap=4096",
 		"listen-delta=",
 		"log-level=warn",
 		"max-ranges=0",
@@ -45,18 +43,10 @@ func TestFlagSurface(t *testing.T) {
 		"replay=",
 		"resync=false",
 		"sketch=false",
-		"sketch-depth=4",
-		"sketch-exact-margin=0.05",
-		"sketch-width=1024",
-		"skew-max=5m0s",
 		"summary=false",
 		"t=1m0s",
-		"timeline-every=1",
 		"timeline-window=512",
-		"trace-cap=8192",
 		"trace-out=",
-		"trace-sample=1024",
-		"workload-topk=32",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("flag surface changed:\n got %q\nwant %q", got, want)

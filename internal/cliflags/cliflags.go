@@ -5,15 +5,16 @@
 // ingest pipeline, the two ends of delta shipping).
 //
 // Validation rejects values that earlier versions silently "fixed" (a
-// checkpoint cadence of 0 became 1, a non-positive trace sample rate traced
-// nothing): a typo like -checkpoint-every 0 fails loudly instead of
-// checkpointing on every cycle. The first violated rule wins, mirroring the
-// original sequential checks.
+// checkpoint cadence of 0 became 1): a typo like -checkpoint-every 0 fails
+// loudly instead of checkpointing on every cycle. The first violated rule
+// wins, mirroring the original sequential checks.
 package cliflags
 
 import (
 	"fmt"
 	"time"
+
+	"ipd/internal/core"
 )
 
 // Validator accumulates flag checks, keeping the first failure. The zero
@@ -55,14 +56,6 @@ func (v *Validator) AtLeastU64(flag string, got, min uint64) *Validator {
 	return v
 }
 
-// InRange requires lo <= got <= hi.
-func (v *Validator) InRange(flag string, got, lo, hi int) *Validator {
-	if got < lo || got > hi {
-		v.fail("%s must be in %d..%d (got %d)", flag, lo, hi, got)
-	}
-	return v
-}
-
 // Positive requires a positive duration.
 func (v *Validator) Positive(flag string, got time.Duration) *Validator {
 	if got <= 0 {
@@ -80,14 +73,6 @@ func (v *Validator) NonEmpty(flag, got, what string) *Validator {
 	return v
 }
 
-// Fraction requires 0 <= got < 1 for a float flag.
-func (v *Validator) Fraction(flag string, got float64) *Validator {
-	if got < 0 || got >= 1 {
-		v.fail("%s must be in [0, 1) (got %g)", flag, got)
-	}
-	return v
-}
-
 // MaxRanges checks the shared -max-ranges contract: non-negative, and never
 // 1 — the partition always holds the v4 and v6 /0 roots.
 func (v *Validator) MaxRanges(got int) *Validator {
@@ -100,52 +85,26 @@ func (v *Validator) MaxRanges(got int) *Validator {
 }
 
 // Engine validates the tuning flags both binaries define with identical
-// semantics: checkpoint cadence, trace sampling, governor budgets, timeline
-// sizing, and mutex profiling.
-func Engine(ckptEvery uint64, traceSample, maxRanges int, memBudget int64, tlWindow, tlEvery, mutexProf int) error {
+// semantics: checkpoint cadence, governor budgets, timeline sizing, and
+// mutex profiling.
+func Engine(ckptEvery uint64, maxRanges int, memBudget int64, tlWindow, mutexProf int) error {
 	var v Validator
 	v.AtLeastU64("-checkpoint-every", ckptEvery, 1).
-		AtLeast("-trace-sample", traceSample, 1).
 		MaxRanges(maxRanges).
 		AtLeast64("-mem-budget", memBudget, 0).
 		AtLeast("-timeline-window", tlWindow, 0).
-		AtLeast("-timeline-every", tlEvery, 1).
 		AtLeast("-mutexprofile", mutexProf, 0)
 	return v.Err()
 }
 
-// ExporterHealth validates the exporter-health thresholds; a non-positive
-// value would disable the staleness and skew alerts silently.
-func ExporterHealth(staleAfter, skewMax time.Duration) error {
-	var v Validator
-	v.Positive("-exporter-stale-after", staleAfter).
-		Positive("-skew-max", skewMax)
-	return v.Err()
-}
-
-// Workload validates the workload-profiler heavy-hitter capacity: the
-// space-saving summary needs at least two slots.
-func Workload(topK int) error {
-	var v Validator
-	v.AtLeast("-workload-topk", topK, 2)
-	return v.Err()
-}
-
-// Sketch validates the fixed-memory sketch-tier flags. With -sketch off the
-// sizing flags are ignored entirely (so scripted invocations can leave them
-// at anything); with it on, the width and depth must fit the count-min
-// envelope internal/sketch accepts, and the exact margin must be a fraction
-// below 1 (the engine additionally requires it below the prevalence
-// threshold q).
-func Sketch(enabled bool, width, depth int, exactMargin float64) error {
-	if !enabled {
-		return nil
+// Sketch validates -q against the sketch tier: with -sketch on, ranges
+// within core.ExactMargin below q keep exact state, so q must exceed the
+// margin. With -sketch off q is not the sketch tier's business.
+func Sketch(enabled bool, q float64) error {
+	if enabled && q <= core.ExactMargin {
+		return fmt.Errorf("-q must exceed the sketch tier's exact margin %g with -sketch (got %g)", core.ExactMargin, q)
 	}
-	var v Validator
-	v.InRange("-sketch-width", width, 16, 1<<20).
-		InRange("-sketch-depth", depth, 1, 16).
-		Fraction("-sketch-exact-margin", exactMargin)
-	return v.Err()
+	return nil
 }
 
 // Ingest validates the collector-only ingest pipeline flags; a zero value
@@ -161,13 +120,12 @@ func Ingest(queueCap, sampleN, boostN int) error {
 // DeltaShip validates the edge-side delta-shipping flags (collector). An
 // empty target disables shipping; with one set, the edge needs an identity
 // and sane transport parameters.
-func DeltaShip(target, edgeID string, spoolCap int, heartbeat time.Duration) error {
+func DeltaShip(target, edgeID string, heartbeat time.Duration) error {
 	if target == "" {
 		return nil
 	}
 	var v Validator
 	v.NonEmpty("-ship-to", edgeID, "-edge-id (the core dedupes and resumes per edge identity)").
-		AtLeast("-spool-cap", spoolCap, 1).
 		Positive("-heartbeat", heartbeat)
 	return v.Err()
 }

@@ -8,8 +8,8 @@ import (
 
 // goodEngine is a passing Engine argument set; each failure case below
 // perturbs exactly one value.
-func goodEngine() (uint64, int, int, int64, int, int, int) {
-	return 10, 1024, 0, 0, 512, 1, 0
+func goodEngine() (uint64, int, int64, int, int) {
+	return 10, 0, 0, 512, 0
 }
 
 func TestEngineAcceptsDefaults(t *testing.T) {
@@ -17,7 +17,7 @@ func TestEngineAcceptsDefaults(t *testing.T) {
 		t.Fatalf("defaults rejected: %v", err)
 	}
 	// The documented non-default shapes are fine too.
-	if err := Engine(1, 1, 2, 1<<30, 0, 5, 100); err != nil {
+	if err := Engine(1, 2, 1<<30, 0, 100); err != nil {
 		t.Fatalf("valid non-defaults rejected: %v", err)
 	}
 }
@@ -28,14 +28,12 @@ func TestEngineRejections(t *testing.T) {
 		err  error
 		want string
 	}{
-		{"ckpt-every", Engine(0, 1024, 0, 0, 512, 1, 0), "-checkpoint-every"},
-		{"trace-sample", Engine(10, 0, 0, 0, 512, 1, 0), "-trace-sample"},
-		{"max-ranges-neg", Engine(10, 1024, -1, 0, 512, 1, 0), "-max-ranges"},
-		{"max-ranges-one", Engine(10, 1024, 1, 0, 512, 1, 0), "/0 roots"},
-		{"mem-budget", Engine(10, 1024, 0, -1, 512, 1, 0), "-mem-budget"},
-		{"timeline-window", Engine(10, 1024, 0, 0, -1, 1, 0), "-timeline-window"},
-		{"timeline-every", Engine(10, 1024, 0, 0, 512, 0, 0), "-timeline-every"},
-		{"mutexprofile", Engine(10, 1024, 0, 0, 512, 1, -1), "-mutexprofile"},
+		{"ckpt-every", Engine(0, 0, 0, 512, 0), "-checkpoint-every"},
+		{"max-ranges-neg", Engine(10, -1, 0, 512, 0), "-max-ranges"},
+		{"max-ranges-one", Engine(10, 1, 0, 512, 0), "/0 roots"},
+		{"mem-budget", Engine(10, 0, -1, 512, 0), "-mem-budget"},
+		{"timeline-window", Engine(10, 0, 0, -1, 0), "-timeline-window"},
+		{"mutexprofile", Engine(10, 0, 0, 512, -1), "-mutexprofile"},
 	}
 	for _, tc := range cases {
 		if tc.err == nil {
@@ -51,30 +49,9 @@ func TestEngineRejections(t *testing.T) {
 func TestFirstErrorWins(t *testing.T) {
 	// Everything is wrong: the first check in declaration order must win, so
 	// the user fixes flags in a stable sequence.
-	err := Engine(0, 0, 1, -1, -1, 0, -1)
+	err := Engine(0, 1, -1, -1, -1)
 	if err == nil || !strings.Contains(err.Error(), "-checkpoint-every") {
 		t.Fatalf("first error was %v, want -checkpoint-every", err)
-	}
-}
-
-func TestExporterHealth(t *testing.T) {
-	if err := ExporterHealth(3*time.Minute, 5*time.Minute); err != nil {
-		t.Fatalf("defaults rejected: %v", err)
-	}
-	if err := ExporterHealth(0, time.Minute); err == nil || !strings.Contains(err.Error(), "-exporter-stale-after") {
-		t.Fatalf("zero stale-after: %v", err)
-	}
-	if err := ExporterHealth(time.Minute, -time.Second); err == nil || !strings.Contains(err.Error(), "-skew-max") {
-		t.Fatalf("negative skew-max: %v", err)
-	}
-}
-
-func TestWorkload(t *testing.T) {
-	if err := Workload(32); err != nil {
-		t.Fatalf("defaults rejected: %v", err)
-	}
-	if err := Workload(1); err == nil || !strings.Contains(err.Error(), "-workload-topk") {
-		t.Fatalf("topk 1: %v", err)
 	}
 }
 
@@ -95,48 +72,32 @@ func TestIngest(t *testing.T) {
 
 func TestDeltaShip(t *testing.T) {
 	// Disabled shipping skips every check, including nonsense values.
-	if err := DeltaShip("", "", 0, 0); err != nil {
+	if err := DeltaShip("", "", 0); err != nil {
 		t.Fatalf("disabled shipping rejected: %v", err)
 	}
-	if err := DeltaShip("core:4810", "edge-1", 1<<16, 2*time.Second); err != nil {
+	if err := DeltaShip("core:4810", "edge-1", 2*time.Second); err != nil {
 		t.Fatalf("valid shipping rejected: %v", err)
 	}
-	if err := DeltaShip("core:4810", "", 1<<16, time.Second); err == nil || !strings.Contains(err.Error(), "-edge-id") {
+	if err := DeltaShip("core:4810", "", time.Second); err == nil || !strings.Contains(err.Error(), "-edge-id") {
 		t.Fatalf("missing edge id: %v", err)
 	}
-	if err := DeltaShip("core:4810", "edge-1", 0, time.Second); err == nil || !strings.Contains(err.Error(), "-spool-cap") {
-		t.Fatalf("zero spool: %v", err)
-	}
-	if err := DeltaShip("core:4810", "edge-1", 1, 0); err == nil || !strings.Contains(err.Error(), "-heartbeat") {
+	if err := DeltaShip("core:4810", "edge-1", 0); err == nil || !strings.Contains(err.Error(), "-heartbeat") {
 		t.Fatalf("zero heartbeat: %v", err)
 	}
 }
 
+// TestSketch pins the one rule left on -sketch: q must exceed the fixed
+// exact margin (0.05), below which no range could ever degrade. With the
+// tier off, q is not checked here.
 func TestSketch(t *testing.T) {
-	// Disabled sketching skips every check, including nonsense sizing.
-	if err := Sketch(false, 0, 0, -1); err != nil {
-		t.Fatalf("disabled sketch rejected: %v", err)
+	if err := Sketch(true, 0.05); err == nil || !strings.Contains(err.Error(), "-q") {
+		t.Fatalf("-q 0.05 -sketch: %v", err)
 	}
-	if err := Sketch(true, 1024, 4, 0.05); err != nil {
-		t.Fatalf("valid sketch rejected: %v", err)
+	if err := Sketch(true, 0.06); err != nil {
+		t.Fatalf("-q 0.06 -sketch rejected: %v", err)
 	}
-	if err := Sketch(true, 1024, 4, 0); err != nil {
-		t.Fatalf("zero margin (use the engine default) rejected: %v", err)
-	}
-	for _, width := range []int{15, 1<<20 + 1} {
-		if err := Sketch(true, width, 4, 0.05); err == nil || !strings.Contains(err.Error(), "-sketch-width") {
-			t.Fatalf("width %d: %v", width, err)
-		}
-	}
-	for _, depth := range []int{0, 17} {
-		if err := Sketch(true, 1024, depth, 0.05); err == nil || !strings.Contains(err.Error(), "-sketch-depth") {
-			t.Fatalf("depth %d: %v", depth, err)
-		}
-	}
-	for _, margin := range []float64{-0.1, 1, 1.5} {
-		if err := Sketch(true, 1024, 4, margin); err == nil || !strings.Contains(err.Error(), "-sketch-exact-margin") {
-			t.Fatalf("margin %g: %v", margin, err)
-		}
+	if err := Sketch(false, 0.05); err != nil {
+		t.Fatalf("sketch off checked q: %v", err)
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"ipd/internal/flow"
 	"ipd/internal/governor"
 	"ipd/internal/sketch"
-	"ipd/internal/trace"
 )
 
 // IngressMapper folds physical ingress interfaces into logical ones; the
@@ -120,21 +119,17 @@ type Config struct {
 	OnEvent func(Event)
 
 	// OnCycle, when non-nil, receives a CycleSample at the end of every
-	// stage-2 cycle on the OnCycleEvery cadence: engine shape, per-cycle
-	// lifecycle deltas, per-ingress traffic shares, and the governor
-	// snapshot. The hook returns the operational alerts its analytics decided
-	// this cycle; the engine emits each as an EventAlertRaised or
-	// EventAlertCleared lifecycle event, so alerts are journaled with the
-	// usual seq/cycle stamps and replay deterministically.
+	// stage-2 cycle: engine shape, per-cycle lifecycle deltas, per-ingress
+	// traffic shares, and the governor snapshot. The hook returns the
+	// operational alerts its analytics decided this cycle; the engine emits
+	// each as an EventAlertRaised or EventAlertCleared lifecycle event, so
+	// alerts are journaled with the usual seq/cycle stamps and replay
+	// deterministically.
 	//
 	// The same reentrancy contract as OnEvent applies: the callback must not
 	// call back into the engine, and the sample's slices are only valid for
 	// the duration of the call. Attach timeline.Collector.OnCycle here.
 	OnCycle func(CycleSample) []Alert
-
-	// OnCycleEvery thins the OnCycle cadence to every Nth cycle (sampled
-	// when cycle id % N == 0). 0 or 1 samples every cycle.
-	OnCycleEvery int
 
 	// Logger, when non-nil, receives one structured log record per stage-2
 	// cycle (cycle number, duration, range delta, lifecycle deltas,
@@ -142,12 +137,6 @@ type Config struct {
 	// per-cycle bookkeeping is skipped entirely when the logger's level
 	// filters Info out.
 	Logger *slog.Logger
-
-	// Tracer, when non-nil, receives pipeline spans: one per stage-2 cycle
-	// phase (snapshot, decay, classify, split, join, drop, plus the cycle
-	// umbrella) and a sampled 1-in-N span per Observe call. nil disables
-	// tracing; the only hot-path cost is a nil check.
-	Tracer *trace.Tracer
 
 	// MaxRanges caps the active-range count (the Appendix A memory proxy
 	// made a hard budget). Splits that would exceed it are deferred and
@@ -191,7 +180,7 @@ type Config struct {
 
 	// Sketch enables the fixed-memory degradation tier (internal/sketch):
 	// while the governor is degraded or in emergency, unclassified ranges
-	// whose top-ingress share sits more than SketchExactMargin below Q
+	// whose top-ingress share sits more than ExactMargin below Q
 	// stop minting exact per-IP entries and route per-source evidence
 	// through a shared count-min + Bloom sketch instead, keeping vote
 	// tallies live at fixed memory. Ranges near the classification
@@ -207,13 +196,12 @@ type Config struct {
 	// internal/sketch defaults (1024 × 4).
 	SketchWidth int
 	SketchDepth int
-
-	// SketchExactMargin is how far below Q a range's top-ingress share
-	// must be before the range may degrade to sketched state; ranges
-	// within the margin of the classification threshold always keep exact
-	// per-IP state. Default 0.05.
-	SketchExactMargin float64
 }
+
+// ExactMargin is how far below Q a range's top-ingress share must be before
+// the range may degrade to sketched state; ranges within the margin of the
+// classification threshold always keep exact per-IP state.
+const ExactMargin = 0.05
 
 // sketchHoldCycles is how many consecutive hydration-eligible cycles
 // (governor normal again, or the range back inside the exact margin) a
@@ -268,15 +256,12 @@ func (c *Config) Validate() error {
 	if c.MaxIPStates < 0 {
 		return fmt.Errorf("core: MaxIPStates %d must be >= 0", c.MaxIPStates)
 	}
-	if c.OnCycleEvery < 0 {
-		return fmt.Errorf("core: OnCycleEvery %d must be >= 0", c.OnCycleEvery)
-	}
 	if c.Sketch {
 		if err := c.sketchConfig().Validate(); err != nil {
 			return err
 		}
-		if c.SketchExactMargin < 0 || c.SketchExactMargin >= c.Q {
-			return fmt.Errorf("core: SketchExactMargin %v must be in [0, Q)", c.SketchExactMargin)
+		if ExactMargin >= c.Q {
+			return fmt.Errorf("core: Q %v must exceed the sketch tier's exact margin %v", c.Q, ExactMargin)
 		}
 	}
 	return nil
@@ -301,14 +286,6 @@ func (c *Config) sketchConfig() sketch.Config {
 		Depth:       c.SketchDepth,
 		Generations: gens,
 	}.WithDefaults()
-}
-
-// sketchExactMargin returns the configured margin with its default applied.
-func (c *Config) sketchExactMargin() float64 {
-	if c.SketchExactMargin == 0 {
-		return 0.05
-	}
-	return c.SketchExactMargin
 }
 
 // NCidr returns the minimum sample count for a range of the given prefix

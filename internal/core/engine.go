@@ -225,7 +225,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:    cfg,
 		mapper: cfg.mapper(),
 		tel:    newEngineMetrics(),
-		tracer: cfg.Tracer,
 		gov:    cfg.Governor,
 		log:    cfg.Logger,
 	}
@@ -248,10 +247,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// SetTracer attaches a pipeline tracer after construction (nil detaches).
-// This exists for callers that need the engine's Telemetry registry to build
-// the tracer — Config.Tracer is the usual path. Call during setup, before
-// the first Feed/Observe.
+// SetTracer attaches a pipeline tracer (nil detaches). Call during setup,
+// before the first Feed/Observe.
 func (e *Engine) SetTracer(t *trace.Tracer) { e.tracer = t }
 
 // Stats returns a snapshot of the cumulative counters, assembled from the
@@ -546,7 +543,7 @@ func (e *Engine) runCycle(now time.Time) {
 	}
 
 	logging := e.log != nil && e.log.Enabled(context.Background(), slog.LevelInfo)
-	sampling := e.sampleThisCycle()
+	sampling := e.cfg.OnCycle != nil
 	rangesBefore := e.idx.len()
 	var before cycleCounters
 	if logging || sampling {
@@ -863,7 +860,7 @@ func (e *Engine) updateStateMode(rs *rangeState, now time.Time, share, ncidr flo
 		}
 		return
 	}
-	boundary := e.cfg.Q - e.cfg.sketchExactMargin()
+	boundary := e.cfg.Q - ExactMargin
 	govNormal := e.gov == nil || e.gov.State() == governor.StateNormal
 	if !rs.sketched {
 		if !govNormal && share < boundary {
@@ -915,7 +912,7 @@ func (e *Engine) degrade(rs *rangeState, now time.Time, share float64) {
 	e.tel.sketchDegrades.Inc()
 	e.emit(Event{Kind: EventStateMode, Prefix: rs.prefix.String(), At: now, Detail: StateModeSketched,
 		Reason: Reason{Code: ReasonSketched, Observed: share,
-			Threshold: e.cfg.Q - e.cfg.sketchExactMargin()}})
+			Threshold: e.cfg.Q - ExactMargin}})
 }
 
 // hydrate returns a sketched range to exact per-IP state. The vote mass
@@ -933,7 +930,7 @@ func (e *Engine) hydrate(rs *rangeState, now time.Time, share float64) {
 	e.tel.sketchHydrates.Inc()
 	e.emit(Event{Kind: EventStateMode, Prefix: rs.prefix.String(), At: now, Detail: StateModeExact,
 		Reason: Reason{Code: ReasonSketched, Observed: share,
-			Threshold: e.cfg.Q - e.cfg.sketchExactMargin(), Samples: float64(held)}})
+			Threshold: e.cfg.Q - ExactMargin, Samples: float64(held)}})
 }
 
 // sketchAnnotation builds the ε/δ provenance annotation attached to

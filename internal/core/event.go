@@ -187,12 +187,12 @@ const (
 	// stayed at or below the clear threshold long enough (clear).
 	ReasonExporterLoss
 	// ReasonExporterStale : an exporter feed produced no datagrams or
-	// records for longer than -exporter-stale-after (exporter-stale
-	// alert), or resumed long enough (clear).
+	// records for longer than exphealth.Options.StaleAfter (3m;
+	// exporter-stale alert), or resumed long enough (clear).
 	ReasonExporterStale
 	// ReasonClockSkew : an exporter's export timestamps drifted from the
-	// collector clock beyond -skew-max (clock-skew alert), or returned
-	// within half the limit long enough (clear).
+	// collector clock beyond exphealth.Options.SkewMax (5m; clock-skew
+	// alert), or returned within half the limit long enough (clear).
 	ReasonClockSkew
 	// ReasonHotPrefix : one /24 (IPv6 /48) aggregate's share of the
 	// profiled per-cycle traffic crossed the hot-prefix raise threshold

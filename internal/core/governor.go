@@ -93,7 +93,7 @@ func (e *Engine) sketchSweep(now time.Time) {
 	if e.sk == nil || !e.overRecoverTarget() {
 		return
 	}
-	boundary := e.cfg.Q - e.cfg.sketchExactMargin()
+	boundary := e.cfg.Q - ExactMargin
 	for _, rs := range e.idx.all {
 		if rs.classified || rs.sketched || len(rs.ips) == 0 {
 			continue

@@ -25,10 +25,12 @@ const (
 	// key ("netflow:R12", "ipfix:R3/256"), carried in Prefix.
 	AlertExporterLoss
 	// AlertExporterStale : an exporter feed went silent past the
-	// -exporter-stale-after threshold. Subject is an exporter feed key.
+	// exphealth.Options.StaleAfter threshold. Subject is an exporter feed
+	// key.
 	AlertExporterStale
 	// AlertClockSkew : an exporter's export timestamps drifted from the
-	// collector clock beyond -skew-max. Subject is an exporter feed key.
+	// collector clock beyond exphealth.Options.SkewMax. Subject is an
+	// exporter feed key.
 	AlertClockSkew
 	// AlertHotPrefix : one /24 (IPv6 /48) aggregate carries a share of the
 	// profiled traffic above the hot-prefix threshold — an elephant prefix
@@ -159,19 +161,6 @@ func (b *sampleBufs) stat(in flow.Ingress) *IngressCycleStat {
 		b.stats[in] = st
 	}
 	return st
-}
-
-// sampleThisCycle reports whether the just-finished cycle is on the
-// Config.OnCycleEvery cadence.
-func (e *Engine) sampleThisCycle() bool {
-	if e.cfg.OnCycle == nil {
-		return false
-	}
-	every := uint64(e.cfg.OnCycleEvery)
-	if every <= 1 {
-		return true
-	}
-	return e.cycleID%every == 0
 }
 
 // takeCensus is the one end-of-cycle pass over the active partition, into

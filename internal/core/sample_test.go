@@ -88,26 +88,50 @@ func TestOnCycleSampleContents(t *testing.T) {
 	}
 }
 
+// TestOnCycleEveryGate pins the OnCycle cadence: exactly one sample per
+// stage-2 cycle, also for the cycles one AdvanceTo runs across a gap in the
+// traffic, so the per-cycle deltas sum to the engine totals.
 func TestOnCycleEveryGate(t *testing.T) {
 	cfg := testConfig()
 	var cycles []uint64
+	var sum Stats
 	cfg.OnCycle = func(s CycleSample) []Alert {
 		cycles = append(cycles, s.Cycle)
+		sum.Splits += s.Splits
+		sum.Joins += s.Joins
+		sum.Drops += s.Drops
+		sum.Classifications += s.Classifications
+		sum.Invalidations += s.Invalidations
+		sum.Expirations += s.Expirations
 		return nil
 	}
-	cfg.OnCycleEvery = 5
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveCycles(e, 23)
-	if len(cycles) != 4 {
-		t.Fatalf("got %d samples over 23 cycles at every=5, want 4 (%v)", len(cycles), cycles)
+	driveCycles(e, 40)
+	// Twenty silent minutes run in one call; the traffic that resumes
+	// enters through the other ingress and invalidates a classification.
+	resume := base.Add(60 * time.Minute)
+	e.AdvanceTo(resume)
+	feedN(e, resume, netip.MustParseAddr("10.0.0.0"), 60, inB)
+	e.AdvanceTo(resume.Add(time.Minute))
+	st := e.Stats()
+	if uint64(len(cycles)) != st.Cycles {
+		t.Fatalf("got %d samples over %d cycles", len(cycles), st.Cycles)
 	}
-	for _, c := range cycles {
-		if c%5 != 0 {
-			t.Fatalf("sampled cycle %d, want multiples of 5", c)
+	for i, c := range cycles {
+		if c != uint64(i+1) {
+			t.Fatalf("sample %d is cycle %d, want every cycle in order (%v)", i, c, cycles)
 		}
+	}
+	if st.Cycles < 60 || st.Classifications == 0 || st.Splits == 0 || st.Invalidations == 0 {
+		t.Fatalf("stream too tame to pin the deltas: %+v", st)
+	}
+	want := Stats{Splits: st.Splits, Joins: st.Joins, Drops: st.Drops, Classifications: st.Classifications,
+		Invalidations: st.Invalidations, Expirations: st.Expirations}
+	if sum != want {
+		t.Fatalf("summed sample deltas %+v, engine totals %+v", sum, want)
 	}
 }
 

@@ -147,7 +147,6 @@ func TestEngineCyclePhaseSpans(t *testing.T) {
 	cfg.E = time.Nanosecond
 	cfg.NCidrFactor4 = 0.01
 	cfg.NCidrFloor = 4
-	cfg.Tracer = tr
 	w, err := NewWatchdog(WatchdogConfig{Interval: cfg.T, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -158,6 +157,7 @@ func TestEngineCyclePhaseSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.SetTracer(tr)
 	feedN(eng, base, netip.MustParseAddr("10.0.0.0"), 64, inA)
 	eng.ForceCycle()
 

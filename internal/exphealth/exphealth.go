@@ -718,7 +718,7 @@ func (t *Tracker) RegisterMetrics(reg *telemetry.Registry) {
 		total(func(_, _, _, _, _, u, _ uint64) uint64 { return u }))
 	reg.CounterFunc("ipd_exporter_sampling_changes_total", "NetFlow sampling-interval changes observed.",
 		total(func(_, _, _, _, _, _, c uint64) uint64 { return c }))
-	reg.GaugeFunc("ipd_exporter_stale", "Feeds currently stale (silent past -exporter-stale-after).", func() float64 {
+	reg.GaugeFunc("ipd_exporter_stale", "Feeds currently stale (silent past the stale-after threshold).", func() float64 {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		return float64(t.aggStale)

@@ -273,11 +273,11 @@ func TestTracesEndpoint(t *testing.T) {
 	tr := trace.New(trace.Options{Capacity: 512, SampleN: 1})
 	cfg := testConfig()
 	cfg.OnEvent = j.Record
-	cfg.Tracer = tr
 	e, err := core.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.SetTracer(tr)
 	ts := time.Date(2024, 8, 4, 12, 0, 0, 0, time.UTC)
 	for cycle := 0; cycle < 3; cycle++ {
 		for _, q := range quadrants {

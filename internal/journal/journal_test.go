@@ -270,6 +270,36 @@ func TestReplayErrors(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsNonIncreasingSeq pins the run-boundary check: a seq that
+// does not exceed the previous line's aborts the replay with both line
+// numbers, also where both lines sit at or below afterSeq and would
+// otherwise be skipped.
+func TestReplayRejectsNonIncreasingSeq(t *testing.T) {
+	created := func(seq int) string {
+		return fmt.Sprintf(`{"seq":%d,"kind":"created","prefix":"0.0.0.0/0"}`+"\n", seq)
+	}
+	for _, c := range []struct {
+		name     string
+		log      string
+		afterSeq uint64
+		want     string
+	}{
+		{"second-run-appended", created(1) + created(2) + created(3) + created(1), 0, "line 4: seq 1 does not follow seq 3 of line 3"},
+		{"repeat-below-after", created(1) + "\n" + created(1) + created(5), 4, "line 3: seq 1 does not follow seq 1 of line 1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n, err := ReplayTail(strings.NewReader(c.log), c.afterSeq, func(core.Event) error { return nil })
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("ReplayTail = %d, %v; want an error containing %q", n, err, c.want)
+			}
+		})
+	}
+	n, err := ReplayTail(strings.NewReader(created(1)+created(2)+created(7)), 1, func(core.Event) error { return nil })
+	if n != 2 || err != nil {
+		t.Fatalf("increasing seqs with a gap: ReplayTail = %d, %v; want 2 applied", n, err)
+	}
+}
+
 // TestEventJSONRoundTrip pins the JSONL wire format: kinds and reasons by
 // name, ingress in R-notation.
 func TestEventJSONRoundTrip(t *testing.T) {

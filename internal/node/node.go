@@ -68,6 +68,7 @@ type Node struct {
 	name     string // message prefix on stderr
 	flags    *Flags
 	sink     *os.File
+	sinkBase int64 // the sink's size before the engine journaled anything
 	target   Target
 	watchdog *core.Watchdog
 	cluster  func() delta.ClusterStatus
@@ -83,7 +84,7 @@ type GovernorInputs struct {
 }
 
 // New builds the parts that must exist before the engine, and returns them
-// with Config: cfg plus the sketch-tier flags and the hooks into the
+// with Config: cfg plus the -sketch switch and the hooks into the
 // journal, exporter health, workload profiler, timeline and governor. name
 // prefixes the node's stderr messages. f must have passed Validate.
 func New(name string, f *Flags, cfg core.Config, gi GovernorInputs) (*Node, error) {
@@ -103,9 +104,6 @@ func New(name string, f *Flags, cfg core.Config, gi GovernorInputs) (*Node, erro
 	cfg.Logger = n.Logger
 	if f.Sketch {
 		cfg.Sketch = true
-		cfg.SketchWidth = f.SketchWidth
-		cfg.SketchDepth = f.SketchDepth
-		cfg.SketchExactMargin = f.SketchMargin
 	}
 
 	if f.Governor || f.MaxRanges > 0 || f.MemBudget > 0 {
@@ -130,36 +128,37 @@ func New(name string, f *Flags, cfg core.Config, gi GovernorInputs) (*Node, erro
 	// annotates classifications made over a degraded one. The workload
 	// profiler corrects export-to-ingest latency by the tracker's per-router
 	// skew estimate.
-	n.Health = exphealth.New(exphealth.Options{StaleAfter: f.StaleAfter, SkewMax: f.SkewMax})
+	n.Health = exphealth.New(exphealth.Options{})
 	cfg.Coverage = n.Health.IngressCoverage
-	n.Workload = workload.New(workload.Options{
-		TopK: f.WorkloadTopK,
-		Skew: n.Health.RouterSkew,
-	})
+	n.Workload = workload.New(workload.Options{Skew: n.Health.RouterSkew})
 
 	// The journal sink is written per decision, unbuffered, so a crash leaves
 	// every recorded event in the file. With -checkpoint-dir the file's
 	// existing tail is the replay source of the next restore: append to it
 	// instead of truncating it, after cutting off the partial line a crash
 	// in the middle of a write leaves, so the engine's first event starts a
-	// line of its own.
-	jopts := journal.Options{Capacity: f.JournalCap}
+	// line of its own. A cold start has nothing to replay onto, so an old
+	// journal is moved aside first rather than appended to.
+	var jopts journal.Options
 	if f.Journal != "" {
 		mode := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
 		if f.CheckpointDir != "" {
 			mode = os.O_RDWR | os.O_CREATE | os.O_APPEND
+			if err := n.rotateColdJournal(); err != nil {
+				return nil, fmt.Errorf("journal %s: %w", f.Journal, err)
+			}
 		}
 		if n.sink, err = os.OpenFile(f.Journal, mode, 0o644); err != nil {
 			return nil, err
 		}
 		if f.CheckpointDir != "" {
-			cut, err := trimTornTail(n.sink)
-			if err != nil {
+			var torn bool
+			if n.sinkBase, torn, err = trimTornTail(n.sink); err != nil {
 				n.sink.Close()
 				return nil, fmt.Errorf("journal %s: %w", f.Journal, err)
 			}
-			if cut >= 0 {
-				n.Logger.Warn("journal: truncated a torn final line", "path", f.Journal, "offset", cut)
+			if torn {
+				n.Logger.Warn("journal: truncated a torn final line", "path", f.Journal, "offset", n.sinkBase)
 			}
 		}
 		jopts.Sink = n.sink
@@ -180,7 +179,6 @@ func New(name string, f *Flags, cfg core.Config, gi GovernorInputs) (*Node, erro
 			tl.ObserveEvent(ev)
 		}
 		cfg.OnCycle = tl.OnCycle
-		cfg.OnCycleEvery = f.TimelineEvery
 		n.Timeline = tl
 	} else {
 		cfg.OnCycle = func(s core.CycleSample) []core.Alert {
@@ -193,12 +191,46 @@ func New(name string, f *Flags, cfg core.Config, gi GovernorInputs) (*Node, erro
 	return n, nil
 }
 
-// trimTornTail truncates f after its last newline and returns the offset it
-// cut at, or -1 when f is empty or already ends in a whole line.
-func trimTornTail(f *os.File) (int64, error) {
+// rotateColdJournal moves a non-empty journal to the first free <journal>.N
+// when the checkpoint directory holds no checkpoint. Such a journal belongs
+// to a run that died before its first checkpoint (or whose checkpoints were
+// removed): appending a new run's seq 1, 2, ... to it would let a later
+// restore replay the dead run's higher seqs on top of the live checkpoint.
+func (n *Node) rotateColdJournal() error {
+	path := n.flags.Journal
+	warm, err := persist.HasCheckpoint(n.flags.CheckpointDir)
+	if err != nil || warm {
+		return err
+	}
+	fi, err := os.Stat(path)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil || fi.Size() == 0 {
+		return err
+	}
+	for i := 1; ; i++ {
+		dst := fmt.Sprintf("%s.%d", path, i)
+		if _, err := os.Lstat(dst); !os.IsNotExist(err) {
+			if err != nil {
+				return err
+			}
+			continue
+		}
+		if err := os.Rename(path, dst); err != nil {
+			return err
+		}
+		n.Logger.Warn("journal: cold start, moved the previous run's journal aside", "path", path, "moved_to", dst)
+		return nil
+	}
+}
+
+// trimTornTail truncates f after its last newline and returns f's size
+// after the cut, and whether there was a partial line to cut.
+func trimTornTail(f *os.File) (size int64, torn bool, err error) {
 	end, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
-		return -1, err
+		return 0, false, err
 	}
 	buf := make([]byte, 4096)
 	cut := int64(0)
@@ -206,7 +238,7 @@ func trimTornTail(f *os.File) (int64, error) {
 		n := min(off, int64(len(buf)))
 		off -= n
 		if _, err := f.ReadAt(buf[:n], off); err != nil {
-			return -1, err
+			return 0, false, err
 		}
 		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
 			cut = off + int64(i) + 1
@@ -214,9 +246,9 @@ func trimTornTail(f *os.File) (int64, error) {
 		}
 	}
 	if cut == end {
-		return -1, nil
+		return end, false, nil
 	}
-	return cut, f.Truncate(cut)
+	return cut, true, f.Truncate(cut)
 }
 
 // Target is the engine a Node serves: a *core.Server, or a *Locked engine.
@@ -297,11 +329,7 @@ func (n *Node) Attach(t Target, traced bool) error {
 	if !traced {
 		return nil
 	}
-	n.Tracer = trace.New(trace.Options{
-		Capacity: n.flags.TraceCap,
-		SampleN:  n.flags.TraceSample,
-		Registry: reg,
-	})
+	n.Tracer = trace.New(trace.Options{Registry: reg})
 	t.SetTracer(n.Tracer)
 	wd, err := core.NewWatchdog(core.WatchdogConfig{Interval: n.Config.T, Registry: reg})
 	if err != nil {
@@ -379,6 +407,12 @@ func (n *Node) Restore() error {
 	fmt.Fprintf(os.Stderr, "%s: restored checkpoint %s (seq %d)\n", n.name, path, n.target.Seq())
 	if n.flags.Journal == "" {
 		return nil
+	}
+	// The engine journaled its two /0 roots as seq 1 and 2 when it was
+	// built. The checkpoint supersedes them; left in the file they would
+	// read as a second run.
+	if err := n.sink.Truncate(n.sinkBase); err != nil {
+		return fmt.Errorf("journal tail: %v", err)
 	}
 	f, err := os.Open(n.flags.Journal)
 	if os.IsNotExist(err) {

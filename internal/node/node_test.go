@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
@@ -17,6 +18,7 @@ import (
 	"ipd/internal/core"
 	"ipd/internal/delta"
 	"ipd/internal/flow"
+	"ipd/internal/journal"
 	"ipd/internal/stattime"
 )
 
@@ -62,46 +64,57 @@ func attachEngine(t *testing.T, n *Node, traced bool) *Locked {
 }
 
 func TestValidate(t *testing.T) {
+	// retired is the parse error of a flag the binaries no longer define:
+	// its setting runs at the package default, and a script still passing
+	// it fails loudly instead of being ignored.
+	retired := func(name string) string { return "flag provided but not defined: -" + name }
 	cases := []struct {
 		name string
 		args []string
 		want string // "" = accepted; else a substring of the error
 	}{
 		{"defaults", nil, ""},
-		{"non-defaults", []string{"-checkpoint-every", "1", "-trace-sample", "1", "-max-ranges", "2",
-			"-mem-budget", "1073741824", "-timeline-window", "0", "-timeline-every", "5", "-mutexprofile", "100"}, ""},
+		{"non-defaults", []string{"-checkpoint-every", "1", "-max-ranges", "2",
+			"-mem-budget", "1073741824", "-timeline-window", "0", "-mutexprofile", "100"}, ""},
 		{"log-level", []string{"-log-level", "loud"}, "-log-level"},
 		{"ckpt-every", []string{"-checkpoint-every", "0"}, "-checkpoint-every"},
-		{"trace-sample", []string{"-trace-sample", "0"}, "-trace-sample"},
+		{"trace-sample", []string{"-trace-sample", "0"}, retired("trace-sample")},
 		{"max-ranges-neg", []string{"-max-ranges", "-1"}, "-max-ranges"},
 		{"max-ranges-one", []string{"-max-ranges", "1"}, "/0 roots"},
 		{"mem-budget", []string{"-mem-budget", "-1"}, "-mem-budget"},
 		{"timeline-window", []string{"-timeline-window", "-1"}, "-timeline-window"},
-		{"timeline-every", []string{"-timeline-every", "0"}, "-timeline-every"},
+		{"timeline-every", []string{"-timeline-every", "0"}, retired("timeline-every")},
 		{"mutexprofile", []string{"-mutexprofile", "-1"}, "-mutexprofile"},
-		{"first-error-wins", []string{"-checkpoint-every", "0", "-trace-sample", "0", "-max-ranges", "1",
-			"-mem-budget", "-1", "-timeline-window", "-1", "-timeline-every", "0", "-mutexprofile", "-1"}, "-checkpoint-every"},
-		{"stale-after-zero", []string{"-exporter-stale-after", "0s"}, "-exporter-stale-after"},
-		{"skew-max-neg", []string{"-exporter-stale-after", "1m", "-skew-max", "-1s"}, "-skew-max"},
-		{"workload-topk", []string{"-workload-topk", "1"}, "-workload-topk"},
-		// With the sketch tier off its sizing is not checked at all.
-		{"sketch-off-nonsense", []string{"-sketch-width", "0", "-sketch-depth", "0", "-sketch-exact-margin", "-1"}, ""},
+		{"first-error-wins", []string{"-checkpoint-every", "0", "-max-ranges", "1",
+			"-mem-budget", "-1", "-timeline-window", "-1", "-mutexprofile", "-1"}, "-checkpoint-every"},
+		{"stale-after-zero", []string{"-exporter-stale-after", "0s"}, retired("exporter-stale-after")},
+		{"skew-max-neg", []string{"-skew-max", "-1s"}, retired("skew-max")},
+		{"workload-topk", []string{"-workload-topk", "1"}, retired("workload-topk")},
+		// With the sketch tier off, q is not its business.
+		{"sketch-off-nonsense", []string{"-q", "0.05"}, ""},
 		{"sketch-on", []string{"-sketch"}, ""},
-		{"sketch-zero-margin", []string{"-sketch", "-sketch-exact-margin", "0"}, ""},
-		{"sketch-width-15", []string{"-sketch", "-sketch-width", "15"}, "-sketch-width"},
-		{"sketch-width-big", []string{"-sketch", "-sketch-width", "1048577"}, "-sketch-width"},
-		{"sketch-depth-0", []string{"-sketch", "-sketch-depth", "0"}, "-sketch-depth"},
-		{"sketch-depth-17", []string{"-sketch", "-sketch-depth", "17"}, "-sketch-depth"},
-		{"sketch-margin-neg", []string{"-sketch", "-sketch-exact-margin", "-0.1"}, "-sketch-exact-margin"},
-		{"sketch-margin-1", []string{"-sketch", "-sketch-exact-margin", "1"}, "-sketch-exact-margin"},
-		{"sketch-margin-1.5", []string{"-sketch", "-sketch-exact-margin", "1.5"}, "-sketch-exact-margin"},
+		// With it on, q must exceed the fixed 0.05 exact margin.
+		{"sketch-zero-margin", []string{"-sketch", "-q", "0.05"}, "-q"},
+		{"sketch-margin-neg", []string{"-sketch", "-q", "0.01"}, "-q"},
+		{"sketch-width-15", []string{"-sketch", "-sketch-width", "15"}, retired("sketch-width")},
+		{"sketch-width-big", []string{"-sketch", "-sketch-width", "1048577"}, retired("sketch-width")},
+		{"sketch-depth-0", []string{"-sketch", "-sketch-depth", "0"}, retired("sketch-depth")},
+		{"sketch-depth-17", []string{"-sketch", "-sketch-depth", "17"}, retired("sketch-depth")},
+		{"sketch-margin-1", []string{"-sketch", "-sketch-exact-margin", "1"}, retired("sketch-exact-margin")},
+		{"sketch-margin-1.5", []string{"-sketch", "-sketch-exact-margin", "1.5"}, retired("sketch-exact-margin")},
 		// The heartbeat matters only with delta shipping; the binaries check it.
 		{"heartbeat-zero", []string{"-heartbeat", "0s"}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f, _ := parseFlags(t, tc.args...)
-			err := f.Validate()
+			fs := flag.NewFlagSet("test", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			cfg := core.DefaultConfig()
+			f := RegisterFlags(fs, &cfg)
+			err := fs.Parse(tc.args)
+			if err == nil {
+				err = f.Validate()
+			}
 			switch {
 			case tc.want == "" && err != nil:
 				t.Fatalf("rejected: %v", err)
@@ -276,6 +289,62 @@ func TestRestore(t *testing.T) {
 			}
 		})
 	}
+	t.Run("foreign-run-rejected", func(t *testing.T) {
+		// A second run's seq 1, 2, ... appended after the first run's
+		// events: restore refuses the file instead of skipping the foreign
+		// lines as already covered by the checkpoint.
+		foreign := filepath.Join(t.TempDir(), "j.jsonl")
+		second := whole[:bytes.IndexByte(whole[len(firstLine):], '\n')+len(firstLine)+1]
+		if err := os.WriteFile(foreign, append(slices.Clip(whole), second...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		n := newNode(t, "-checkpoint-dir", filepath.Join(dir, "ckpt"), "-journal", foreign, "-factor4", "0.0005")
+		attachEngine(t, n, false)
+		if err := n.Restore(); err == nil || !strings.Contains(err.Error(), "does not follow") {
+			t.Fatalf("restore over two runs in one journal = %v, want a seq-order error", err)
+		}
+	})
+	t.Run("cold-start-rotates-journal", func(t *testing.T) {
+		// No checkpoint: the journal is a dead run's, and nothing restores
+		// on top of it. It moves to the first free <journal>.N, and the new
+		// run starts a file of its own that replays from seq 1.
+		tmp := t.TempDir()
+		cold := filepath.Join(tmp, "j.jsonl")
+		if err := os.WriteFile(cold, whole, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(cold+".1", []byte("taken\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		n := newNode(t, "-checkpoint-dir", filepath.Join(tmp, "ckpt"), "-journal", cold, "-factor4", "0.0005")
+		got := attachEngine(t, n, false)
+		if err := n.Restore(); err != nil {
+			t.Fatal(err)
+		}
+		feed(got, 0, 3, 8)
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for path, want := range map[string][]byte{cold + ".1": []byte("taken\n"), cold + ".2": whole} {
+			if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, want) {
+				t.Fatalf("%s holds %d bytes (%v), want %d", path, len(data), err, len(want))
+			}
+		}
+		fresh, err := os.ReadFile(cold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed, err := core.NewEngine(core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := journal.ReplayTail(bytes.NewReader(fresh), 0, replayed.ApplyEvent); err != nil {
+			t.Fatalf("new run's journal: %v", err)
+		}
+		if err := core.DiffPartitions(got.Snapshot(), replayed.Snapshot()); err != nil {
+			t.Fatalf("new run's journal replays to another partition: %v", err)
+		}
+	})
 	t.Run("journal-missing", func(t *testing.T) {
 		// The checkpoint alone is restored; no journal tail is not an error.
 		n := newNode(t, args...)

@@ -72,6 +72,16 @@ func checkpointName(seq uint64) string {
 	return fmt.Sprintf("%s%020d%s", checkpointPrefix, seq, checkpointSuffix)
 }
 
+// HasCheckpoint reports whether dir holds a checkpoint file, valid or not; a
+// missing directory holds none.
+func HasCheckpoint(dir string) (bool, error) {
+	names, err := listCheckpoints(dir)
+	if os.IsNotExist(err) {
+		return false, nil
+	}
+	return len(names) > 0, err
+}
+
 // listCheckpoints returns the checkpoint file names in dir, newest (highest
 // sequence) first. Non-checkpoint entries are ignored.
 func listCheckpoints(dir string) ([]string, error) {

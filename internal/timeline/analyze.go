@@ -45,9 +45,9 @@ const (
 	// exporterHold consecutive cycle ticks at or below exporterLossClear.
 	// The same hold governs the stale and clock-skew alerts: staleness
 	// clears after exporterHold ticks of renewed activity, skew after
-	// exporterHold ticks within half the -skew-max limit. Raise conditions
+	// exporterHold ticks within half the skew limit. Raise conditions
 	// (staleness, skew excess) come pre-computed from the exphealth tracker,
-	// which owns the -exporter-stale-after/-skew-max thresholds.
+	// which owns the StaleAfter/SkewMax thresholds.
 	exporterLossRaise = 0.05
 	exporterLossClear = 0.01
 	exporterHold      = 3

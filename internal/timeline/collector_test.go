@@ -8,9 +8,11 @@ import (
 	"time"
 
 	"ipd/internal/core"
+	"ipd/internal/exphealth"
 	"ipd/internal/flow"
 	"ipd/internal/journal"
 	"ipd/internal/telemetry"
+	"ipd/internal/workload"
 )
 
 var tBase = time.Unix(1_600_000_000, 0).UTC().Truncate(time.Minute)
@@ -245,9 +247,6 @@ func replayLog(t *testing.T, log []byte) (eng *core.Engine, raised, cleared uint
 	return eng, raised, cleared
 }
 
-// TestOnCycleEvery checks the thinned sampling cadence: with OnCycleEvery 4
-// only every fourth cycle lands in the store, and the analytics still see a
-// deterministic event stream.
 // TestClusterSeries checks the delta.* transport series: cumulative counters
 // are emitted as per-cycle deltas, depth/pending/sessions as raw gauges.
 func TestClusterSeries(t *testing.T) {
@@ -308,23 +307,41 @@ func TestClusterSeries(t *testing.T) {
 	}
 }
 
+// TestOnCycleEvery checks the cycle cadence through the collector: every
+// stage-2 cycle ticks exporter health (the coverage the engine cites) and
+// the workload profiler (its decay clock) exactly once, and lands one point
+// per series in the store.
 func TestOnCycleEvery(t *testing.T) {
 	c := NewCollector(Options{})
-	cfg := shiftConfig(c, nil)
-	cfg.OnCycleEvery = 4
-	eng, err := core.NewEngine(cfg)
+	health := exphealth.New(exphealth.Options{})
+	prof := workload.New(workload.Options{})
+	c.SetExporterHealth(health)
+	c.SetWorkload(prof)
+	eng, err := core.NewEngine(shiftConfig(c, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedShift(t, eng, 100, 200, tIn1, tIn2) // no shift within the run
-
-	pts := c.Store().Get("ranges", 0, 0)
-	if len(pts) != 25 {
-		t.Fatalf("got %d samples over 100 cycles at every=4, want 25", len(pts))
+	const cycles = 100
+	for m := 0; m < cycles; m++ {
+		end := tBase.Add(time.Duration(m+1) * time.Minute)
+		eng.Observe(flow.Record{Ts: end.Add(-time.Minute), Src: netip.MustParseAddr("10.0.0.1"), In: tIn1, Bytes: 1000, Packets: 1})
+		eng.AdvanceTo(end)
+		if got := health.Snapshot().LastTick; !got.Equal(end) {
+			t.Fatalf("cycle %d: health last ticked at %v, want %v", m+1, got, end)
+		}
+		if got := prof.Snapshot().Cycles; got != uint64(m+1) {
+			t.Fatalf("cycle %d: workload ticked %d times", m+1, got)
+		}
 	}
-	for _, p := range pts {
-		if p.Cycle%4 != 0 {
-			t.Fatalf("sample at cycle %d, want multiples of 4 only", p.Cycle)
+	for _, name := range []string{"ranges", "exporters", "workload.records"} {
+		pts := c.Store().Get(name, 0, 0)
+		if len(pts) != cycles {
+			t.Fatalf("series %q has %d points over %d cycles", name, len(pts), cycles)
+		}
+		for i, p := range pts {
+			if p.Cycle != uint64(i+1) {
+				t.Fatalf("series %q point %d is cycle %d, want %d", name, i, p.Cycle, i+1)
+			}
 		}
 	}
 }

@@ -210,8 +210,8 @@ func NewWorkloadProfiler(opts WorkloadOptions) *WorkloadProfiler {
 // Pipeline-tracing types. A Tracer threads low-overhead spans through the
 // whole pipeline — flow decode, statistical-time binning, stage-1 Observe
 // (all sampled 1-in-N), and every stage-2 cycle phase — into a bounded
-// lock-free flight recorder. Attach one via Config.Tracer, the SetTracer
-// methods of TraceReader and the stattime binner.
+// lock-free flight recorder. Attach one with the SetTracer methods of
+// Engine, Server, TraceReader and the stattime binner.
 type (
 	// Tracer produces pipeline spans; nil is a valid disabled tracer.
 	Tracer = trace.Tracer
@@ -220,9 +220,9 @@ type (
 	TracerOptions = trace.Options
 )
 
-// NewTracer returns a pipeline tracer; wire it via Config.Tracer (cycle and
-// Observe spans), TraceReader.SetTracer, and the stattime binner's
-// SetTracer.
+// NewTracer returns a pipeline tracer; wire it via Engine.SetTracer or
+// Server.SetTracer (cycle and Observe spans), TraceReader.SetTracer, and the
+// stattime binner's SetTracer.
 func NewTracer(opts TracerOptions) *Tracer { return trace.New(opts) }
 
 // NewJournal returns a decision journal; attach it to an engine with
