@@ -16,7 +16,6 @@ import (
 
 	"ipd"
 	"ipd/internal/experiments"
-	"ipd/internal/lbdetect"
 	"ipd/internal/trafficgen"
 )
 
@@ -543,45 +542,5 @@ func ablationBundleRun(b *testing.B, scn *trafficgen.Scenario, fold bool) {
 		eng.ForceCycle()
 		b.ReportMetric(float64(len(eng.Mapped())), "mapped")
 		b.ReportMetric(float64(eng.Stats().Splits), "splits")
-	}
-}
-
-// BenchmarkLBDetection exercises the §5.8 future-work extension: detect
-// router-level load balancing from (src, dst) pairs in the unclassifiable
-// residue, then fold the detected router group and re-run.
-func BenchmarkLBDetection(b *testing.B) {
-	scn, err := trafficgen.NewScenario(trafficgen.DefaultSpec())
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen := trafficgen.GenConfig{FlowsPerMinute: 8000, NoiseFraction: 0.002, Seed: 1, Diurnal: false}
-	start := scn.Start.Add(20 * time.Hour)
-	var records []ipd.Record
-	if err := scn.Stream(start, start.Add(40*time.Minute), gen, func(r ipd.Record) bool {
-		records = append(records, r)
-		return true
-	}); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		det, err := lbdetect.New(lbdetect.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng := benchEngine(b)
-		for _, r := range records {
-			eng.Feed(r)
-		}
-		eng.ForceCycle()
-		table := eng.LookupTable()
-		for _, r := range records {
-			if _, _, mapped := table.Lookup(r.Src); !mapped {
-				det.Observe(r)
-			}
-		}
-		groups := det.Groups()
-		b.ReportMetric(float64(len(groups)), "lb-groups")
-		b.ReportMetric(float64(det.TrackedPairs()), "tracked-pairs")
 	}
 }

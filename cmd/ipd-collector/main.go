@@ -29,7 +29,6 @@
 //	/ipd/timeline longitudinal per-cycle series (JSON, or format=csv)
 //	/ipd/alerts   active flap/drift/exporter alerts and recent alert history (JSON)
 //	/ipd/exporters per-exporter feed health: loss, skew, staleness, coverage (JSON)
-//	/ipd/cluster  delta-shipping transport state when -ship-to is set (JSON)
 //	/ipd/sketch   fixed-memory sketch tier sizing and accuracy bound when -sketch is set (JSON)
 //	/healthz      liveness (503 once no stage-2 cycle completed within the stall window)
 //	/readyz       readiness (additionally 503 while the last cycle overran its budget
@@ -58,16 +57,6 @@
 // the queue admits only 1 in N offered records. A panicking range or an
 // adversarial datagram is contained (quarantined range / abandoned
 // datagram), never a crashed daemon.
-//
-// Cluster mode: -ship-to makes this collector an *edge* that ships every
-// decoded record to a central `ipd -listen-delta` core over a resilient
-// framed TCP transport (exponential backoff with jitter, heartbeats, a
-// bounded shed-oldest spool, exactly-once resume across reconnects). The
-// local engine keeps running — an edge answers its own /ipd/* queries while
-// the core builds the merged, byte-deterministic central partition.
-// -edge-id names this edge (must be stable and unique) and -heartbeat tunes
-// dead-connection detection; the spool holds up to 65 536 records (waiting
-// plus unacked) while the core is unreachable and sheds the oldest beyond.
 package main
 
 import (
@@ -102,8 +91,6 @@ type options struct {
 	listen, ipfix, http, exporters string
 	trust                          bool
 	queue, sample, boost           int
-
-	shipTo, edgeID string
 }
 
 func newOptions(fs *flag.FlagSet) *options {
@@ -117,8 +104,6 @@ func newOptions(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.queue, "queue", 1<<14, "bounded ingest queue capacity (oldest records shed under overload)")
 	fs.IntVar(&o.sample, "sample", 1, "additional 1-in-N record sampling in front of the ingest queue (1 = keep everything; routers already sample)")
 	fs.IntVar(&o.boost, "sample-boost", 8, "multiply the -sample denominator by this factor while the governor is degraded or worse")
-	fs.StringVar(&o.shipTo, "ship-to", "", "ship every ingested record to this core address (host:port) over the resilient delta transport ('' disables cluster mode)")
-	fs.StringVar(&o.edgeID, "edge-id", "", "stable unique name for this edge in the cluster handshake (required with -ship-to)")
 	return o
 }
 
@@ -128,9 +113,6 @@ func main() {
 	err := o.node.Validate()
 	if err == nil {
 		err = cliflags.Ingest(o.queue, o.sample, o.boost)
-	}
-	if err == nil {
-		err = cliflags.DeltaShip(o.shipTo, o.edgeID, o.node.Heartbeat)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ipd-collector:", err)
@@ -212,33 +194,6 @@ func run(o *options) error {
 	}
 	srv.SetCheckpoint(n.Checkpoints, o.node.CheckpointEvery)
 
-	// Cluster mode (-ship-to): every decoded record is also offered to the
-	// delta sender, which ships it to the core over the resilient transport.
-	// The tap sits in front of the degradation sampler and the ingest queue,
-	// so the core sees the full edge stream even while local overload
-	// sampling thins what this edge's own engine ingests. The governor still
-	// gates the spool the way it gates the queue: in emergency, Offer sheds
-	// instead of buffering.
-	var shipper *ipd.DeltaSender
-	if o.shipTo != "" {
-		scfg := ipd.DeltaSenderConfig{
-			Target:    o.shipTo,
-			EdgeID:    o.edgeID,
-			Heartbeat: o.node.Heartbeat,
-			Logf: func(format string, args ...any) {
-				n.Logger.Info("delta: "+fmt.Sprintf(format, args...), "edge", o.edgeID)
-			},
-		}
-		if gov != nil {
-			scfg.Gate = func() bool { return gov.State() != ipd.GovernorEmergency }
-		}
-		if shipper, err = ipd.NewDeltaSender(scfg); err != nil {
-			return err
-		}
-		n.AttachSender(shipper)
-		fmt.Fprintf(os.Stderr, "ipd-collector: shipping deltas to %s as edge %q\n", o.shipTo, o.edgeID)
-	}
-
 	// The collectors feed the queue through the degradation sampler. When no
 	// sampling is configured and no governor runs, the sampler is a
 	// passthrough; keep the direct Offer in that case to spare the hot path
@@ -249,13 +204,6 @@ func run(o *options) error {
 			if sampler.Keep() {
 				queue.Offer(rec)
 			}
-		}
-	}
-	if shipper != nil {
-		inner := sink
-		sink = func(rec ipd.Record) {
-			shipper.Offer(rec)
-			inner(rec)
 		}
 	}
 	coll, err := netflow.NewCollector(sink)
@@ -365,20 +313,6 @@ func run(o *options) error {
 	// buckets and writes the final checkpoint; its events must reach the
 	// journal before Close.
 	<-drained
-	if shipper != nil {
-		// Graceful shutdown flushes the spool: stop accepting new records,
-		// give the supervisor a bounded window to ship and collect acks for
-		// what is buffered, then tear the connection down. Unshipped records
-		// after the window are lost to the core (never to the local engine).
-		shipper.CloseInput()
-		drainCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		if derr := shipper.Drain(drainCtx); derr != nil {
-			st := shipper.Stats()
-			fmt.Fprintf(os.Stderr, "ipd-collector: delta drain: %v (%d records unacked)\n", derr, st.SpoolDepth)
-		}
-		cancel()
-		_ = shipper.Close()
-	}
 	if err != nil {
 		return err
 	}

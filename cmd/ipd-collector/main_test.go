@@ -23,12 +23,10 @@ func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"checkpoint-dir=",
 		"checkpoint-every=10",
-		"edge-id=",
 		"exporters=",
 		"factor4=0.01",
 		"floor=4",
 		"governor=false",
-		"heartbeat=2s",
 		"http=:8080",
 		"ipfix=",
 		"journal=",
@@ -41,7 +39,6 @@ func TestFlagSurface(t *testing.T) {
 		"queue=16384",
 		"sample=1",
 		"sample-boost=8",
-		"ship-to=",
 		"sketch=false",
 		"timeline-window=512",
 		"trust=false",

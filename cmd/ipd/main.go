@@ -62,42 +62,22 @@
 // skew beyond 5 minutes degrades it (only the UDP collectors see an export
 // clock; trace files carry none). The per-feed state is served at
 // /ipd/exporters.
-//
-// Cluster core: -listen-delta turns this binary into the central node of an
-// edge→core deployment. Instead of reading a trace it accepts delta
-// sessions from `ipd-collector -ship-to` edges, dedupes on per-edge record
-// offsets, merges the streams in deterministic statistical-time order
-// (-edges lists the edge IDs the merge gate waits for; -merge-stall trades
-// that determinism for liveness when an edge dies), and feeds the merged
-// stream through the same engine, binning, and observability pipeline —
-// the resulting partition is byte-identical to a single node ingesting the
-// concatenated edge traffic. With -checkpoint-dir the core checkpoints the
-// engine state together with the per-edge applied offsets and acks edges
-// only up to what is durably on disk, so a kill -9 restart loses nothing:
-// everything past the restored offsets is still spooled on some edge and
-// is redelivered on reconnect. Transport state is served at /ipd/cluster.
 package main
 
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/netip"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"ipd"
-	"ipd/internal/cliflags"
 	"ipd/internal/flow"
 	"ipd/internal/node"
-	"ipd/internal/persist"
 	"ipd/internal/trace"
 )
 
@@ -111,9 +91,6 @@ type options struct {
 	debugHTTP, traceOut         string
 	bin                         time.Duration
 	summary, resync             bool
-
-	listenDelta, edges string
-	mergeStall         time.Duration
 }
 
 func newOptions(fs *flag.FlagSet) *options {
@@ -134,9 +111,6 @@ func newOptions(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.replay, "replay", "", "replay a JSONL decision journal and print the reconstructed partition (no trace is read)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the flight recorder as Chrome trace-event JSON (load in Perfetto / chrome://tracing) after the run ('' disables)")
 	fs.BoolVar(&o.resync, "resync", false, "degraded-mode ingest: scan past corrupt bytes in the binary trace instead of aborting (counted in ipd_records_resync_total)")
-	fs.StringVar(&o.listenDelta, "listen-delta", "", "run as the cluster core: accept edge delta sessions on this TCP address instead of reading a trace ('' disables)")
-	fs.StringVar(&o.edges, "edges", "", "comma-separated edge IDs the deterministic merge waits for (with -listen-delta; '' merges edges as they appear, order then depends on join timing)")
-	fs.DurationVar(&o.mergeStall, "merge-stall", 0, "exclude a silent edge from the merge gate after this long (0 = never: the merge stays deterministic but stalls while an edge is down)")
 	return o
 }
 
@@ -144,9 +118,6 @@ func main() {
 	o := newOptions(flag.CommandLine)
 	flag.Parse()
 	err := o.node.Validate()
-	if err == nil {
-		err = cliflags.DeltaListen(o.listenDelta, o.mergeStall, o.node.Heartbeat)
-	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ipd:", err)
 		os.Exit(2)
@@ -160,17 +131,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ipd:", err)
 		os.Exit(1)
 	}
-}
-
-// splitEdges parses the comma-separated -edges list, dropping empty items.
-func splitEdges(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }
 
 // replay implements -replay: rebuild the partition from a decision log by
@@ -202,38 +162,9 @@ func replay(path string) error {
 	return nil
 }
 
-// restoreCluster is the core-mode half of crash recovery: load the newest
-// valid cluster checkpoint (engine state + per-edge applied offsets) into
-// eng and return the offsets for DeltaReceiver.SetApplied. The journal tail
-// is NOT replayed here — in cluster mode the transport itself replays: with
-// durable acks, every record past the restored offsets is still in some
-// edge's spool, and resumed sessions redeliver exactly those.
-func restoreCluster(eng *ipd.Engine, mgr *persist.Manager) (map[string]uint64, error) {
-	var applied map[string]uint64
-	path, err := mgr.Load(func(data []byte) error {
-		state, app, err := ipd.DecodeClusterCheckpoint(data)
-		if err != nil {
-			return err
-		}
-		if err := eng.UnmarshalState(state); err != nil {
-			return err
-		}
-		applied = app
-		return nil
-	})
-	if err != nil {
-		if errors.Is(err, persist.ErrNoCheckpoint) {
-			return nil, nil // cold start
-		}
-		return nil, fmt.Errorf("cluster checkpoint restore: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "ipd: restored cluster checkpoint %s (seq %d, %d edges)\n", path, eng.Seq(), len(applied))
-	return applied, nil
-}
-
 func run(o *options) error {
 	var r io.Reader = os.Stdin
-	if o.in != "-" && o.listenDelta == "" {
+	if o.in != "-" {
 		f, err := os.Open(o.in)
 		if err != nil {
 			return err
@@ -258,19 +189,11 @@ func run(o *options) error {
 	flowMetrics := ipd.NewFlowMetrics(eng.Telemetry())
 
 	// Crash recovery: restore the newest valid checkpoint and replay the
-	// journal tail, then checkpoint periodically (and finally) below. A
-	// cluster core restores the envelope variant instead: engine state plus
-	// the per-edge applied offsets that seed the receiver's resume handshake.
-	mgr := n.Checkpoints
-	var restoredApplied map[string]uint64
-	if o.listenDelta == "" {
-		err = n.Restore()
-	} else if mgr != nil {
-		restoredApplied, err = restoreCluster(eng, mgr)
-	}
-	if err != nil {
+	// journal tail, then checkpoint periodically (and finally) below.
+	if err := n.Restore(); err != nil {
 		return err
 	}
+	mgr := n.Checkpoints
 	lastCkpt := eng.Cycles()
 	maybeCheckpoint := func(force bool) {
 		if mgr == nil {
@@ -291,35 +214,6 @@ func run(o *options) error {
 		if err := mgr.Save(seq, data); err != nil {
 			fmt.Fprintln(os.Stderr, "ipd: checkpoint:", err)
 		}
-	}
-
-	// Cluster core (-listen-delta): records arrive from edge senders over
-	// the resilient delta transport instead of a trace file. The receiver is
-	// built here (before the debug server mounts) so /ipd/cluster and the
-	// timeline delta.* series attach race-free; its Apply callback is bound
-	// below, after the record-handling closure exists — Serve starts later,
-	// so the late binding is never observed.
-	edges := splitEdges(o.edges)
-	var recv *ipd.DeltaReceiver
-	var applyBatch func([]ipd.Record, map[string]uint64) error
-	if o.listenDelta != "" {
-		recv, err = ipd.NewDeltaReceiver(ipd.DeltaReceiverConfig{
-			Edges:       edges,
-			Heartbeat:   o.node.Heartbeat,
-			MergeStall:  o.mergeStall,
-			DurableAcks: mgr != nil,
-			Apply: func(recs []ipd.Record, app map[string]uint64) error {
-				return applyBatch(recs, app)
-			},
-			Logf: func(format string, args ...any) {
-				n.Logger.Info("delta: " + fmt.Sprintf(format, args...))
-			},
-		})
-		if err != nil {
-			return err
-		}
-		recv.SetApplied(restoredApplied)
-		n.AttachReceiver(recv)
 	}
 
 	if o.debugHTTP != "" {
@@ -375,126 +269,50 @@ func run(o *options) error {
 		return nil
 	}
 
-	// saveCluster writes the cluster checkpoint envelope: engine state plus
-	// the per-edge applied offsets of the batch just applied. MarkDurable
-	// follows a successful save only — an ack licenses the senders to
-	// discard, so a failed save must leave the acked boundary (and hence
-	// every unpersisted record, still in some spool) where it was.
-	saveCluster := func(app map[string]uint64) error {
-		locked.Mu.Lock()
-		data := eng.MarshalState()
-		seq := eng.Seq()
-		locked.Mu.Unlock()
-		env, err := ipd.EncodeClusterCheckpoint(data, app)
-		if err != nil {
-			return err
-		}
-		return mgr.Save(seq, env)
-	}
-
 	var count int
-	if o.listenDelta != "" {
-		lastClusterCkpt := eng.Cycles()
-		applyBatch = func(recs []ipd.Record, app map[string]uint64) error {
-			for _, rec := range recs {
-				if err := handle(rec); err != nil {
-					return err
-				}
-				count++
+	switch o.format {
+	case "binary":
+		tr := ipd.NewTraceReader(r)
+		tr.SetMetrics(flowMetrics)
+		tr.SetTracer(n.Tracer)
+		tr.SetResync(o.resync)
+		for {
+			rec, err := tr.Read()
+			if err == io.EOF {
+				break
 			}
-			if mgr == nil {
-				return nil
-			}
-			if cycles := eng.Cycles(); cycles-lastClusterCkpt >= o.node.CheckpointEvery {
-				lastClusterCkpt = cycles
-				if err := saveCluster(app); err != nil {
-					fmt.Fprintln(os.Stderr, "ipd: cluster checkpoint:", err)
-				} else {
-					recv.MarkDurable(app)
-				}
-			}
-			return nil
-		}
-
-		ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stopSig()
-		ln, err := net.Listen("tcp", o.listenDelta)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "ipd: core accepting deltas on tcp://%s (edges %v)\n", ln.Addr(), edges)
-		serveErr := make(chan error, 1)
-		go func() { serveErr <- recv.Serve(ln) }()
-		var srvErr error
-		select {
-		case <-ctx.Done():
-			_ = recv.Close()
-			srvErr = <-serveErr
-		case <-recv.Done():
-			// Every expected edge sent Fin and its stream is fully applied.
-			// Persist the final checkpoint and let the last acks flush
-			// before tearing the sessions down — the edges' shutdown Drain
-			// is waiting on exactly those acks to empty their spools.
-			if mgr != nil {
-				if err := saveCluster(recv.Applied()); err != nil {
-					fmt.Fprintln(os.Stderr, "ipd: cluster checkpoint:", err)
-				} else {
-					recv.MarkDurable(recv.Applied())
-				}
-			}
-			time.Sleep(o.node.Heartbeat / 2)
-			_ = recv.Close()
-			srvErr = <-serveErr
-		case srvErr = <-serveErr:
-		}
-		if srvErr != nil && recv.Err() != nil {
-			return fmt.Errorf("delta receiver: %v", recv.Err())
-		}
-	} else {
-		switch o.format {
-		case "binary":
-			tr := ipd.NewTraceReader(r)
-			tr.SetMetrics(flowMetrics)
-			tr.SetTracer(n.Tracer)
-			tr.SetResync(o.resync)
-			for {
-				rec, err := tr.Read()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return err
-				}
-				if err := handle(rec); err != nil {
-					return err
-				}
-				count++
-				maybeCheckpoint(false)
-			}
-		case "csv":
-			sc := bufio.NewScanner(r)
-			sc.Buffer(make([]byte, 1<<20), 1<<20)
-			for sc.Scan() {
-				line := strings.TrimSpace(sc.Text())
-				if line == "" || strings.HasPrefix(line, "#") {
-					continue
-				}
-				rec, err := flow.ParseCSV(line)
-				if err != nil {
-					return err
-				}
-				if err := handle(rec); err != nil {
-					return err
-				}
-				count++
-				maybeCheckpoint(false)
-			}
-			if err := sc.Err(); err != nil {
+			if err != nil {
 				return err
 			}
-		default:
-			return fmt.Errorf("unknown format %q (want binary or csv)", o.format)
+			if err := handle(rec); err != nil {
+				return err
+			}
+			count++
+			maybeCheckpoint(false)
 		}
+	case "csv":
+		sc := bufio.NewScanner(r)
+		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		for sc.Scan() {
+			line := strings.TrimSpace(sc.Text())
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			rec, err := flow.ParseCSV(line)
+			if err != nil {
+				return err
+			}
+			if err := handle(rec); err != nil {
+				return err
+			}
+			count++
+			maybeCheckpoint(false)
+		}
+		if err := sc.Err(); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("unknown format %q (want binary or csv)", o.format)
 	}
 
 	locked.Mu.Lock()
@@ -504,15 +322,7 @@ func run(o *options) error {
 	if err != nil {
 		return err
 	}
-	if recv != nil {
-		if mgr != nil {
-			if err := saveCluster(recv.Applied()); err != nil {
-				fmt.Fprintln(os.Stderr, "ipd: cluster checkpoint:", err)
-			}
-		}
-	} else {
-		maybeCheckpoint(true)
-	}
+	maybeCheckpoint(true)
 	if o.explain != "" {
 		if err := explain(os.Stderr, locked, n.Journal, o.explain); err != nil {
 			return err

@@ -23,21 +23,17 @@ func TestFlagSurface(t *testing.T) {
 		"cidrmax6=48",
 		"debug-http=",
 		"e=2m0s",
-		"edges=",
 		"explain=",
 		"factor4=0.01",
 		"factor6=1e-08",
 		"floor=4",
 		"format=binary",
 		"governor=false",
-		"heartbeat=2s",
 		"in=-",
 		"journal=",
-		"listen-delta=",
 		"log-level=warn",
 		"max-ranges=0",
 		"mem-budget=0",
-		"merge-stall=0s",
 		"mutexprofile=0",
 		"q=0.95",
 		"replay=",

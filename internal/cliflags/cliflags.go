@@ -1,8 +1,8 @@
 // Package cliflags holds the flag validation rules of the ipd and
 // ipd-collector binaries: the Validator primitives, the rule sets of the
 // flags both binaries share (internal/node's Flags.Validate composes them),
-// and the rule sets of the flags only one binary defines (the collector's
-// ingest pipeline, the two ends of delta shipping).
+// and the rule set of the flags only the collector defines (its ingest
+// pipeline).
 //
 // Validation rejects values that earlier versions silently "fixed" (a
 // checkpoint cadence of 0 became 1): a typo like -checkpoint-every 0 fails
@@ -12,7 +12,6 @@ package cliflags
 
 import (
 	"fmt"
-	"time"
 
 	"ipd/internal/core"
 )
@@ -52,23 +51,6 @@ func (v *Validator) AtLeast64(flag string, got, min int64) *Validator {
 func (v *Validator) AtLeastU64(flag string, got, min uint64) *Validator {
 	if got < min {
 		v.fail("%s must be >= %d (got %d)", flag, min, got)
-	}
-	return v
-}
-
-// Positive requires a positive duration.
-func (v *Validator) Positive(flag string, got time.Duration) *Validator {
-	if got <= 0 {
-		v.fail("%s must be positive (got %v)", flag, got)
-	}
-	return v
-}
-
-// NonEmpty requires a non-empty string flag; what names the role the value
-// plays in the message.
-func (v *Validator) NonEmpty(flag, got, what string) *Validator {
-	if got == "" {
-		v.fail("%s needs %s", flag, what)
 	}
 	return v
 }
@@ -114,34 +96,5 @@ func Ingest(queueCap, sampleN, boostN int) error {
 	v.AtLeast("-queue", queueCap, 1).
 		AtLeast("-sample", sampleN, 1).
 		AtLeast("-sample-boost", boostN, 1)
-	return v.Err()
-}
-
-// DeltaShip validates the edge-side delta-shipping flags (collector). An
-// empty target disables shipping; with one set, the edge needs an identity
-// and sane transport parameters.
-func DeltaShip(target, edgeID string, heartbeat time.Duration) error {
-	if target == "" {
-		return nil
-	}
-	var v Validator
-	v.NonEmpty("-ship-to", edgeID, "-edge-id (the core dedupes and resumes per edge identity)").
-		Positive("-heartbeat", heartbeat)
-	return v.Err()
-}
-
-// DeltaListen validates the core-side delta-receiver flags (ipd). An empty
-// listen address disables the receiver; with one set, the transport
-// parameters must be sane (an empty -edges list is allowed: it selects
-// dynamic edge registration).
-func DeltaListen(listen string, mergeStall, heartbeat time.Duration) error {
-	if listen == "" {
-		return nil
-	}
-	var v Validator
-	if mergeStall < 0 {
-		v.fail("-merge-stall must be >= 0 (got %v)", mergeStall)
-	}
-	v.Positive("-heartbeat", heartbeat)
 	return v.Err()
 }

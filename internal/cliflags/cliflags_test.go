@@ -3,7 +3,6 @@ package cliflags
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // goodEngine is a passing Engine argument set; each failure case below
@@ -70,22 +69,6 @@ func TestIngest(t *testing.T) {
 	}
 }
 
-func TestDeltaShip(t *testing.T) {
-	// Disabled shipping skips every check, including nonsense values.
-	if err := DeltaShip("", "", 0); err != nil {
-		t.Fatalf("disabled shipping rejected: %v", err)
-	}
-	if err := DeltaShip("core:4810", "edge-1", 2*time.Second); err != nil {
-		t.Fatalf("valid shipping rejected: %v", err)
-	}
-	if err := DeltaShip("core:4810", "", time.Second); err == nil || !strings.Contains(err.Error(), "-edge-id") {
-		t.Fatalf("missing edge id: %v", err)
-	}
-	if err := DeltaShip("core:4810", "edge-1", 0); err == nil || !strings.Contains(err.Error(), "-heartbeat") {
-		t.Fatalf("zero heartbeat: %v", err)
-	}
-}
-
 // TestSketch pins the one rule left on -sketch: q must exceed the fixed
 // exact margin (0.05), below which no range could ever degrade. With the
 // tier off, q is not checked here.
@@ -98,20 +81,5 @@ func TestSketch(t *testing.T) {
 	}
 	if err := Sketch(false, 0.05); err != nil {
 		t.Fatalf("sketch off checked q: %v", err)
-	}
-}
-
-func TestDeltaListen(t *testing.T) {
-	if err := DeltaListen("", -1, 0); err != nil {
-		t.Fatalf("disabled receiver rejected: %v", err)
-	}
-	if err := DeltaListen(":4810", 0, 2*time.Second); err != nil {
-		t.Fatalf("valid receiver rejected: %v", err)
-	}
-	if err := DeltaListen(":4810", -time.Second, time.Second); err == nil || !strings.Contains(err.Error(), "-merge-stall") {
-		t.Fatalf("negative merge-stall: %v", err)
-	}
-	if err := DeltaListen(":4810", time.Minute, 0); err == nil || !strings.Contains(err.Error(), "-heartbeat") {
-		t.Fatalf("zero heartbeat: %v", err)
 	}
 }

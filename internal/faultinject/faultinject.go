@@ -1,20 +1,16 @@
-// Package faultinject wraps io.Reader/io.Writer — and, for the delta
-// transport, net.Conn/net.Listener — with deterministic, seeded fault
-// injection for the chaos tests of the crash-recovery and cluster layers:
-// bit flips, truncation, short reads, stalls, connection cuts, torn writes,
-// and write errors. Every fault position is derived from the seed, so a
-// failing chaos test reproduces exactly by rerunning with the same
-// configuration.
+// Package faultinject wraps io.Reader/io.Writer with deterministic, seeded
+// fault injection for the chaos tests of the crash-recovery layer: bit
+// flips, truncation, short reads, torn writes, and write errors. Every
+// fault position is derived from the seed, so a failing chaos test
+// reproduces exactly by rerunning with the same configuration.
 //
 // The package is a test harness, not a production facility: it lives under
-// internal/ and is imported only from _test files and the chaos acceptance
-// harnesses under examples/.
+// internal/ and is imported only from _test files.
 package faultinject
 
 import (
 	"errors"
 	"io"
-	"time"
 )
 
 // ErrInjected is the error every injected read/write failure returns, so
@@ -70,10 +66,6 @@ type ReaderConfig struct {
 	// ErrAfter makes Read return ErrInjected once N bytes were delivered.
 	// 0 disables.
 	ErrAfter int64
-	// StallEvery sleeps StallFor once per N delivered bytes (0 disables) —
-	// a slow-producer simulation for watchdog/timeout paths.
-	StallEvery int
-	StallFor   time.Duration
 }
 
 // Reader applies ReaderConfig faults to an underlying reader. Not safe for
@@ -86,7 +78,6 @@ type Reader struct {
 	off      int64 // bytes delivered to the caller (post-skip stream offset)
 	src      int64 // bytes consumed from the underlying reader
 	nextFlip int64
-	stallAt  int64
 }
 
 // NewReader wraps r with fault injection.
@@ -94,9 +85,6 @@ func NewReader(r io.Reader, cfg ReaderConfig) *Reader {
 	fr := &Reader{r: r, cfg: cfg, rng: newRNG(cfg.Seed)}
 	if cfg.BitFlipEvery > 0 {
 		fr.nextFlip = int64(fr.rng.intn(2*cfg.BitFlipEvery) + 1)
-	}
-	if cfg.StallEvery > 0 {
-		fr.stallAt = int64(cfg.StallEvery)
 	}
 	return fr
 }
@@ -143,7 +131,6 @@ func (fr *Reader) Read(p []byte) (int, error) {
 	fr.src += int64(n)
 	fr.corrupt(p[:n])
 	fr.off += int64(n)
-	fr.maybeStall()
 	return n, err
 }
 
@@ -185,16 +172,6 @@ func (fr *Reader) corrupt(p []byte) {
 				fr.nextFlip += int64(fr.rng.intn(2*fr.cfg.BitFlipEvery) + 1)
 			}
 		}
-	}
-}
-
-func (fr *Reader) maybeStall() {
-	if fr.cfg.StallEvery <= 0 {
-		return
-	}
-	for fr.off >= fr.stallAt {
-		time.Sleep(fr.cfg.StallFor)
-		fr.stallAt += int64(fr.cfg.StallEvery)
 	}
 }
 

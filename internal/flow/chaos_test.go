@@ -210,13 +210,20 @@ func TestReaderHandlesShortReads(t *testing.T) {
 	}
 }
 
+// stallReader sleeps for a millisecond before every read of up to 256 bytes.
+type stallReader struct{ r io.Reader }
+
+func (s stallReader) Read(p []byte) (int, error) {
+	time.Sleep(time.Millisecond)
+	return s.r.Read(p[:min(len(p), 256)])
+}
+
 // TestReaderSurvivesStalls drives the reader through a stalling source — the
 // slow-producer shape — and expects a complete, correct decode.
 func TestReaderSurvivesStalls(t *testing.T) {
 	const n = 30
 	data, _ := chaosTrace(t, n)
-	cfg := faultinject.ReaderConfig{StallEvery: 256, StallFor: time.Millisecond}
-	rd, _ := resyncReader(faultinject.NewReader(bytes.NewReader(data), cfg))
+	rd, _ := resyncReader(stallReader{bytes.NewReader(data)})
 	got, err := drainReader(rd)
 	if err != io.EOF || len(got) != n {
 		t.Fatalf("decoded %d/%d, err %v", len(got), n, err)

@@ -8,8 +8,8 @@ import (
 )
 
 // EncodeTo appends the record to enc: the encoding of a record embedded in
-// another payload (a checkpoint's open statistical-time buckets, an
-// edge→core delta frame), as opposed to the Reader/Writer stream format.
+// another payload (a checkpoint's open statistical-time buckets), as opposed
+// to the Reader/Writer stream format.
 func (r *Record) EncodeTo(enc *persist.Encoder) {
 	enc.Time(r.Ts)
 	enc.Addr(r.Src)

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"ipd/internal/core"
-	"ipd/internal/delta"
 	"ipd/internal/exphealth"
 	"ipd/internal/flow"
 	"ipd/internal/governor"
@@ -76,8 +75,6 @@ type Attached struct {
 	Exporters *exphealth.Tracker  // /ipd/exporters
 	Workload  *workload.Profiler  // /ipd/workload
 
-	// Cluster snapshots the node's delta sender or receiver (/ipd/cluster).
-	Cluster func() delta.ClusterStatus
 	// Sketch reads the engine's sketch-tier status under the engine's lock
 	// (/ipd/sketch).
 	Sketch func() core.SketchStatus
@@ -105,7 +102,6 @@ func New(src Source, a Attached) *Handler {
 	h.handle("/ipd/alerts", "active and recent analytics alerts", h.alerts)
 	h.handle("/ipd/exporters", "per-exporter feed health and coverage", h.exporters)
 	h.handle("/ipd/workload", "workload profile: heavy hitters, latency", h.workloadSnapshot)
-	h.handle("/ipd/cluster", "delta-shipping transport state (edge sender or core receiver)", h.clusterStatus)
 	h.handle("/ipd/sketch", "fixed-memory sketch tier: sizing, accuracy bound, and mode-flip counters", h.sketchStatus)
 	// The subtree pattern catches "/ipd/" itself (the index) and every
 	// otherwise-unmatched /ipd/* path (404). Registered last for clarity;
@@ -460,16 +456,6 @@ func (h *Handler) governor(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, h.a.Governor.Snapshot())
-}
-
-// clusterStatus serves GET /ipd/cluster: the delta transport snapshot of
-// this node — sender stats on an edge, receiver stats on a core.
-func (h *Handler) clusterStatus(w http.ResponseWriter, _ *http.Request) {
-	if h.a.Cluster == nil {
-		writeErr(w, http.StatusNotFound, "no cluster transport attached")
-		return
-	}
-	writeJSON(w, http.StatusOK, h.a.Cluster())
 }
 
 // sketchStatus serves GET /ipd/sketch: the fixed-memory sketch tier's sizing

@@ -11,7 +11,6 @@ import (
 	"net/netip"
 
 	"ipd/internal/core"
-	"ipd/internal/delta"
 	"ipd/internal/exphealth"
 	"ipd/internal/flow"
 	"ipd/internal/governor"
@@ -44,9 +43,6 @@ func fullHandler(t *testing.T) *Handler {
 		Timeline:  timeline.NewCollector(timeline.Options{}),
 		Exporters: exphealth.New(exphealth.Options{}),
 		Workload:  workload.New(workload.Options{SampleN: 1}),
-		Cluster: func() delta.ClusterStatus {
-			return delta.ClusterStatus{Role: "edge", Sender: &delta.SenderStats{EdgeID: "edge-test"}}
-		},
 		Sketch: func() core.SketchStatus {
 			return core.SketchStatus{Enabled: true, Width: 1024, Depth: 4}
 		},
@@ -73,7 +69,7 @@ func TestIndexRoutes(t *testing.T) {
 		"/ipd/ranges": true, "/ipd/range": true, "/ipd/explain": true,
 		"/ipd/events": true, "/ipd/traces": true, "/ipd/governor": true,
 		"/ipd/timeline": true, "/ipd/alerts": true, "/ipd/exporters": true,
-		"/ipd/workload": true, "/ipd/cluster": true, "/ipd/sketch": true,
+		"/ipd/workload": true, "/ipd/sketch": true,
 	}
 	if len(rawEndpoints) != len(want) {
 		t.Errorf("index advertises %d endpoints, want %d", len(rawEndpoints), len(want))
@@ -180,38 +176,6 @@ func TestBadParamsUniform(t *testing.T) {
 		if msg, _ := body["error"].(string); !strings.Contains(msg, c.errPart) {
 			t.Errorf("GET %s error = %q, want mention of %q", c.url, msg, c.errPart)
 		}
-	}
-}
-
-// TestClusterEndpoint checks /ipd/cluster: 404 when detached, and the role
-// plus transport snapshot once a reader is attached.
-func TestClusterEndpoint(t *testing.T) {
-	e, j := quadrantEngine(t)
-
-	code, body := get(t, New(e, Attached{Journal: j}), "/ipd/cluster")
-	if code != http.StatusNotFound {
-		t.Fatalf("detached /ipd/cluster = %d, body %v", code, body)
-	}
-
-	h := New(e, Attached{Journal: j, Cluster: func() delta.ClusterStatus {
-		return delta.ClusterStatus{
-			Role:     "core",
-			Receiver: &delta.ReceiverStats{Applied: 42, Batches: 3},
-		}
-	}})
-	code, body = get(t, h, "/ipd/cluster")
-	if code != http.StatusOK {
-		t.Fatalf("attached /ipd/cluster = %d, body %v", code, body)
-	}
-	if body["role"] != "core" {
-		t.Errorf("role = %v, want core", body["role"])
-	}
-	recv, _ := body["receiver"].(map[string]any)
-	if recv == nil || recv["applied_records"].(float64) != 42 {
-		t.Errorf("receiver snapshot = %v", recv)
-	}
-	if _, present := body["sender"]; present {
-		t.Error("core status carries a sender block")
 	}
 }
 

@@ -4,15 +4,14 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"time"
 
 	"ipd/internal/cliflags"
 	"ipd/internal/core"
 )
 
 // Flags are the settings both binaries share: the journal sink,
-// checkpoints, the governor and sketch tier, the timeline window, mutex
-// profiling, and the delta-transport heartbeat. The shared engine
+// checkpoints, the governor and sketch tier, the timeline window, and mutex
+// profiling. The shared engine
 // thresholds are bound straight into the binary's core.Config. Everything
 // else New builds (journal ring, tracer, exporter health, workload
 // profiler, sketch size) runs at its package default.
@@ -34,8 +33,6 @@ type Flags struct {
 
 	Sketch bool
 
-	Heartbeat time.Duration
-
 	// q is the -q value, kept for the sketch tier's margin check.
 	q *float64
 }
@@ -54,15 +51,13 @@ func RegisterFlags(fs *flag.FlagSet, cfg *core.Config) *Flags {
 	fs.IntVar(&f.TimelineWindow, "timeline-window", 512, "per-series timeline ring window in cycles; older points are downsampled into coarser tiers (0 disables the timeline)")
 	fs.IntVar(&f.MutexProfile, "mutexprofile", 0, "runtime mutex/block profiling fraction for /debug/pprof/{mutex,block} (0 disables)")
 	fs.BoolVar(&f.Sketch, "sketch", false, "enable the fixed-memory sketch tier: under governor pressure, unclassified ranges far from the classification threshold degrade per-IP state to a count-min sketch and hydrate back when calm")
-	fs.DurationVar(&f.Heartbeat, "heartbeat", 2*time.Second, "delta transport keepalive interval; peers declare a connection dead after 4x this")
 	fs.Float64Var(&cfg.NCidrFactor4, "factor4", 0.01, "IPv4 n_cidr factor (64 at deployment traffic rates)")
 	fs.Float64Var(&cfg.NCidrFloor, "floor", 4, "n_cidr floor (min samples to classify any range)")
 	fs.Float64Var(&cfg.Q, "q", 0.95, "quality threshold")
 	return f
 }
 
-// Validate checks the shared flags; the first violated rule wins. The
-// heartbeat is left to the binaries: it only matters with delta shipping on.
+// Validate checks the shared flags; the first violated rule wins.
 func (f *Flags) Validate() error {
 	if _, err := f.level(); err != nil {
 		return err

@@ -14,8 +14,7 @@ import (
 // Handler returns the debug surface over the attached engine: /metrics
 // (Prometheus), /debug/vars (JSON), /debug/pprof/, the /ipd/ introspection
 // API, and, while tracing runs, the watchdog's /healthz and /readyz. Callers
-// may mount more routes on the returned mux. Call after Attach and after any
-// AttachSender or AttachReceiver.
+// may mount more routes on the returned mux. Call after Attach.
 func (n *Node) Handler() *http.ServeMux {
 	reg := n.target.Telemetry()
 	telemetry.RegisterProcessMetrics(reg)
@@ -34,7 +33,6 @@ func (n *Node) Handler() *http.ServeMux {
 		Timeline:  n.Timeline,
 		Exporters: n.Health,
 		Workload:  n.Workload,
-		Cluster:   n.cluster,
 	}
 	if n.Tracer != nil {
 		a.Traces = n.Tracer.Recorder()

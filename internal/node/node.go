@@ -1,8 +1,7 @@
 // Package node assembles one IPD process around its engine: the part of the
-// deployment both binaries share. cmd/ipd (trace files, or the cluster core)
-// and cmd/ipd-collector (UDP collectors, or a cluster edge) differ only in
-// how records reach the engine; everything around it is built here, in
-// dependency order:
+// deployment both binaries share. cmd/ipd (trace files) and
+// cmd/ipd-collector (UDP collectors) differ only in how records reach the
+// engine; everything around it is built here, in dependency order:
 //
 //  1. New: the logger, the decision journal and its JSONL sink, exporter
 //     health, the workload profiler, the timeline (or its tick-only
@@ -35,7 +34,6 @@ import (
 	"sync"
 
 	"ipd/internal/core"
-	"ipd/internal/delta"
 	"ipd/internal/exphealth"
 	"ipd/internal/governor"
 	"ipd/internal/introspect"
@@ -71,7 +69,6 @@ type Node struct {
 	sinkBase int64 // the sink's size before the engine journaled anything
 	target   Target
 	watchdog *core.Watchdog
-	cluster  func() delta.ClusterStatus
 }
 
 // GovernorInputs are what a binary with an ingest queue hands the governor:
@@ -342,51 +339,6 @@ func (n *Node) Attach(t Target, traced bool) error {
 	}
 	n.watchdog = wd
 	return nil
-}
-
-// AttachSender serves an edge's delta sender: its metrics, the timeline's
-// delta.* series, and /ipd/cluster. Call after Attach.
-func (n *Node) AttachSender(s *delta.Sender) {
-	s.RegisterMetrics(n.target.Telemetry())
-	if n.Timeline != nil {
-		n.Timeline.SetCluster(func() timeline.ClusterCounters {
-			st := s.Stats()
-			return timeline.ClusterCounters{
-				Sent:          st.Sent,
-				Acked:         st.Acked,
-				Retransmitted: st.Retransmitted,
-				Shed:          st.Shed,
-				Reconnects:    st.Reconnects,
-				SpoolDepth:    st.SpoolDepth,
-			}
-		})
-	}
-	n.cluster = func() delta.ClusterStatus {
-		st := s.Stats()
-		return delta.ClusterStatus{Role: "edge", Sender: &st}
-	}
-}
-
-// AttachReceiver serves a core's delta receiver: its metrics, the
-// timeline's delta.* series, and /ipd/cluster. Call after Attach.
-func (n *Node) AttachReceiver(r *delta.Receiver) {
-	r.RegisterMetrics(n.target.Telemetry())
-	if n.Timeline != nil {
-		n.Timeline.SetCluster(func() timeline.ClusterCounters {
-			st := r.Stats()
-			cc := timeline.ClusterCounters{Applied: st.Applied, Sessions: st.Sessions}
-			for _, e := range st.Edges {
-				cc.Duplicates += e.Duplicates
-				cc.Gaps += e.Gaps
-				cc.Pending += e.Pending
-			}
-			return cc
-		})
-	}
-	n.cluster = func() delta.ClusterStatus {
-		st := r.Stats()
-		return delta.ClusterStatus{Role: "core", Receiver: &st}
-	}
 }
 
 // Restore is the startup half of crash recovery: load the newest valid

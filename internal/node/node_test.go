@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"ipd/internal/core"
-	"ipd/internal/delta"
 	"ipd/internal/flow"
 	"ipd/internal/journal"
 	"ipd/internal/stattime"
@@ -102,8 +101,7 @@ func TestValidate(t *testing.T) {
 		{"sketch-depth-17", []string{"-sketch", "-sketch-depth", "17"}, retired("sketch-depth")},
 		{"sketch-margin-1", []string{"-sketch", "-sketch-exact-margin", "1"}, retired("sketch-exact-margin")},
 		{"sketch-margin-1.5", []string{"-sketch", "-sketch-exact-margin", "1.5"}, retired("sketch-exact-margin")},
-		// The heartbeat matters only with delta shipping; the binaries check it.
-		{"heartbeat-zero", []string{"-heartbeat", "0s"}, ""},
+		{"heartbeat-zero", []string{"-heartbeat", "0s"}, retired("heartbeat")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -382,60 +380,49 @@ func getJSON(t *testing.T, h http.Handler, path string) (int, map[string]any) {
 }
 
 // TestHandlerRoutes checks the debug surface under each optional subsystem:
-// the /ipd/ index always lists the same routes, the governor, sketch and
-// cluster endpoints answer exactly when their subsystem runs, and the
-// watchdog probes are mounted exactly when tracing runs.
+// the /ipd/ index always lists the same routes, the governor and sketch
+// endpoints answer exactly when their subsystem runs, and the watchdog
+// probes are mounted exactly when tracing runs.
 func TestHandlerRoutes(t *testing.T) {
 	wantIndex := []string{"/ipd/ranges", "/ipd/range", "/ipd/explain", "/ipd/events", "/ipd/traces",
 		"/ipd/governor", "/ipd/timeline", "/ipd/alerts", "/ipd/exporters", "/ipd/workload",
-		"/ipd/cluster", "/ipd/sketch"}
+		"/ipd/sketch"}
 	for _, gov := range []bool{false, true} {
 		for _, sketch := range []bool{false, true} {
-			for _, cluster := range []bool{false, true} {
-				for _, traced := range []bool{false, true} {
-					var args []string
-					if gov {
-						args = append(args, "-governor")
-					}
-					if sketch {
-						args = append(args, "-sketch")
-					}
-					n := newNode(t, args...)
-					attachEngine(t, n, traced)
-					if cluster {
-						recv, err := delta.NewReceiver(delta.ReceiverConfig{
-							Apply: func([]flow.Record, map[string]uint64) error { return nil },
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						n.AttachReceiver(recv)
-					}
-					mux := n.Handler()
+			for _, traced := range []bool{false, true} {
+				var args []string
+				if gov {
+					args = append(args, "-governor")
+				}
+				if sketch {
+					args = append(args, "-sketch")
+				}
+				n := newNode(t, args...)
+				attachEngine(t, n, traced)
+				mux := n.Handler()
 
-					code, body := getJSON(t, mux, "/ipd/")
-					eps, _ := body["endpoints"].([]any)
-					var got []string
-					for _, ep := range eps {
-						got = append(got, ep.(map[string]any)["path"].(string))
+				code, body := getJSON(t, mux, "/ipd/")
+				eps, _ := body["endpoints"].([]any)
+				var got []string
+				for _, ep := range eps {
+					got = append(got, ep.(map[string]any)["path"].(string))
+				}
+				if code != http.StatusOK || strings.Join(got, " ") != strings.Join(wantIndex, " ") {
+					t.Errorf("gov=%v sketch=%v: index = %d %v", gov, sketch, code, got)
+				}
+				for path, on := range map[string]bool{
+					"/ipd/governor": gov, "/ipd/sketch": sketch,
+					"/ipd/traces": traced, "/healthz": traced, "/readyz": traced,
+					"/ipd/timeline": true, "/ipd/exporters": true, "/ipd/workload": true,
+					"/ipd/events": true, "/metrics": true,
+				} {
+					want := http.StatusNotFound
+					if on {
+						want = http.StatusOK
 					}
-					if code != http.StatusOK || strings.Join(got, " ") != strings.Join(wantIndex, " ") {
-						t.Errorf("gov=%v sketch=%v cluster=%v: index = %d %v", gov, sketch, cluster, code, got)
-					}
-					for path, on := range map[string]bool{
-						"/ipd/governor": gov, "/ipd/sketch": sketch, "/ipd/cluster": cluster,
-						"/ipd/traces": traced, "/healthz": traced, "/readyz": traced,
-						"/ipd/timeline": true, "/ipd/exporters": true, "/ipd/workload": true,
-						"/ipd/events": true, "/metrics": true,
-					} {
-						want := http.StatusNotFound
-						if on {
-							want = http.StatusOK
-						}
-						if code, _ := getJSON(t, mux, path); code != want {
-							t.Errorf("gov=%v sketch=%v cluster=%v traced=%v: GET %s = %d, want %d",
-								gov, sketch, cluster, traced, path, code, want)
-						}
+					if code, _ := getJSON(t, mux, path); code != want {
+						t.Errorf("gov=%v sketch=%v traced=%v: GET %s = %d, want %d",
+							gov, sketch, traced, path, code, want)
 					}
 				}
 			}

@@ -104,13 +104,6 @@ type Collector struct {
 	// the timeline only.
 	workload *workload.Profiler
 
-	// cluster, when set, reads the cumulative delta-transport accounting (a
-	// delta sender's or receiver's stats); the per-cycle deltas become the
-	// delta.* series. Transport progress is wall-clock by nature, so it
-	// feeds only the timeline — never the journaled analytics.
-	cluster     func() ClusterCounters
-	lastCluster ClusterCounters
-
 	// metrics (nil until RegisterMetrics).
 	samples      *telemetry.Counter
 	alertCount   map[string]*telemetry.Counter // per kind
@@ -136,37 +129,6 @@ func (c *Collector) SetContention(fn func() (time.Duration, uint64)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.contention = fn
-}
-
-// ClusterCounters is the cumulative delta-transport accounting the delta.*
-// timeline series are derived from. An edge node fills the sender-side
-// fields from its delta sender's stats, a core node the receiver-side ones;
-// either side leaves the rest zero.
-type ClusterCounters struct {
-	// Sender side (edge → core shipping).
-	Sent          uint64 // records written to the transport, retransmits included
-	Acked         uint64 // highest record offset acked by the core
-	Retransmitted uint64 // records sent more than once
-	Shed          uint64 // records dropped from the spool (never recoverable)
-	Reconnects    uint64 // completed re-dials after a session loss
-	SpoolDepth    int    // records currently spooled (instantaneous)
-
-	// Receiver side (core merge).
-	Applied    uint64 // records applied to the engine in merge order
-	Duplicates uint64 // retransmitted records dropped by offset dedupe
-	Gaps       uint64 // records lost upstream (edge shed them)
-	Pending    int    // records buffered awaiting the merge gate (instantaneous)
-	Sessions   int    // live delta sessions (instantaneous)
-}
-
-// SetCluster attaches the delta-transport counter reader (a closure over a
-// delta sender's or receiver's Stats). Per-cycle deltas of the cumulative
-// fields and the instantaneous gauges land in the delta.* series. Call
-// during setup.
-func (c *Collector) SetCluster(fn func() ClusterCounters) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cluster = fn
 }
 
 // SetExporterHealth attaches the exporter-health tracker. The collector
@@ -323,23 +285,6 @@ func (c *Collector) OnCycle(s core.CycleSample) []core.Alert {
 		put("ingest_lock_wait_seconds", (wait - c.lastLockWait).Seconds())
 		put("ingest_lock_batches", float64(acq-c.lastLockAcq))
 		c.lastLockWait, c.lastLockAcq = wait, acq
-	}
-
-	if c.cluster != nil {
-		cc := c.cluster()
-		last := c.lastCluster
-		put("delta.sent", float64(cc.Sent-last.Sent))
-		put("delta.acked", float64(cc.Acked-last.Acked))
-		put("delta.retransmitted", float64(cc.Retransmitted-last.Retransmitted))
-		put("delta.shed", float64(cc.Shed-last.Shed))
-		put("delta.reconnects", float64(cc.Reconnects-last.Reconnects))
-		put("delta.applied", float64(cc.Applied-last.Applied))
-		put("delta.duplicates", float64(cc.Duplicates-last.Duplicates))
-		put("delta.gaps", float64(cc.Gaps-last.Gaps))
-		put("delta.spool_depth", float64(cc.SpoolDepth))
-		put("delta.pending", float64(cc.Pending))
-		put("delta.sessions", float64(cc.Sessions))
-		c.lastCluster = cc
 	}
 
 	var expStats []exphealth.CycleStat

@@ -247,66 +247,6 @@ func replayLog(t *testing.T, log []byte) (eng *core.Engine, raised, cleared uint
 	return eng, raised, cleared
 }
 
-// TestClusterSeries checks the delta.* transport series: cumulative counters
-// are emitted as per-cycle deltas, depth/pending/sessions as raw gauges.
-func TestClusterSeries(t *testing.T) {
-	c := NewCollector(Options{})
-	var mu sync.Mutex
-	cc := ClusterCounters{}
-	c.SetCluster(func() ClusterCounters {
-		mu.Lock()
-		defer mu.Unlock()
-		return cc
-	})
-	eng, err := core.NewEngine(shiftConfig(c, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	step := func(m int) {
-		ts := tBase.Add(time.Duration(m) * time.Minute)
-		eng.Observe(flow.Record{Ts: ts, Src: netip.MustParseAddr("10.0.0.1"), In: tIn1, Bytes: 100, Packets: 1})
-		eng.AdvanceTo(ts.Add(time.Minute))
-	}
-
-	step(0) // counters at zero
-	mu.Lock()
-	cc = ClusterCounters{Sent: 100, Acked: 90, Retransmitted: 4, Shed: 1, Reconnects: 2, SpoolDepth: 10, Applied: 90, Duplicates: 3, Gaps: 1, Pending: 5, Sessions: 2}
-	mu.Unlock()
-	step(1)
-	mu.Lock()
-	cc.Sent, cc.Acked, cc.SpoolDepth = 150, 140, 4
-	mu.Unlock()
-	step(2)
-
-	wantLast := map[string]float64{
-		"delta.sent":          50, // 150-100
-		"delta.acked":         50,
-		"delta.retransmitted": 0,
-		"delta.shed":          0,
-		"delta.reconnects":    0,
-		"delta.applied":       0,
-		"delta.duplicates":    0,
-		"delta.gaps":          0,
-		"delta.spool_depth":   4,
-		"delta.pending":       5,
-		"delta.sessions":      2,
-	}
-	for name, want := range wantLast {
-		pts := c.Store().Get(name, 0, 0)
-		if len(pts) != 3 {
-			t.Fatalf("series %q has %d points, want 3 (names %v)", name, len(pts), c.Store().Names())
-		}
-		if got := pts[2].Avg(); got != want {
-			t.Errorf("series %q last = %v, want %v (points %+v)", name, got, want, pts)
-		}
-	}
-	// The middle cycle carries the first jump as a delta, not a cumulative.
-	if got := c.Store().Get("delta.sent", 0, 0)[1].Avg(); got != 100 {
-		t.Errorf("delta.sent cycle 2 = %v, want 100", got)
-	}
-}
-
 // TestOnCycleEvery checks the cycle cadence through the collector: every
 // stage-2 cycle ticks exporter health (the coverage the engine cites) and
 // the workload profiler (its decay clock) exactly once, and lands one point

@@ -26,8 +26,7 @@
 //     ingest queue, and the event, alert and reason constants they consume;
 //   - the operational layers wired around the engine: the resource
 //     governor, the decision journal, the timeline collector, exporter
-//     health, the workload profiler, the pipeline tracer, and edge→core
-//     delta shipping with its cluster checkpoints;
+//     health, the workload profiler, and the pipeline tracer;
 //   - the flow-record model, trace codecs and packet sampler
 //     (internal/flow), and the statistical-time config (internal/stattime);
 //   - the topology's AS and link-class types (internal/topology) and the
@@ -42,7 +41,6 @@ import (
 	"time"
 
 	"ipd/internal/core"
-	"ipd/internal/delta"
 	"ipd/internal/exphealth"
 	"ipd/internal/export"
 	"ipd/internal/flow"
@@ -255,57 +253,6 @@ func NewIngestQueue(capacity int) *IngestQueue { return core.NewIngestQueue(capa
 // on a fresh engine built with OnEvent nil for a full offline replay.
 func ReplayJournalTail(r io.Reader, afterSeq uint64, apply func(Event) error) (int, error) {
 	return journal.ReplayTail(r, afterSeq, apply)
-}
-
-// Edge→core delta-shipping types. A DeltaSender runs on an edge collector
-// and ships stage-1 flow records to a central core over a resilient framed
-// TCP transport (exponential backoff with jitter, heartbeats, a bounded
-// shed-oldest spool); a DeltaReceiver listens on the core, acks contiguous
-// per-edge offsets so a reconnect handshake resumes exactly once, and merges
-// the per-edge streams in deterministic statistical-time order before
-// feeding the engine. The merged central partition is byte-identical to a
-// single-node run over the concatenated input. Pair
-// DeltaReceiverConfig.DurableAcks with EncodeClusterCheckpoint /
-// DecodeClusterCheckpoint + DeltaReceiver.SetApplied for crash-safe cores.
-type (
-	// DeltaSender is the edge-side shipping transport.
-	DeltaSender = delta.Sender
-	// DeltaSenderConfig parameterizes a DeltaSender (target, edge id,
-	// spool cap, heartbeat, batch size, governor gate).
-	DeltaSenderConfig = delta.SenderConfig
-	// DeltaSenderStats is the sender's JSON stats snapshot.
-	DeltaSenderStats = delta.SenderStats
-	// DeltaReceiver is the core-side listener and merge gate.
-	DeltaReceiver = delta.Receiver
-	// DeltaReceiverConfig parameterizes a DeltaReceiver (expected edges,
-	// heartbeat, merge-stall override, apply callback, durable-ack mode).
-	DeltaReceiverConfig = delta.ReceiverConfig
-	// DeltaReceiverStats is the receiver's JSON stats snapshot.
-	DeltaReceiverStats = delta.ReceiverStats
-	// DeltaReceiverEdgeStats is one edge's slice of DeltaReceiverStats.
-	DeltaReceiverEdgeStats = delta.ReceiverEdgeStats
-)
-
-// NewDeltaSender validates cfg, applies defaults (64 KiB spool, 2 s
-// heartbeat, 2048-record batches), and starts the connection supervisor.
-func NewDeltaSender(cfg DeltaSenderConfig) (*DeltaSender, error) { return delta.NewSender(cfg) }
-
-// NewDeltaReceiver validates cfg and returns a receiver ready to Serve a
-// listener.
-func NewDeltaReceiver(cfg DeltaReceiverConfig) (*DeltaReceiver, error) {
-	return delta.NewReceiver(cfg)
-}
-
-// EncodeClusterCheckpoint wraps an engine state blob with the per-edge
-// applied offsets in the CRC-guarded cluster checkpoint envelope.
-func EncodeClusterCheckpoint(state []byte, applied map[string]uint64) ([]byte, error) {
-	return delta.EncodeClusterCheckpoint(state, applied)
-}
-
-// DecodeClusterCheckpoint unwraps a cluster checkpoint envelope back into
-// the engine state blob and the per-edge applied offsets.
-func DecodeClusterCheckpoint(env []byte) ([]byte, map[string]uint64, error) {
-	return delta.DecodeClusterCheckpoint(env)
 }
 
 // Flow-record types.

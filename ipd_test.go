@@ -142,16 +142,14 @@ func TestSimScenarioFacade(t *testing.T) {
 func TestFacadeSurface(t *testing.T) {
 	want := []string{
 		"ASN", "AlertClockSkew", "AlertDrift", "AlertExporterLoss", "AlertExporterStale",
-		"AlertFlap", "AlertHotPrefix", "Config", "DecodeClusterCheckpoint",
+		"AlertFlap", "AlertHotPrefix", "Config",
 		"DefaultConfig", "DefaultSimGenConfig", "DefaultSimSpec", "DefaultStatTimeConfig",
-		"DeltaReceiver", "DeltaReceiverConfig", "DeltaReceiverEdgeStats",
-		"DeltaReceiverStats", "DeltaSender", "DeltaSenderConfig", "DeltaSenderStats",
-		"DiffPartitions", "EncodeClusterCheckpoint", "Engine", "Event", "EventAlertCleared",
+		"DiffPartitions", "Engine", "Event", "EventAlertCleared",
 		"EventAlertRaised", "EventClassified", "EventStateMode", "ExporterHealth",
 		"ExporterHealthOptions", "FlowSampler", "Governor", "GovernorConfig",
 		"GovernorDegraded", "GovernorEmergency", "GovernorNormal", "GovernorState",
 		"IfaceID", "IngestQueue", "Ingress", "Journal", "JournalOptions",
-		"LinkClass", "NewDeltaReceiver", "NewDeltaSender", "NewEngine", "NewExporterHealth",
+		"LinkClass", "NewEngine", "NewExporterHealth",
 		"NewFlowMetrics", "NewFlowSampler", "NewGovernor", "NewIngestQueue",
 		"NewJournal", "NewServer", "NewSimRecordFaults", "NewSimScenario",
 		"NewSimV5Packer", "NewTimelineCollector", "NewTraceReader", "NewTraceWriter",
