@@ -161,19 +161,10 @@ func run(o *options) error {
 	if err != nil {
 		return err
 	}
-	// The workload profiler sees the drained record batches and profiles
-	// the same 1-in-N subset the per-record path would.
-	srv.SetWorkload(n.Workload.ObserveBatch)
 	if err := n.Attach(srv, o.http != ""); err != nil {
 		return err
 	}
 	queue.RegisterMetrics(srv.Telemetry())
-	if n.Timeline != nil {
-		// The ingest-lock contention series (lock wait, batch count) is the
-		// one wall-clock input; it lands only in the timeline store, never in
-		// journaled events, so replay determinism is unaffected.
-		n.Timeline.SetContention(srv.LockContention)
-	}
 	gov := n.Governor
 	if gov != nil {
 		// During emergency the queue admits 1 in 8 offered records (the
@@ -192,7 +183,6 @@ func run(o *options) error {
 	if err := n.Restore(); err != nil {
 		return err
 	}
-	srv.SetCheckpoint(n.Checkpoints, o.node.CheckpointEvery)
 
 	// The collectors feed the queue through the degradation sampler. When no
 	// sampling is configured and no governor runs, the sampler is a

@@ -2,6 +2,13 @@
 // (binary trace format from flowgen, or CSV) and emits the raw IPD output
 // rows (Appendix B format) every output bin.
 //
+// The records take ipd-collector's path: the statistical-time binner (§3.1)
+// and the engine in one core.Server, so a trace gets the verdicts its
+// records would get over the wire. Stage 2 runs every -t as statistical
+// time advances, and the rows stamped at a -bin boundary B are the ranges
+// the last cycle at or before B left; a final set follows the final cycle.
+// The last stderr line counts the records the binner accepted and dropped.
+//
 // Usage:
 //
 //	flowgen -minutes 30 -o trace.ipd
@@ -25,9 +32,11 @@
 // recorder keeps the last 8192 spans and samples per-record spans 1 in 1024.
 //
 // Crash safety: -checkpoint-dir makes the run periodically write the full
-// engine state as a CRC-guarded checkpoint file (every -checkpoint-every
-// stage-2 cycles, plus a final one), and on startup restore the newest valid
-// checkpoint from that directory; when -journal points at the journal of the
+// server state, the partition and the binner's open buckets, as a
+// CRC-guarded checkpoint file (every -checkpoint-every stage-2 cycles, plus
+// a final one), and on startup restore the newest valid checkpoint from that
+// directory (an engine-only one from an older run restores with no open
+// buckets); when -journal points at the journal of the
 // interrupted run, the events recorded after the restored checkpoint are
 // replayed on top, so the partition resumes exactly where the previous
 // process died (the journal file is then appended to, not truncated). A
@@ -36,7 +45,11 @@
 // increase line by line is refused rather than replayed.
 // -resync switches the binary trace reader into degraded-mode ingest:
 // corrupt byte stretches are scanned past (counted in
-// ipd_records_resync_total) instead of aborting the run.
+// ipd_records_resync_total) instead of aborting the run. It also lets the
+// run go on past records the binner drops as future, more than 5 minutes
+// ahead of statistical time (a timestamp jump, or a gap in which every feed
+// fell silent; the records after such a gap are all dropped); without it
+// the first such drop fails the run.
 //
 // Resource governance: -max-ranges and -mem-budget bound the partition size
 // and live heap; either implies -governor, which evaluates the budgets every
@@ -178,42 +191,17 @@ func run(o *options) error {
 		return err
 	}
 	defer n.Close()
-	eng, err := ipd.NewEngine(n.Config)
+	srv, err := ipd.NewServer(n.Config, ipd.DefaultStatTimeConfig())
 	if err != nil {
 		return err
 	}
-	locked := &node.Locked{Engine: eng}
-	if err := n.Attach(locked, o.debugHTTP != "" || o.traceOut != ""); err != nil {
+	if err := n.Attach(srv, o.debugHTTP != "" || o.traceOut != ""); err != nil {
 		return err
 	}
-	flowMetrics := ipd.NewFlowMetrics(eng.Telemetry())
-
 	// Crash recovery: restore the newest valid checkpoint and replay the
-	// journal tail, then checkpoint periodically (and finally) below.
+	// journal tail; the server then checkpoints as it goes and in Finish.
 	if err := n.Restore(); err != nil {
 		return err
-	}
-	mgr := n.Checkpoints
-	lastCkpt := eng.Cycles()
-	maybeCheckpoint := func(force bool) {
-		if mgr == nil {
-			return
-		}
-		// Cheap gate: an atomic cycle-counter read per record.
-		cycles := eng.Cycles()
-		if !force && cycles-lastCkpt < o.node.CheckpointEvery {
-			return
-		}
-		lastCkpt = cycles
-		locked.Mu.Lock()
-		data := eng.MarshalState()
-		seq := eng.Seq()
-		locked.Mu.Unlock()
-		// Failures are counted (ipd_checkpoint_errors_total) and logged; the
-		// run continues with the previous checkpoint intact.
-		if err := mgr.Save(seq, data); err != nil {
-			fmt.Fprintln(os.Stderr, "ipd: checkpoint:", err)
-		}
 	}
 
 	if o.debugHTTP != "" {
@@ -229,51 +217,58 @@ func run(o *options) error {
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
 
-	var nextBin time.Time
-	var implausible int
-	emit := func(at time.Time) error {
-		if o.summary {
-			return nil
-		}
-		return ipd.WriteOutputSnapshot(out, at, eng.Mapped(), nil)
-	}
-	// maxJump bounds how far a single record may advance the clock. A corrupt
-	// record that mis-decodes into a timestamp centuries ahead would otherwise
-	// drive the bin-advance loop (and the engine's cycle loop) effectively
-	// forever. Week-long gaps in a legitimate trace still advance cheaply.
-	const maxJump = 7 * 24 * time.Hour
-	handle := func(rec ipd.Record) error {
-		locked.Mu.Lock()
-		defer locked.Mu.Unlock()
-		if nextBin.IsZero() {
-			nextBin = rec.Ts.Truncate(o.bin).Add(o.bin)
-		}
-		if rec.Ts.After(nextBin.Add(maxJump)) {
-			if !o.resync {
-				return fmt.Errorf("record timestamp %v jumps more than %v past the current bin %v (corrupt input? try -resync)",
-					rec.Ts, maxJump, nextBin)
+	// Appendix-B rows: as a cycle starts, every -bin boundary B before it is
+	// written, so B's rows are the ranges the last cycle at or before B left.
+	// The first boundary is the first at or after the first cycle. The hook
+	// runs inside Ingest and Finish; werr is checked after them.
+	var nextBin, last time.Time
+	var werr error
+	if !o.summary {
+		srv.SetCycleHook(func(at time.Time, mapped func() []ipd.RangeInfo) {
+			if nextBin.IsZero() {
+				nextBin = at.Truncate(o.bin)
+				if nextBin.Before(at) {
+					nextBin = nextBin.Add(o.bin)
+				}
 			}
-			implausible++
-			return nil
-		}
-		for !rec.Ts.Before(nextBin) {
-			eng.AdvanceTo(nextBin)
-			if err := emit(nextBin); err != nil {
-				return err
+			for ; nextBin.Before(at) && werr == nil; nextBin = nextBin.Add(o.bin) {
+				werr = ipd.WriteOutputSnapshot(out, nextBin, mapped(), nil)
 			}
-			nextBin = nextBin.Add(o.bin)
-		}
-		n.Health.ObserveRecord(rec.In.Router)
-		n.Workload.ObserveRecord(rec)
-		eng.Feed(rec)
-		return nil
+			last = at
+		})
 	}
 
+	// Records go to the server in batches of the collector's drain size.
+	// The binner drops a record more than MaxSkew ahead of statistical time
+	// as future: a timestamp jump, or a gap in which every feed fell silent,
+	// after which every later record is dropped too. Without -resync that
+	// ends the run instead of losing the rest of the trace silently.
+	batch := make([]ipd.Record, 0, 512)
 	var count int
+	ingest := func() error {
+		srv.Ingest(batch)
+		batch = batch[:0]
+		if werr != nil {
+			return werr
+		}
+		if _, bin := srv.Stats(); bin.DroppedFuture > 0 && !o.resync {
+			return fmt.Errorf("by record %d, %d records ran more than %v ahead of statistical time (a timestamp jump, or a gap in which every feed fell silent); -resync drops them and goes on",
+				count, bin.DroppedFuture, ipd.DefaultStatTimeConfig().MaxSkew)
+		}
+		return nil
+	}
+	add := func(rec ipd.Record) error {
+		n.Health.ObserveRecord(rec.In.Router)
+		count++
+		if batch = append(batch, rec); len(batch) == cap(batch) {
+			return ingest()
+		}
+		return nil
+	}
 	switch o.format {
 	case "binary":
 		tr := ipd.NewTraceReader(r)
-		tr.SetMetrics(flowMetrics)
+		tr.SetMetrics(ipd.NewFlowMetrics(srv.Telemetry()))
 		tr.SetTracer(n.Tracer)
 		tr.SetResync(o.resync)
 		for {
@@ -284,11 +279,9 @@ func run(o *options) error {
 			if err != nil {
 				return err
 			}
-			if err := handle(rec); err != nil {
+			if err := add(rec); err != nil {
 				return err
 			}
-			count++
-			maybeCheckpoint(false)
 		}
 	case "csv":
 		sc := bufio.NewScanner(r)
@@ -302,11 +295,9 @@ func run(o *options) error {
 			if err != nil {
 				return err
 			}
-			if err := handle(rec); err != nil {
+			if err := add(rec); err != nil {
 				return err
 			}
-			count++
-			maybeCheckpoint(false)
 		}
 		if err := sc.Err(); err != nil {
 			return err
@@ -314,28 +305,28 @@ func run(o *options) error {
 	default:
 		return fmt.Errorf("unknown format %q (want binary or csv)", o.format)
 	}
-
-	locked.Mu.Lock()
-	eng.ForceCycle()
-	err = emit(eng.Now())
-	locked.Mu.Unlock()
-	if err != nil {
+	if err := ingest(); err != nil {
 		return err
 	}
-	maybeCheckpoint(true)
+	srv.Finish()
+	if werr == nil && !o.summary {
+		werr = ipd.WriteOutputSnapshot(out, last, srv.Mapped(), nil)
+	}
+	if werr != nil {
+		return werr
+	}
 	if o.explain != "" {
-		if err := explain(os.Stderr, locked, n.Journal, o.explain); err != nil {
+		if err := explain(os.Stderr, srv, n.Journal, o.explain); err != nil {
 			return err
 		}
 	}
-	if implausible > 0 {
-		fmt.Fprintf(os.Stderr, "ipd: skipped %d records with implausible timestamps (degraded input)\n", implausible)
-	}
-	st := eng.Stats()
+	st, bin := srv.Stats()
 	fmt.Fprintf(os.Stderr,
 		"ipd: %d records, %d cycles, %d classifications (%d invalidated, %d expired), %d splits, %d joins, %d drops, %d active ranges, %d mapped, %d journal events\n",
 		count, st.Cycles, st.Classifications, st.Invalidations, st.Expirations,
-		st.Splits, st.Joins, st.Drops, eng.RangeCount(), len(eng.Mapped()), n.Journal.Recorded())
+		st.Splits, st.Joins, st.Drops, len(srv.Snapshot()), len(srv.Mapped()), n.Journal.Recorded())
+	fmt.Fprintf(os.Stderr, "ipd: stattime accepted %d, dropped %d stale, %d future, %d inactive\n",
+		bin.Accepted, bin.DroppedStale, bin.DroppedFuture, bin.DroppedInactive)
 	if err := n.Close(); err != nil {
 		return err
 	}
@@ -371,7 +362,7 @@ func writeTrace(path string, rec *trace.Recorder) error {
 }
 
 // explain prints the decision provenance for a comma-separated IP list.
-func explain(w io.Writer, src *node.Locked, j *ipd.Journal, ips string) error {
+func explain(w io.Writer, src *ipd.Server, j *ipd.Journal, ips string) error {
 	for _, s := range strings.Split(ips, ",") {
 		s = strings.TrimSpace(s)
 		if s == "" {

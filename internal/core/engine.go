@@ -178,6 +178,10 @@ type Engine struct {
 	// the flight recorder; nil disables tracing at one nil check per call.
 	tracer *trace.Tracer
 
+	// beforeCycle, when non-nil, runs first in every stage-2 cycle with the
+	// cycle's statistical time (Server.SetCycleHook).
+	beforeCycle func(at time.Time)
+
 	// ipCount is the live per-masked-IP entry population across all
 	// unclassified ranges, maintained at every mutation site so budget
 	// checks and gauges never walk the partition.
@@ -525,6 +529,9 @@ func (e *Engine) guardReentry() {
 // within one cycle (an empty collapse bears bornAt=now, a classified merge
 // yields a classified parent).
 func (e *Engine) runCycle(now time.Time) {
+	if e.beforeCycle != nil {
+		e.beforeCycle(now)
+	}
 	start := time.Now()
 	e.cycleID++
 	cycleStart := now.Add(-e.cfg.T)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,7 +73,7 @@ func feed(s *Server, recs []flow.Record) {
 		if len(recs) < n {
 			n = len(recs)
 		}
-		s.ingestBatch(recs[:n])
+		s.Ingest(recs[:n])
 		recs = recs[n:]
 	}
 }
@@ -87,7 +88,7 @@ func TestKillAndRestore(t *testing.T) {
 	// The uninterrupted run.
 	ref := testServerJournaled(t)
 	feed(ref, recs)
-	ref.finish()
+	ref.Finish()
 	wantData, wantSeq := ref.EncodeCheckpoint()
 
 	// The killed run: ingests the first half, checkpoints at a batch
@@ -106,7 +107,7 @@ func TestKillAndRestore(t *testing.T) {
 		t.Fatalf("restored seq = %d, want %d", got, ckptSeq)
 	}
 	feed(restored, recs[cut:])
-	restored.finish()
+	restored.Finish()
 	gotData, gotSeq := restored.EncodeCheckpoint()
 
 	if gotSeq != wantSeq {
@@ -130,7 +131,7 @@ func TestKillAndRestoreViaManager(t *testing.T) {
 
 	ref := testServerJournaled(t)
 	feed(ref, recs)
-	ref.finish()
+	ref.Finish()
 	wantData, _ := ref.EncodeCheckpoint()
 
 	dir := t.TempDir()
@@ -150,7 +151,7 @@ func TestKillAndRestoreViaManager(t *testing.T) {
 		t.Fatalf("Load: %v", err)
 	}
 	feed(restored, recs[cut:])
-	restored.finish()
+	restored.Finish()
 	gotData, _ := restored.EncodeCheckpoint()
 	if !bytes.Equal(gotData, wantData) {
 		t.Error("restored-from-disk run diverged from uninterrupted run")
@@ -444,6 +445,15 @@ func TestCheckpointWriteFailureKeepsServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The disk dies when dead is set. The write step is swapped in before
+	// RunQueue starts: swapping it later would race with RunQueue's saves.
+	var dead atomic.Bool
+	mgr.SetWriteFile(func(path string, data []byte) error {
+		if dead.Load() {
+			return errors.New("injected: disk gone")
+		}
+		return persist.WriteFileAtomic(path, data, 0o644)
+	})
 	s := testServerJournaled(t)
 	s.SetCheckpoint(mgr, 1)
 
@@ -466,7 +476,7 @@ func TestCheckpointWriteFailureKeepsServing(t *testing.T) {
 	}
 
 	// The disk dies.
-	mgr.SetWriteFile(func(string, []byte) error { return errors.New("injected: disk gone") })
+	dead.Store(true)
 	for _, r := range recs[cut:] {
 		q.Offer(r)
 	}

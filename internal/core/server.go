@@ -17,15 +17,16 @@ import (
 
 // Server wraps an Engine with the deployment's structure (§3.2: stage 1 and
 // stage 2 run in parallel threads; §3.1: a statistical-time pre-processing
-// step cleans router clock drift). RunQueue drains records from the bounded
-// IngestQueue the collectors feed; the statistical-time binner segments them
+// step cleans router clock drift). Ingest takes record batches: RunQueue
+// drains them from the bounded IngestQueue the collectors feed, and a trace
+// reader hands them over directly. The statistical-time binner segments them
 // into buckets; each completed bucket is ingested and stage-2 cycles run as
 // statistical time crosses T boundaries. Snapshots may be taken concurrently
 // from other goroutines.
 //
 // Locking contract: mu guards all mutable engine and binner state (the
-// trie, range states, open buckets). RunQueue is the only writer; it acquires mu
-// once per drained batch of records, not once per record, so snapshot
+// trie, range states, open buckets). Ingest and Finish are the only writers;
+// Ingest acquires mu once per batch of records, not once per record, so snapshot
 // readers get a chance to interleave at batch boundaries even under
 // saturating input. Snapshot, Mapped, LookupTable, and Range take mu to
 // read structured state. Stats and the telemetry registry deliberately do
@@ -35,8 +36,8 @@ type Server struct {
 	eng *Engine
 	bin *stattime.Binner
 
-	// ckpt, when non-nil, makes RunQueue write a checkpoint every
-	// ckptEvery stage-2 cycles and a final one on shutdown. The encode runs
+	// ckpt, when non-nil, makes Ingest write a checkpoint every
+	// ckptEvery stage-2 cycles and Finish a final one. The encode runs
 	// under mu; the file write happens off-lock at a batch boundary, so
 	// checkpointing never touches the Observe hot path.
 	ckpt       *persist.Manager
@@ -49,7 +50,7 @@ type Server struct {
 	// back into the server.
 	workload func(batch []flow.Record)
 
-	// lockWaitNanos accumulates how long ingestBatch waited to acquire mu;
+	// lockWaitNanos accumulates how long Ingest waited to acquire mu;
 	// lockAcquisitions counts the acquisitions. Together they are the
 	// ingest-lock contention signal the timeline records (the measurement
 	// that motivates the sharded-engine direction): wait time per batch is
@@ -84,15 +85,15 @@ func NewServer(cfg Config, st stattime.Config) (*Server, error) {
 
 // SetTracer attaches a pipeline tracer to both the engine (observe and
 // cycle-phase spans) and the statistical-time binner (bin spans); nil
-// detaches. Call during setup, before RunQueue.
+// detaches. Call during setup, before the first Ingest.
 func (s *Server) SetTracer(t *trace.Tracer) {
 	s.eng.SetTracer(t)
 	s.bin.SetTracer(t)
 }
 
-// SetCheckpoint arranges for RunQueue to write a checkpoint via mgr
-// every everyCycles stage-2 cycles (minimum 1) plus a final one at
-// shutdown. Call during setup, before RunQueue. Write failures are counted by
+// SetCheckpoint arranges for Ingest to write a checkpoint via mgr
+// every everyCycles stage-2 cycles (minimum 1), and for Finish a final one.
+// Call during setup, before the first Ingest. Write failures are counted by
 // the manager (ipd_checkpoint_errors_total) and do not interrupt ingest —
 // the previous checkpoint stays valid.
 func (s *Server) SetCheckpoint(mgr *persist.Manager, everyCycles uint64) {
@@ -105,15 +106,25 @@ func (s *Server) SetCheckpoint(mgr *persist.Manager, everyCycles uint64) {
 }
 
 // SetWorkload attaches a workload observer fed each drained record batch
-// (workload.Profiler.ObserveBatch). The batches are exactly the runBatch-
-// bounded drains of RunQueue; the observer applies its own thinning, so
-// every drained record is handed over. Runs outside the ingest lock. Call
-// during setup, before RunQueue.
+// (workload.Profiler.ObserveBatch). The batches are exactly those handed to
+// Ingest; the observer applies its own thinning, so every record is handed
+// over. Runs outside the ingest lock. Call during setup, before the first
+// Ingest.
 func (s *Server) SetWorkload(fn func(batch []flow.Record)) { s.workload = fn }
+
+// SetCycleHook arranges for fn to run at the start of every stage-2 cycle,
+// under the server lock, with the cycle's statistical time and a reader of
+// the classified ranges as the previous cycle left them. fn must not call
+// back into the server, and while it runs (a write to a blocked pipe, say)
+// ingest and every locked reader wait. Call during setup, before the first
+// Ingest.
+func (s *Server) SetCycleHook(fn func(at time.Time, mapped func() []RangeInfo)) {
+	s.eng.beforeCycle = func(at time.Time) { fn(at, s.eng.Mapped) }
+}
 
 // maybeCheckpoint writes a checkpoint when the configured cycle interval
 // has elapsed (or unconditionally when force is set, for shutdown). Called
-// from RunQueue only, between batches and off the ingest lock.
+// between batches, off the ingest lock.
 func (s *Server) maybeCheckpoint(force bool) {
 	if s.ckpt == nil {
 		return
@@ -129,20 +140,23 @@ func (s *Server) maybeCheckpoint(force bool) {
 	_ = s.ckpt.Save(seq, data)
 }
 
-// ingestBucket runs under s.mu (RunQueue holds the lock around OfferBatch and
-// Flush). The engine keeps no reference to the records, so the bucket's
-// backing array goes straight back to the binner.
+// ingestBucket runs under s.mu (Ingest holds the lock around OfferBatch and
+// Finish around Flush). The engine keeps no reference to the records, so the
+// bucket's backing array goes straight back to the binner.
 func (s *Server) ingestBucket(b stattime.Bucket) {
 	s.eng.ObserveBatch(b.Records)
 	s.eng.AdvanceTo(s.eng.Now())
 	s.bin.Recycle(b.Records)
 }
 
-// ingestBatch offers one drained batch to the binner under a single lock
-// acquisition (the locking contract on Server), measuring how long the
-// acquisition blocked. The two clock reads per batch (not per record) are
-// noise next to the 512-record batch body.
-func (s *Server) ingestBatch(batch []flow.Record) {
+// Ingest is the one record path into the server: it offers one batch to the
+// binner under a single lock acquisition (the locking contract on Server),
+// measuring how long the acquisition blocked, and then writes a checkpoint
+// if one is due. The two clock reads per batch (not per record) are noise
+// next to the batch body. RunQueue drains the queue through it; a caller
+// with a lossless input (a trace file) calls it directly, one goroutine at
+// a time, and ends with Finish.
+func (s *Server) Ingest(batch []flow.Record) {
 	if s.workload != nil {
 		s.workload(batch)
 	}
@@ -152,10 +166,11 @@ func (s *Server) ingestBatch(batch []flow.Record) {
 	s.lockAcquisitions.Add(1)
 	s.bin.OfferBatch(batch)
 	s.mu.Unlock()
+	s.maybeCheckpoint(false)
 }
 
-// LockContention returns the cumulative time ingestBatch spent waiting for
-// the ingest lock and the number of acquisitions (safe for concurrent use).
+// LockContention returns the cumulative time Ingest spent waiting for the
+// ingest lock and the number of acquisitions (safe for concurrent use).
 // Feed it to timeline.Collector.SetContention so contention lands in the
 // timeline as a per-cycle series.
 func (s *Server) LockContention() (wait time.Duration, acquisitions uint64) {
@@ -163,18 +178,15 @@ func (s *Server) LockContention() (wait time.Duration, acquisitions uint64) {
 }
 
 // RunQueue consumes records from q until q is closed and drained or ctx is
-// cancelled, then flushes remaining buckets and runs a final cycle. It
-// returns nil on queue close and ctx.Err() on cancellation. Cancellation is
-// a graceful drain, not an abort: records already buffered in the queue are
-// ingested before the flush, so a SIGTERM loses nothing that reached the
-// process (the cmd/ipd-collector shutdown path); producers still racing
-// their final offers extend that by at most drainLimit records.
+// cancelled, then ends with Finish. It returns nil on queue close and
+// ctx.Err() on cancellation. Cancellation is a graceful drain, not an abort:
+// records already buffered in the queue are ingested before the flush, so a
+// SIGTERM loses nothing that reached the process (the cmd/ipd-collector
+// shutdown path); producers still racing their final offers extend that by
+// at most drainLimit records.
 //
-// Each pass pops up to runBatch buffered records and ingests them under one
-// mu acquisition (the locking contract on Server), blocking only while the
-// queue is empty. With a checkpoint manager attached it writes a checkpoint
-// every N stage-2 cycles at a batch boundary and a final one after the
-// shutdown flush, never inside the ingest lock.
+// Each pass pops up to runBatch buffered records and hands them to Ingest,
+// blocking only while the queue is empty.
 func (s *Server) RunQueue(ctx context.Context, q *IngestQueue) error {
 	const drainLimit = 1 << 20
 	batch := make([]flow.Record, 0, runBatch)
@@ -183,7 +195,7 @@ drain:
 		var ended bool
 		batch, ended = q.Pop(batch[:0], runBatch)
 		if len(batch) > 0 {
-			s.ingestBatch(batch)
+			s.Ingest(batch)
 		}
 		switch {
 		case ended:
@@ -196,15 +208,15 @@ drain:
 			}
 		case ctx.Err() != nil:
 			drained += len(batch)
-		default:
-			s.maybeCheckpoint(false)
 		}
 	}
-	s.finish()
+	s.Finish()
 	return ctx.Err()
 }
 
-func (s *Server) finish() {
+// Finish ends a run: it flushes the open statistical-time buckets, runs a
+// final stage-2 cycle, and writes the final checkpoint off the lock.
+func (s *Server) Finish() {
 	s.mu.Lock()
 	s.bin.Flush()
 	s.eng.ForceCycle()

@@ -258,7 +258,7 @@ func TestSketchedCheckpointRoundTrip(t *testing.T) {
 
 // TestSketchStatusConcurrentWithIngest exercises the server's sketch
 // introspection concurrently with flood ingest — the pair the race detector
-// watches: ingestBatch mutating the engine while scrape goroutines read
+// watches: Ingest mutating the engine while scrape goroutines read
 // SketchStatus and the mapped snapshot.
 func TestSketchStatusConcurrentWithIngest(t *testing.T) {
 	g, err := governor.New(governor.Config{MaxIPStates: 100, SketchTier: true})
@@ -304,7 +304,7 @@ func TestSketchStatusConcurrentWithIngest(t *testing.T) {
 		}
 	}()
 	feed(s, recs)
-	s.finish()
+	s.Finish()
 	close(done)
 	wg.Wait()
 

@@ -202,9 +202,6 @@ func NewWriter(w io.Writer, cfg WriterConfig) *Writer {
 	return &Writer{w: w, cfg: cfg}
 }
 
-// Written returns how many bytes the writer has accepted.
-func (fw *Writer) Written() int64 { return fw.off }
-
 func (fw *Writer) Write(p []byte) (int, error) {
 	if fw.cfg.FailAlways {
 		return 0, ErrInjected

@@ -14,9 +14,8 @@
 //	GET /ipd/workload                                     workload heavy hitters + latency
 //	GET /ipd/sketch                                       fixed-memory sketch tier status + ε/δ bound
 //
-// The handlers read through a Source (core.Server implements it; node.Locked
-// wraps a single-threaded engine in a mutex) and never mutate, so mounting
-// them on the debug mux of a running collector is safe.
+// The handlers read through a Source (core.Server implements it) and never
+// mutate, so mounting them on the debug mux of a running binary is safe.
 //
 // Error handling is uniform across all endpoints: every response is JSON; a
 // malformed query parameter is 400 with an {"error": ...} body naming the

@@ -11,12 +11,12 @@ import (
 	"ipd/internal/telemetry"
 )
 
-// Handler returns the debug surface over the attached engine: /metrics
+// Handler returns the debug surface over the attached server: /metrics
 // (Prometheus), /debug/vars (JSON), /debug/pprof/, the /ipd/ introspection
 // API, and, while tracing runs, the watchdog's /healthz and /readyz. Callers
 // may mount more routes on the returned mux. Call after Attach.
 func (n *Node) Handler() *http.ServeMux {
-	reg := n.target.Telemetry()
+	reg := n.srv.Telemetry()
 	telemetry.RegisterProcessMetrics(reg)
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
@@ -38,9 +38,9 @@ func (n *Node) Handler() *http.ServeMux {
 		a.Traces = n.Tracer.Recorder()
 	}
 	if n.Config.Sketch {
-		a.Sketch = n.target.SketchStatus
+		a.Sketch = n.srv.SketchStatus
 	}
-	mux.Handle("/ipd/", introspect.New(n.target, a))
+	mux.Handle("/ipd/", introspect.New(n.srv, a))
 	if n.watchdog != nil {
 		mux.Handle("/healthz", n.watchdog.HealthzHandler())
 		mux.Handle("/readyz", n.watchdog.ReadyzHandler())

@@ -6,11 +6,12 @@
 //  1. New: the logger, the decision journal and its JSONL sink, exporter
 //     health, the workload profiler, the timeline (or its tick-only
 //     fallback), the resource governor, and the engine config hooks that
-//     connect them. The binary then builds its core.Engine or core.Server
-//     from Node.Config.
-//  2. Attach: metric registration on the engine's registry, the checkpoint
-//     manager, and — only when something can read them — the tracer and the
-//     cycle watchdog.
+//     connect them. The binary then builds its core.Server from
+//     Node.Config; both binaries feed it through Server.Ingest.
+//  2. Attach: metric registration on the server's registry, the workload
+//     and lock-contention feeds, the checkpoint manager and the server's
+//     checkpoint cadence, and — only when something can read them — the
+//     tracer and the cycle watchdog.
 //  3. Restore: the newest valid checkpoint plus the journal tail after it.
 //  4. Handler: the debug surface (/metrics, /debug/vars, pprof, /ipd/*,
 //     /healthz, /readyz).
@@ -28,18 +29,14 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net/netip"
 	"os"
 	"runtime"
-	"sync"
 
 	"ipd/internal/core"
 	"ipd/internal/exphealth"
 	"ipd/internal/governor"
-	"ipd/internal/introspect"
 	"ipd/internal/journal"
 	"ipd/internal/persist"
-	"ipd/internal/telemetry"
 	"ipd/internal/timeline"
 	"ipd/internal/trace"
 	"ipd/internal/workload"
@@ -49,7 +46,7 @@ import (
 // binaries feed or read; a nil field is a part the flags left out.
 type Node struct {
 	// Config is the engine configuration with every node-driven hook set;
-	// build the engine or server from it.
+	// build the server from it.
 	Config core.Config
 
 	Logger   *slog.Logger
@@ -67,13 +64,14 @@ type Node struct {
 	flags    *Flags
 	sink     *os.File
 	sinkBase int64 // the sink's size before the engine journaled anything
-	target   Target
+	srv      *core.Server
 	watchdog *core.Watchdog
 }
 
 // GovernorInputs are what a binary with an ingest queue hands the governor:
 // the queue's capacity and depth (a fourth budget axis) and a hook run on
-// every state change. cmd/ipd has no queue and passes the zero value.
+// every state change. cmd/ipd reads a file, which needs no queue, and passes
+// the zero value.
 type GovernorInputs struct {
 	QueueCap     int
 	QueueDepth   func() int
@@ -248,70 +246,25 @@ func trimTornTail(f *os.File) (size int64, torn bool, err error) {
 	return cut, true, f.Truncate(cut)
 }
 
-// Target is the engine a Node serves: a *core.Server, or a *Locked engine.
-// The read methods must be safe for concurrent use.
-type Target interface {
-	introspect.Source
-	SketchStatus() core.SketchStatus
-	Telemetry() *telemetry.Registry
-	SetTracer(*trace.Tracer)
-	Seq() uint64
-	ApplyEvent(core.Event) error
-	RestoreCheckpoint(data []byte) error
-}
-
-// Locked makes a single-threaded core.Engine a Target: its owner holds Mu
-// around every mutation, and the debug surface's reads below take it. The
-// embedded engine's other methods are not locked.
-type Locked struct {
-	Mu sync.Mutex
-	*core.Engine
-}
-
-// Snapshot returns all active ranges under Mu.
-func (l *Locked) Snapshot() []core.RangeInfo {
-	l.Mu.Lock()
-	defer l.Mu.Unlock()
-	return l.Engine.Snapshot()
-}
-
-// Range returns the active range covering addr under Mu.
-func (l *Locked) Range(addr netip.Addr) (core.RangeInfo, bool) {
-	l.Mu.Lock()
-	defer l.Mu.Unlock()
-	return l.Engine.Range(addr)
-}
-
-// Explain explains addr's verdict under Mu.
-func (l *Locked) Explain(addr netip.Addr) (core.Explanation, bool) {
-	l.Mu.Lock()
-	defer l.Mu.Unlock()
-	return l.Engine.Explain(addr)
-}
-
-// SketchStatus reads the sketch tier's status under Mu.
-func (l *Locked) SketchStatus() core.SketchStatus {
-	l.Mu.Lock()
-	defer l.Mu.Unlock()
-	return l.Engine.SketchStatus()
-}
-
-// RestoreCheckpoint replaces the engine state with a MarshalState payload.
-func (l *Locked) RestoreCheckpoint(data []byte) error { return l.UnmarshalState(data) }
-
-// Attach connects the node to the engine built from Config: it registers
-// every part's metrics on t's registry, opens the checkpoint directory, and,
-// when traced, builds the tracer and the cycle watchdog. Trace only when
+// Attach connects the node to the server built from Config: it registers
+// every part's metrics on the server's registry, feeds the workload profiler
+// the ingested batches and the timeline the ingest-lock contention, opens the
+// checkpoint directory and has the server checkpoint into it, and, when
+// traced, builds the tracer and the cycle watchdog. Trace only when
 // something reads the spans (an HTTP address or a trace file); otherwise the
 // hot paths pay a nil check.
-func (n *Node) Attach(t Target, traced bool) error {
-	n.target = t
-	reg := t.Telemetry()
+func (n *Node) Attach(srv *core.Server, traced bool) error {
+	n.srv = srv
+	srv.SetWorkload(n.Workload.ObserveBatch)
+	reg := srv.Telemetry()
 	n.Journal.RegisterMetrics(reg)
 	n.Health.RegisterMetrics(reg)
 	n.Workload.RegisterMetrics(reg)
 	if n.Timeline != nil {
 		n.Timeline.RegisterMetrics(reg)
+		// The one wall-clock input; it lands only in the timeline store,
+		// never in journaled events, so replay stays deterministic.
+		n.Timeline.SetContention(srv.LockContention)
 	}
 	if n.Governor != nil {
 		n.Governor.RegisterMetrics(reg)
@@ -322,12 +275,15 @@ func (n *Node) Attach(t Target, traced bool) error {
 			return err
 		}
 		n.Checkpoints = mgr
+		// A restore runs no stage-2 cycle, so the cadence counted from here
+		// is the one counted from after Restore.
+		srv.SetCheckpoint(mgr, n.flags.CheckpointEvery)
 	}
 	if !traced {
 		return nil
 	}
 	n.Tracer = trace.New(trace.Options{Registry: reg})
-	t.SetTracer(n.Tracer)
+	srv.SetTracer(n.Tracer)
 	wd, err := core.NewWatchdog(core.WatchdogConfig{Interval: n.Config.T, Registry: reg})
 	if err != nil {
 		return err
@@ -342,21 +298,22 @@ func (n *Node) Attach(t Target, traced bool) error {
 }
 
 // Restore is the startup half of crash recovery: load the newest valid
-// checkpoint into the attached engine, then replay the events the previous
+// checkpoint into the attached server, then replay the events the previous
 // run journaled after it. No checkpoint directory, an empty one, or a
-// missing journal file is a cold start, not an error.
+// missing journal file is a cold start, not an error. Call it before the
+// first Ingest.
 func (n *Node) Restore() error {
 	if n.Checkpoints == nil {
 		return nil
 	}
-	path, err := n.Checkpoints.Load(n.target.RestoreCheckpoint)
+	path, err := n.Checkpoints.Load(n.srv.RestoreCheckpoint)
 	if errors.Is(err, persist.ErrNoCheckpoint) {
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("checkpoint restore: %v", err)
 	}
-	fmt.Fprintf(os.Stderr, "%s: restored checkpoint %s (seq %d)\n", n.name, path, n.target.Seq())
+	fmt.Fprintf(os.Stderr, "%s: restored checkpoint %s (seq %d)\n", n.name, path, n.srv.Seq())
 	if n.flags.Journal == "" {
 		return nil
 	}
@@ -374,13 +331,13 @@ func (n *Node) Restore() error {
 		return fmt.Errorf("journal tail: %v", err)
 	}
 	defer f.Close()
-	replayed, err := journal.ReplayTail(bufio.NewReader(f), n.target.Seq(), n.target.ApplyEvent)
+	replayed, err := journal.ReplayTail(bufio.NewReader(f), n.srv.Seq(), n.srv.ApplyEvent)
 	if err != nil {
 		return fmt.Errorf("journal tail replay: %v", err)
 	}
 	n.Checkpoints.NoteReplayed(replayed)
 	if replayed > 0 {
-		fmt.Fprintf(os.Stderr, "%s: replayed %d journal events (now at seq %d)\n", n.name, replayed, n.target.Seq())
+		fmt.Fprintf(os.Stderr, "%s: replayed %d journal events (now at seq %d)\n", n.name, replayed, n.srv.Seq())
 	}
 	return nil
 }

@@ -18,6 +18,7 @@ import (
 	"ipd/internal/core"
 	"ipd/internal/flow"
 	"ipd/internal/journal"
+	"ipd/internal/persist"
 	"ipd/internal/stattime"
 )
 
@@ -48,18 +49,17 @@ func newNode(t *testing.T, args ...string) *Node {
 	return n
 }
 
-// attachEngine builds the engine from n.Config and attaches it.
-func attachEngine(t *testing.T, n *Node, traced bool) *Locked {
+// attachServer builds the server from n.Config and attaches it.
+func attachServer(t *testing.T, n *Node, traced bool) *core.Server {
 	t.Helper()
-	eng, err := core.NewEngine(n.Config)
+	srv, err := core.NewServer(n.Config, stattime.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := &Locked{Engine: eng}
-	if err := n.Attach(l, traced); err != nil {
+	if err := n.Attach(srv, traced); err != nil {
 		t.Fatal(err)
 	}
-	return l
+	return srv
 }
 
 func TestValidate(t *testing.T) {
@@ -131,7 +131,7 @@ func TestValidate(t *testing.T) {
 func TestCloseReportsSinkError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
 	n := newNode(t, "-journal", path)
-	attachEngine(t, n, false) // the engine journals its two /0 roots
+	attachServer(t, n, false) // the engine journals its two /0 roots
 	if err := n.Close(); err != nil {
 		t.Fatalf("healthy sink: %v", err)
 	}
@@ -147,7 +147,7 @@ func TestCloseReportsSinkError(t *testing.T) {
 		t.Skip("no /dev/full on this system")
 	}
 	n = newNode(t, "-journal", "/dev/full")
-	attachEngine(t, n, false)
+	attachServer(t, n, false)
 	if err := n.Close(); err == nil || !strings.Contains(err.Error(), "journal sink") {
 		t.Fatalf("Close with a full sink = %v, want a journal sink error", err)
 	}
@@ -163,48 +163,58 @@ var quadrants = []struct {
 	{"210.0.0.0", flow.Ingress{Router: 4, Iface: 1}}, // 192.0.0.0/2
 }
 
-// feed runs cycles [from, to) of a stream with one ingress per /2 quadrant;
-// from cycle shiftAt on, the first quadrant enters through the last
-// quadrant's ingress, which invalidates and reclassifies it.
-func feed(l *Locked, from, to, shiftAt int) {
-	start := time.Date(2024, 8, 4, 12, 0, 0, 0, time.UTC)
-	for c := from; c < to; c++ {
-		ts := start.Add(time.Duration(c) * time.Minute)
-		for qi, q := range quadrants {
-			in := q.in
-			if qi == 0 && c >= shiftAt {
-				in = quadrants[3].in
-			}
-			a := netip.MustParseAddr(q.base).As4()
-			for i := 0; i < 20; i++ {
-				a[3] = byte(i)
-				l.Observe(flow.Record{Ts: ts, Src: netip.AddrFrom4(a), In: in, Bytes: 1200, Packets: 1})
-			}
+// minute returns minute c of a stream with one ingress per /2 quadrant, 20
+// addresses each; from minute shiftAt on, the first quadrant enters through
+// the last quadrant's ingress, which invalidates and reclassifies it.
+func minute(c, shiftAt int) []flow.Record {
+	ts := time.Date(2024, 8, 4, 12, 0, 0, 0, time.UTC).Add(time.Duration(c) * time.Minute)
+	var recs []flow.Record
+	for qi, q := range quadrants {
+		in := q.in
+		if qi == 0 && c >= shiftAt {
+			in = quadrants[3].in
 		}
-		l.AdvanceTo(ts.Add(time.Minute))
+		a := netip.MustParseAddr(q.base).As4()
+		for i := 0; i < 20; i++ {
+			a[3] = byte(i)
+			recs = append(recs, flow.Record{Ts: ts, Src: netip.AddrFrom4(a), In: in, Bytes: 1200, Packets: 1})
+		}
+	}
+	return recs
+}
+
+// feed ingests minutes [from, to) of the minute stream, one batch per
+// minute. Stage 2 runs as statistical time crosses each minute, so the
+// cycles trail the last minute fed by the binner's open buckets.
+func feed(srv *core.Server, from, to, shiftAt int) {
+	for c := from; c < to; c++ {
+		srv.Ingest(minute(c, shiftAt))
 	}
 }
 
 // TestRestore is the crash-recovery contract both binaries rely on: a
 // checkpoint plus the journal events recorded after it reproduce the live
-// engine's partition, into a bare engine and into a server alike.
+// partition, from a server checkpoint and from a bare engine's alike.
 func TestRestore(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "j.jsonl")
-	args := []string{"-checkpoint-dir", filepath.Join(dir, "ckpt"), "-journal", jpath, "-factor4", "0.0005"}
+	// The live run's one checkpoint is saved by hand below; the cadence is
+	// set past the run so that no periodic one supersedes it.
+	args := []string{"-checkpoint-dir", filepath.Join(dir, "ckpt"), "-checkpoint-every", "1000",
+		"-journal", jpath, "-factor4", "0.0005"}
 
 	live := newNode(t, args...)
-	eng := attachEngine(t, live, false)
+	liveSrv := attachServer(t, live, false)
 	if err := live.Restore(); err != nil {
 		t.Fatalf("cold start: %v", err)
 	}
-	feed(eng, 0, 6, 8)
-	if err := live.Checkpoints.Save(eng.Seq(), eng.MarshalState()); err != nil {
+	feed(liveSrv, 0, 6, 8)
+	data, ckptSeq := liveSrv.EncodeCheckpoint()
+	if err := live.Checkpoints.Save(ckptSeq, data); err != nil {
 		t.Fatal(err)
 	}
-	ckptSeq := eng.Seq()
-	feed(eng, 6, 14, 8)
-	if eng.Seq() == ckptSeq {
+	feed(liveSrv, 6, 14, 8)
+	if liveSrv.Seq() == ckptSeq {
 		t.Fatal("no events after the checkpoint: the tail replay goes unexercised")
 	}
 	if err := live.Close(); err != nil {
@@ -212,32 +222,63 @@ func TestRestore(t *testing.T) {
 	}
 
 	t.Run("engine", func(t *testing.T) {
+		// A bare Engine.MarshalState checkpoint carries no binner section;
+		// the server restores it, and the journal tail, all the same.
+		edir := t.TempDir()
+		eargs := []string{"-checkpoint-dir", filepath.Join(edir, "ckpt"), "-journal", filepath.Join(edir, "j.jsonl"), "-factor4", "0.0005"}
+		en := newNode(t, eargs...)
+		eng, err := core.NewEngine(en.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckpts, err := persist.NewManager(persist.Options{Dir: filepath.Join(edir, "ckpt")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var engSeq uint64
+		for c := 0; c < 14; c++ {
+			if c == 6 {
+				engSeq = eng.Seq()
+				if err := ckpts.Save(engSeq, eng.MarshalState()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			recs := minute(c, 8)
+			for _, rec := range recs {
+				eng.Observe(rec)
+			}
+			eng.AdvanceTo(recs[0].Ts.Add(time.Minute))
+		}
+		if eng.Seq() == engSeq {
+			t.Fatal("no events after the engine checkpoint: the tail replay goes unexercised")
+		}
+		if err := en.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		n := newNode(t, eargs...)
+		srv := attachServer(t, n, false)
+		if err := n.Restore(); err != nil {
+			t.Fatal(err)
+		}
+		if want := eng.Seq() - engSeq; n.Checkpoints.Replayed() != want {
+			t.Errorf("replayed %d journal events, want the %d after the checkpoint", n.Checkpoints.Replayed(), want)
+		}
+		if err := core.DiffPartitions(eng.Snapshot(), srv.Snapshot()); err != nil {
+			t.Fatalf("server restored from an engine checkpoint diverged from the engine: %v", err)
+		}
+	})
+	t.Run("server", func(t *testing.T) {
 		n := newNode(t, args...)
-		got := attachEngine(t, n, false)
+		srv := attachServer(t, n, false)
 		if err := n.Restore(); err != nil {
 			t.Fatal(err)
 		}
 		if n.Checkpoints.Replayed() == 0 {
 			t.Error("restore replayed no journal events")
 		}
-		if err := core.DiffPartitions(eng.Snapshot(), got.Snapshot()); err != nil {
-			t.Fatalf("restored engine diverged from the live one: %v", err)
-		}
-	})
-	t.Run("server", func(t *testing.T) {
-		n := newNode(t, args...)
-		srv, err := core.NewServer(n.Config, stattime.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Attach(srv, false); err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Restore(); err != nil {
-			t.Fatal(err)
-		}
-		if err := core.DiffPartitions(eng.Snapshot(), srv.Snapshot()); err != nil {
-			t.Fatalf("restored server diverged from the live engine: %v", err)
+		if err := core.DiffPartitions(liveSrv.Snapshot(), srv.Snapshot()); err != nil {
+			t.Fatalf("restored server diverged from the live one: %v", err)
 		}
 	})
 	// A crash in the middle of an event write leaves a partial final line.
@@ -268,7 +309,7 @@ func TestRestore(t *testing.T) {
 			if c.restores && fi.Size() != int64(len(whole)) {
 				t.Fatalf("journal after New is %d bytes, want it cut to %d", fi.Size(), len(whole))
 			}
-			got := attachEngine(t, n, false)
+			got := attachServer(t, n, false)
 			err = n.Restore()
 			if !c.restores {
 				if err == nil {
@@ -279,11 +320,11 @@ func TestRestore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := eng.Seq() - ckptSeq; n.Checkpoints.Replayed() != want {
+			if want := liveSrv.Seq() - ckptSeq; n.Checkpoints.Replayed() != want {
 				t.Errorf("replayed %d journal events, want the %d whole lines after the checkpoint", n.Checkpoints.Replayed(), want)
 			}
-			if err := core.DiffPartitions(eng.Snapshot(), got.Snapshot()); err != nil {
-				t.Fatalf("restored engine diverged from the live one: %v", err)
+			if err := core.DiffPartitions(liveSrv.Snapshot(), got.Snapshot()); err != nil {
+				t.Fatalf("restored server diverged from the live one: %v", err)
 			}
 		})
 	}
@@ -297,7 +338,7 @@ func TestRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := newNode(t, "-checkpoint-dir", filepath.Join(dir, "ckpt"), "-journal", foreign, "-factor4", "0.0005")
-		attachEngine(t, n, false)
+		attachServer(t, n, false)
 		if err := n.Restore(); err == nil || !strings.Contains(err.Error(), "does not follow") {
 			t.Fatalf("restore over two runs in one journal = %v, want a seq-order error", err)
 		}
@@ -315,11 +356,12 @@ func TestRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := newNode(t, "-checkpoint-dir", filepath.Join(tmp, "ckpt"), "-journal", cold, "-factor4", "0.0005")
-		got := attachEngine(t, n, false)
+		got := attachServer(t, n, false)
 		if err := n.Restore(); err != nil {
 			t.Fatal(err)
 		}
 		feed(got, 0, 3, 8)
+		got.Finish()
 		if err := n.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +388,7 @@ func TestRestore(t *testing.T) {
 	t.Run("journal-missing", func(t *testing.T) {
 		// The checkpoint alone is restored; no journal tail is not an error.
 		n := newNode(t, args...)
-		got := attachEngine(t, n, false)
+		got := attachServer(t, n, false)
 		if err := os.Remove(jpath); err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +401,7 @@ func TestRestore(t *testing.T) {
 	})
 	t.Run("no-checkpoint", func(t *testing.T) {
 		n := newNode(t, "-checkpoint-dir", t.TempDir(), "-journal", filepath.Join(t.TempDir(), "j.jsonl"))
-		got := attachEngine(t, n, false)
+		got := attachServer(t, n, false)
 		before := got.Seq()
 		if err := n.Restore(); err != nil {
 			t.Fatal(err)
@@ -398,7 +440,7 @@ func TestHandlerRoutes(t *testing.T) {
 					args = append(args, "-sketch")
 				}
 				n := newNode(t, args...)
-				attachEngine(t, n, traced)
+				attachServer(t, n, traced)
 				mux := n.Handler()
 
 				code, body := getJSON(t, mux, "/ipd/")

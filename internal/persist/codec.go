@@ -104,12 +104,6 @@ func (e *Encoder) Time(t time.Time) {
 	e.Varint(t.UnixNano())
 }
 
-// Bytes appends a length-prefixed byte string.
-func (e *Encoder) Bytes(b []byte) {
-	e.Uvarint(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
 // Addr appends a netip.Addr as family-length + raw bytes; the invalid
 // (zero) Addr encodes as length 0.
 func (e *Encoder) Addr(a netip.Addr) {
@@ -251,21 +245,6 @@ func (d *Decoder) Time() (time.Time, error) {
 		return time.Time{}, err
 	}
 	return time.Unix(0, ns).UTC(), nil
-}
-
-// Bytes reads a length-prefixed byte string.
-func (d *Decoder) Bytes() ([]byte, error) {
-	n, err := d.Len()
-	if err != nil {
-		return nil, err
-	}
-	b, err := d.take(n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out, nil
 }
 
 // Addr reads a netip.Addr written by Encoder.Addr.

@@ -39,8 +39,6 @@ func TestCodecRoundTrip(t *testing.T) {
 		enc.Float64(0)
 		enc.Time(ts)
 		enc.Time(time.Time{})
-		enc.Bytes([]byte("hello"))
-		enc.Bytes(nil)
 		enc.Addr(v4)
 		enc.Addr(v6)
 		enc.Addr(netip.Addr{})
@@ -75,10 +73,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	if !gotTs.IsZero() {
 		t.Errorf("zero time = %v, want zero", gotTs)
 	}
-	bs, err := dec.Bytes()
-	check("bytes", string(bs), "hello")
-	bs, err = dec.Bytes()
-	check("empty bytes", len(bs), 0)
 	a, err := dec.Addr()
 	check("v4 addr", a, v4)
 	a, err = dec.Addr()
@@ -98,7 +92,7 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestCodecDetectsCorruption(t *testing.T) {
 	enc := NewEncoder(testMagic, testVersion)
 	enc.Uvarint(12345)
-	enc.Bytes([]byte("payload"))
+	enc.Addr(netip.MustParseAddr("2001:db8::42"))
 	data := enc.Finish()
 
 	// Flip one bit in every byte position; every single corruption must be
@@ -114,7 +108,7 @@ func TestCodecDetectsCorruption(t *testing.T) {
 
 func TestCodecTruncation(t *testing.T) {
 	enc := NewEncoder(testMagic, testVersion)
-	enc.Bytes([]byte("some payload bytes"))
+	enc.Prefix(netip.MustParsePrefix("2001:db8::/48"))
 	data := enc.Finish()
 	for n := 0; n < len(data); n++ {
 		if _, err := NewDecoder(data[:n], testMagic, testVersion); err == nil {
@@ -168,7 +162,7 @@ func TestCodecRejectsShortReads(t *testing.T) {
 }
 
 func TestCodecRejectsBogusLengths(t *testing.T) {
-	// Hand-craft a container whose Bytes length prefix claims more data than
+	// Hand-craft a container whose length prefix claims more data than
 	// the buffer holds but passes the CRC (by building it through the
 	// encoder's raw buffer path: encode a huge uvarint where a length is
 	// expected).

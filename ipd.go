@@ -16,7 +16,8 @@
 //
 // For an online deployment shape (streaming records, concurrent snapshot
 // readers, statistical-time cleaning of router clock drift) use NewServer
-// and Server.RunQueue over an IngestQueue.
+// and Server.RunQueue over an IngestQueue, or Server.Ingest and
+// Server.Finish for an input that must not shed, such as a trace file.
 //
 // The package re-exports what the repository's commands, examples and
 // benchmark build on:
