@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -127,35 +129,55 @@ var commands = map[string]struct {
 }
 
 func main() {
-	var (
-		seed   = flag.Int64("seed", 1, "scenario seed")
-		rate   = flag.Int("rate", 5000, "average sampled flows per minute")
-		hours  = flag.Int("hours", 25, "day-run length (paper: 25h)")
-		quick  = flag.Bool("quick", false, "shrink runs for a fast look")
-		points = flag.Int("points", 12, "longitudinal snapshot count (fig10/15/16/17)")
-		every  = flag.Duration("every", 30*24*time.Hour, "longitudinal snapshot spacing")
-		full   = flag.Bool("full", false, "full-size variant (paramstudy)")
-	)
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() < 1 {
-		usage()
-		os.Exit(2)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "ipd-bench: %v\n", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
 	}
-	name := flag.Arg(0)
+}
+
+// errUsage marks a command line naming no known experiment.
+var errUsage = errors.New("usage")
+
+// run parses args (flags, then one experiment name) and writes the
+// experiment's report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("ipd-bench", flag.ContinueOnError)
+	var (
+		seed   = fs.Int64("seed", 1, "scenario seed")
+		rate   = fs.Int("rate", 5000, "average sampled flows per minute")
+		hours  = fs.Int("hours", 25, "day-run length (paper: 25h)")
+		quick  = fs.Bool("quick", false, "shrink runs for a fast look")
+		points = fs.Int("points", 12, "longitudinal snapshot count (fig10/15/16/17)")
+		every  = fs.Duration("every", 30*24*time.Hour, "longitudinal snapshot spacing")
+		full   = fs.Bool("full", false, "full-size variant (paramstudy)")
+	)
+	fs.Usage = func() { usage(fs) }
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	if fs.NArg() < 1 {
+		usage(fs)
+		return fmt.Errorf("%w: no experiment named", errUsage)
+	}
+	name := fs.Arg(0)
 
 	opts := experiments.DefaultOptions()
 	opts.Seed = *seed
 	opts.FlowsPerMinute = *rate
 	opts.Hours = *hours
-	opts.Writer = os.Stdout
 	if *quick {
 		opts = opts.Quick()
-		opts.Writer = os.Stdout
 	}
+	opts.Writer = w
 
+	names := []string{name}
 	if name == "all" {
-		names := make([]string, 0, len(commands))
+		names = names[:0]
 		for n := range commands {
 			if n == "fig14" || n == "paramstudy" {
 				continue // fig14 aliases fig13; the heavy one runs last
@@ -164,37 +186,32 @@ func main() {
 		}
 		sort.Strings(names)
 		names = append(names, "paramstudy")
-		for _, n := range names {
-			fmt.Println()
-			if err := commands[n].run(opts, *points, *every, *full); err != nil {
-				fmt.Fprintf(os.Stderr, "ipd-bench %s: %v\n", n, err)
-				os.Exit(1)
-			}
+	} else if _, ok := commands[name]; !ok {
+		usage(fs)
+		return fmt.Errorf("%w: unknown experiment %q", errUsage, name)
+	}
+	for _, n := range names {
+		if name == "all" {
+			fmt.Fprintln(w)
 		}
-		return
+		if err := commands[n].run(opts, *points, *every, *full); err != nil {
+			return fmt.Errorf("%s: %v", n, err)
+		}
 	}
-	cmd, ok := commands[name]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "ipd-bench: unknown experiment %q\n\n", name)
-		usage()
-		os.Exit(2)
-	}
-	if err := cmd.run(opts, *points, *every, *full); err != nil {
-		fmt.Fprintf(os.Stderr, "ipd-bench %s: %v\n", name, err)
-		os.Exit(1)
-	}
+	return nil
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, "usage: ipd-bench [flags] <experiment>\n\nexperiments:\n")
+func usage(fs *flag.FlagSet) {
+	out := fs.Output()
+	fmt.Fprintf(out, "usage: ipd-bench [flags] <experiment>\n\nexperiments:\n")
 	names := make([]string, 0, len(commands))
 	for n := range commands {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		fmt.Fprintf(os.Stderr, "  %-12s %s\n", n, commands[n].help)
+		fmt.Fprintf(out, "  %-12s %s\n", n, commands[n].help)
 	}
-	fmt.Fprintf(os.Stderr, "  %-12s run everything\n\nflags:\n", "all")
-	flag.PrintDefaults()
+	fmt.Fprintf(out, "  %-12s run everything\n\nflags:\n", "all")
+	fs.PrintDefaults()
 }

@@ -58,8 +58,6 @@ type ParamResult struct {
 	// KSLognormal is the KS distance of the stability distribution to a
 	// fitted lognormal (the appendix's stability metric).
 	KSLognormal float64
-	// CycleMicros is the mean stage-2 cycle runtime.
-	CycleMicros float64
 	// MaxRanges is the peak active range count (memory proxy).
 	MaxRanges int
 }
@@ -113,13 +111,13 @@ func ParamStudy(opts Options, grid StudyGrid) (StudyResult, error) {
 	fprintf(w, "# Appendix A: parameter study (%d configurations, %d records each)\n",
 		len(study.Results), len(records))
 	fprintf(w, "# paper: accuracy flat across parameters; stability ~ q, cidr_max; resources ~ cidr_max\n")
-	fprintf(w, "%-6s %-8s %-8s %-9s %-11s %-8s %-10s %s\n",
-		"q", "factor", "cidrmax", "accuracy", "stability_h", "ks_logn", "cycle_us", "max_ranges")
+	fprintf(w, "%-6s %-8s %-8s %-9s %-11s %-8s %s\n",
+		"q", "factor", "cidrmax", "accuracy", "stability_h", "ks_logn", "max_ranges")
 	for _, r := range study.Results {
-		fprintf(w, "%-6.3f %-8.4f %-8d %-9.3f %-11.3f %-8.3f %-10.1f %d\n",
-			r.Q, r.Factor, r.CIDRMax, r.Accuracy, r.MeanStabilityH, r.KSLognormal, r.CycleMicros, r.MaxRanges)
+		fprintf(w, "%-6.3f %-8.4f %-8d %-9.3f %-11.3f %-8.3f %d\n",
+			r.Q, r.Factor, r.CIDRMax, r.Accuracy, r.MeanStabilityH, r.KSLognormal, r.MaxRanges)
 	}
-	for _, metric := range []string{"accuracy", "stability", "cycle", "ranges"} {
+	for _, metric := range []string{"accuracy", "stability", "ranges"} {
 		for _, factor := range []string{"q", "factor", "cidrmax"} {
 			a := study.ANOVA[metric][factor]
 			fprintf(w, "anova metric=%-9s factor=%-7s F=%-8.2f p=%-8.4f eta2=%.3f\n",
@@ -145,8 +143,6 @@ func runParamConfig(opts Options, scn *trafficgen.Scenario, records []flow.Recor
 
 	tracker := eval.NewStabilityTracker()
 	var outcome eval.Outcome
-	var cycleSum time.Duration
-	var cycles uint64
 
 	bin := opts.Bin
 	binStart := records[0].Ts.Truncate(bin)
@@ -159,10 +155,7 @@ func runParamConfig(opts Options, scn *trafficgen.Scenario, records []flow.Recor
 			outcome.Accumulate(kind, mapped)
 		}
 		tracker.Observe(binStart.Add(bin), eng.Mapped())
-		st := eng.Stats()
-		cycleSum += st.LastCycleDuration
-		cycles++
-		if st.LastCycleRanges > res.MaxRanges {
+		if st := eng.Stats(); st.LastCycleRanges > res.MaxRanges {
 			res.MaxRanges = st.LastCycleRanges
 		}
 		binRecs = binRecs[:0]
@@ -185,9 +178,6 @@ func runParamConfig(opts Options, scn *trafficgen.Scenario, records []flow.Recor
 		fit := metrics.FitLogNormal(durations)
 		res.KSLognormal = metrics.KSDistance(durations, fit)
 	}
-	if cycles > 0 {
-		res.CycleMicros = float64(cycleSum.Microseconds()) / float64(cycles)
-	}
 	return res, nil
 }
 
@@ -196,7 +186,6 @@ func studyANOVA(results []ParamResult) map[string]map[string]metrics.AnovaResult
 	metricsOf := map[string]func(ParamResult) float64{
 		"accuracy":  func(r ParamResult) float64 { return r.Accuracy },
 		"stability": func(r ParamResult) float64 { return r.MeanStabilityH },
-		"cycle":     func(r ParamResult) float64 { return r.CycleMicros },
 		"ranges":    func(r ParamResult) float64 { return float64(r.MaxRanges) },
 	}
 	factorsOf := map[string]func(ParamResult) float64{
