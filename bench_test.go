@@ -1,12 +1,7 @@
-// Benchmarks regenerating every table and figure of the paper (one bench
-// per experiment; the shared validated runs are cached across benches, so
-// the first bench of a group pays for the run and the iterations measure
-// the analysis), plus microbenchmarks of the hot paths (§5.7) and ablation
-// benches for the design choices called out in DESIGN.md.
-//
-// Headline reproduction numbers are attached to the benchmark output via
-// b.ReportMetric, so `go test -bench=. -benchmem` doubles as the
-// paper-vs-measured record (see EXPERIMENTS.md).
+// Microbenchmarks of the hot paths (§5.7) and ablation benches for the
+// design choices called out in DESIGN.md. The paper's tables and figures
+// are regenerated by cmd/ipd-bench, whose output TestReproduction gates
+// (see EXPERIMENTS.md).
 package ipd_test
 
 import (
@@ -15,237 +10,8 @@ import (
 	"time"
 
 	"ipd"
-	"ipd/internal/experiments"
 	"ipd/internal/trafficgen"
 )
-
-func benchOpts() experiments.Options {
-	return experiments.DefaultOptions()
-}
-
-const (
-	longPoints = 12
-	longEvery  = 30 * 24 * time.Hour
-	// Fig. 17's growth inflections sit at months ~20 and ~30 of the
-	// archive; quarterly snapshots cover them within 12 points.
-	longEvery17 = 90 * 24 * time.Hour
-)
-
-func BenchmarkFig02StabilityDuration(b *testing.B) {
-	var last experiments.Fig2Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig2StabilityDuration(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.FracUnder1h, "P[<1h]")
-	b.ReportMetric(last.FracOver6h, "P[>6h]")
-}
-
-func BenchmarkFig03IngressCounts(b *testing.B) {
-	var last experiments.Fig3Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig3IngressCounts(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.FracSingleBGP, "bgp-single")
-	b.ReportMetric(last.FracBGPOver5, "bgp-over5")
-	b.ReportMetric(last.FracSingleObserved, "observed-single")
-}
-
-func BenchmarkFig04DominantShare(b *testing.B) {
-	var last experiments.Fig4Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig4DominantShare(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.FracDominant80, "P[top>=0.8]")
-}
-
-func BenchmarkFig05Walkthrough(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5Walkthrough(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig06Accuracy(b *testing.B) {
-	var last experiments.Fig6Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6Accuracy(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.Mean[experiments.GroupAll], "acc-ALL")
-	b.ReportMetric(last.Mean[experiments.GroupTop20], "acc-TOP20")
-	b.ReportMetric(last.Mean[experiments.GroupTop5], "acc-TOP5")
-}
-
-func BenchmarkFig07MissTaxonomy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig7MissTaxonomy(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig08MissTimeline(b *testing.B) {
-	var last experiments.Fig8Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8MissTimeline(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.MaintenanceMissRatio, "maint-ratio")
-}
-
-func BenchmarkFig09RangeSizes(b *testing.B) {
-	var last experiments.Fig9Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9RangeSizes(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.BGP24Share, "bgp-/24-share")
-}
-
-func BenchmarkFig10Longitudinal(b *testing.B) {
-	var last experiments.Fig10Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig10Longitudinal(benchOpts(), longPoints, longEvery)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	if n := len(last.Matching); n > 0 {
-		b.ReportMetric(last.Matching[n-1], "late-matching")
-		b.ReportMetric(last.Stable[n-1], "late-stable")
-	}
-}
-
-func BenchmarkFig11Daytime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig11Daytime(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig12CDNBehavior(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig12CDNBehavior(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig13ReactionToChange(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig13ReactionToChange(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.ChangeDetected {
-			b.Fatal("change not detected")
-		}
-	}
-}
-
-func BenchmarkFig15Elephants(b *testing.B) {
-	var last experiments.Fig15Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig15Elephants(benchOpts(), longPoints, longEvery)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.MedianRatio, "elephant/all-median")
-}
-
-func BenchmarkFig16Symmetry(b *testing.B) {
-	var last experiments.Fig16Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig16Symmetry(benchOpts(), longPoints, longEvery)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.Mean[experiments.GroupAll], "sym-ALL")
-	b.ReportMetric(last.Mean[experiments.GroupTop5], "sym-TOP5")
-	b.ReportMetric(last.Mean[experiments.GroupTier1], "sym-TIER1")
-}
-
-func BenchmarkFig17Violations(b *testing.B) {
-	var last experiments.Fig17Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig17Violations(benchOpts(), longPoints, longEvery17)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.IndirectShare, "indirect-share")
-	b.ReportMetric(last.GrowthLateOverEarly, "growth")
-}
-
-func BenchmarkSpecificity55(b *testing.B) {
-	var last experiments.SpecificityResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Specificity55(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.MoreSpecificShare, "more-specific")
-	b.ReportMetric(last.LessSpecificShare, "less-specific")
-}
-
-func BenchmarkBaselineComparison(b *testing.B) {
-	opts := benchOpts()
-	opts.Hours = 4
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.BaselineComparison(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Accuracy["ipd"], "acc-ipd")
-		b.ReportMetric(res.Accuracy["bgp"], "acc-bgp")
-		b.ReportMetric(res.Accuracy["static24"], "acc-static24")
-	}
-}
-
-func BenchmarkAppendixAParameterStudy(b *testing.B) {
-	opts := benchOpts()
-	opts.FlowsPerMinute = 1500
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.ParamStudy(opts, experiments.ScreeningGrid())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Appendix A headline: accuracy effect sizes stay small.
-		b.ReportMetric(res.ANOVA["accuracy"]["cidrmax"].EtaSq, "acc-eta2-cidrmax")
-		b.ReportMetric(res.ANOVA["ranges"]["cidrmax"].EtaSq, "ranges-eta2-cidrmax")
-	}
-}
 
 // --- §5.7 hot-path microbenchmarks ---------------------------------------
 
@@ -408,7 +174,8 @@ func BenchmarkLPMLookup(b *testing.B) {
 	records := benchRecords(b, 200_000)
 	eng := benchEngine(b)
 	for _, rec := range records {
-		eng.Feed(rec)
+		eng.Observe(rec)
+		eng.AdvanceTo(eng.Now())
 	}
 	eng.ForceCycle()
 	table := eng.LookupTable()
@@ -458,7 +225,8 @@ func ablationRun(b *testing.B, mutate func(*ipd.Config)) {
 			b.Fatal(err)
 		}
 		for _, rec := range records {
-			eng.Feed(rec)
+			eng.Observe(rec)
+			eng.AdvanceTo(eng.Now())
 		}
 		eng.ForceCycle()
 		st := eng.Stats()
@@ -537,7 +305,8 @@ func ablationBundleRun(b *testing.B, scn *trafficgen.Scenario, fold bool) {
 			b.Fatal(err)
 		}
 		for _, rec := range records {
-			eng.Feed(rec)
+			eng.Observe(rec)
+			eng.AdvanceTo(eng.Now())
 		}
 		eng.ForceCycle()
 		b.ReportMetric(float64(len(eng.Mapped())), "mapped")

@@ -9,15 +9,16 @@
 //	ipd-bench paramstudy -full    # the 180-configuration factorial
 //	ipd-bench fig16 -points 24    # longer longitudinal series
 //
-// Global flags (before the subcommand): -seed, -rate, -hours, -quick.
+// Flags, before or after the experiment: -seed, -rate, -hours, -quick,
+// -points, -every, -full.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -26,70 +27,42 @@ import (
 
 type runner func(opts experiments.Options, points int, every time.Duration, full bool) error
 
+// plain adapts an experiment that takes only the options, long one that also
+// takes the longitudinal point count and spacing. The report goes to
+// opts.Writer; the returned result is for tests.
+func plain[R any](fn func(experiments.Options) (R, error)) runner {
+	return func(o experiments.Options, _ int, _ time.Duration, _ bool) error {
+		_, err := fn(o)
+		return err
+	}
+}
+
+func long[R any](fn func(experiments.Options, int, time.Duration) (R, error)) runner {
+	return func(o experiments.Options, p int, e time.Duration, _ bool) error {
+		_, err := fn(o, p, e)
+		return err
+	}
+}
+
 var commands = map[string]struct {
 	help string
 	run  runner
 }{
-	"fig2": {"stability duration per prefix (CDF)", func(o experiments.Options, _ int, _ time.Duration, _ bool) error {
-		_, err := experiments.Fig2StabilityDuration(o)
-		return err
-	}},
-	"fig3": {"ingress router count per prefix: BGP vs observed", func(o experiments.Options, _ int, _ time.Duration, _ bool) error {
-		_, err := experiments.Fig3IngressCounts(o)
-		return err
-	}},
-	"fig4": {"traffic share of first-ranked ingress per /24", func(o experiments.Options, _ int, _ time.Duration, _ bool) error {
-		_, err := experiments.Fig4DominantShare(o)
-		return err
-	}},
-	"fig5": {"algorithm walk-through (split cascade)", func(o experiments.Options, _ int, _ time.Duration, _ bool) error {
-		_, err := experiments.Fig5Walkthrough(o)
-		return err
-	}},
-	"fig6": {"classification accuracy vs ground truth", func(o experiments.Options, _ int, _ time.Duration, _ bool) error {
-		_, err := experiments.Fig6Accuracy(o)
-		return err
-	}},
-	"fig7": {"miss taxonomy for TOP5 ASes", func(o experiments.Options, _ int, _ time.Duration, _ bool) error {
-		_, err := experiments.Fig7MissTaxonomy(o)
-		return err
-	}},
-	"fig8": {"miss timelines (maintenance spikes, diurnal CDNs)", func(o experiments.Options, _ int, _ time.Duration, _ bool) error {
-		_, err := experiments.Fig8MissTimeline(o)
-		return err
-	}},
-	"fig9": {"IPD range sizes vs BGP prefix sizes", func(o experiments.Options, _ int, _ time.Duration, _ bool) error {
-		_, err := experiments.Fig9RangeSizes(o)
-		return err
-	}},
-	"fig10": {"longitudinal matching/stable ratios", func(o experiments.Options, p int, e time.Duration, _ bool) error {
-		_, err := experiments.Fig10Longitudinal(o, p, e)
-		return err
-	}},
-	"fig11": {"network size by daytime (TOP5)", func(o experiments.Options, _ int, _ time.Duration, _ bool) error {
-		_, err := experiments.Fig11Daytime(o)
-		return err
-	}},
-	"fig12": {"network size by daytime (AS4 CDN)", func(o experiments.Options, _ int, _ time.Duration, _ bool) error {
-		_, err := experiments.Fig12CDNBehavior(o)
-		return err
-	}},
-	"fig13": {"reaction to change case study (also fig14)", func(o experiments.Options, _ int, _ time.Duration, _ bool) error {
-		_, err := experiments.Fig13ReactionToChange(o)
-		return err
-	}},
-	"fig14": {"alias of fig13 (detailed range view)", func(o experiments.Options, _ int, _ time.Duration, _ bool) error {
-		_, err := experiments.Fig13ReactionToChange(o)
-		return err
-	}},
-	"fig15": {"elephant-range stability", func(o experiments.Options, p int, e time.Duration, _ bool) error {
-		_, err := experiments.Fig15Elephants(o, p, e)
-		return err
-	}},
-	"fig16": {"ingress/egress symmetry over time", func(o experiments.Options, p int, e time.Duration, _ bool) error {
-		_, err := experiments.Fig16Symmetry(o, p, e)
-		return err
-	}},
+	"fig2":  {"stability duration per prefix (CDF)", plain(experiments.Fig2StabilityDuration)},
+	"fig3":  {"ingress router count per prefix: BGP vs observed", plain(experiments.Fig3IngressCounts)},
+	"fig4":  {"traffic share of first-ranked ingress per /24", plain(experiments.Fig4DominantShare)},
+	"fig5":  {"algorithm walk-through (split cascade)", plain(experiments.Fig5Walkthrough)},
+	"fig6":  {"classification accuracy vs ground truth", plain(experiments.Fig6Accuracy)},
+	"fig7":  {"miss taxonomy for TOP5 ASes", plain(experiments.Fig7MissTaxonomy)},
+	"fig8":  {"miss timelines (maintenance spikes, diurnal CDNs)", plain(experiments.Fig8MissTimeline)},
+	"fig9":  {"IPD range sizes vs BGP prefix sizes", plain(experiments.Fig9RangeSizes)},
+	"fig10": {"longitudinal matching/stable ratios", long(experiments.Fig10Longitudinal)},
+	"fig11": {"network size by daytime (TOP5)", plain(experiments.Fig11Daytime)},
+	"fig12": {"network size by daytime (AS4 CDN)", plain(experiments.Fig12CDNBehavior)},
+	"fig13": {"reaction to change case study (also fig14)", plain(experiments.Fig13ReactionToChange)},
+	"fig14": {"alias of fig13 (detailed range view)", plain(experiments.Fig13ReactionToChange)},
+	"fig15": {"elephant-range stability", long(experiments.Fig15Elephants)},
+	"fig16": {"ingress/egress symmetry over time", long(experiments.Fig16Symmetry)},
 	"fig17": {"tier-1 peering violations over time", func(o experiments.Options, p int, e time.Duration, _ bool) error {
 		// Quarterly spacing by default: the growth inflections sit at
 		// months ~20 and ~30 of the archive.
@@ -106,10 +79,7 @@ var commands = map[string]struct {
 		_, err := experiments.BaselineComparison(o)
 		return err
 	}},
-	"specificity": {"§5.5 IPD-vs-BGP prefix correlation", func(o experiments.Options, _ int, _ time.Duration, _ bool) error {
-		_, err := experiments.Specificity55(o)
-		return err
-	}},
+	"specificity": {"§5.5 IPD-vs-BGP prefix correlation", plain(experiments.Specificity55)},
 	"table1": {"default parameter table", func(o experiments.Options, _ int, _ time.Duration, _ bool) error {
 		experiments.Table1(o)
 		return nil
@@ -130,19 +100,13 @@ var commands = map[string]struct {
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "ipd-bench: %v\n", err)
-		if errors.Is(err, errUsage) {
-			os.Exit(2)
-		}
+		fmt.Fprintln(os.Stderr, "ipd-bench:", err)
 		os.Exit(1)
 	}
 }
 
-// errUsage marks a command line naming no known experiment.
-var errUsage = errors.New("usage")
-
-// run parses args (flags, then one experiment name) and writes the
-// experiment's report to w.
+// run parses args (flags, then one experiment name or all) and writes the
+// report to w.
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ipd-bench", flag.ContinueOnError)
 	var (
@@ -154,17 +118,39 @@ func run(args []string, w io.Writer) error {
 		every  = fs.Duration("every", 30*24*time.Hour, "longitudinal snapshot spacing")
 		full   = fs.Bool("full", false, "full-size variant (paramstudy)")
 	)
-	fs.Usage = func() { usage(fs) }
-	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+	sorted := make([]string, 0, len(commands))
+	for n := range commands {
+		sorted = append(sorted, n)
+	}
+	sort.Strings(sorted)
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: ipd-bench [flags] <experiment>\n\nexperiments:\n")
+		for _, n := range sorted {
+			fmt.Fprintf(fs.Output(), "  %-12s %s\n", n, commands[n].help)
+		}
+		fmt.Fprintf(fs.Output(), "  %-12s run everything\n\nflags:\n", "all")
+		fs.PrintDefaults()
+	}
+	err := fs.Parse(args)
+	name := fs.Arg(0)
+	if err == nil && fs.NArg() > 1 {
+		err = fs.Parse(fs.Args()[1:]) // flags after the experiment name
+	}
+	if err == flag.ErrHelp {
 		return nil
 	} else if err != nil {
-		return fmt.Errorf("%w: %v", errUsage, err)
+		return err
 	}
-	if fs.NArg() < 1 {
-		usage(fs)
-		return fmt.Errorf("%w: no experiment named", errUsage)
+	names := []string{name}
+	switch _, ok := commands[name]; {
+	case name == "all":
+		// fig14 aliases fig13; the heavy one runs last.
+		names = slices.DeleteFunc(sorted, func(n string) bool { return n == "fig14" || n == "paramstudy" })
+		names = append(names, "paramstudy")
+	case !ok:
+		fs.Usage()
+		return fmt.Errorf("unknown experiment %q", name)
 	}
-	name := fs.Arg(0)
 
 	opts := experiments.DefaultOptions()
 	opts.Seed = *seed
@@ -174,22 +160,6 @@ func run(args []string, w io.Writer) error {
 		opts = opts.Quick()
 	}
 	opts.Writer = w
-
-	names := []string{name}
-	if name == "all" {
-		names = names[:0]
-		for n := range commands {
-			if n == "fig14" || n == "paramstudy" {
-				continue // fig14 aliases fig13; the heavy one runs last
-			}
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		names = append(names, "paramstudy")
-	} else if _, ok := commands[name]; !ok {
-		usage(fs)
-		return fmt.Errorf("%w: unknown experiment %q", errUsage, name)
-	}
 	for _, n := range names {
 		if name == "all" {
 			fmt.Fprintln(w)
@@ -199,19 +169,4 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func usage(fs *flag.FlagSet) {
-	out := fs.Output()
-	fmt.Fprintf(out, "usage: ipd-bench [flags] <experiment>\n\nexperiments:\n")
-	names := make([]string, 0, len(commands))
-	for n := range commands {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(out, "  %-12s %s\n", n, commands[n].help)
-	}
-	fmt.Fprintf(out, "  %-12s run everything\n\nflags:\n", "all")
-	fs.PrintDefaults()
 }

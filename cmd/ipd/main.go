@@ -89,6 +89,7 @@ import (
 	"time"
 
 	"ipd"
+	"ipd/internal/core"
 	"ipd/internal/flow"
 	"ipd/internal/node"
 	"ipd/internal/trace"
@@ -217,23 +218,20 @@ func run(o *options) error {
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
 
-	// Appendix-B rows: as a cycle starts, every -bin boundary B before it is
-	// written, so B's rows are the ranges the last cycle at or before B left.
-	// The first boundary is the first at or after the first cycle. The hook
+	// Appendix-B rows: B's rows are the ranges the last cycle at or before
+	// -bin boundary B left (core.BinHook, the rule the paper's figures run
+	// by too), and the final set is stamped with the last cycle. The hook
 	// runs inside Ingest and Finish; werr is checked after them.
-	var nextBin, last time.Time
+	var last time.Time
 	var werr error
 	if !o.summary {
+		bins := core.BinHook(o.bin, func(b time.Time, mapped func() []ipd.RangeInfo) {
+			if werr == nil {
+				werr = ipd.WriteOutputSnapshot(out, b, mapped(), nil)
+			}
+		})
 		srv.SetCycleHook(func(at time.Time, mapped func() []ipd.RangeInfo) {
-			if nextBin.IsZero() {
-				nextBin = at.Truncate(o.bin)
-				if nextBin.Before(at) {
-					nextBin = nextBin.Add(o.bin)
-				}
-			}
-			for ; nextBin.Before(at) && werr == nil; nextBin = nextBin.Add(o.bin) {
-				werr = ipd.WriteOutputSnapshot(out, nextBin, mapped(), nil)
-			}
+			bins(at, mapped)
 			last = at
 		})
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ipd"
+	"ipd/internal/experiments"
 	"ipd/internal/node"
 	"ipd/internal/persist"
 )
@@ -322,5 +323,65 @@ func TestGapBeyondMaxSkew(t *testing.T) {
 	want := fmt.Sprintf("ipd: stattime accepted %d, dropped 0 stale, %d future, 0 inactive\n", len(before), len(after))
 	if !strings.HasSuffix(stderr, want) {
 		t.Fatalf("stderr does not count the records after the gap:\n%s\nwant suffix %q", stderr, want)
+	}
+}
+
+// TestFiguresRunTheBinaryPath pins that the paper's figures and the trace
+// binary run one record path: experiments.RunBins, given the Config the ipd
+// flags parse into, hands the figures at every -bin boundary the
+// ranges ipd prints there, and ends at the ranges ipd ends at.
+func TestFiguresRunTheBinaryPath(t *testing.T) {
+	recs := simTrace(t, 0, 30)
+	args := []string{"-factor4", "0.001", "-bin", "5m"}
+	stdout, _, err := runIPD(t, append(args, "-in", writeTraceFile(t, t.TempDir(), recs))...)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	o := newOptions(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	// The final cycle runs at statistical time, the newest record; ipd
+	// stamps the final set with it, and every boundary before it has rows.
+	last := slices.MaxFunc(recs, func(a, b ipd.Record) int { return a.Ts.Compare(b.Ts) }).Ts
+	var want bytes.Buffer
+	var rows int
+	var final []ipd.RangeInfo
+	_, err = experiments.RunBins(o.cfg, o.bin,
+		func(yield func(ipd.Record) bool) error {
+			for _, rec := range recs {
+				if !yield(rec) {
+					break
+				}
+			}
+			return nil
+		},
+		func(b time.Time, _ []ipd.Record, mapped []ipd.RangeInfo) {
+			if b.Before(last) {
+				rows++
+				if err := ipd.WriteOutputSnapshot(&want, b, mapped, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			final = mapped
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ipd.WriteOutputSnapshot(&want, last, final, nil); err != nil {
+		t.Fatal(err)
+	}
+	if rows != 5 || len(final) == 0 {
+		t.Fatalf("%d boundaries before the final cycle and %d final ranges, want 5 and some: the comparison would be vacuous", rows, len(final))
+	}
+	if stdout != want.String() {
+		gl, wl := strings.Split(stdout, "\n"), strings.Split(want.String(), "\n")
+		i := 0
+		for i < len(gl) && i < len(wl) && gl[i] == wl[i] {
+			i++
+		}
+		t.Fatalf("ipd's rows and the figures' bins differ from line %d (ipd %d lines, figures %d)", i+1, len(gl)-1, len(wl)-1)
 	}
 }

@@ -140,8 +140,8 @@ type Stats struct {
 	Invalidations   uint64
 	Expirations     uint64
 	// LastCycleRanges is the number of active ranges after the last cycle;
-	// LastCycleDuration its wall-clock runtime (the appendix's runtime
-	// metric).
+	// LastCycleDuration its wall-clock runtime (the benchmark's cycle
+	// times).
 	LastCycleRanges   int
 	LastCycleDuration time.Duration
 }
@@ -451,13 +451,6 @@ func (e *Engine) observe(rec *flow.Record, t *observed) {
 		e.started = true
 		e.lastCycle = rec.Ts.Truncate(e.cfg.T)
 	}
-}
-
-// Feed is Observe followed by AdvanceTo(statistical now): the convenience
-// entry point for serial drivers.
-func (e *Engine) Feed(rec flow.Record) {
-	e.Observe(rec)
-	e.AdvanceTo(e.now)
 }
 
 // AdvanceTo moves statistical time forward to ts, running one stage-2 cycle

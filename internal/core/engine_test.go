@@ -583,7 +583,7 @@ func TestInvalidAndUnusableRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Observe(flow.Record{})              // invalid
-	e.Feed(flow.Record{Ts: base})         // no src
+	e.Observe(flow.Record{Ts: base})      // no src
 	e.Observe(rec(base, "10.0.0.1", inA)) // fine
 	if got := e.Stats().RecordsDropped; got != 2 {
 		t.Errorf("RecordsDropped = %d", got)

@@ -256,7 +256,8 @@ func TestEngineGoldenStreams(t *testing.T) {
 			}
 			var got goldenDigests
 			for i, r := range recs {
-				e.Feed(r)
+				e.Observe(r)
+				e.AdvanceTo(e.Now())
 				for c := 0; c < 3; c++ {
 					if i+1 == (c+1)*len(recs)/4 {
 						got.cuts[c] = hexDigest(e.MarshalState())

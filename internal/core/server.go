@@ -122,6 +122,24 @@ func (s *Server) SetCycleHook(fn func(at time.Time, mapped func() []RangeInfo)) 
 	s.eng.beforeCycle = func(at time.Time) { fn(at, s.eng.Mapped) }
 }
 
+// BinHook turns fn into a cycle hook for SetCycleHook that calls it once per
+// bin boundary b, a multiple of bin: as the first cycle after b starts, so
+// mapped reads the ranges the last cycle at or before b left. The first
+// boundary is the first at or after the first cycle.
+func BinHook(bin time.Duration, fn func(b time.Time, mapped func() []RangeInfo)) func(at time.Time, mapped func() []RangeInfo) {
+	var next time.Time
+	return func(at time.Time, mapped func() []RangeInfo) {
+		if next.IsZero() {
+			if next = at.Truncate(bin); next.Before(at) {
+				next = next.Add(bin)
+			}
+		}
+		for ; next.Before(at); next = next.Add(bin) {
+			fn(next, mapped)
+		}
+	}
+}
+
 // maybeCheckpoint writes a checkpoint when the configured cycle interval
 // has elapsed (or unconditionally when force is set, for shutdown). Called
 // between batches, off the ingest lock.

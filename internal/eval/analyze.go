@@ -132,11 +132,7 @@ type MatchStableResult struct {
 // probed at up to 16 evenly spaced sub-addresses and weighted by its
 // address count, which handles arbitrary re-partitioning between t1 and t2.
 func MatchStable(t1, t2 []core.RangeInfo) MatchStableResult {
-	ents := make([]netaddr.Entry[flow.Ingress], len(t2))
-	for i, ri := range t2 {
-		ents[i] = netaddr.Entry[flow.Ingress]{Prefix: ri.Prefix, Val: ri.Ingress}
-	}
-	lpm := netaddr.NewTable(ents)
+	lpm := Table(t2)
 	var total, matching, stable float64
 	for _, ri := range t1 {
 		if !ri.Prefix.Addr().Is4() {

@@ -35,6 +35,16 @@ func NewPredictor(table *netaddr.Table[flow.Ingress], topo *topology.T) *Predict
 	return &Predictor{table: table, topo: topo}
 }
 
+// Table is the §5.1 validation device: a longest-prefix-match table of the
+// ranges' ingresses: what Engine.LookupTable builds, from a list of ranges.
+func Table(ranges []core.RangeInfo) *netaddr.Table[flow.Ingress] {
+	ents := make([]netaddr.Entry[flow.Ingress], len(ranges))
+	for i, ri := range ranges {
+		ents[i] = netaddr.Entry[flow.Ingress]{Prefix: ri.Prefix, Val: ri.Ingress}
+	}
+	return netaddr.NewTable(ents)
+}
+
 // Predict returns the LPM prediction for src.
 func (p *Predictor) Predict(src netip.Addr) (flow.Ingress, bool) {
 	_, in, ok := p.table.Lookup(src)

@@ -41,10 +41,6 @@ func BaselineComparison(opts Options) (BaselineResult, error) {
 	if err != nil {
 		return BaselineResult{}, err
 	}
-	eng, err := core.NewEngine(opts.engineConfig(scn.Topo))
-	if err != nil {
-		return BaselineResult{}, err
-	}
 	trainer, err := baseline.NewStaticTrainer(24, scn.Topo)
 	if err != nil {
 		return BaselineResult{}, err
@@ -73,54 +69,40 @@ func BaselineComparison(opts Options) (BaselineResult, error) {
 	var staticHourly []eval.Outcome
 	curHour := -1
 
-	var binRecs []flow.Record
-	binStart := start
-	flushBin := func() {
-		eng.AdvanceTo(binStart.Add(opts.Bin))
-		if binStart.Before(trainEnd) {
-			binRecs = binRecs[:0]
-			binStart = binStart.Add(opts.Bin)
-			return // warm-up/training window is not scored
-		}
-		if staticPred == nil {
-			staticPred = trainer.Freeze()
-		}
-		ipdPred := eval.NewPredictor(eng.LookupTable(), scn.Topo)
-		hour := int(binStart.Sub(trainEnd) / time.Hour)
-		if hour != curHour {
-			curHour = hour
-			staticHourly = append(staticHourly, eval.Outcome{Bin: binStart})
-		}
-		for _, rec := range binRecs {
-			k, m := ipdPred.Classify(rec)
-			outcomes["ipd"].Accumulate(k, m)
-			k, m = bgpPred.Classify(rec)
-			outcomes["bgp"].Accumulate(k, m)
-			k, m = staticPred.Classify(rec)
-			outcomes["static24"].Accumulate(k, m)
-			staticHourly[len(staticHourly)-1].Accumulate(k, m)
-		}
-		binRecs = binRecs[:0]
-		binStart = binStart.Add(opts.Bin)
-	}
-
-	err = scn.Stream(start, end, gen, func(rec flow.Record) bool {
-		for !rec.Ts.Before(binStart.Add(opts.Bin)) {
-			flushBin()
-		}
-		eng.Observe(rec)
-		eng.AdvanceTo(eng.Now())
-		if rec.Ts.Before(trainEnd) {
-			trainer.Observe(rec)
-		}
-		binRecs = append(binRecs, rec)
-		return true
-	})
+	_, err = RunBins(opts.engineConfig(scn.Topo), opts.Bin,
+		func(yield func(flow.Record) bool) error {
+			return scn.Stream(start, end, gen, func(rec flow.Record) bool {
+				if rec.Ts.Before(trainEnd) {
+					trainer.Observe(rec)
+				}
+				return yield(rec)
+			})
+		},
+		func(b time.Time, recs []flow.Record, mapped []core.RangeInfo) {
+			binStart := b.Add(-opts.Bin)
+			if binStart.Before(trainEnd) {
+				return // warm-up/training window is not scored
+			}
+			if staticPred == nil {
+				staticPred = trainer.Freeze()
+			}
+			ipdPred := eval.NewPredictor(eval.Table(mapped), scn.Topo)
+			if hour := int(binStart.Sub(trainEnd) / time.Hour); hour != curHour {
+				curHour = hour
+				staticHourly = append(staticHourly, eval.Outcome{Bin: binStart})
+			}
+			for _, rec := range recs {
+				k, m := ipdPred.Classify(rec)
+				outcomes["ipd"].Accumulate(k, m)
+				k, m = bgpPred.Classify(rec)
+				outcomes["bgp"].Accumulate(k, m)
+				k, m = staticPred.Classify(rec)
+				outcomes["static24"].Accumulate(k, m)
+				staticHourly[len(staticHourly)-1].Accumulate(k, m)
+			}
+		})
 	if err != nil {
 		return BaselineResult{}, err
-	}
-	for binStart.Before(end) {
-		flushBin()
 	}
 
 	res := BaselineResult{

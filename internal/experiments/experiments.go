@@ -1,8 +1,9 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (see DESIGN.md §4 for the full index). Each driver
-// builds the synthetic scenario, runs the IPD engine, computes the same
-// quantity the paper reports, prints the rows/series, and returns a
-// structured result for tests and benchmarks.
+// builds the synthetic scenario, runs IPD on it, computes the same quantity
+// the paper reports, prints the rows/series, and returns a structured
+// result for tests. The experiments that validate against flows run the
+// binaries' record path through RunBins.
 //
 // Scale note: the deployment processed ~32M flow records per minute with
 // n_cidr factor 64; the laptop-scale default here is 3,000 records per
@@ -15,12 +16,14 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
 	"ipd/internal/core"
 	"ipd/internal/eval"
 	"ipd/internal/flow"
+	"ipd/internal/stattime"
 	"ipd/internal/topology"
 	"ipd/internal/trafficgen"
 )
@@ -45,7 +48,7 @@ type Options struct {
 	Writer io.Writer
 }
 
-// DefaultOptions returns the laptop-scale defaults used by the benchmarks.
+// DefaultOptions returns the laptop-scale defaults ipd-bench runs at.
 func DefaultOptions() Options {
 	return Options{
 		Seed:           1,
@@ -128,7 +131,7 @@ type DayRun struct {
 	// Outcomes per group per bin (Fig. 6).
 	Outcomes map[string][]eval.Outcome
 	// BinVolume is the flow count per bin (the gray diurnal shade).
-	BinVolume []int
+	BinVolume []float64
 	// Misses per TOP5 AS name by kind, plus distinct miss sources and a
 	// per-bin timeline (Figs. 7, 8).
 	MissByKind   map[string]map[topology.MissKind]int
@@ -141,9 +144,8 @@ type DayRun struct {
 	SpreadByAS map[string]*eval.IngressSpread
 	// EngineStats is the final engine counter set (§5.7).
 	EngineStats core.Stats
-	// FlowBytesCorr inputs: per-bin flow and byte totals (§3.1 design
-	// choice: correlation between the two counter bases).
-	BinFlows []float64
+	// BinBytes is the byte total per bin: with BinVolume, the inputs of
+	// FlowByteCorr (§3.1 design choice: the two counter bases).
 	BinBytes []float64
 }
 
@@ -177,11 +179,6 @@ func runDay(opts Options) (*DayRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.NewEngine(opts.engineConfig(scn.Topo))
-	if err != nil {
-		return nil, err
-	}
-
 	run := &DayRun{
 		Opts:         opts,
 		Scenario:     scn,
@@ -213,85 +210,130 @@ func runDay(opts Options) (*DayRun, error) {
 		IPv6Fraction:   0.1,
 	}
 
-	var binRecs []flow.Record
-	binStart := run.Start
 	binIndex := 0
-
-	flushBin := func() {
-		// Let statistical time reach the bin end, then validate the bin's
-		// own flows against the freshly rebuilt LPM table — the §5.1
-		// methodology ("recompute the lookup table after every 5-minute
-		// bin ... compare the output of the IPD prediction to the same
-		// flow data that was used as the original input").
-		eng.AdvanceTo(binStart.Add(opts.Bin))
-		pred := eval.NewPredictor(eng.LookupTable(), scn.Topo)
-		var oAll, oTop5, oTop20 eval.Outcome
-		oAll.Bin, oTop5.Bin, oTop20.Bin = binStart, binStart, binStart
-		binFlows, binBytes := 0.0, 0.0
-		for _, rec := range binRecs {
-			kind, mapped := pred.Classify(rec)
-			oAll.Accumulate(kind, mapped)
-			binFlows++
-			binBytes += float64(rec.Bytes)
-			a, ok := scn.ASOf(rec.Src)
-			if !ok {
-				continue
-			}
-			r := rank[a]
-			if r < 20 {
-				oTop20.Accumulate(kind, mapped)
-			}
-			if r < 5 {
-				oTop5.Accumulate(kind, mapped)
-				run.SpreadByAS[a.Name].Add(rec)
-				if mapped && kind != topology.MissNone {
-					run.MissByKind[a.Name][kind]++
-					if len(run.MissSources[a.Name]) < 1<<17 {
-						run.MissSources[a.Name][rec.Src] = struct{}{}
-					}
-					for len(run.MissTimeline[a.Name]) <= binIndex {
-						run.MissTimeline[a.Name] = append(run.MissTimeline[a.Name], 0)
-					}
-					run.MissTimeline[a.Name][binIndex]++
+	run.EngineStats, err = RunBins(opts.engineConfig(scn.Topo), opts.Bin,
+		func(yield func(flow.Record) bool) error { return scn.Stream(run.Start, run.End, gen, yield) },
+		func(b time.Time, recs []flow.Record, mapped []core.RangeInfo) {
+			// Validate the bin's own flows against the LPM table of the
+			// ranges at its end — the §5.1 methodology ("recompute the
+			// lookup table after every 5-minute bin ... compare the output
+			// of the IPD prediction to the same flow data that was used as
+			// the original input").
+			binStart := b.Add(-opts.Bin)
+			pred := eval.NewPredictor(eval.Table(mapped), scn.Topo)
+			var oAll, oTop5, oTop20 eval.Outcome
+			oAll.Bin, oTop5.Bin, oTop20.Bin = binStart, binStart, binStart
+			binBytes := 0.0
+			for _, rec := range recs {
+				kind, hit := pred.Classify(rec)
+				oAll.Accumulate(kind, hit)
+				binBytes += float64(rec.Bytes)
+				a, ok := scn.ASOf(rec.Src)
+				if !ok {
+					continue
 				}
+				r := rank[a]
+				if r < 20 {
+					oTop20.Accumulate(kind, hit)
+				}
+				if r < 5 {
+					oTop5.Accumulate(kind, hit)
+					run.SpreadByAS[a.Name].Add(rec)
+					if hit && kind != topology.MissNone {
+						run.MissByKind[a.Name][kind]++
+						if len(run.MissSources[a.Name]) < 1<<17 {
+							run.MissSources[a.Name][rec.Src] = struct{}{}
+						}
+						for len(run.MissTimeline[a.Name]) <= binIndex {
+							run.MissTimeline[a.Name] = append(run.MissTimeline[a.Name], 0)
+						}
+						run.MissTimeline[a.Name][binIndex]++
+					}
+				}
+				run.Spread.Add(rec)
 			}
-			run.Spread.Add(rec)
-		}
-		run.Outcomes[GroupAll] = append(run.Outcomes[GroupAll], oAll)
-		run.Outcomes[GroupTop5] = append(run.Outcomes[GroupTop5], oTop5)
-		run.Outcomes[GroupTop20] = append(run.Outcomes[GroupTop20], oTop20)
-		run.BinVolume = append(run.BinVolume, len(binRecs))
-		run.BinFlows = append(run.BinFlows, binFlows)
-		run.BinBytes = append(run.BinBytes, binBytes)
+			run.Outcomes[GroupAll] = append(run.Outcomes[GroupAll], oAll)
+			run.Outcomes[GroupTop5] = append(run.Outcomes[GroupTop5], oTop5)
+			run.Outcomes[GroupTop20] = append(run.Outcomes[GroupTop20], oTop20)
+			run.BinVolume = append(run.BinVolume, float64(len(recs)))
+			run.BinBytes = append(run.BinBytes, binBytes)
 
-		snap := Snapshot{At: binStart.Add(opts.Bin)}
-		for _, ri := range eng.Mapped() {
-			snap.Mapped = append(snap.Mapped, CompactRange{Prefix: ri.Prefix, Ingress: ri.Ingress, Samples: ri.Samples})
-		}
-		run.Snapshots = append(run.Snapshots, snap)
-
-		binRecs = binRecs[:0]
-		binStart = binStart.Add(opts.Bin)
-		binIndex++
-	}
-
-	err = scn.Stream(run.Start, run.End, gen, func(rec flow.Record) bool {
-		for !rec.Ts.Before(binStart.Add(opts.Bin)) {
-			flushBin()
-		}
-		eng.Observe(rec)
-		eng.AdvanceTo(eng.Now())
-		binRecs = append(binRecs, rec)
-		return true
-	})
+			snap := Snapshot{At: b}
+			for _, ri := range mapped {
+				snap.Mapped = append(snap.Mapped, CompactRange{Prefix: ri.Prefix, Ingress: ri.Ingress, Samples: ri.Samples})
+			}
+			run.Snapshots = append(run.Snapshots, snap)
+			binIndex++
+		})
 	if err != nil {
 		return nil, err
 	}
-	for binStart.Before(run.End) {
-		flushBin()
-	}
-	run.EngineStats = eng.Stats()
 	return run, nil
+}
+
+// RunBins feeds a stream through the record path both binaries run: a
+// core.Server built from cfg and stattime.DefaultConfig(), fed 512-record
+// batches and ended with Finish. Per bin boundary b, by core.BinHook (the
+// rule cmd/ipd writes its rows by), fn gets the records before b not yet
+// handed over (reused after fn returns) and the ranges the last cycle at or
+// before b left; the boundaries after the final cycle get its ranges. fn
+// must not call back into the server. A record statistical time drops is
+// an error: no figure computes on a thinned stream.
+func RunBins(cfg core.Config, bin time.Duration, stream func(yield func(flow.Record) bool) error,
+	fn func(b time.Time, recs []flow.Record, mapped []core.RangeInfo)) (core.Stats, error) {
+	srv, err := core.NewServer(cfg, stattime.DefaultConfig())
+	if err != nil {
+		return core.Stats{}, err
+	}
+	var pending, cur []flow.Record
+	bins := core.BinHook(bin, func(b time.Time, mapped func() []core.RangeInfo) {
+		cur = cur[:0]
+		rest := pending[:0]
+		for _, rec := range pending {
+			if rec.Ts.Before(b) {
+				cur = append(cur, rec)
+			} else {
+				rest = append(rest, rec)
+			}
+		}
+		pending = rest
+		fn(b, cur, mapped())
+	})
+	srv.SetCycleHook(bins)
+	dropped := func() error {
+		if _, st := srv.Stats(); st.DroppedStale+st.DroppedFuture+st.DroppedInactive > 0 {
+			return fmt.Errorf("statistical time dropped %d stale, %d future and %d inactive records",
+				st.DroppedStale, st.DroppedFuture, st.DroppedInactive)
+		}
+		return nil
+	}
+	batch := make([]flow.Record, 0, 512)
+	err = stream(func(rec flow.Record) bool {
+		pending = append(pending, rec)
+		if batch = append(batch, rec); len(batch) < cap(batch) {
+			return true
+		}
+		srv.Ingest(batch)
+		batch = batch[:0]
+		return dropped() == nil
+	})
+	if err != nil {
+		return core.Stats{}, err
+	}
+	srv.Ingest(batch)
+	srv.Finish()
+	if err := dropped(); err != nil {
+		return core.Stats{}, err
+	}
+	// The boundaries after the final cycle, up to the end of the last
+	// record's bin, see its ranges: as if one more cycle ran after that end.
+	if len(pending) > 0 {
+		final := srv.Mapped()
+		end := slices.MaxFunc(pending, func(a, b flow.Record) int { return a.Ts.Compare(b.Ts) }).Ts.Truncate(bin).Add(bin)
+		bins(end.Add(1), func() []core.RangeInfo { return final })
+	}
+	st, _ := srv.Stats()
+	return st, nil
 }
 
 // warmupBins is the number of leading bins excluded from run-wide means:

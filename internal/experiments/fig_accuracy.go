@@ -46,7 +46,7 @@ func Fig6Accuracy(opts Options) (Fig6Result, error) {
 		res.MeanMapped[g] = run.MeanMappedAccuracy(g)
 		res.Coverage[g] = run.MeanCoverage(g)
 	}
-	res.FlowByteCorr = metrics.Pearson(run.BinFlows, run.BinBytes)
+	res.FlowByteCorr = metrics.Pearson(run.BinVolume, run.BinBytes)
 
 	w := opts.out()
 	fprintf(w, "# Fig 6: IPD accuracy vs ground-truth flow data (per 5-min bin)\n")
@@ -62,7 +62,7 @@ func Fig6Accuracy(opts Options) (Fig6Result, error) {
 		if i%6 != 0 { // print every 30 minutes
 			continue
 		}
-		fprintf(w, "bin=%s ALL=%.3f TOP20=%.3f TOP5=%.3f volume=%d\n",
+		fprintf(w, "bin=%s ALL=%.3f TOP20=%.3f TOP5=%.3f volume=%.0f\n",
 			o.Bin.Format("15:04"),
 			o.Accuracy(),
 			run.Outcomes[GroupTop20][i].Accuracy(),
@@ -129,10 +129,7 @@ func Fig8MissTimeline(opts Options) (Fig8Result, error) {
 		return Fig8Result{}, err
 	}
 	res := Fig8Result{Timeline: run.MissTimeline, VolumeCorr: map[string]float64{}}
-	vol := make([]float64, len(run.BinVolume))
-	for i, v := range run.BinVolume {
-		vol[i] = float64(v)
-	}
+	vol := run.BinVolume
 	for as, tl := range run.MissTimeline {
 		xs := make([]float64, len(vol))
 		for i := 0; i < len(tl) && i < len(xs); i++ {

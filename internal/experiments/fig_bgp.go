@@ -31,17 +31,19 @@ func Specificity55(opts Options) (SpecificityResult, error) {
 	tb := run.Scenario.BGPTable(final.At)
 	raw := eval.Specificity(final.Infos(), tb)
 	res := SpecificityResult{SpecificityResult: raw}
+	var unrelated float64
 	if n := float64(raw.Total()); n > 0 {
 		res.ExactShare = float64(raw.Exact) / n
 		res.MoreSpecificShare = float64(raw.MoreSpecific) / n
 		res.LessSpecificShare = float64(raw.LessSpecific) / n
+		unrelated = float64(raw.Unrelated) / n
 	}
 	w := opts.out()
 	fprintf(w, "# §5.5: BGP and IPD prefix correlation\n")
 	fprintf(w, "# paper: 91%% more specific / 1%% exact / 8%% less specific\n")
 	fprintf(w, "more_specific=%.2f exact=%.2f less_specific=%.2f unrelated=%.2f (n=%d)\n",
 		res.MoreSpecificShare, res.ExactShare, res.LessSpecificShare,
-		1-res.MoreSpecificShare-res.ExactShare-res.LessSpecificShare, raw.Total())
+		unrelated, raw.Total())
 	return res, nil
 }
 

@@ -16,7 +16,7 @@ import (
 )
 
 // LongRun is a series of IPD snapshots across a multi-year virtual horizon.
-// Each snapshot is produced by a fresh engine converging on a prime-time
+// Each snapshot is produced by a fresh server converging on a prime-time
 // traffic window — the virtual-time compression that stands in for reading
 // the paper's six-year output archive (see DESIGN.md §3).
 type LongRun struct {
@@ -80,14 +80,11 @@ func runLong(opts Options, points int, every time.Duration) (*LongRun, error) {
 	return run, nil
 }
 
-// snapshotAt runs a fresh engine over a 35-minute convergence window ending
-// at ts and returns the mapped ranges (the split cascade descends one level
-// per cycle, so /0 -> /28 needs ~28 cycles plus settling).
+// snapshotAt runs a fresh server over a 35-minute convergence window ending
+// at ts and returns the ranges its last bin ends with (the split cascade
+// descends one level per cycle, so /0 -> /28 needs ~28 cycles plus
+// settling).
 func snapshotAt(scn *trafficgen.Scenario, opts Options, ts time.Time) ([]core.RangeInfo, error) {
-	eng, err := core.NewEngine(opts.engineConfig(scn.Topo))
-	if err != nil {
-		return nil, err
-	}
 	gen := trafficgen.GenConfig{
 		FlowsPerMinute: opts.FlowsPerMinute,
 		NoiseFraction:  0.002,
@@ -95,17 +92,13 @@ func snapshotAt(scn *trafficgen.Scenario, opts Options, ts time.Time) ([]core.Ra
 		Diurnal:        false, // the window sits at prime time by construction
 		IPv6Fraction:   0.1,
 	}
-	start := ts.Add(-35 * time.Minute)
-	err = scn.Stream(start, ts, gen, func(rec flow.Record) bool {
-		eng.Observe(rec)
-		eng.AdvanceTo(eng.Now())
-		return true
-	})
+	var mapped []core.RangeInfo
+	_, err := RunBins(opts.engineConfig(scn.Topo), opts.Bin,
+		func(yield func(flow.Record) bool) error { return scn.Stream(ts.Add(-35*time.Minute), ts, gen, yield) },
+		func(_ time.Time, _ []flow.Record, m []core.RangeInfo) { mapped = m })
 	if err != nil {
 		return nil, err
 	}
-	eng.AdvanceTo(ts)
-	mapped := eng.Mapped()
 	// Strip the counter maps: snapshots are kept for a long series.
 	for i := range mapped {
 		mapped[i].Counters = nil

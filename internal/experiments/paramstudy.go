@@ -135,41 +135,31 @@ func runParamConfig(opts Options, scn *trafficgen.Scenario, records []flow.Recor
 	cfg.NCidrFactor6 = 1e-8
 	cfg.CIDRMax4 = cidrMax
 	cfg.Mapper = scn.Topo
-	eng, err := core.NewEngine(cfg)
+	res := ParamResult{Q: q, Factor: factor, CIDRMax: cidrMax}
+	tracker := eval.NewStabilityTracker()
+	var outcome eval.Outcome
+	var ranges int // active ranges after the latest cycle
+	cfg.OnCycle = func(s core.CycleSample) []core.Alert { ranges = s.Ranges; return nil }
+	_, err := RunBins(cfg, opts.Bin,
+		func(yield func(flow.Record) bool) error {
+			for _, rec := range records {
+				if !yield(rec) {
+					break
+				}
+			}
+			return nil
+		},
+		func(b time.Time, recs []flow.Record, mapped []core.RangeInfo) {
+			pred := eval.NewPredictor(eval.Table(mapped), scn.Topo)
+			for _, rec := range recs {
+				outcome.Accumulate(pred.Classify(rec))
+			}
+			tracker.Observe(b, mapped)
+			res.MaxRanges = max(res.MaxRanges, ranges)
+		})
 	if err != nil {
 		return ParamResult{}, err
 	}
-	res := ParamResult{Q: q, Factor: factor, CIDRMax: cidrMax}
-
-	tracker := eval.NewStabilityTracker()
-	var outcome eval.Outcome
-
-	bin := opts.Bin
-	binStart := records[0].Ts.Truncate(bin)
-	var binRecs []flow.Record
-	flush := func() {
-		eng.AdvanceTo(binStart.Add(bin))
-		pred := eval.NewPredictor(eng.LookupTable(), scn.Topo)
-		for _, rec := range binRecs {
-			kind, mapped := pred.Classify(rec)
-			outcome.Accumulate(kind, mapped)
-		}
-		tracker.Observe(binStart.Add(bin), eng.Mapped())
-		if st := eng.Stats(); st.LastCycleRanges > res.MaxRanges {
-			res.MaxRanges = st.LastCycleRanges
-		}
-		binRecs = binRecs[:0]
-		binStart = binStart.Add(bin)
-	}
-	for _, rec := range records {
-		for !rec.Ts.Before(binStart.Add(bin)) {
-			flush()
-		}
-		eng.Observe(rec)
-		eng.AdvanceTo(eng.Now())
-		binRecs = append(binRecs, rec)
-	}
-	flush()
 
 	res.Accuracy = outcome.Accuracy()
 	durations := eval.Durations(tracker.Finish())

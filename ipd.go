@@ -6,18 +6,21 @@
 //
 // # Quick start
 //
-//	cfg := ipd.DefaultConfig()        // Table-1 deployment parameters
-//	eng, err := ipd.NewEngine(cfg)    // deterministic, virtual-time core
+//	cfg := ipd.DefaultConfig()    // Table-1 deployment parameters
+//	srv, err := ipd.NewServer(cfg, ipd.DefaultStatTimeConfig())
 //	...
-//	eng.Feed(ipd.Record{Ts: ts, Src: src, In: ipd.Ingress{Router: 7, Iface: 2}})
-//	for _, r := range eng.Mapped() {
+//	srv.Ingest(batch)             // []ipd.Record, in arrival order
+//	srv.Finish()                  // end of input: final cycle
+//	for _, r := range srv.Mapped() {
 //	    fmt.Println(r.Prefix, r.Ingress, r.Confidence)
 //	}
 //
-// For an online deployment shape (streaming records, concurrent snapshot
-// readers, statistical-time cleaning of router clock drift) use NewServer
-// and Server.RunQueue over an IngestQueue, or Server.Ingest and
-// Server.Finish for an input that must not shed, such as a trace file.
+// The Server is the one record path: statistical-time cleaning of router
+// clock drift (§3.1), then stage 1 and stage 2 of the engine, with
+// concurrent snapshot readers. A streaming input sheds through an
+// IngestQueue drained by Server.RunQueue; a trace file calls Ingest and
+// Finish directly. NewEngine is the bare, deterministic virtual-time core
+// whose caller places the stage-2 cycles itself (AdvanceTo).
 //
 // The package re-exports what the repository's commands, examples and
 // benchmark build on:

@@ -37,28 +37,32 @@ func TestDefaultConfigIsTable1(t *testing.T) {
 	}
 }
 
+// TestEngineQuickstart runs the README quickstart: the one record path,
+// NewServer -> Ingest -> Finish, then Mapped and LookupTable.
 func TestEngineQuickstart(t *testing.T) {
-	eng, err := ipd.NewEngine(quickConfig())
+	srv, err := ipd.NewServer(quickConfig(), ipd.DefaultStatTimeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := ipd.Ingress{Router: 7, Iface: 2}
 	a := netip.MustParseAddr("192.0.2.0").As4()
-	for i := 0; i < 100; i++ {
+	batch := make([]ipd.Record, 100)
+	for i := range batch {
 		a[3] = byte(i)
-		eng.Feed(ipd.Record{Ts: t0, Src: netip.AddrFrom4(a), In: in, Bytes: 100, Packets: 1})
+		batch[i] = ipd.Record{Ts: t0, Src: netip.AddrFrom4(a), In: in, Bytes: 100, Packets: 1}
 	}
-	eng.AdvanceTo(t0.Add(time.Minute))
-	mapped := eng.Mapped()
+	srv.Ingest(batch)
+	srv.Finish()
+	mapped := srv.Mapped()
 	if len(mapped) != 1 || mapped[0].Ingress != in {
 		t.Fatalf("mapped = %+v", mapped)
 	}
-	lt := eng.LookupTable()
+	lt := srv.LookupTable()
 	if _, got, ok := lt.Lookup(netip.MustParseAddr("192.0.2.50")); !ok || got != in {
 		t.Errorf("lookup = %v ok=%v", got, ok)
 	}
 	var buf bytes.Buffer
-	if err := ipd.WriteOutputSnapshot(&buf, eng.Now(), mapped, nil); err != nil {
+	if err := ipd.WriteOutputSnapshot(&buf, t0, mapped, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "R7.2") {
