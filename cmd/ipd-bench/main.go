@@ -37,12 +37,18 @@ func plain[R any](fn func(experiments.Options) (R, error)) runner {
 	}
 }
 
-func long[R any](fn func(experiments.Options, int, time.Duration) (R, error)) runner {
+// long runs with spacing def when -every is not set.
+func long[R any](fn func(experiments.Options, int, time.Duration) (R, error), def time.Duration) runner {
 	return func(o experiments.Options, p int, e time.Duration, _ bool) error {
+		if e == 0 {
+			e = def
+		}
 		_, err := fn(o, p, e)
 		return err
 	}
 }
+
+const month = 30 * 24 * time.Hour
 
 var commands = map[string]struct {
 	help string
@@ -56,22 +62,16 @@ var commands = map[string]struct {
 	"fig7":  {"miss taxonomy for TOP5 ASes", plain(experiments.Fig7MissTaxonomy)},
 	"fig8":  {"miss timelines (maintenance spikes, diurnal CDNs)", plain(experiments.Fig8MissTimeline)},
 	"fig9":  {"IPD range sizes vs BGP prefix sizes", plain(experiments.Fig9RangeSizes)},
-	"fig10": {"longitudinal matching/stable ratios", long(experiments.Fig10Longitudinal)},
+	"fig10": {"longitudinal matching/stable ratios", long(experiments.Fig10Longitudinal, month)},
 	"fig11": {"network size by daytime (TOP5)", plain(experiments.Fig11Daytime)},
 	"fig12": {"network size by daytime (AS4 CDN)", plain(experiments.Fig12CDNBehavior)},
 	"fig13": {"reaction to change case study (also fig14)", plain(experiments.Fig13ReactionToChange)},
 	"fig14": {"alias of fig13 (detailed range view)", plain(experiments.Fig13ReactionToChange)},
-	"fig15": {"elephant-range stability", long(experiments.Fig15Elephants)},
-	"fig16": {"ingress/egress symmetry over time", long(experiments.Fig16Symmetry)},
-	"fig17": {"tier-1 peering violations over time", func(o experiments.Options, p int, e time.Duration, _ bool) error {
-		// Quarterly spacing by default: the growth inflections sit at
-		// months ~20 and ~30 of the archive.
-		if e == 30*24*time.Hour {
-			e = 90 * 24 * time.Hour
-		}
-		_, err := experiments.Fig17Violations(o, p, e)
-		return err
-	}},
+	"fig15": {"elephant-range stability", long(experiments.Fig15Elephants, month)},
+	"fig16": {"ingress/egress symmetry over time", long(experiments.Fig16Symmetry, month)},
+	// Quarterly spacing by default: the growth inflections sit at months
+	// ~20 and ~30 of the archive.
+	"fig17": {"tier-1 peering violations over time", long(experiments.Fig17Violations, 3*month)},
 	"baselines": {"IPD vs BGP-symmetry vs static /24 baselines", func(o experiments.Options, _ int, _ time.Duration, _ bool) error {
 		if o.Hours > 6 {
 			o.Hours = 6 // the comparison replays its own stream; 6 h suffices
@@ -115,7 +115,7 @@ func run(args []string, w io.Writer) error {
 		hours  = fs.Int("hours", 25, "day-run length (paper: 25h)")
 		quick  = fs.Bool("quick", false, "shrink runs for a fast look")
 		points = fs.Int("points", 12, "longitudinal snapshot count (fig10/15/16/17)")
-		every  = fs.Duration("every", 30*24*time.Hour, "longitudinal snapshot spacing")
+		every  = fs.Duration("every", 0, "longitudinal snapshot spacing (0: 720h, 2160h for fig17)")
 		full   = fs.Bool("full", false, "full-size variant (paramstudy)")
 	)
 	sorted := make([]string, 0, len(commands))

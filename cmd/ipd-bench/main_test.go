@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -47,4 +48,30 @@ func TestReproduction(t *testing.T) {
 		}
 	}
 	t.Fatalf("%d lines differ from experiments_output.txt; regenerate it with `go run ./cmd/ipd-bench -points 12 all > experiments_output.txt` and restate the moved rows in EXPERIMENTS.md", diffs)
+}
+
+// TestEverySpacing checks that an explicit -every is honoured by every
+// longitudinal figure, and that fig17 alone defaults to quarterly spacing.
+func TestEverySpacing(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-quick", "-points", "3", "-every", "720h", "fig17"}, []string{"2018-07-20", "2018-08-19", "2018-09-18"}},
+		{[]string{"-quick", "-points", "3", "fig17"}, []string{"2018-07-20", "2018-10-18", "2019-01-16"}},
+	} {
+		var out bytes.Buffer
+		if err := run(tc.args, &out); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if at, ok := strings.CutPrefix(line, "t="); ok {
+				got = append(got, strings.Fields(at)[0])
+			}
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("ipd-bench %s: snapshots at %v, want %v", strings.Join(tc.args, " "), got, tc.want)
+		}
+	}
 }

@@ -1,11 +1,11 @@
 // cdn-shift replays the paper's §5.3.4 case study ("Reaction to Changes",
-// Figs. 13/14): several ranges inside a /23 enter through two ingress
-// points; on 2020-07-14 a router maintenance moves one interface's traffic,
-// and IPD invalidates and reclassifies the affected ranges at the new
-// interface within minutes.
+// Figs. 13/14) with the longitudinal analytics attached. It runs the Fig 13
+// scenario of `ipd-bench fig13` (experiments.ReactionToChange): ranges inside
+// a /23 enter through two ingress points; on 2020-07-14 a router maintenance
+// moves one interface's traffic, and IPD invalidates and reclassifies the
+// affected ranges at the new interface.
 //
-// The run doubles as the longitudinal-analytics acceptance scenario: a
-// timeline collector watches every cycle and must raise exactly one drift
+// A timeline collector watches every cycle and must raise exactly one drift
 // alert (the old interface's traffic share collapsing against its EWMA
 // baseline) and later clear it exactly once — with zero flap alerts, because
 // a single clean reclassification is not instability.
@@ -17,153 +17,75 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/netip"
 	"os"
-	"time"
 
 	"ipd"
-)
-
-var (
-	inA = ipd.Ingress{Router: 20, Iface: 7}  // "C3-R20.7" before maintenance
-	inB = ipd.Ingress{Router: 30, Iface: 1}  // the 196.128/26 neighbor
-	inC = ipd.Ingress{Router: 20, Iface: 14} // post-maintenance interface
+	"ipd/internal/experiments"
 )
 
 func main() {
 	csvOut := flag.String("csv", "", "write the timeline series as CSV to this file after the run ('' disables)")
 	flag.Parse()
+	if err := run(*csvOut); err != nil {
+		fmt.Fprintln(os.Stderr, "FAILED:", err)
+		os.Exit(1)
+	}
+}
 
+func run(csvOut string) error {
+	// The collector records every cycle through OnCycle; the drift/flap
+	// alerts it returns come back through OnEvent as journalable
+	// alert-lifecycle events, so the figure's event log lists them too.
+	coll := ipd.NewTimelineCollector(ipd.TimelineOptions{})
 	cfg := ipd.DefaultConfig()
 	cfg.NCidrFactor4 = 0.001
-
-	// The timeline collector consumes the same event stream as the slice we
-	// keep for printing, plus an end-of-cycle sample; the drift/flap alerts
-	// it returns from OnCycle come back through OnEvent as journalable
-	// alert-lifecycle events.
-	coll := ipd.NewTimelineCollector(ipd.TimelineOptions{})
-	var events []ipd.Event
-	cfg.OnEvent = func(ev ipd.Event) {
-		events = append(events, ev)
-		coll.ObserveEvent(ev)
-	}
+	cfg.OnEvent = coll.ObserveEvent
 	cfg.OnCycle = coll.OnCycle
-
-	eng, err := ipd.NewEngine(cfg)
+	res, err := experiments.ReactionToChange(cfg, os.Stdout)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 
-	base := time.Date(2020, 7, 10, 0, 0, 0, 0, time.UTC)
-	maint := time.Date(2020, 7, 14, 9, 30, 0, 0, time.UTC)
-	end := time.Date(2020, 7, 18, 0, 0, 0, 0, time.UTC)
-	focus := netip.MustParseAddr("198.51.197.10")
-
-	fmt.Printf("driving 8 virtual days of traffic for 198.51.196.0/23 (maintenance at %s)\n\n",
-		maint.Format("2006-01-02 15:04"))
-
-	// Fig. 14 series for x.y.197.0/24: sample counter and confidence.
-	fmt.Println("time              classified ingress   confidence samples")
-	lastPrint := time.Time{}
-	for ts := base; ts.Before(end); ts = ts.Add(time.Minute) {
-		a := inA
-		if !ts.Before(maint) {
-			a = inC
-		}
-		feed(eng, ts, "198.51.197.0/24", a, 40)
-		feed(eng, ts, "198.51.196.0/25", a, 25)
-		feed(eng, ts, "198.51.196.128/26", inB, 15)
-		eng.AdvanceTo(ts.Add(time.Minute))
-
-		if ts.Sub(lastPrint) >= 12*time.Hour || (ts.After(maint.Add(-10*time.Minute)) && ts.Before(maint.Add(15*time.Minute))) {
-			lastPrint = ts
-			if ri, ok := eng.Range(focus); ok {
-				fmt.Printf("%s  %-10v %-9v %10.3f %7.0f\n",
-					ts.Format("01-02 15:04"), ri.Classified, ri.Ingress, ri.Confidence, ri.Samples)
-			}
-		}
-	}
-
-	fmt.Println("\nclassification lifecycle after the maintenance event:")
-	var driftRaised, driftCleared, flapAlerts int
-	for _, ev := range events {
-		switch ev.Kind {
-		case ipd.EventAlertRaised, ipd.EventAlertCleared:
-			switch ev.Detail {
-			case ipd.AlertDrift.String():
-				if ev.Kind == ipd.EventAlertRaised {
-					driftRaised++
-				} else {
-					driftCleared++
-				}
-			case ipd.AlertFlap.String():
-				flapAlerts++
-			}
-		}
-		if ev.At.Before(maint) {
-			continue
-		}
-		fmt.Printf("  %s  %-13v %-20s %v\n", ev.At.Format("01-02 15:04"), ev.Kind, ev.Prefix, ev.Ingress)
-	}
-
-	ri, ok := eng.Range(focus)
-	if !ok || !ri.Classified || ri.Ingress != inC {
-		fmt.Println("\nFAILED: the ingress change was not detected")
-		os.Exit(1)
+	if !res.ChangeDetected {
+		return fmt.Errorf("the ingress change was not detected: %v ends at %v", res.FocusPrefix, res.IngressAtEnd)
 	}
 	// The maintenance must read as exactly one share-drift episode on the old
 	// interface — raised when its traffic collapses, cleared once the EWMA
 	// baseline catches up — and never as classification flapping: the ranges
 	// each switch ingress once, well under the flap-rate threshold.
-	if driftRaised != 1 || driftCleared != 1 {
-		fmt.Printf("\nFAILED: want exactly 1 drift alert raised and 1 cleared, got %d raised / %d cleared\n",
-			driftRaised, driftCleared)
-		os.Exit(1)
+	raised, cleared := res.AlertEvents(ipd.AlertDrift)
+	flapRaised, flapCleared := res.AlertEvents(ipd.AlertFlap)
+	if raised != 1 || cleared != 1 {
+		return fmt.Errorf("want exactly 1 drift alert raised and 1 cleared, got %d raised / %d cleared", raised, cleared)
 	}
-	if flapAlerts != 0 {
-		fmt.Printf("\nFAILED: a clean reclassification must not flap, got %d flap alert events\n", flapAlerts)
-		os.Exit(1)
+	if flaps := flapRaised + flapCleared; flaps != 0 {
+		return fmt.Errorf("a clean reclassification must not flap, got %d flap alert events", flaps)
 	}
 	if active := coll.Alerts().Active; len(active) != 0 {
-		fmt.Printf("\nFAILED: all alerts should have cleared by the end of the run, %d still active\n", len(active))
-		os.Exit(1)
+		return fmt.Errorf("all alerts should have cleared by the end of the run, %d still active", len(active))
 	}
 
-	fmt.Printf("\nOK: %v reclassified from %v to %v.\n", ri.Prefix, inA, inC)
-	fmt.Printf("OK: the timeline saw the maintenance as one drift episode on %v (1 raised, 1 cleared, 0 flaps).\n", inA)
+	fmt.Printf("\nOK: %v reclassified to %v.\n", res.FocusPrefix, res.IngressAtEnd)
+	fmt.Println("OK: the timeline saw the maintenance as one drift episode (1 raised, 1 cleared, 0 flaps).")
 	fmt.Println("Note the paper's robustness property at work: four days of accumulated")
-	fmt.Println("evidence (250k samples) keep the old classification alive for a while")
-	fmt.Println("before the share drops below q and the range is dropped and remapped —")
-	fmt.Println("exactly how the deployment behaved through the AS1 maintenance (§5.1.2).")
+	fmt.Println("evidence keep the old classification alive for hours before the share")
+	fmt.Println("drops below q and the range is invalidated and reclassified — exactly how")
+	fmt.Println("the deployment behaved through the AS1 maintenance (§5.1.2).")
 
-	if *csvOut != "" {
-		f, err := os.Create(*csvOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := coll.WriteCSV(f, nil, 0, 0); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote timeline CSV (%d series) to %s\n", coll.Store().Len(), *csvOut)
+	if csvOut == "" {
+		return nil
 	}
-}
-
-func feed(eng *ipd.Engine, ts time.Time, cidr string, in ipd.Ingress, n int) {
-	p := netip.MustParsePrefix(cidr)
-	a4 := p.Addr().As4()
-	span := 1 << uint(32-p.Bits())
-	for i := 0; i < n; i++ {
-		off := i % span
-		b := a4
-		b[3] = byte(int(a4[3]) + off%256)
-		eng.Observe(ipd.Record{Ts: ts, Src: netip.AddrFrom4(b), In: in, Bytes: 800, Packets: 1})
+	f, err := os.Create(csvOut)
+	if err != nil {
+		return err
 	}
+	if err := coll.WriteCSV(f, nil, 0, 0); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("wrote timeline CSV (%d series) to %s\n", coll.Store().Len(), csvOut)
+	return nil
 }

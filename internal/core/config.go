@@ -112,7 +112,7 @@ type Config struct {
 	// Reentrancy contract: the callback runs while the engine's internal
 	// state is mid-mutation (and, under Server, while the ingest lock is
 	// held). Calling ANY Engine or Server method from inside the callback
-	// is forbidden; the mutating entry points (Observe, Feed, AdvanceTo,
+	// is forbidden; the mutating entry points (Observe, ObserveBatch, AdvanceTo,
 	// ForceCycle) detect it and panic, and read methods (Snapshot, Range,
 	// Explain, ...) may observe a half-applied cycle. Copy the Event out
 	// and return quickly.

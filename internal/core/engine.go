@@ -252,7 +252,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 func (e *Engine) Config() Config { return e.cfg }
 
 // SetTracer attaches a pipeline tracer (nil detaches). Call during setup,
-// before the first Feed/Observe.
+// before the first Observe.
 func (e *Engine) SetTracer(t *trace.Tracer) { e.tracer = t }
 
 // Stats returns a snapshot of the cumulative counters, assembled from the

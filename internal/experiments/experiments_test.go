@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
 
+	"ipd/internal/core"
+	"ipd/internal/timeline"
 	"ipd/internal/topology"
 )
 
@@ -344,6 +347,33 @@ func TestFig13ReactionToChange(t *testing.T) {
 	}
 }
 
+// TestReactionToChangeTimeline runs the Figs 13/14 scenario with a timeline
+// collector attached: the maintenance must read as exactly one share-drift
+// episode on the abandoned interface, raised and later cleared, and never as
+// classification flapping.
+func TestReactionToChangeTimeline(t *testing.T) {
+	coll := timeline.NewCollector(timeline.Options{})
+	cfg := core.DefaultConfig()
+	cfg.NCidrFactor4 = 0.001
+	cfg.OnEvent = coll.ObserveEvent
+	cfg.OnCycle = coll.OnCycle
+	res, err := ReactionToChange(cfg, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.ChangeDetected {
+		t.Errorf("ingress change not detected; final ingress %v", res.IngressAtEnd)
+	}
+	raised, cleared := res.AlertEvents(core.AlertDrift)
+	flapRaised, flapCleared := res.AlertEvents(core.AlertFlap)
+	if raised != 1 || cleared != 1 || flapRaised+flapCleared != 0 {
+		t.Errorf("drift raised %d, cleared %d, flap events %d; want 1, 1, 0", raised, cleared, flapRaised+flapCleared)
+	}
+	if active := coll.Alerts().Active; len(active) != 0 {
+		t.Errorf("%d alerts still active at the end: %+v", len(active), active)
+	}
+}
+
 func TestFig15Shape(t *testing.T) {
 	res, err := Fig15Elephants(quickOpts(), longPoints, longEvery)
 	if err != nil {
@@ -489,5 +519,15 @@ func TestSketchFlood(t *testing.T) {
 	}
 	if res.Compactions > 5 {
 		t.Errorf("%d emergency compactions — sketching should have absorbed the flood", res.Compactions)
+	}
+	if res.Sketch.Hydrates == 0 {
+		t.Error("no range hydrated back to exact state after the flood")
+	}
+	modeEvents, err := res.CheckJournal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if modeEvents == 0 {
+		t.Errorf("journal carries no state-mode events despite %d degrades", res.Sketch.Degrades)
 	}
 }

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"io"
 	"net/netip"
 	"sort"
 	"sync"
@@ -259,6 +259,8 @@ type Fig13Event struct {
 	Kind    string
 	Prefix  string
 	Ingress flow.Ingress
+	// Detail is core.Event.Detail: for an alert event, the alert kind.
+	Detail string
 }
 
 // Fig13Fig14Result carries the case-study timeline plus the per-cycle
@@ -277,16 +279,45 @@ type Fig13Fig14Result struct {
 	ChangeDetected bool
 }
 
+// AlertEvents counts the alert events of the given kind in the event log:
+// how many were raised and how many cleared.
+func (r Fig13Fig14Result) AlertEvents(kind core.AlertKind) (raised, cleared int) {
+	for _, ev := range r.Events {
+		if ev.Detail != kind.String() {
+			continue
+		}
+		switch ev.Kind {
+		case core.EventAlertRaised.String():
+			raised++
+		case core.EventAlertCleared.String():
+			cleared++
+		}
+	}
+	return raised, cleared
+}
+
 // Fig13ReactionToChange reproduces the §5.3.4 case study: ranges inside a
 // /23 with two ingress points; mid-run, a router maintenance moves one
 // interface's traffic; the affected range is invalidated and reclassified at
 // the new interface (Figs. 13 and 14).
 func Fig13ReactionToChange(opts Options) (Fig13Fig14Result, error) {
-	var res Fig13Fig14Result
 	cfg := core.DefaultConfig()
 	cfg.NCidrFactor4 = 0.001
+	return ReactionToChange(cfg, opts.out())
+}
+
+// ReactionToChange runs the Figs 13/14 scenario on a bare engine built from
+// cfg and prints the event log to w. cfg's OnEvent and OnCycle hooks stay
+// attached (every event reaches OnEvent after the result records it), so a
+// caller can watch the run, for example with a timeline collector.
+func ReactionToChange(cfg core.Config, w io.Writer) (Fig13Fig14Result, error) {
+	var res Fig13Fig14Result
+	onEvent := cfg.OnEvent
 	cfg.OnEvent = func(ev core.Event) {
-		res.Events = append(res.Events, Fig13Event{At: ev.At, Kind: ev.Kind.String(), Prefix: ev.Prefix, Ingress: ev.Ingress})
+		res.Events = append(res.Events, Fig13Event{At: ev.At, Kind: ev.Kind.String(), Prefix: ev.Prefix, Ingress: ev.Ingress, Detail: ev.Detail})
+		if onEvent != nil {
+			onEvent(ev)
+		}
 	}
 	eng, err := core.NewEngine(cfg)
 	if err != nil {
@@ -345,7 +376,6 @@ func Fig13ReactionToChange(opts Options) (Fig13Fig14Result, error) {
 		res.ChangeDetected = ri.Classified && ri.Ingress == inC
 	}
 
-	w := opts.out()
 	fprintf(w, "# Fig 13/14: reaction to change within %v (maintenance at %s)\n", focus, maint.Format("2006-01-02"))
 	fprintf(w, "# paper: ingress change detected quickly; range reclassified at the new interface\n")
 	for _, ev := range res.Events {
@@ -444,5 +474,3 @@ func Fig15Elephants(opts Options, points int, every time.Duration) (Fig15Result,
 		res.PNIShare, res.Top5Share, res.Top20Share)
 	return res, nil
 }
-
-var _ = fmt.Sprintf // keep fmt for future printf additions

@@ -1,12 +1,16 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/netip"
 	"time"
 
 	"ipd/internal/core"
 	"ipd/internal/flow"
 	"ipd/internal/governor"
+	"ipd/internal/journal"
 	"ipd/internal/trafficgen"
 )
 
@@ -33,6 +37,20 @@ type SketchFloodResult struct {
 	// compaction discards classified work while sketching only coarsens
 	// unclassified evidence.
 	Compactions int
+	// ReferenceRanges is the reference engine's range count at the end.
+	ReferenceRanges int
+	// Events is the governed engine's decision log and Final its partition
+	// at the end of the run; CheckJournal replays the one onto the other.
+	Events []core.Event
+	Final  []core.RangeInfo
+
+	// replayCfg is the governed engine's config without its hooks and
+	// governor: what an offline replay of Events builds its engine from.
+	replayCfg core.Config
+	// floodEnd is the governed partition when the flood stops, while
+	// ranges are still sketched; floodEndSeq is the last event before it.
+	floodEnd    []core.RangeInfo
+	floodEndSeq uint64
 }
 
 // sketchFloodMix is the splitmix64 behind the spoofed source draw, locally
@@ -79,11 +97,12 @@ func SketchFlood(opts Options) (SketchFloodResult, error) {
 	if err != nil {
 		return SketchFloodResult{}, err
 	}
+	res := SketchFloodResult{Cap: cap, replayCfg: govCfg}
 	govCfg.Governor = gov
-	compactions := 0
 	govCfg.OnEvent = func(ev core.Event) {
+		res.Events = append(res.Events, ev)
 		if ev.Kind == core.EventCompacted {
-			compactions++
+			res.Compactions++
 		}
 	}
 	eng, err := core.NewEngine(govCfg)
@@ -103,7 +122,6 @@ func SketchFlood(opts Options) (SketchFloodResult, error) {
 		coolMin   = 10
 	)
 	gen := trafficgen.GenConfig{FlowsPerMinute: opts.FlowsPerMinute, Seed: opts.Seed}
-	res := SketchFloodResult{Cap: cap}
 	rng := &sketchFloodMix{s: uint64(opts.Seed) ^ 0xbadc0de}
 	cur := scn.Start
 	nextCycle := cur.Add(time.Minute)
@@ -174,6 +192,10 @@ func SketchFlood(opts Options) (SketchFloodResult, error) {
 			return res, err
 		}
 	}
+	res.floodEnd = eng.Snapshot()
+	if n := len(res.Events); n > 0 {
+		res.floodEndSeq = res.Events[n-1].Seq
+	}
 	agree, classified := 0, 0
 	for _, a := range legitSample {
 		ri, ok := ref.Range(a)
@@ -196,7 +218,8 @@ func SketchFlood(opts Options) (SketchFloodResult, error) {
 	}
 
 	res.Sketch = eng.SketchStatus()
-	res.Compactions = compactions
+	res.ReferenceRanges = len(ref.Snapshot())
+	res.Final = eng.Snapshot()
 
 	w := opts.out()
 	fprintf(w, "# Spoofed-scan flood: fixed-memory sketch tier vs the unbounded algorithm\n")
@@ -205,4 +228,57 @@ func SketchFlood(opts Options) (SketchFloodResult, error) {
 	fprintf(w, "legit parity at flood end: %.3f  sketched-ranges peak: %d  degrades: %d  hydrates: %d  compactions: %d\n",
 		res.LegitParity, res.SketchedPeak, res.Sketch.Degrades, res.Sketch.Hydrates, res.Compactions)
 	return res, nil
+}
+
+// CheckJournal checks that every governed event survives a byte-equal JSON
+// round-trip and that the resulting JSONL log, replayed into a fresh engine,
+// rebuilds the governed partition (ranges, classifications and sketch
+// flags) both when the flood stops and at the end. It returns the number of
+// state-mode events in the log.
+func (r SketchFloodResult) CheckJournal() (modeEvents int, err error) {
+	var jsonl bytes.Buffer
+	for _, ev := range r.Events {
+		b1, err := json.Marshal(ev)
+		if err != nil {
+			return 0, err
+		}
+		var back core.Event
+		if err := json.Unmarshal(b1, &back); err != nil {
+			return 0, fmt.Errorf("event seq %d does not re-parse: %v (%s)", ev.Seq, err, b1)
+		}
+		b2, err := json.Marshal(back)
+		if err != nil {
+			return 0, err
+		}
+		if !bytes.Equal(b1, b2) {
+			return 0, fmt.Errorf("event seq %d JSON round-trip drifted:\n  first:  %s\n  second: %s", ev.Seq, b1, b2)
+		}
+		if ev.Kind == core.EventStateMode {
+			modeEvents++
+		}
+		jsonl.Write(append(b1, '\n'))
+	}
+	rep, err := core.NewEngine(r.replayCfg)
+	if err != nil {
+		return 0, err
+	}
+	apply := func(ev core.Event) error {
+		if err := rep.ApplyEvent(ev); err != nil {
+			return err
+		}
+		if ev.Seq != r.floodEndSeq {
+			return nil
+		}
+		if err := core.DiffPartitions(r.floodEnd, rep.Snapshot()); err != nil {
+			return fmt.Errorf("replayed partition does not match the governed engine at flood end: %v", err)
+		}
+		return nil
+	}
+	if _, err := journal.ReplayTail(&jsonl, 0, apply); err != nil {
+		return 0, err
+	}
+	if err := core.DiffPartitions(r.Final, rep.Snapshot()); err != nil {
+		return 0, fmt.Errorf("replayed partition does not match the governed engine: %v", err)
+	}
+	return modeEvents, nil
 }
