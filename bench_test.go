@@ -101,10 +101,11 @@ func attachExporterHealth(_ *testing.B, cfg *ipd.Config) func(ipd.Record) {
 	return func(rec ipd.Record) { health.ObserveRecord(rec.In.Router) }
 }
 
-// One atomic add per record; one in SampleN (default 16) also takes the
-// profiler lock for the heavy-hitter and shard-table update.
+// One atomic add per record, fed as a one-record batch; one in SampleN
+// (default 16) also takes the profiler lock for the heavy-hitter update.
 func attachWorkload(*testing.B, *ipd.Config) func(ipd.Record) {
-	return ipd.NewWorkloadProfiler(ipd.WorkloadOptions{}).ObserveRecord
+	p := ipd.NewWorkloadProfiler(ipd.WorkloadOptions{})
+	return func(rec ipd.Record) { p.ObserveBatch([]ipd.Record{rec}) }
 }
 
 // The sketch tier enabled but idle (no governor pressure, so no range

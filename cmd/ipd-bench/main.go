@@ -65,8 +65,7 @@ var commands = map[string]struct {
 	"fig10": {"longitudinal matching/stable ratios", long(experiments.Fig10Longitudinal, month)},
 	"fig11": {"network size by daytime (TOP5)", plain(experiments.Fig11Daytime)},
 	"fig12": {"network size by daytime (AS4 CDN)", plain(experiments.Fig12CDNBehavior)},
-	"fig13": {"reaction to change case study (also fig14)", plain(experiments.Fig13ReactionToChange)},
-	"fig14": {"alias of fig13 (detailed range view)", plain(experiments.Fig13ReactionToChange)},
+	"fig13": {"reaction to change case study, with the Fig 14 range view", plain(experiments.Fig13ReactionToChange)},
 	"fig15": {"elephant-range stability", long(experiments.Fig15Elephants, month)},
 	"fig16": {"ingress/egress symmetry over time", long(experiments.Fig16Symmetry, month)},
 	// Quarterly spacing by default: the growth inflections sit at months
@@ -144,8 +143,8 @@ func run(args []string, w io.Writer) error {
 	names := []string{name}
 	switch _, ok := commands[name]; {
 	case name == "all":
-		// fig14 aliases fig13; the heavy one runs last.
-		names = slices.DeleteFunc(sorted, func(n string) bool { return n == "fig14" || n == "paramstudy" })
+		// The heavy one runs last.
+		names = slices.DeleteFunc(sorted, func(n string) bool { return n == "paramstudy" })
 		names = append(names, "paramstudy")
 	case !ok:
 		fs.Usage()

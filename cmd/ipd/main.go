@@ -148,23 +148,23 @@ func main() {
 }
 
 // replay implements -replay: rebuild the partition from a decision log by
-// folding it through a fresh engine (OnEvent nil, so it starts at seq 0).
+// folding it through a fresh server (OnEvent nil, so it starts at seq 0).
 func replay(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	eng, err := ipd.NewEngine(ipd.DefaultConfig())
+	srv, err := ipd.NewServer(ipd.DefaultConfig(), ipd.DefaultStatTimeConfig())
 	if err != nil {
 		return err
 	}
-	if _, err := ipd.ReplayJournalTail(bufio.NewReader(f), 0, eng.ApplyEvent); err != nil {
+	if _, err := ipd.ReplayJournalTail(bufio.NewReader(f), 0, srv.ApplyEvent); err != nil {
 		return err
 	}
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
-	ranges := eng.Snapshot()
+	ranges := srv.Snapshot()
 	for _, ri := range ranges {
 		if ri.Classified {
 			fmt.Fprintf(out, "%s\t%s\n", ri.Prefix, ri.Ingress)
@@ -172,7 +172,7 @@ func replay(path string) error {
 			fmt.Fprintf(out, "%s\tunclassified\n", ri.Prefix)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "ipd: replayed %d events into %d active ranges\n", eng.Seq(), len(ranges))
+	fmt.Fprintf(os.Stderr, "ipd: replayed %d events into %d active ranges\n", srv.Seq(), len(ranges))
 	return nil
 }
 

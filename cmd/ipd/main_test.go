@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -329,7 +330,9 @@ func TestGapBeyondMaxSkew(t *testing.T) {
 // TestFiguresRunTheBinaryPath pins that the paper's figures and the trace
 // binary run one record path: experiments.RunBins, given the Config the ipd
 // flags parse into, hands the figures at every -bin boundary the
-// ranges ipd prints there, and ends at the ranges ipd ends at.
+// ranges ipd prints there, and ends at the ranges ipd ends at; and the
+// Figs 13/14 driver, on its own server, journals the lifecycle events ipd
+// journals for the same stream.
 func TestFiguresRunTheBinaryPath(t *testing.T) {
 	recs := simTrace(t, 0, 30)
 	args := []string{"-factor4", "0.001", "-bin", "5m"}
@@ -383,5 +386,72 @@ func TestFiguresRunTheBinaryPath(t *testing.T) {
 			i++
 		}
 		t.Fatalf("ipd's rows and the figures' bins differ from line %d (ipd %d lines, figures %d)", i+1, len(gl)-1, len(wl)-1)
+	}
+
+	// Figs 13/14 feed their own server: written as a trace, their stream
+	// must take ipd through the same lifecycle, event for event. Alerts are
+	// left out: ipd attaches a timeline, the figure does not.
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, "fig13.ipd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := ipd.NewTraceWriter(f)
+	experiments.ReactionToChangeStream(func(minute []ipd.Record) bool {
+		for _, rec := range minute {
+			if err = w.Write(rec); err != nil {
+				return false
+			}
+		}
+		return true
+	})
+	if err == nil {
+		err = w.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	args = []string{"-factor4", "0.001"}
+	journal := filepath.Join(dir, "j.jsonl")
+	if _, _, err := runIPD(t, append(args, "-journal", journal, "-in", f.Name())...); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	lifecycle := func(ev ipd.Event) bool { return ev.Kind != ipd.EventAlertRaised && ev.Kind != ipd.EventAlertCleared }
+	var got []experiments.Fig13Event
+	jf, err := os.Open(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jf.Close()
+	if _, err := ipd.ReplayJournalTail(jf, 0, func(ev ipd.Event) error {
+		if lifecycle(ev) {
+			got = append(got, experiments.Fig13Event{At: ev.At, Kind: ev.Kind.String(), Prefix: ev.Prefix, Ingress: ev.Ingress})
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fs = flag.NewFlagSet("fig13", flag.ContinueOnError)
+	o = newOptions(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	res, err := experiments.ReactionToChange(o.cfg, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.ChangeDetected || len(res.Events) < 10 {
+		t.Fatalf("the figure saw %d events, change detected %v: the comparison would be vacuous", len(res.Events), res.ChangeDetected)
+	}
+	if len(got) != len(res.Events) {
+		t.Fatalf("ipd journaled %d lifecycle events, the figure %d", len(got), len(res.Events))
+	}
+	for i, ev := range res.Events {
+		if g := got[i]; !g.At.Equal(ev.At) || g.Kind != ev.Kind || g.Prefix != ev.Prefix || g.Ingress != ev.Ingress {
+			t.Fatalf("lifecycle event %d: ipd %+v, figure %+v", i, g, ev)
+		}
 	}
 }

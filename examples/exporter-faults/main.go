@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"ipd"
-	"ipd/internal/flow"
 	"ipd/internal/netflow"
 )
 
@@ -49,7 +48,7 @@ var (
 	silentWindow = ipd.SimFaultWindow{From: 40 * time.Minute, To: 100 * time.Minute}
 )
 
-const runMinutes = 180
+const runMinutes, perRouter = 180, 40 // perRouter: records per router and minute
 
 func main() {
 	snapOut := flag.String("snapshot", "", "write the final /ipd/exporters snapshot as JSON to this file ('' disables)")
@@ -79,23 +78,19 @@ func run(snapOut string) error {
 	}
 	cfg.OnCycle = tl.OnCycle
 
-	eng, err := ipd.NewEngine(cfg)
+	srv, err := ipd.NewServer(cfg, ipd.DefaultStatTimeConfig())
 	if err != nil {
 		return err
 	}
 
 	// NetFlow collector fed by direct datagram handoff (no UDP): the packer
 	// plays the export side, HandleDatagram the receive side, and source
-	// attribution runs through per-port exporter registration. Records are
-	// re-stamped with the collector clock before they reach the engine —
-	// the statistical-time front-end's job in the full pipeline — so a
-	// skewed exporter degrades its own feed without dragging the shared
-	// cycle clock forward. The raw header skew still reaches the health
-	// tracker through the datagram path.
-	coll, err := netflow.NewCollector(func(rec flow.Record) {
-		rec.Ts = now
-		eng.Observe(rec)
-	})
+	// attribution runs through per-port exporter registration. Statistical
+	// time drops the skewed exporter's records as future, so its clock
+	// cannot drag the cycles forward; the raw header skew still reaches the
+	// health tracker through the datagram path.
+	var batch []ipd.Record
+	coll, err := netflow.NewCollector(func(rec ipd.Record) { batch = append(batch, rec) })
 	if err != nil {
 		return err
 	}
@@ -140,7 +135,7 @@ func run(snapOut string) error {
 			if r == lossyR && m >= 40 {
 				iface = 14
 			}
-			for i := 0; i < 40; i++ {
+			for i := 0; i < perRouter; i++ {
 				if err := packer.Add(ipd.Record{
 					Ts:      ts,
 					Src:     netip.AddrFrom4([4]byte{quadrant[r], 10, 0, byte(i)}),
@@ -155,9 +150,17 @@ func run(snapOut string) error {
 		if err := packer.Flush(); err != nil {
 			return err
 		}
-		eng.AdvanceTo(ts.Add(time.Minute))
+		srv.Ingest(batch)
+		batch = batch[:0]
 	}
-	fmt.Printf("packer emitted %d datagrams, dropped %d on the export path\n\n", packer.Emitted, packer.Dropped)
+	srv.Finish()
+	_, st := srv.Stats()
+	fmt.Printf("packer emitted %d datagrams, dropped %d on the export path; statistical time dropped %d stale, %d future records\n\n",
+		packer.Emitted, packer.Dropped, st.DroppedStale, st.DroppedFuture)
+	if skewed := uint64((skewWindow.To-skewWindow.From)/time.Minute) * perRouter; st.DroppedStale != 0 || st.DroppedFuture != skewed {
+		return fmt.Errorf("statistical time dropped %d stale and %d future records, want 0 and the skewed router's %d in-window records",
+			st.DroppedStale, st.DroppedFuture, skewed)
+	}
 
 	// Collect the exporter-alert lifecycle and the coverage-annotated
 	// classifications from the journalable event stream.

@@ -77,26 +77,26 @@ func run(snapOut string) error {
 	}
 	cfg.OnCycle = tl.OnCycle
 
-	eng, err := ipd.NewEngine(cfg)
+	srv, err := ipd.NewServer(cfg, ipd.DefaultStatTimeConfig())
 	if err != nil {
 		return err
 	}
+	srv.SetWorkload(wl.ObserveBatch) // as node.Attach wires it
 
 	start := scen.Start
 	cur := start
-	nextCycle := start.Add(time.Minute)
 	feed := func(to time.Time, hot float64) error {
+		batch := make([]ipd.Record, 0, 512)
 		gcfg := ipd.SimGenConfig{FlowsPerMinute: flowsMin, Seed: 7, HotFraction: hot, HotPrefix: hotPfx}
 		err := scen.Stream(cur, to, gcfg, func(rec ipd.Record) bool {
 			now = rec.Ts
-			for !rec.Ts.Before(nextCycle) {
-				eng.AdvanceTo(nextCycle)
-				nextCycle = nextCycle.Add(time.Minute)
+			if batch = append(batch, rec); len(batch) == cap(batch) {
+				srv.Ingest(batch)
+				batch = batch[:0]
 			}
-			wl.ObserveRecord(rec)
-			eng.Observe(rec)
 			return true
 		})
+		srv.Ingest(batch)
 		cur = to
 		return err
 	}
@@ -115,8 +115,11 @@ func run(snapOut string) error {
 	if err := feed(start.Add((warmupMin+burstMin+coolMin)*time.Minute), 0); err != nil {
 		return err
 	}
-	eng.AdvanceTo(start.Add((warmupMin + burstMin + coolMin) * time.Minute))
+	srv.Finish()
 	final := wl.Snapshot()
+	if _, st := srv.Stats(); st.DroppedStale+st.DroppedFuture+st.DroppedInactive != 0 {
+		return fmt.Errorf("statistical time dropped records, want none: %+v", st)
+	}
 
 	// The alert lifecycle, from the journalable event stream.
 	type edge struct{ subject, dir string }

@@ -3,12 +3,12 @@
 // clean for 15 virtual minutes, then a spoofed /32 scan flood (25 000
 // never-repeating source addresses per minute, entering through four
 // different border links so no prevalent ingress ever emerges) burns for 20
-// minutes and stops. Two engines consume the identical record stream:
+// minutes and stops. Two servers consume the identical record stream:
 //
-//   - the REFERENCE engine runs the paper's algorithm unmodified — no
+//   - the REFERENCE server runs the paper's algorithm unmodified — no
 //     governor, no per-IP cap — and its per-IP state balloons with the
 //     flood (the Appendix A memory hazard);
-//   - the GOVERNED engine caps per-IP state (MaxIPStates 12 000), runs the
+//   - the GOVERNED server caps per-IP state (MaxIPStates 12 000), runs the
 //     governor on that budget, and enables the fixed-memory sketch tier:
 //     under pressure, far-from-threshold ranges degrade their per-source
 //     evidence into the shared count-min sketch instead of minting exact
@@ -16,16 +16,16 @@
 //
 // The run must tell exactly this story:
 //
-//   - the reference engine's per-IP population rises to several multiples
-//     of the cap while the governed engine never exceeds it (flat memory);
-//   - the governed engine still classifies the legitimate address space:
-//     sampled legit sources agree with the reference engine's verdicts
+//   - the reference server's per-IP population rises to several multiples
+//     of the cap while the governed server never exceeds it (flat memory);
+//   - the governed server still classifies the legitimate address space:
+//     sampled legit sources agree with the reference server's verdicts
 //     within a small tolerance at the height of the flood;
 //   - the sketch tier actually engages (degrades > 0, sketched ranges
 //     observed) and hydrates back after the flood (hydrates > 0);
 //   - every lifecycle event — EventStateMode included — survives a
 //     byte-equal JSON round-trip, and replaying the JSONL journal
-//     reconstructs the governed engine's partition exactly, sketch flags
+//     reconstructs the governed server's partition exactly, sketch flags
 //     included, both when the flood stops and at the end.
 //
 // The -snapshot flag writes the accuracy/memory artifact as JSON, for CI
@@ -45,7 +45,7 @@ import (
 	"ipd/internal/experiments"
 )
 
-const parityFloor = 0.9 // legit-space agreement with the reference engine
+const parityFloor = 0.9 // legit-space agreement with the reference server
 
 func main() {
 	snapOut := flag.String("snapshot", "", "write the accuracy/memory artifact as JSON to this file ('' disables)")
@@ -61,6 +61,7 @@ type artifact struct {
 	Cap            int              `json:"max_ip_states"`
 	ReferencePeak  int              `json:"reference_ip_peak"`
 	GovernedPeak   int              `json:"governed_ip_peak"`
+	CapRefusals    uint64           `json:"cap_refusals"`
 	Parity         float64          `json:"legit_parity_at_flood_end"`
 	ParityFloor    float64          `json:"parity_floor"`
 	SketchedPeak   int              `json:"sketched_ranges_peak"`
@@ -81,8 +82,8 @@ func run(snapOut string) error {
 
 	// The flood must actually be a memory hazard for the unprotected
 	// algorithm, and the cap must hold throughout for the governed one.
-	if res.GovernedPeak > res.Cap {
-		return fmt.Errorf("governed engine peaked at %d per-IP entries, cap is %d", res.GovernedPeak, res.Cap)
+	if res.GovernedPeak > res.Cap || res.CapRefusals == 0 {
+		return fmt.Errorf("governed server held %d per-IP entries and refused %d mints; want at most the cap %d, reached", res.GovernedPeak, res.CapRefusals, res.Cap)
 	}
 	if res.ReferencePeak < 3*res.Cap {
 		return fmt.Errorf("reference per-IP peak %d never exceeded 3x the cap %d — the flood is not a pressure test", res.ReferencePeak, res.Cap)
@@ -105,8 +106,8 @@ func run(snapOut string) error {
 		return fmt.Errorf("journal carries no EventStateMode events despite %d degrades", res.Sketch.Degrades)
 	}
 
-	fmt.Printf("\nOK: governed per-IP state stayed at or under the %d cap while the reference peaked at %d.\n", res.Cap, res.ReferencePeak)
-	fmt.Printf("OK: legit-space classifications agree with the reference engine (%.3f >= %.2f) at the height of the flood.\n", res.LegitParity, parityFloor)
+	fmt.Printf("\nOK: governed per-IP state stayed at or under the %d cap (%d mints refused) while the reference peaked at %d.\n", res.Cap, res.CapRefusals, res.ReferencePeak)
+	fmt.Printf("OK: legit-space classifications agree with the reference server (%.3f >= %.2f) at the height of the flood.\n", res.LegitParity, parityFloor)
 	fmt.Printf("OK: sketch tier degraded %d times, hydrated %d times (ε=%.5f), and all %d events (%d mode flips) replay byte-equal.\n",
 		res.Sketch.Degrades, res.Sketch.Hydrates, res.Sketch.Epsilon, len(res.Events), modeEvents)
 
@@ -117,6 +118,7 @@ func run(snapOut string) error {
 		Cap:            res.Cap,
 		ReferencePeak:  res.ReferencePeak,
 		GovernedPeak:   res.GovernedPeak,
+		CapRefusals:    res.CapRefusals,
 		Parity:         res.LegitParity,
 		ParityFloor:    parityFloor,
 		SketchedPeak:   res.SketchedPeak,

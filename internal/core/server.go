@@ -280,6 +280,14 @@ func (s *Server) Explain(addr netip.Addr) (Explanation, bool) {
 	return s.eng.Explain(addr)
 }
 
+// IPStateCount returns the per-IP entries held in unclassified ranges
+// (safe concurrently with RunQueue).
+func (s *Server) IPStateCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.eng.IPStateCount()
+}
+
 // SketchStatus returns the fixed-memory sketch tier's status (safe
 // concurrently with RunQueue); the zero status when Config.Sketch is off.
 func (s *Server) SketchStatus() SketchStatus {

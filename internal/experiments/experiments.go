@@ -300,13 +300,6 @@ func RunBins(cfg core.Config, bin time.Duration, stream func(yield func(flow.Rec
 		fn(b, cur, mapped())
 	})
 	srv.SetCycleHook(bins)
-	dropped := func() error {
-		if _, st := srv.Stats(); st.DroppedStale+st.DroppedFuture+st.DroppedInactive > 0 {
-			return fmt.Errorf("statistical time dropped %d stale, %d future and %d inactive records",
-				st.DroppedStale, st.DroppedFuture, st.DroppedInactive)
-		}
-		return nil
-	}
 	batch := make([]flow.Record, 0, 512)
 	err = stream(func(rec flow.Record) bool {
 		pending = append(pending, rec)
@@ -315,14 +308,14 @@ func RunBins(cfg core.Config, bin time.Duration, stream func(yield func(flow.Rec
 		}
 		srv.Ingest(batch)
 		batch = batch[:0]
-		return dropped() == nil
+		return dropped(srv) == nil
 	})
 	if err != nil {
 		return core.Stats{}, err
 	}
 	srv.Ingest(batch)
 	srv.Finish()
-	if err := dropped(); err != nil {
+	if err := dropped(srv); err != nil {
 		return core.Stats{}, err
 	}
 	// The boundaries after the final cycle, up to the end of the last
@@ -334,6 +327,15 @@ func RunBins(cfg core.Config, bin time.Duration, stream func(yield func(flow.Rec
 	}
 	st, _ := srv.Stats()
 	return st, nil
+}
+
+// dropped returns an error once statistical time has dropped a record.
+func dropped(srv *core.Server) error {
+	if _, st := srv.Stats(); st.DroppedStale+st.DroppedFuture+st.DroppedInactive > 0 {
+		return fmt.Errorf("statistical time dropped %d stale, %d future and %d inactive records",
+			st.DroppedStale, st.DroppedFuture, st.DroppedInactive)
+	}
+	return nil
 }
 
 // warmupBins is the number of leading bins excluded from run-wide means:

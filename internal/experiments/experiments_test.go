@@ -506,6 +506,9 @@ func TestSketchFlood(t *testing.T) {
 	if res.GovernedPeak > res.Cap {
 		t.Errorf("governed peak %d exceeded cap %d", res.GovernedPeak, res.Cap)
 	}
+	if res.CapRefusals == 0 {
+		t.Errorf("governed server never reached its cap %d (no mint refused)", res.Cap)
+	}
 	if res.ReferencePeak <= 2*res.Cap {
 		t.Errorf("reference peak %d should dwarf the cap %d — flood too weak to exercise the tier",
 			res.ReferencePeak, res.Cap)

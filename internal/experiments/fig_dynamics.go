@@ -11,6 +11,7 @@ import (
 	"ipd/internal/eval"
 	"ipd/internal/flow"
 	"ipd/internal/metrics"
+	"ipd/internal/stattime"
 	"ipd/internal/topology"
 	"ipd/internal/trafficgen"
 )
@@ -263,19 +264,16 @@ type Fig13Event struct {
 	Detail string
 }
 
-// Fig13Fig14Result carries the case-study timeline plus the per-cycle
-// counter/confidence series of the focus /24 (Fig. 14).
+// Fig13Fig14Result carries the case-study timeline plus the series of the
+// focus x.y.197.0/24 range (Fig. 14): every 10 minutes of statistical time,
+// from an hour before the maintenance to an hour after its reclassification.
 type Fig13Fig14Result struct {
-	Events []Fig13Event
-	// Focus series for x.y.197.0/24-equivalent.
+	Events       []Fig13Event
 	FocusPrefix  netip.Prefix
 	Times        []time.Time
-	Samples      []float64
-	Confidence   []float64
-	Classified   []bool
+	Focus        []core.RangeInfo // the focus range at Times[i]
 	IngressAtEnd flow.Ingress
-	// ChangeDetected is true if the engine reclassified the focus prefix
-	// to the post-maintenance interface.
+	// ChangeDetected: the focus prefix ends classified at the new interface.
 	ChangeDetected bool
 }
 
@@ -306,82 +304,96 @@ func Fig13ReactionToChange(opts Options) (Fig13Fig14Result, error) {
 	return ReactionToChange(cfg, opts.out())
 }
 
-// ReactionToChange runs the Figs 13/14 scenario on a bare engine built from
-// cfg and prints the event log to w. cfg's OnEvent and OnCycle hooks stay
-// attached (every event reaches OnEvent after the result records it), so a
-// caller can watch the run, for example with a timeline collector.
+// The Figs 13/14 world: inside x.y.196.0/23, 197.0/24 and 196.0/25 enter
+// via A and 196.128/26 via B. At the maintenance, A's traffic moves to C.
+var (
+	changeMaint = time.Date(2020, 7, 14, 0, 0, 0, 0, time.UTC)
+	changeFocus = netip.MustParsePrefix("203.0.197.0/24")
+	changeInC   = flow.Ingress{Router: 1, Iface: 7} // post-maintenance interface
+)
+
+// ReactionToChangeStream yields the Figs 13/14 scenario's records one
+// minute at a time, from 4 virtual days before the maintenance to 4 days
+// after: converge, hit the change, reconverge. The batch is reused after
+// yield returns.
+func ReactionToChangeStream(yield func(minute []flow.Record) bool) {
+	inA, inB := flow.Ingress{Router: 1, Iface: 1}, flow.Ingress{Router: 2, Iface: 3}
+	var batch []flow.Record
+	add := func(ts time.Time, cidr string, in flow.Ingress, n int) {
+		a := netip.MustParsePrefix(cidr).Addr().As4()
+		for i := 0; i < n; i++ {
+			src := netip.AddrFrom4([4]byte{a[0], a[1], a[2], a[3] + byte(i)})
+			batch = append(batch, flow.Record{Ts: ts, Src: src, In: in, Bytes: 500, Packets: 1})
+		}
+	}
+	for ts := changeMaint.AddDate(0, 0, -4); ts.Before(changeMaint.AddDate(0, 0, 4)); ts = ts.Add(time.Minute) {
+		aIngress := inA
+		if !ts.Before(changeMaint) {
+			aIngress = changeInC
+		}
+		batch = batch[:0]
+		add(ts, "203.0.197.0/24", aIngress, 40)
+		add(ts, "203.0.196.0/25", aIngress, 25)
+		add(ts, "203.0.196.128/26", inB, 15)
+		if !yield(batch) {
+			return
+		}
+	}
+}
+
+// ReactionToChange feeds ReactionToChangeStream to a server built from cfg,
+// one Ingest per minute, and prints the event log and the focus series to
+// w. cfg's OnEvent and OnCycle hooks stay attached (every event reaches
+// OnEvent after the result records it), so a caller can watch the run.
 func ReactionToChange(cfg core.Config, w io.Writer) (Fig13Fig14Result, error) {
-	var res Fig13Fig14Result
+	res := Fig13Fig14Result{FocusPrefix: changeFocus}
+	var reclassified time.Time
 	onEvent := cfg.OnEvent
 	cfg.OnEvent = func(ev core.Event) {
 		res.Events = append(res.Events, Fig13Event{At: ev.At, Kind: ev.Kind.String(), Prefix: ev.Prefix, Ingress: ev.Ingress, Detail: ev.Detail})
+		if reclassified.IsZero() && ev.Kind == core.EventClassified && ev.Prefix == changeFocus.String() && !ev.At.Before(changeMaint) {
+			reclassified = ev.At
+		}
 		if onEvent != nil {
 			onEvent(ev)
 		}
 	}
-	eng, err := core.NewEngine(cfg)
+	srv, err := core.NewServer(cfg, stattime.DefaultConfig())
 	if err != nil {
 		return res, err
 	}
-
-	// x.y.196.0/23 world: 197.0/24 and 196.0/25 enter via A; 196.128/26
-	// via B. After the "maintenance" instant, A's traffic moves to C.
-	base := time.Date(2020, 7, 10, 0, 0, 0, 0, time.UTC)
-	maint := base.Add(4 * 24 * time.Hour) // 2020-07-14
-	end := base.Add(8 * 24 * time.Hour)
-	inA := flow.Ingress{Router: 1, Iface: 1}
-	inB := flow.Ingress{Router: 2, Iface: 3}
-	inC := flow.Ingress{Router: 1, Iface: 7} // post-maintenance interface
-	focus := netip.MustParsePrefix("203.0.196.0/23")
-	res.FocusPrefix = netip.MustParsePrefix("203.0.197.0/24")
-
-	feed := func(ts time.Time, cidr string, in flow.Ingress, n int) {
-		p := netip.MustParsePrefix(cidr)
-		a4 := p.Addr().As4()
-		span := 1 << uint(32-p.Bits())
-		for i := 0; i < n; i++ {
-			off := i % span
-			b := a4
-			b[3] = byte(int(a4[3]) + off%256)
-			b[2] = byte(int(a4[2]) + off/256)
-			eng.Observe(flow.Record{Ts: ts, Src: netip.AddrFrom4(b), In: in, Bytes: 500, Packets: 1})
+	// Fig 14 reads the focus range after each cycle at a 10-minute mark,
+	// stamped with the cycle's statistical time, the event log's clock.
+	var at time.Time
+	srv.SetCycleHook(func(t time.Time, _ func() []core.RangeInfo) { at = t })
+	ReactionToChangeStream(func(recs []flow.Record) bool {
+		srv.Ingest(recs)
+		inWindow := !at.Before(changeMaint.Add(-time.Hour)) && (reclassified.IsZero() || !at.After(reclassified.Add(time.Hour)))
+		if ri, ok := srv.Range(changeFocus.Addr()); ok && inWindow && at.Minute()%10 == 0 {
+			res.Times = append(res.Times, at)
+			res.Focus = append(res.Focus, ri)
 		}
+		return true
+	})
+	srv.Finish()
+	if err := dropped(srv); err != nil {
+		return res, err
 	}
-
-	// Drive minute by minute across 8 virtual days: converge, hit the
-	// change, reconverge. The Fig. 14 series samples every 10 minutes.
-	minute := 0
-	for ts := base; ts.Before(end); ts = ts.Add(time.Minute) {
-		aIngress := inA
-		if !ts.Before(maint) {
-			aIngress = inC
-		}
-		feed(ts, "203.0.197.0/24", aIngress, 40)
-		feed(ts, "203.0.196.0/25", aIngress, 25)
-		feed(ts, "203.0.196.128/26", inB, 15)
-		eng.AdvanceTo(ts.Add(time.Minute))
-
-		if minute%10 == 0 {
-			if ri, ok := eng.Range(res.FocusPrefix.Addr()); ok {
-				res.Times = append(res.Times, ts)
-				res.Samples = append(res.Samples, ri.Samples)
-				res.Confidence = append(res.Confidence, ri.Confidence)
-				res.Classified = append(res.Classified, ri.Classified)
-			}
-		}
-		minute++
-	}
-	if ri, ok := eng.Range(res.FocusPrefix.Addr()); ok {
+	if ri, ok := srv.Range(changeFocus.Addr()); ok {
 		res.IngressAtEnd = ri.Ingress
-		res.ChangeDetected = ri.Classified && ri.Ingress == inC
+		res.ChangeDetected = ri.Classified && ri.Ingress == changeInC
 	}
 
-	fprintf(w, "# Fig 13/14: reaction to change within %v (maintenance at %s)\n", focus, maint.Format("2006-01-02"))
+	fprintf(w, "# Fig 13/14: reaction to change within 203.0.196.0/23 (maintenance at %s)\n", changeMaint.Format("2006-01-02"))
 	fprintf(w, "# paper: ingress change detected quickly; range reclassified at the new interface\n")
 	for _, ev := range res.Events {
 		fprintf(w, "%s %-12s %-20s %v\n", ev.At.Format("01-02 15:04"), ev.Kind, ev.Prefix, ev.Ingress)
 	}
 	fprintf(w, "focus %v final ingress: %v (change detected: %v)\n", res.FocusPrefix, res.IngressAtEnd, res.ChangeDetected)
+	fprintf(w, "# Fig 14: %v every 10 minutes, from 1 h before the maintenance to 1 h after its reclassification\n", res.FocusPrefix)
+	for i, ri := range res.Focus {
+		fprintf(w, "%s samples=%.0f confidence=%.3f classified=%v\n", res.Times[i].Format("01-02 15:04"), ri.Samples, ri.Confidence, ri.Classified)
+	}
 	return res, nil
 }
 

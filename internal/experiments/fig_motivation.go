@@ -10,6 +10,7 @@ import (
 	"ipd/internal/eval"
 	"ipd/internal/flow"
 	"ipd/internal/metrics"
+	"ipd/internal/stattime"
 )
 
 // Fig2Result is the prefix-stability-duration distribution of Fig. 2 (and
@@ -244,7 +245,7 @@ type Fig5Step struct {
 
 // Fig5Walkthrough replays the paper's Fig. 5 example: four ingress points
 // in the four /2 quadrants; the engine splits /0 -> /1 -> /2 and classifies
-// each quadrant. It uses a dedicated tiny engine, not the day run.
+// each quadrant. It uses a dedicated tiny server, not the day run.
 func Fig5Walkthrough(opts Options) ([]Fig5Step, error) {
 	var steps []Fig5Step
 	cfg := core.DefaultConfig()
@@ -256,7 +257,7 @@ func Fig5Walkthrough(opts Options) ([]Fig5Step, error) {
 			Detail: fmt.Sprintf("%s %s", ev.Prefix, ev.Ingress),
 		})
 	}
-	eng, err := core.NewEngine(cfg)
+	srv, err := core.NewServer(cfg, stattime.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -270,17 +271,20 @@ func Fig5Walkthrough(opts Options) ([]Fig5Step, error) {
 		{"140.0.0.0", flow.Ingress{Router: 3, Iface: 1}}, // red
 		{"210.0.0.0", flow.Ingress{Router: 4, Iface: 1}}, // yellow
 	}
-	ts := start
-	for cycle := 0; cycle < 5; cycle++ {
+	for ts := start; ts.Before(start.Add(5 * time.Minute)); ts = ts.Add(time.Minute) {
+		var batch []flow.Record
 		for _, q := range quadrants {
 			a := netip.MustParseAddr(q.src).As4()
 			for i := 0; i < 20; i++ {
 				a[3] = byte(i)
-				eng.Observe(flow.Record{Ts: ts, Src: netip.AddrFrom4(a), In: q.in, Bytes: 100, Packets: 1})
+				batch = append(batch, flow.Record{Ts: ts, Src: netip.AddrFrom4(a), In: q.in, Bytes: 100, Packets: 1})
 			}
 		}
-		ts = ts.Add(time.Minute)
-		eng.AdvanceTo(ts)
+		srv.Ingest(batch)
+	}
+	srv.Finish()
+	if err := dropped(srv); err != nil {
+		return nil, err
 	}
 	w := opts.out()
 	fprintf(w, "# Fig 5: IPD algorithm example application (split cascade)\n")
@@ -288,7 +292,7 @@ func Fig5Walkthrough(opts Options) ([]Fig5Step, error) {
 	for _, s := range steps {
 		fprintf(w, "t=%s  %-12s %s\n", s.At.Format("15:04:05"), s.Event, s.Detail)
 	}
-	for _, ri := range eng.Mapped() {
+	for _, ri := range srv.Mapped() {
 		fprintf(w, "final: %v -> %v (confidence %.2f, samples %.0f)\n", ri.Prefix, ri.Ingress, ri.Confidence, ri.Samples)
 	}
 	return steps, nil

@@ -11,41 +11,45 @@ import (
 	"ipd/internal/flow"
 	"ipd/internal/governor"
 	"ipd/internal/journal"
+	"ipd/internal/stattime"
 	"ipd/internal/trafficgen"
 )
 
 // SketchFloodResult quantifies the fixed-memory sketch tier under a spoofed
 // /32 scan flood: the memory the unprotected algorithm would need, the
-// budget the governed engine held, and the classification accuracy it kept
+// budget the governed server held, and the classification accuracy it kept
 // on the legitimate address space while the flood ran.
 type SketchFloodResult struct {
-	// Cap is the governed engine's MaxIPStates budget; ReferencePeak and
-	// GovernedPeak are the two engines' per-IP population peaks.
+	// Cap is the governed server's MaxIPStates budget. ReferencePeak and
+	// GovernedPeak are the per-IP populations at their highest between
+	// Ingest calls (after each cycle); CapRefusals counts the mints the cap
+	// refused (ipd_ip_states_skipped_total), nonzero once the cap was reached.
 	Cap           int
 	ReferencePeak int
 	GovernedPeak  int
+	CapRefusals   uint64
 	// LegitParity is the share of flood-end verdicts on sampled legitimate
-	// sources where the governed engine agrees with the unbounded
+	// sources where the governed server agrees with the unbounded
 	// reference (over sources the reference classified).
 	LegitParity float64
-	// Sketch is the governed engine's final sketch-tier accounting.
+	// Sketch is the governed server's final sketch-tier accounting.
 	Sketch core.SketchStatus
 	// SketchedPeak is the most ranges simultaneously in sketched mode.
 	SketchedPeak int
-	// Compactions counts emergency forced joins in the governed engine —
+	// Compactions counts emergency forced joins in the governed server —
 	// the sketch tier exists to keep this at (or near) zero, because
 	// compaction discards classified work while sketching only coarsens
 	// unclassified evidence.
 	Compactions int
-	// ReferenceRanges is the reference engine's range count at the end.
+	// ReferenceRanges is the reference server's range count at the end.
 	ReferenceRanges int
-	// Events is the governed engine's decision log and Final its partition
+	// Events is the governed server's decision log and Final its partition
 	// at the end of the run; CheckJournal replays the one onto the other.
 	Events []core.Event
 	Final  []core.RangeInfo
 
-	// replayCfg is the governed engine's config without its hooks and
-	// governor: what an offline replay of Events builds its engine from.
+	// replayCfg is the governed server's config without its hooks and
+	// governor: what an offline replay of Events builds its server from.
 	replayCfg core.Config
 	// floodEnd is the governed partition when the flood stops, while
 	// ranges are still sketched; floodEndSeq is the last event before it.
@@ -68,7 +72,7 @@ func (r *sketchFloodMix) next() uint64 {
 
 // SketchFlood drives the identical record stream — a clean warm-up, then a
 // spoofed /32 scan flood striped over four border links, then calm again —
-// through an unbounded reference engine and a governed engine with the
+// through two servers, an unbounded reference and a governed one with the
 // sketch tier enabled, and reports the memory/accuracy trade the tier
 // achieves (the robustness gap Appendix A leaves open: the paper's memory
 // proxy is never bounded against adversarial source cardinality).
@@ -86,7 +90,7 @@ func SketchFlood(opts Options) (SketchFloodResult, error) {
 	scanPerMin := 5 * opts.FlowsPerMinute
 	cap := (12 * opts.FlowsPerMinute) / 5
 
-	ref, err := core.NewEngine(opts.engineConfig(scn.Topo))
+	ref, err := core.NewServer(opts.engineConfig(scn.Topo), stattime.DefaultConfig())
 	if err != nil {
 		return SketchFloodResult{}, err
 	}
@@ -105,7 +109,7 @@ func SketchFlood(opts Options) (SketchFloodResult, error) {
 			res.Compactions++
 		}
 	}
-	eng, err := core.NewEngine(govCfg)
+	srv, err := core.NewServer(govCfg, stattime.DefaultConfig())
 	if err != nil {
 		return SketchFloodResult{}, err
 	}
@@ -116,17 +120,15 @@ func SketchFlood(opts Options) (SketchFloodResult, error) {
 		scanIf[i] = allIfaces[(i*len(allIfaces))/len(scanIf)].In
 	}
 
-	const (
-		warmupMin = 15
-		floodMin  = 20
-		coolMin   = 10
-	)
+	const warmupMin, floodMin, coolMin = 15, 20, 10
 	gen := trafficgen.GenConfig{FlowsPerMinute: opts.FlowsPerMinute, Seed: opts.Seed}
 	rng := &sketchFloodMix{s: uint64(opts.Seed) ^ 0xbadc0de}
 	cur := scn.Start
-	nextCycle := cur.Add(time.Minute)
 	var legitSample []netip.Addr
+	var recs []flow.Record
 
+	// feedMinute hands both servers the next minute's legitimate records,
+	// interleaved with its scan records, in the same batches.
 	feedMinute := func(scan int, sample bool) error {
 		to := cur.Add(time.Minute)
 		legit, err := scn.Records(cur, to, gen)
@@ -138,29 +140,18 @@ func SketchFlood(opts Options) (SketchFloodResult, error) {
 				legitSample = append(legitSample, legit[i].Src)
 			}
 		}
-		var scanStep time.Duration
-		if scan > 0 {
-			scanStep = time.Minute / time.Duration(scan)
-		}
-		observe := func(rec flow.Record) {
-			for !rec.Ts.Before(nextCycle) {
-				ref.AdvanceTo(nextCycle)
-				eng.AdvanceTo(nextCycle)
-				nextCycle = nextCycle.Add(time.Minute)
-			}
-			ref.Observe(rec)
-			eng.Observe(rec)
-		}
+		scanStep := time.Minute / time.Duration(max(scan, 1))
+		recs = recs[:0]
 		li, si := 0, 0
 		for li < len(legit) || si < scan {
 			scanTs := cur.Add(time.Duration(si) * scanStep)
 			if si >= scan || (li < len(legit) && !legit[li].Ts.After(scanTs)) {
-				observe(legit[li])
+				recs = append(recs, legit[li])
 				li++
 				continue
 			}
 			v := rng.next()
-			observe(flow.Record{
+			recs = append(recs, flow.Record{
 				Ts:      scanTs,
 				Src:     netip.AddrFrom4([4]byte{200, byte(v >> 16), byte(v >> 8), byte(v)}),
 				In:      scanIf[si%len(scanIf)],
@@ -170,16 +161,15 @@ func SketchFlood(opts Options) (SketchFloodResult, error) {
 			si++
 		}
 		cur = to
-		if n := ref.IPStateCount(); n > res.ReferencePeak {
-			res.ReferencePeak = n
+		for i := 0; i < len(recs); i += 512 {
+			batch := recs[i:min(i+512, len(recs))]
+			ref.Ingest(batch)
+			srv.Ingest(batch)
+			res.ReferencePeak = max(res.ReferencePeak, ref.IPStateCount())
+			res.GovernedPeak = max(res.GovernedPeak, srv.IPStateCount())
+			res.SketchedPeak = max(res.SketchedPeak, srv.SketchStatus().SketchedRanges)
 		}
-		if n := eng.IPStateCount(); n > res.GovernedPeak {
-			res.GovernedPeak = n
-		}
-		if n := eng.SketchStatus().SketchedRanges; n > res.SketchedPeak {
-			res.SketchedPeak = n
-		}
-		return nil
+		return dropped(srv) // ref's binner drops exactly what srv's does
 	}
 
 	for m := 0; m < warmupMin; m++ {
@@ -192,7 +182,7 @@ func SketchFlood(opts Options) (SketchFloodResult, error) {
 			return res, err
 		}
 	}
-	res.floodEnd = eng.Snapshot()
+	res.floodEnd = srv.Snapshot()
 	if n := len(res.Events); n > 0 {
 		res.floodEndSeq = res.Events[n-1].Seq
 	}
@@ -203,7 +193,7 @@ func SketchFlood(opts Options) (SketchFloodResult, error) {
 			continue
 		}
 		classified++
-		gi, ok := eng.Range(a)
+		gi, ok := srv.Range(a)
 		if ok && gi.Classified && gi.Ingress == ri.Ingress {
 			agree++
 		}
@@ -217,21 +207,24 @@ func SketchFlood(opts Options) (SketchFloodResult, error) {
 		}
 	}
 
-	res.Sketch = eng.SketchStatus()
+	ref.Finish()
+	srv.Finish()
+	res.CapRefusals = srv.Telemetry().Counter("ipd_ip_states_skipped_total", "").Value()
+	res.Sketch = srv.SketchStatus()
 	res.ReferenceRanges = len(ref.Snapshot())
-	res.Final = eng.Snapshot()
+	res.Final = srv.Snapshot()
 
 	w := opts.out()
 	fprintf(w, "# Spoofed-scan flood: fixed-memory sketch tier vs the unbounded algorithm\n")
 	fprintf(w, "# paper gap: Appendix A's memory proxy is never bounded against source-cardinality attacks\n")
-	fprintf(w, "per-IP peak: reference=%d governed=%d (cap %d)\n", res.ReferencePeak, res.GovernedPeak, res.Cap)
+	fprintf(w, "per-IP peak: reference=%d governed=%d (cap %d, %d mints refused at the cap)\n", res.ReferencePeak, res.GovernedPeak, res.Cap, res.CapRefusals)
 	fprintf(w, "legit parity at flood end: %.3f  sketched-ranges peak: %d  degrades: %d  hydrates: %d  compactions: %d\n",
 		res.LegitParity, res.SketchedPeak, res.Sketch.Degrades, res.Sketch.Hydrates, res.Compactions)
 	return res, nil
 }
 
 // CheckJournal checks that every governed event survives a byte-equal JSON
-// round-trip and that the resulting JSONL log, replayed into a fresh engine,
+// round-trip and that the resulting JSONL log, replayed into a fresh server,
 // rebuilds the governed partition (ranges, classifications and sketch
 // flags) both when the flood stops and at the end. It returns the number of
 // state-mode events in the log.
@@ -258,7 +251,7 @@ func (r SketchFloodResult) CheckJournal() (modeEvents int, err error) {
 		}
 		jsonl.Write(append(b1, '\n'))
 	}
-	rep, err := core.NewEngine(r.replayCfg)
+	rep, err := core.NewServer(r.replayCfg, stattime.DefaultConfig())
 	if err != nil {
 		return 0, err
 	}
@@ -270,7 +263,7 @@ func (r SketchFloodResult) CheckJournal() (modeEvents int, err error) {
 			return nil
 		}
 		if err := core.DiffPartitions(r.floodEnd, rep.Snapshot()); err != nil {
-			return fmt.Errorf("replayed partition does not match the governed engine at flood end: %v", err)
+			return fmt.Errorf("replayed partition does not match the governed server at flood end: %v", err)
 		}
 		return nil
 	}
@@ -278,7 +271,7 @@ func (r SketchFloodResult) CheckJournal() (modeEvents int, err error) {
 		return 0, err
 	}
 	if err := core.DiffPartitions(r.Final, rep.Snapshot()); err != nil {
-		return 0, fmt.Errorf("replayed partition does not match the governed engine: %v", err)
+		return 0, fmt.Errorf("replayed partition does not match the governed server: %v", err)
 	}
 	return modeEvents, nil
 }

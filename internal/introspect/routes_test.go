@@ -195,7 +195,7 @@ func TestWorkloadEndpoint(t *testing.T) {
 	for cycle := 0; cycle < 3; cycle++ {
 		for _, q := range quadrants {
 			for i := 0; i < 50; i++ {
-				p.ObserveRecord(flow.Record{Ts: ts, Src: addrIn(q.base, byte(i)), In: q.in})
+				p.ObserveBatch([]flow.Record{{Ts: ts, Src: addrIn(q.base, byte(i)), In: q.in}})
 			}
 		}
 		p.TickCycle(uint64(cycle + 1))

@@ -10,11 +10,10 @@
 //     exporter-health skew estimate, to ingest dequeue and to the next
 //     classification commit).
 //
-// Feed the per-record path with ObserveRecord (cmd/ipd's trace loop) or the
-// batch path with ObserveBatch (core.Server.SetWorkload); both apply the same
-// deterministic 1-in-SampleN thinning. Drive cycles by attaching the profiler
-// to a timeline.Collector, which calls TickCycle once per stage-2 cycle so
-// the hot-prefix alert stream stays journal-replayable.
+// Feed it the ingested batches with ObserveBatch (core.Server.SetWorkload),
+// which thins them 1-in-SampleN, deterministically. Drive cycles by
+// attaching the profiler to a timeline.Collector, which calls TickCycle once
+// per stage-2 cycle so the hot-prefix alert stream stays journal-replayable.
 package workload
 
 import (
@@ -33,7 +32,7 @@ type Options struct {
 	// worst-case overcount.
 	TopK int
 
-	// SampleN thins the per-record path: only every Nth record reaches the
+	// SampleN thins the ingested records: only every Nth reaches the
 	// summary (default 16; 1 profiles every record). The thinning is
 	// deterministic (a shared counter), so two identical runs profile
 	// identical subsets. Shares are ratios and unbiased under thinning;
@@ -79,8 +78,8 @@ func (o Options) withDefaults() Options {
 }
 
 // Profiler is the workload profiler. All methods are safe for concurrent
-// use; the per-record fast path is one atomic add plus, for every SampleN-th
-// record, a short critical section.
+// use; a batch costs one atomic add plus, if it holds a SampleN-th record,
+// one short critical section.
 type Profiler struct {
 	opts Options
 
@@ -88,11 +87,8 @@ type Profiler struct {
 	// deterministic sampling counter.
 	seen atomic.Uint64
 
-	// sampleN mirrors opts.SampleN as uint64; sampleMask is sampleN-1 when
-	// sampleN is a power of two (the default), letting the per-record gate
-	// use a mask instead of a division.
-	sampleN    uint64
-	sampleMask uint64
+	// sampleN mirrors opts.SampleN as uint64.
+	sampleN uint64
 
 	mu sync.Mutex
 
@@ -121,38 +117,16 @@ const latencyEvery = 64
 // New returns a profiler with the given options.
 func New(opts Options) *Profiler {
 	o := opts.withDefaults()
-	n := uint64(o.SampleN)
-	var mask uint64
-	if n&(n-1) == 0 {
-		mask = n - 1
-	}
 	return &Profiler{
-		opts:       o,
-		sampleN:    n,
-		sampleMask: mask,
-		hh:         newSummary(o.TopK),
+		opts:    o,
+		sampleN: uint64(o.SampleN),
+		hh:      newSummary(o.TopK),
 	}
 }
 
-// ObserveRecord feeds one record from the per-record ingest path (cmd/ipd's
-// trace loop). The fast path for a thinned-out record is one atomic add.
-func (p *Profiler) ObserveRecord(rec flow.Record) {
-	n := p.seen.Add(1)
-	if p.sampleMask != 0 {
-		if n&p.sampleMask != 0 {
-			return
-		}
-	} else if n%p.sampleN != 0 {
-		return
-	}
-	p.mu.Lock()
-	p.observeLocked(rec)
-	p.mu.Unlock()
-}
-
-// ObserveBatch feeds one drained collector batch (core.Server.SetWorkload)
-// through the same deterministic thinning as ObserveRecord: the record at
-// stream position k (1-based) is profiled when k%SampleN == 0. Only those
+// ObserveBatch feeds one ingested batch (core.Server.SetWorkload) through
+// the deterministic thinning: the record at stream position k (1-based) is
+// profiled when k%SampleN == 0. Only those
 // records are visited, and a batch holding none takes no lock.
 func (p *Profiler) ObserveBatch(batch []flow.Record) {
 	n := uint64(len(batch))

@@ -22,7 +22,7 @@ func TestShardImbalanceUniform(t *testing.T) {
 	p := New(Options{SampleN: 1, TopK: 64})
 	ts := time.Unix(1000, 0)
 	for i := 0; i < 4096; i++ {
-		p.ObserveRecord(rec(v4From24(i%64, byte(i)), testIngress, ts))
+		p.ObserveBatch([]flow.Record{rec(v4From24(i%64, byte(i)), testIngress, ts)})
 	}
 	st := p.TickCycle(1)
 	if len(st.Top) == 0 {
@@ -42,7 +42,7 @@ func TestShardImbalanceSkewed(t *testing.T) {
 	p := New(Options{SampleN: 1})
 	ts := time.Unix(1000, 0)
 	for i := 0; i < 1000; i++ {
-		p.ObserveRecord(rec(netip.AddrFrom4([4]byte{10, 1, 2, byte(i)}), testIngress, ts))
+		p.ObserveBatch([]flow.Record{rec(netip.AddrFrom4([4]byte{10, 1, 2, byte(i)}), testIngress, ts)})
 	}
 	st := p.TickCycle(1)
 	if len(st.Top) != 1 || st.Top[0].Prefix.String() != "10.1.2.0/24" {
@@ -65,12 +65,12 @@ func TestShardImbalanceEWMA(t *testing.T) {
 	ts := time.Unix(1000, 0)
 	// Cycle 1: uniform over 16 /24s.
 	for i := 0; i < 1600; i++ {
-		p.ObserveRecord(rec(v4From24(i%16, byte(i)), testIngress, ts))
+		p.ObserveBatch([]flow.Record{rec(v4From24(i%16, byte(i)), testIngress, ts)})
 	}
 	uniform := p.TickCycle(1).Top[0].Share
 	// Cycle 2: fully skewed onto a /24 outside the uniform set.
 	for i := 0; i < 1600; i++ {
-		p.ObserveRecord(rec(netip.AddrFrom4([4]byte{10, 200, 1, byte(i)}), testIngress, ts))
+		p.ObserveBatch([]flow.Record{rec(netip.AddrFrom4([4]byte{10, 200, 1, byte(i)}), testIngress, ts)})
 	}
 	st := p.TickCycle(2)
 	if st.Top[0].Prefix.String() != "10.200.1.0/24" {
@@ -93,9 +93,9 @@ func TestHotShareAndDecay(t *testing.T) {
 		cycle++
 		for i := 0; i < n; i++ {
 			if float64(i%100) < hotFrac*100 {
-				p.ObserveRecord(rec(hot, testIngress, ts))
+				p.ObserveBatch([]flow.Record{rec(hot, testIngress, ts)})
 			} else {
-				p.ObserveRecord(rec(v4From24(i%512, byte(i)), testIngress, ts))
+				p.ObserveBatch([]flow.Record{rec(v4From24(i%512, byte(i)), testIngress, ts)})
 			}
 		}
 		return p.TickCycle(cycle)
@@ -134,8 +134,8 @@ func TestHotShareAndDecay(t *testing.T) {
 }
 
 // TestBatchLocality checks that ObserveBatch, which visits only the
-// records its thinning gate admits, profiles exactly the records
-// ObserveRecord would: one stream fed both ways, with the same cycle ticks,
+// records its thinning gate admits, profiles exactly the records it admits
+// one record at a time: one stream fed both ways, with the same cycle ticks,
 // gives equal cycle stats and snapshots for every thinning rate and batch
 // size, including batches that hold no admitted record.
 func TestBatchLocality(t *testing.T) {
@@ -153,7 +153,7 @@ func TestBatchLocality(t *testing.T) {
 			for off, chunk := 0, 0; off < len(stream); off, chunk = off+size, chunk+1 {
 				batch := stream[off:min(off+size, len(stream))]
 				for _, r := range batch {
-					byRec.ObserveRecord(r)
+					byRec.ObserveBatch([]flow.Record{r})
 				}
 				byBatch.ObserveBatch(batch)
 				if chunk%7 == 6 {
@@ -222,7 +222,7 @@ func TestSampleThinning(t *testing.T) {
 	p := New(Options{SampleN: 4})
 	ts := time.Unix(1000, 0)
 	for i := 0; i < 100; i++ {
-		p.ObserveRecord(rec(v4From24(i, 1), testIngress, ts))
+		p.ObserveBatch([]flow.Record{rec(v4From24(i, 1), testIngress, ts)})
 	}
 	batch := make([]flow.Record, 100)
 	for i := range batch {
@@ -253,7 +253,7 @@ func TestLatency(t *testing.T) {
 	// Records exported at base-3s by the exporter clock; corrected export is
 	// base-5s, so ingest latency is 5s. Only the latencyEvery-th is measured.
 	for i := 0; i < latencyEvery; i++ {
-		p.ObserveRecord(rec(netip.MustParseAddr("10.0.0.1"), testIngress, base.Add(-3*time.Second)))
+		p.ObserveBatch([]flow.Record{rec(netip.MustParseAddr("10.0.0.1"), testIngress, base.Add(-3*time.Second))})
 	}
 	now = base.Add(10 * time.Second) // cycle fires 10s later: commit latency 15s
 	st := p.TickCycle(1)
@@ -298,7 +298,7 @@ func TestPendingBounded(t *testing.T) {
 	p := New(Options{SampleN: 1})
 	ts := time.Now()
 	for i := 0; i < 10*pendingCap*latencyEvery; i++ {
-		p.ObserveRecord(rec(v4From24(i%64, 1), testIngress, ts))
+		p.ObserveBatch([]flow.Record{rec(v4From24(i%64, 1), testIngress, ts)})
 	}
 	p.mu.Lock()
 	n := len(p.pending)
@@ -320,7 +320,7 @@ func TestConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 5000; i++ {
-				p.ObserveRecord(rec(v4From24((g*100+i)%1024, byte(i)), testIngress, ts))
+				p.ObserveBatch([]flow.Record{rec(v4From24((g*100+i)%1024, byte(i)), testIngress, ts)})
 			}
 		}(g)
 	}

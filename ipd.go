@@ -19,8 +19,8 @@
 // clock drift (§3.1), then stage 1 and stage 2 of the engine, with
 // concurrent snapshot readers. A streaming input sheds through an
 // IngestQueue drained by Server.RunQueue; a trace file calls Ingest and
-// Finish directly. NewEngine is the bare, deterministic virtual-time core
-// whose caller places the stage-2 cycles itself (AdvanceTo).
+// Finish directly. NewEngine, the bare core whose caller places the cycles
+// itself, is kept for the benchmark's per-layer harness only.
 //
 // The package re-exports what the repository's commands, examples and
 // benchmark build on:
@@ -134,7 +134,7 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) { return governor.New(cf
 
 // Decision-provenance types. A Journal records the engine's lifecycle
 // events (attach it via Config.OnEvent = j.Record). A recorded decision log
-// replays through ReplayJournalTail into Engine.ApplyEvent (see there).
+// replays through ReplayJournalTail into Server.ApplyEvent (see there).
 type (
 	// Journal is a bounded ring of lifecycle events with per-prefix
 	// history and an optional JSONL sink.
@@ -189,7 +189,7 @@ func NewExporterHealth(opts ExporterHealthOptions) *ExporterHealth {
 // Workload-profiling types. A WorkloadProfiler measures the traffic: top-K
 // heavy-hitter /24 (IPv6 /48) aggregates with per-ingress attribution and
 // epoch decay, and skew-corrected export-to-ingest/-commit latency. Feed it
-// from Server.SetWorkload or ObserveRecord; drive cycles via
+// from Server.SetWorkload; drive cycles via
 // TimelineCollector.SetWorkload, which also runs the AlertHotPrefix
 // hysteresis.
 type (
@@ -252,9 +252,9 @@ func NewIngestQueue(capacity int) *IngestQueue { return core.NewIngestQueue(capa
 
 // ReplayJournalTail replays the events of an append-only JSONL decision log
 // with Seq > afterSeq through apply and returns how many events were
-// applied. Apply is Engine.ApplyEvent or Server.ApplyEvent: after restoring
-// a checkpoint covering 1..afterSeq for crash recovery, or with afterSeq 0
-// on a fresh engine built with OnEvent nil for a full offline replay.
+// applied. Apply is Server.ApplyEvent: after restoring a checkpoint
+// covering 1..afterSeq for crash recovery, or with afterSeq 0 on a fresh
+// server built with OnEvent nil for a full offline replay.
 func ReplayJournalTail(r io.Reader, afterSeq uint64, apply func(Event) error) (int, error) {
 	return journal.ReplayTail(r, afterSeq, apply)
 }
@@ -335,7 +335,7 @@ type (
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // NewEngine validates cfg and returns a ready engine with the /0 roots
-// active.
+// active: the bare core, kept for the benchmark's per-layer harness only.
 func NewEngine(cfg Config) (*Engine, error) { return core.NewEngine(cfg) }
 
 // NewServer builds the online wrapper: statistical-time cleaning in front
