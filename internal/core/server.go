@@ -199,7 +199,7 @@ func (s *Server) LockContention() (wait time.Duration, acquisitions uint64) {
 // cancelled, then ends with Finish. It returns nil on queue close and
 // ctx.Err() on cancellation. Cancellation is a graceful drain, not an abort:
 // records already buffered in the queue are ingested before the flush, so a
-// SIGTERM loses nothing that reached the process (the cmd/ipd-collector
+// SIGTERM loses nothing that reached the process (the `ipd -listen`
 // shutdown path); producers still racing their final offers extend that by
 // at most drainLimit records.
 //

@@ -271,7 +271,7 @@ func runDay(opts Options) (*DayRun, error) {
 	return run, nil
 }
 
-// RunBins feeds a stream through the record path both binaries run: a
+// RunBins feeds a stream through the record path both ipd modes run: a
 // core.Server built from cfg and stattime.DefaultConfig(), fed 512-record
 // batches and ended with Finish. Per bin boundary b, by core.BinHook (the
 // rule cmd/ipd writes its rows by), fn gets the records before b not yet

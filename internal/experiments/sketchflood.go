@@ -128,7 +128,12 @@ func SketchFlood(opts Options) (SketchFloodResult, error) {
 	var recs []flow.Record
 
 	// feedMinute hands both servers the next minute's legitimate records,
-	// interleaved with its scan records, in the same batches.
+	// interleaved with its scan records, in the same batches. The merge
+	// takes legitimate records while the next one is not later than the
+	// next scan record. The legitimate records are ordered by minute only
+	// (trafficgen's Stream), so a late one holds back those behind it and
+	// the merged minute is not time-ordered either; every record still
+	// lands in its own minute's statistical-time bucket.
 	feedMinute := func(scan int, sample bool) error {
 		to := cur.Add(time.Minute)
 		legit, err := scn.Records(cur, to, gen)

@@ -143,7 +143,7 @@ type Config struct {
 	Registry *telemetry.Registry
 
 	// OnTransition, when non-nil, is called synchronously from Evaluate on
-	// every state change — the binaries use it to adjust the flow sampler.
+	// every state change — `ipd -listen` uses it to adjust the flow sampler.
 	// It must not call back into Evaluate.
 	OnTransition func(from, to State, u Usage)
 

@@ -8,7 +8,7 @@ import (
 )
 
 // DefaultTemplateV4 and DefaultTemplateV6 are the record layouts the
-// bundled exporter emits (and that ipd-collector's tests exercise).
+// bundled exporter emits (and that the IPFIX collector's tests exercise).
 var (
 	DefaultTemplateV4 = Template{ID: 256, Fields: []FieldSpec{
 		{ID: IESourceIPv4Address, Length: 4},

@@ -1,20 +1,20 @@
 package node
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 
-	"ipd/internal/cliflags"
 	"ipd/internal/core"
 )
 
-// Flags are the settings both binaries share: the journal sink,
+// Flags are the process settings of every ipd mode: the journal sink,
 // checkpoints, the governor and sketch tier, the timeline window, and mutex
-// profiling. The shared engine
-// thresholds are bound straight into the binary's core.Config. Everything
-// else New builds (journal ring, tracer, exporter health, workload
-// profiler, sketch size) runs at its package default.
+// profiling. The engine thresholds among them are bound straight into the
+// binary's core.Config. Everything else New builds (journal ring, tracer,
+// exporter health, workload profiler, sketch size) runs at its package
+// default.
 type Flags struct {
 	LogLevel string
 
@@ -37,7 +37,7 @@ type Flags struct {
 	q *float64
 }
 
-// RegisterFlags defines the shared flags on fs and returns the values they
+// RegisterFlags defines the process flags on fs and returns the values they
 // parse into; -factor4, -floor and -q parse into cfg.
 func RegisterFlags(fs *flag.FlagSet, cfg *core.Config) *Flags {
 	f := &Flags{q: &cfg.Q}
@@ -57,16 +57,35 @@ func RegisterFlags(fs *flag.FlagSet, cfg *core.Config) *Flags {
 	return f
 }
 
-// Validate checks the shared flags; the first violated rule wins.
+// Validate checks the flags; the first violated rule wins, so the user
+// fixes flags in a stable sequence. It rejects values that earlier versions
+// silently "fixed" (a checkpoint cadence of 0 became 1): a typo like
+// -checkpoint-every 0 fails loudly instead of checkpointing every cycle.
 func (f *Flags) Validate() error {
 	if _, err := f.level(); err != nil {
 		return err
 	}
-	if err := cliflags.Engine(f.CheckpointEvery, f.MaxRanges, f.MemBudget,
-		f.TimelineWindow, f.MutexProfile); err != nil {
-		return err
+	switch {
+	case f.CheckpointEvery < 1:
+		return fmt.Errorf("-checkpoint-every must be >= 1 (got %d)", f.CheckpointEvery)
+	case f.MaxRanges < 0:
+		return fmt.Errorf("-max-ranges must be >= 0 (got %d)", f.MaxRanges)
+	case f.MaxRanges == 1:
+		// The partition always holds the v4 and v6 /0 roots.
+		return errors.New("-max-ranges 1 cannot hold the two /0 roots (use 0 for unlimited or >= 2)")
+	case f.MemBudget < 0:
+		return fmt.Errorf("-mem-budget must be >= 0 (got %d)", f.MemBudget)
+	case f.TimelineWindow < 0:
+		return fmt.Errorf("-timeline-window must be >= 0 (got %d)", f.TimelineWindow)
+	case f.MutexProfile < 0:
+		return fmt.Errorf("-mutexprofile must be >= 0 (got %d)", f.MutexProfile)
+	case f.Sketch && *f.q <= core.ExactMargin:
+		// Ranges within the exact margin below q keep exact state, so with
+		// the sketch tier on q must exceed it; with the tier off, q is not
+		// the tier's business.
+		return fmt.Errorf("-q must exceed the sketch tier's exact margin %g with -sketch (got %g)", core.ExactMargin, *f.q)
 	}
-	return cliflags.Sketch(f.Sketch, *f.q)
+	return nil
 }
 
 func (f *Flags) level() (slog.Level, error) {

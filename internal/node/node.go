@@ -1,13 +1,12 @@
-// Package node assembles one IPD process around its engine: the part of the
-// deployment both binaries share. cmd/ipd (trace files) and
-// cmd/ipd-collector (UDP collectors) differ only in how records reach the
-// engine; everything around it is built here, in dependency order:
+// Package node assembles one IPD process around its engine. cmd/ipd's trace
+// and listen modes differ only in how records reach the engine; everything
+// around it is built here, in dependency order:
 //
 //  1. New: the logger, the decision journal and its JSONL sink, exporter
 //     health, the workload profiler, the timeline (or its tick-only
 //     fallback), the resource governor, and the engine config hooks that
 //     connect them. The binary then builds its core.Server from
-//     Node.Config; both binaries feed it through Server.Ingest.
+//     Node.Config; both modes feed it through Server.Ingest.
 //  2. Attach: metric registration on the server's registry, the workload
 //     and lock-contention feeds, the checkpoint manager and the server's
 //     checkpoint cadence, and — only when something can read them — the
@@ -15,11 +14,11 @@
 //  3. Restore: the newest valid checkpoint plus the journal tail after it.
 //  4. Handler: the debug surface (/metrics, /debug/vars, pprof, /ipd/*,
 //     /healthz, /readyz).
-//  5. Close: the journal sink's error, which the binaries exit non-zero on.
+//  5. Close: the journal sink's error, which ipd exits non-zero on.
 //
 // The benchmark and the examples wire the same parts by hand: each needs a
-// virtual clock, a sampling rate, or a subsystem left out that the binaries
-// do not offer as a flag.
+// virtual clock, a sampling rate, or a subsystem left out that ipd does
+// not offer as a flag.
 package node
 
 import (
@@ -43,7 +42,7 @@ import (
 )
 
 // Node is one assembled process. The exported fields are the parts the
-// binaries feed or read; a nil field is a part the flags left out.
+// binary feeds or reads; a nil field is a part the flags left out.
 type Node struct {
 	// Config is the engine configuration with every node-driven hook set;
 	// build the server from it.
@@ -60,7 +59,6 @@ type Node struct {
 	Tracer      *trace.Tracer    // nil unless traced
 	Checkpoints *persist.Manager // nil without -checkpoint-dir
 
-	name     string // message prefix on stderr
 	flags    *Flags
 	sink     *os.File
 	sinkBase int64 // the sink's size before the engine journaled anything
@@ -68,10 +66,10 @@ type Node struct {
 	watchdog *core.Watchdog
 }
 
-// GovernorInputs are what a binary with an ingest queue hands the governor:
+// GovernorInputs are what a mode with an ingest queue hands the governor:
 // the queue's capacity and depth (a fourth budget axis) and a hook run on
-// every state change. cmd/ipd reads a file, which needs no queue, and passes
-// the zero value.
+// every state change. A trace run reads a file, which needs no queue, and
+// passes the zero value.
 type GovernorInputs struct {
 	QueueCap     int
 	QueueDepth   func() int
@@ -80,15 +78,14 @@ type GovernorInputs struct {
 
 // New builds the parts that must exist before the engine, and returns them
 // with Config: cfg plus the -sketch switch and the hooks into the
-// journal, exporter health, workload profiler, timeline and governor. name
-// prefixes the node's stderr messages. f must have passed Validate.
-func New(name string, f *Flags, cfg core.Config, gi GovernorInputs) (*Node, error) {
+// journal, exporter health, workload profiler, timeline and governor. f
+// must have passed Validate.
+func New(f *Flags, cfg core.Config, gi GovernorInputs) (*Node, error) {
 	lvl, err := f.level()
 	if err != nil {
 		return nil, err
 	}
 	n := &Node{
-		name:   name,
 		flags:  f,
 		Logger: slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})),
 	}
@@ -313,7 +310,7 @@ func (n *Node) Restore() error {
 	if err != nil {
 		return fmt.Errorf("checkpoint restore: %v", err)
 	}
-	fmt.Fprintf(os.Stderr, "%s: restored checkpoint %s (seq %d)\n", n.name, path, n.srv.Seq())
+	fmt.Fprintf(os.Stderr, "ipd: restored checkpoint %s (seq %d)\n", path, n.srv.Seq())
 	if n.flags.Journal == "" {
 		return nil
 	}
@@ -337,13 +334,13 @@ func (n *Node) Restore() error {
 	}
 	n.Checkpoints.NoteReplayed(replayed)
 	if replayed > 0 {
-		fmt.Fprintf(os.Stderr, "%s: replayed %d journal events (now at seq %d)\n", n.name, replayed, n.srv.Seq())
+		fmt.Fprintf(os.Stderr, "ipd: replayed %d journal events (now at seq %d)\n", replayed, n.srv.Seq())
 	}
 	return nil
 }
 
 // Close closes the journal sink and returns the first error the sink hit:
-// a failed event write, else a failed close. The binaries exit non-zero on
+// a failed event write, else a failed close. ipd exits non-zero on
 // it, so a run whose decision log is incomplete does not look successful.
 // Call it after the engine's last event.
 func (n *Node) Close() error {

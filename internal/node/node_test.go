@@ -41,7 +41,7 @@ func newNode(t *testing.T, args ...string) *Node {
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	n, err := New("test", f, cfg, GovernorInputs{})
+	n, err := New(f, cfg, GovernorInputs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func attachServer(t *testing.T, n *Node, traced bool) *core.Server {
 }
 
 func TestValidate(t *testing.T) {
-	// retired is the parse error of a flag the binaries no longer define:
+	// retired is the parse error of a flag ipd no longer defines:
 	// its setting runs at the package default, and a script still passing
 	// it fails loudly instead of being ignored.
 	retired := func(name string) string { return "flag provided but not defined: -" + name }
@@ -76,16 +76,17 @@ func TestValidate(t *testing.T) {
 		{"non-defaults", []string{"-checkpoint-every", "1", "-max-ranges", "2",
 			"-mem-budget", "1073741824", "-timeline-window", "0", "-mutexprofile", "100"}, ""},
 		{"log-level", []string{"-log-level", "loud"}, "-log-level"},
-		{"ckpt-every", []string{"-checkpoint-every", "0"}, "-checkpoint-every"},
+		{"ckpt-every", []string{"-checkpoint-every", "0"}, "-checkpoint-every must be >= 1 (got 0)"},
 		{"trace-sample", []string{"-trace-sample", "0"}, retired("trace-sample")},
-		{"max-ranges-neg", []string{"-max-ranges", "-1"}, "-max-ranges"},
-		{"max-ranges-one", []string{"-max-ranges", "1"}, "/0 roots"},
-		{"mem-budget", []string{"-mem-budget", "-1"}, "-mem-budget"},
-		{"timeline-window", []string{"-timeline-window", "-1"}, "-timeline-window"},
+		{"max-ranges-neg", []string{"-max-ranges", "-1"}, "-max-ranges must be >= 0 (got -1)"},
+		{"max-ranges-one", []string{"-max-ranges", "1"}, "-max-ranges 1 cannot hold the two /0 roots (use 0 for unlimited or >= 2)"},
+		{"mem-budget", []string{"-mem-budget", "-1"}, "-mem-budget must be >= 0 (got -1)"},
+		{"timeline-window", []string{"-timeline-window", "-1"}, "-timeline-window must be >= 0 (got -1)"},
 		{"timeline-every", []string{"-timeline-every", "0"}, retired("timeline-every")},
-		{"mutexprofile", []string{"-mutexprofile", "-1"}, "-mutexprofile"},
+		{"mutexprofile", []string{"-mutexprofile", "-1"}, "-mutexprofile must be >= 0 (got -1)"},
+		// Everything is wrong: the first rule in declaration order wins.
 		{"first-error-wins", []string{"-checkpoint-every", "0", "-max-ranges", "1",
-			"-mem-budget", "-1", "-timeline-window", "-1", "-mutexprofile", "-1"}, "-checkpoint-every"},
+			"-mem-budget", "-1", "-timeline-window", "-1", "-mutexprofile", "-1"}, "-checkpoint-every must be >= 1 (got 0)"},
 		{"stale-after-zero", []string{"-exporter-stale-after", "0s"}, retired("exporter-stale-after")},
 		{"skew-max-neg", []string{"-skew-max", "-1s"}, retired("skew-max")},
 		{"workload-topk", []string{"-workload-topk", "1"}, retired("workload-topk")},
@@ -93,8 +94,9 @@ func TestValidate(t *testing.T) {
 		{"sketch-off-nonsense", []string{"-q", "0.05"}, ""},
 		{"sketch-on", []string{"-sketch"}, ""},
 		// With it on, q must exceed the fixed 0.05 exact margin.
-		{"sketch-zero-margin", []string{"-sketch", "-q", "0.05"}, "-q"},
-		{"sketch-margin-neg", []string{"-sketch", "-q", "0.01"}, "-q"},
+		{"sketch-zero-margin", []string{"-sketch", "-q", "0.05"}, "-q must exceed the sketch tier's exact margin 0.05 with -sketch (got 0.05)"},
+		{"sketch-margin-neg", []string{"-sketch", "-q", "0.01"}, "-q must exceed the sketch tier's exact margin 0.05 with -sketch (got 0.01)"},
+		{"sketch-above-margin", []string{"-sketch", "-q", "0.06"}, ""},
 		{"sketch-width-15", []string{"-sketch", "-sketch-width", "15"}, retired("sketch-width")},
 		{"sketch-width-big", []string{"-sketch", "-sketch-width", "1048577"}, retired("sketch-width")},
 		{"sketch-depth-0", []string{"-sketch", "-sketch-depth", "0"}, retired("sketch-depth")},
@@ -125,7 +127,7 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestCloseReportsSinkError pins the journal-sink contract of the binaries:
+// TestCloseReportsSinkError pins ipd's journal-sink contract:
 // an event that did not reach the file makes Close fail, and a healthy sink
 // holds one JSON line per recorded event.
 func TestCloseReportsSinkError(t *testing.T) {
@@ -192,7 +194,7 @@ func feed(srv *core.Server, from, to, shiftAt int) {
 	}
 }
 
-// TestRestore is the crash-recovery contract both binaries rely on: a
+// TestRestore is the crash-recovery contract both ipd modes rely on: a
 // checkpoint plus the journal events recorded after it reproduce the live
 // partition, from a server checkpoint and from a bare engine's alike.
 func TestRestore(t *testing.T) {

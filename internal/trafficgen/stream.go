@@ -94,8 +94,10 @@ func hotAddr(p netip.Prefix, rng *splitMix) netip.Addr {
 	return netaddr.NthAddr(p, rng.next()%span)
 }
 
-// Stream generates the sampled flow records of [start, end) in timestamp
-// order and passes each to fn; generation stops early if fn returns false.
+// Stream generates the sampled flow records of [start, end) minute by
+// minute and passes each to fn; generation stops early if fn returns false.
+// Records are ordered by minute only: inside a minute each carries a random
+// offset and comes in generation order, not in timestamp order.
 // Records carry the ground-truth ingress (a flow trace *is* ground truth:
 // it is captured at the ingress router).
 func (s *Scenario) Stream(start, end time.Time, cfg GenConfig, fn func(flow.Record) bool) error {

@@ -405,6 +405,33 @@ func TestStreamDeterminism(t *testing.T) {
 	}
 }
 
+// TestStreamMinuteOrder pins Stream's order: minutes never go back, and
+// inside a minute records come in generation order with random offsets,
+// not sorted. Every figure reads this stream, so sorting it would move
+// experiments_output.txt.
+func TestStreamMinuteOrder(t *testing.T) {
+	s := testScenario(t)
+	cfg := DefaultGenConfig()
+	cfg.FlowsPerMinute = 500
+	recs, err := s.Records(s.Start, s.Start.Add(5*time.Minute), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backwards := 0
+	for i := 1; i < len(recs); i++ {
+		prev, cur := recs[i-1].Ts, recs[i].Ts
+		if cur.Truncate(time.Minute).Before(prev.Truncate(time.Minute)) {
+			t.Fatalf("record %d is in minute %v, after a record in minute %v", i, cur.Truncate(time.Minute), prev.Truncate(time.Minute))
+		}
+		if cur.Before(prev) {
+			backwards++
+		}
+	}
+	if backwards == 0 {
+		t.Fatal("records are in timestamp order inside every minute; the stream changed")
+	}
+}
+
 func TestBGPTableShape(t *testing.T) {
 	s := testScenario(t)
 	tb := s.BGPTable(s.Start.Add(24 * time.Hour))

@@ -53,7 +53,6 @@ import (
 	"ipd/internal/stattime"
 	"ipd/internal/telemetry"
 	"ipd/internal/timeline"
-	"ipd/internal/topology"
 	"ipd/internal/trace"
 	"ipd/internal/trafficgen"
 	"ipd/internal/workload"
@@ -85,7 +84,6 @@ const (
 	EventClassified   = core.EventClassified
 	EventAlertRaised  = core.EventAlertRaised
 	EventAlertCleared = core.EventAlertCleared
-	EventStateMode    = core.EventStateMode
 )
 
 // Alert kinds (the timeline analytics), carried in the Detail field of
@@ -232,11 +230,6 @@ func NewTracer(opts TracerOptions) *Tracer { return trace.New(opts) }
 // the journal's Record already does).
 func NewJournal(opts JournalOptions) *Journal { return journal.New(opts) }
 
-// DiffPartitions compares two snapshots on what the decision log determines
-// (partition, classification, sketch provenance) and names the first range
-// that differs; nil means a replay reproduced the run.
-func DiffPartitions(want, got []RangeInfo) error { return core.DiffPartitions(want, got) }
-
 // Crash-safety types. An IngestQueue is the bounded shed-oldest overload
 // buffer between collectors and Server.RunQueue. See Engine.MarshalState /
 // UnmarshalState, Server.EncodeCheckpoint / RestoreCheckpoint /
@@ -287,14 +280,6 @@ type (
 	// StatTimeConfig parameterizes the router-clock-drift-tolerant input
 	// bucketing of §3.1.
 	StatTimeConfig = stattime.Config
-)
-
-// Topology types.
-type (
-	// LinkClass categorizes a border link (PNI, peering, transit, ...).
-	LinkClass = topology.LinkClass
-	// ASN is an autonomous system number.
-	ASN = topology.ASN
 )
 
 // TelemetryRegistry names metrics for exposition. Every Engine (and Server)
@@ -363,9 +348,6 @@ func DefaultSimSpec() SimSpec { return trafficgen.DefaultSpec() }
 func NewSimScenario(spec SimSpec) (*SimScenario, error) {
 	return trafficgen.NewScenario(spec)
 }
-
-// DefaultSimGenConfig returns generation defaults suitable for examples.
-func DefaultSimGenConfig() SimGenConfig { return trafficgen.DefaultGenConfig() }
 
 // NewSimRecordFaults returns a record-level fault filter for trace
 // generation; see trafficgen.RecordFaults.

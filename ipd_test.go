@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ipd"
+	"ipd/internal/trafficgen"
 )
 
 var t0 = time.Date(2024, 8, 4, 12, 0, 0, 0, time.UTC)
@@ -125,7 +126,7 @@ func TestSimScenarioFacade(t *testing.T) {
 	if len(scn.ASes) == 0 || scn.Topo == nil {
 		t.Fatal("empty scenario")
 	}
-	cfg := ipd.DefaultSimGenConfig()
+	cfg := trafficgen.DefaultGenConfig()
 	cfg.FlowsPerMinute = 500
 	n := 0
 	err = scn.Stream(scn.Start, scn.Start.Add(2*time.Minute), cfg, func(ipd.Record) bool {
@@ -145,15 +146,15 @@ func TestSimScenarioFacade(t *testing.T) {
 // is a deliberate change to this list, not drift.
 func TestFacadeSurface(t *testing.T) {
 	want := []string{
-		"ASN", "AlertClockSkew", "AlertDrift", "AlertExporterLoss", "AlertExporterStale",
+		"AlertClockSkew", "AlertDrift", "AlertExporterLoss", "AlertExporterStale",
 		"AlertFlap", "AlertHotPrefix", "Config",
-		"DefaultConfig", "DefaultSimGenConfig", "DefaultSimSpec", "DefaultStatTimeConfig",
-		"DiffPartitions", "Engine", "Event", "EventAlertCleared",
-		"EventAlertRaised", "EventClassified", "EventStateMode", "ExporterHealth",
+		"DefaultConfig", "DefaultSimSpec", "DefaultStatTimeConfig",
+		"Engine", "Event", "EventAlertCleared",
+		"EventAlertRaised", "EventClassified", "ExporterHealth",
 		"ExporterHealthOptions", "FlowSampler", "Governor", "GovernorConfig",
 		"GovernorDegraded", "GovernorEmergency", "GovernorNormal", "GovernorState",
 		"IfaceID", "IngestQueue", "Ingress", "Journal", "JournalOptions",
-		"LinkClass", "NewEngine", "NewExporterHealth",
+		"NewEngine", "NewExporterHealth",
 		"NewFlowMetrics", "NewFlowSampler", "NewGovernor", "NewIngestQueue",
 		"NewJournal", "NewServer", "NewSimRecordFaults", "NewSimScenario",
 		"NewSimV5Packer", "NewTimelineCollector", "NewTraceReader", "NewTraceWriter",
