@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"time"
@@ -48,11 +49,12 @@ func (n *Node) Handler() *http.ServeMux {
 	return mux
 }
 
-// ListenAndServe serves h on addr until ctx is done, then shuts the server
-// down, giving in-flight requests two seconds. It returns nil after that
-// shutdown and the listen or serve error otherwise.
-func ListenAndServe(ctx context.Context, addr string, h http.Handler) error {
-	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 5 * time.Second}
+// Serve serves h on ln until ctx is done, then shuts the server down,
+// giving in-flight requests two seconds. It returns nil after that shutdown
+// and the serve error otherwise. The caller binds ln, so a bind error comes
+// before anything is served and ln.Addr() names the port a ":0" got.
+func Serve(ctx context.Context, ln net.Listener, h http.Handler) error {
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
 	stopped := make(chan struct{})
 	defer close(stopped)
 	go func() {
@@ -65,7 +67,7 @@ func ListenAndServe(ctx context.Context, addr string, h http.Handler) error {
 		defer cancel()
 		_ = srv.Shutdown(shutdownCtx)
 	}()
-	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+	if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
 	return nil
